@@ -23,7 +23,8 @@ from pathlib import Path
 
 from . import io as wio
 from .calibration import WEIGHT_MODES, predict_ser
-from .errors import ConfigurationError, DegenerateFitError, IngestError, SamplingTimeError
+from .errors import (ConfigurationError, DegenerateFitError, IngestError,
+                     ProtocolError, SamplingTimeError)
 from .pipeline import (LinearSerLaw, build_report_bundle, calibrate_datasets,
                        simulate_parts)
 from .protocols import run_hold_sweep, run_read_sweep, run_ser_test, run_wlvm_sweep, word_line_voltage_margin
@@ -344,7 +345,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ConfigurationError, DegenerateFitError, IngestError,
+    except (ConfigurationError, DegenerateFitError, IngestError, ProtocolError,
             SamplingTimeError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

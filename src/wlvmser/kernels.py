@@ -1,206 +1,19 @@
-"""Numeric inner loops with two interchangeable backends.
+"""Numeric inner loops of the simulator, in numpy.
 
-The hot paths of the simulator are small, tight loops over cell arrays:
-counting observed per-window bit flips, registering sweep failures and
-Monte-Carlo sampling of masked upsets.  Each kernel exists twice, once as
-a numba ``@njit`` function and once as a pure-numpy implementation.  The
-active backend is chosen at import time: numba when it is importable and
-the environment variable ``WLVMSER_NO_NUMBA`` is unset (or falsy).
-
-Both backends are bit-identical for the deterministic kernels
-(``window_observed_flips``, ``sweep_registration``).  The Monte-Carlo
-kernel uses each backend's own random stream, so results for a given seed
-are deterministic per backend but differ between backends.
-
-``benchmarks/bench_kernels.py`` times the two backends side by side.
+The hot paths are small operations over cell arrays: counting observed
+per-window bit flips, registering sweep failures and Monte-Carlo sampling
+of masked upsets.  ``window_observed_flips`` and ``sweep_registration``
+are deterministic; ``masked_upsets_mc`` is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .errors import ConfigurationError
 
-DISABLE_ENV = "WLVMSER_NO_NUMBA"
+_MC_CHUNK = 4_000_000  # bounds the Monte-Carlo working set
 
-_MC_CHUNK = 4_000_000  # bounds the numpy Monte-Carlo working set
-
-
-def _numba_requested() -> bool:
-    flag = os.environ.get(DISABLE_ENV, "").strip().lower()
-    return flag not in {"1", "true", "yes", "on"}
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations (fallback backend)
-# ---------------------------------------------------------------------------
-
-def _window_observed_flips_numpy(windows, cells, n_windows, n_cells):
-    counts = np.zeros(n_windows, dtype=np.int64)
-    if cells.size:
-        # a cell reads back differently from the previous window iff it was
-        # hit an odd number of times inside the window
-        composite = windows * np.int64(n_cells) + cells
-        uniq, multiplicity = np.unique(composite, return_counts=True)
-        odd = uniq[(multiplicity & 1) == 1]
-        counts = np.bincount(odd // n_cells, minlength=n_windows).astype(np.int64)
-    total_parity = (np.bincount(cells, minlength=n_cells) & 1).astype(np.uint8)
-    return counts, total_parity
-
-
-def _sweep_registration_numpy(thresholds, v_start, delta_v):
-    n = thresholds.size
-    fail_v = np.full(n, -1, dtype=np.int64)
-    state = np.zeros(n, dtype=np.uint8)
-    pending = np.ones(n, dtype=bool)
-    step = 0
-    target = np.uint8(1)
-    while pending.any():
-        step += 1
-        v = v_start - delta_v * step
-        if v < 0:
-            v = 0
-        # reference pattern written at nominal voltage, opposite value
-        # attempted at the lowered voltage, then read back and compared
-        state[:] = np.uint8(1) - target
-        written = v >= thresholds
-        state[written] = target
-        newly = (state != target) & pending
-        fail_v[newly] = v
-        pending &= ~newly
-        target = np.uint8(1) - target
-        if v == 0:
-            break
-    return fail_v
-
-
-def _masked_upsets_numpy(lam_ts, n_cell_windows, seed):
-    rng = np.random.default_rng(seed)
-    masked = 0
-    total = 0
-    left = int(n_cell_windows)
-    while left > 0:
-        m = min(left, _MC_CHUNK)
-        k = rng.poisson(lam_ts, m)
-        total += int(k.sum())
-        masked += int((k - (k & 1)).sum())
-        left -= m
-    return masked, total
-
-
-_NUMPY_IMPLS = {
-    "window_observed_flips": _window_observed_flips_numpy,
-    "sweep_registration": _sweep_registration_numpy,
-    "masked_upsets_mc": _masked_upsets_numpy,
-}
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-_NUMBA_IMPLS = {}
-
-if _numba_requested():
-    try:
-        from numba import njit
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a hard dependency
-        HAS_NUMBA = False
-else:
-    HAS_NUMBA = False
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _window_observed_flips_numba(windows, cells, n_windows, n_cells):
-        counts = np.zeros(n_windows, dtype=np.int64)
-        total_parity = np.zeros(n_cells, dtype=np.uint8)
-        win_parity = np.zeros(n_cells, dtype=np.uint8)
-        touched = np.empty(cells.size, dtype=np.int64)
-        n_touched = 0
-        current = np.int64(-1)
-        for k in range(cells.size):
-            w = windows[k]
-            if w != current:
-                if current >= 0:
-                    c = 0
-                    for j in range(n_touched):
-                        i = touched[j]
-                        if win_parity[i] == 1:
-                            c += 1
-                            win_parity[i] = 0
-                    counts[current] = c
-                n_touched = 0
-                current = w
-            i = cells[k]
-            win_parity[i] ^= 1
-            total_parity[i] ^= 1
-            touched[n_touched] = i
-            n_touched += 1
-        if current >= 0:
-            c = 0
-            for j in range(n_touched):
-                i = touched[j]
-                if win_parity[i] == 1:
-                    c += 1
-                    win_parity[i] = 0
-            counts[current] = c
-        return counts, total_parity
-
-    @njit(cache=True)
-    def _sweep_registration_numba(thresholds, v_start, delta_v):
-        n = thresholds.size
-        fail_v = np.full(n, -1, dtype=np.int64)
-        remaining = n
-        step = 0
-        while remaining > 0:
-            step += 1
-            v = v_start - delta_v * step
-            if v < 0:
-                v = 0
-            for i in range(n):
-                if fail_v[i] < 0 and v < thresholds[i]:
-                    fail_v[i] = v
-                    remaining -= 1
-            if v == 0:
-                break
-        return fail_v
-
-    @njit(cache=True)
-    def _masked_upsets_numba(lam_ts, n_cell_windows, seed):
-        np.random.seed(seed)
-        masked = 0
-        total = 0
-        for _ in range(n_cell_windows):
-            k = np.random.poisson(lam_ts)
-            total += k
-            masked += k - (k & 1)
-        return masked, total
-
-    _NUMBA_IMPLS = {
-        "window_observed_flips": _window_observed_flips_numba,
-        "sweep_registration": _sweep_registration_numba,
-        "masked_upsets_mc": _masked_upsets_numba,
-    }
-
-USE_NUMBA = HAS_NUMBA
-BACKEND = "numba" if USE_NUMBA else "numpy"
-
-IMPLEMENTATIONS = {
-    name: {"numpy": _NUMPY_IMPLS[name], "numba": _NUMBA_IMPLS.get(name)}
-    for name in _NUMPY_IMPLS
-}
-
-
-def _active(name):
-    return IMPLEMENTATIONS[name][BACKEND]
-
-
-# ---------------------------------------------------------------------------
-# public wrappers
-# ---------------------------------------------------------------------------
 
 def window_observed_flips(windows, cells, n_windows, n_cells):
     """Per-window observed flip counts plus the total flip parity per cell.
@@ -219,7 +32,17 @@ def window_observed_flips(windows, cells, n_windows, n_cells):
             raise ValueError("window index out of range")
         if np.any(np.diff(windows) < 0):
             raise ValueError("windows must be sorted")
-    return _active("window_observed_flips")(windows, cells, int(n_windows), int(n_cells))
+    n_windows, n_cells = int(n_windows), int(n_cells)
+    counts = np.zeros(n_windows, dtype=np.int64)
+    if cells.size:
+        # a cell reads back differently from the previous window iff it was
+        # hit an odd number of times inside the window
+        composite = windows * np.int64(n_cells) + cells
+        uniq, multiplicity = np.unique(composite, return_counts=True)
+        odd = uniq[(multiplicity & 1) == 1]
+        counts = np.bincount(odd // n_cells, minlength=n_windows).astype(np.int64)
+    total_parity = (np.bincount(cells, minlength=n_cells) & 1).astype(np.uint8)
+    return counts, total_parity
 
 
 def sweep_registration(thresholds, v_start, delta_v):
@@ -228,14 +51,18 @@ def sweep_registration(thresholds, v_start, delta_v):
 
     A cell with threshold ``t`` passes at voltages ``>= t`` and fails
     below; the returned value per cell is the first visited voltage
-    strictly below its threshold.
+    strictly below its threshold.  The first visited voltage is
+    ``v_start - delta_v``, so a threshold above ``v_start`` registers
+    there.
     """
     thresholds = np.ascontiguousarray(thresholds, dtype=np.int64)
     if delta_v <= 0:
         raise ConfigurationError("delta_v must be positive")
     if np.any(thresholds <= 0):
         raise ConfigurationError("sweep requires strictly positive thresholds")
-    return _active("sweep_registration")(thresholds, int(v_start), int(delta_v))
+    v_start, delta_v = int(v_start), int(delta_v)
+    steps = np.maximum((v_start - thresholds) // delta_v + 1, 1)
+    return np.maximum(v_start - delta_v * steps, 0)
 
 
 def masked_upsets_mc(lam_ts, n_cell_windows, seed):
@@ -246,4 +73,14 @@ def masked_upsets_mc(lam_ts, n_cell_windows, seed):
     """
     if lam_ts < 0:
         raise ValueError("lam_ts must be non-negative")
-    return _active("masked_upsets_mc")(float(lam_ts), int(n_cell_windows), int(seed))
+    rng = np.random.default_rng(int(seed))
+    masked = 0
+    total = 0
+    left = int(n_cell_windows)
+    while left > 0:
+        m = min(left, _MC_CHUNK)
+        k = rng.poisson(float(lam_ts), m)
+        total += int(k.sum())
+        masked += int((k - (k & 1)).sum())
+        left -= m
+    return masked, total

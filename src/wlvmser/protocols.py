@@ -11,6 +11,8 @@ Four procedures are implemented:
 * hold sweep / read sweep — the same descending-voltage loop applied to
   the core supply during retention or read.
 
+All three sweeps follow one step-down rule on a different per-cell
+threshold, which ``kernels.sweep_registration`` evaluates in closed form.
 Sweeps record a per-cell threshold estimate as the first failing voltage
 plus half a step (midpoint correction), which removes the quantization
 bias of the voltage grid.
@@ -195,7 +197,7 @@ def run_ser_test(array: MemoryArray, source: AlphaSource, ts: float,
     ok = array.write_all(pat)
     bits, read_failed = array.read_all()
     if not ok.all() or read_failed.any() or not np.array_equal(bits, pat):
-        n_bad = int((~ok).sum() + read_failed.sum())
+        n_bad = int((~ok | read_failed).sum())
         raise ProtocolError(
             f"initial write/verify failed for {n_bad} cells at "
             f"v_dd={array.v_dd} mV; the part is not operable at this supply")
@@ -253,86 +255,62 @@ def choose_sampling_time(probe_rate: float, n_bits: int, error_budget: float,
     return min(ts_cap, TS_GRID_S * lo)
 
 
-def _check_sweep_args(array: MemoryArray, delta_v: int):
+def _run_sweep(array: MemoryArray, delta_v: int, quantity: str,
+               thresholds: np.ndarray) -> SweepResult:
+    """Step the swept voltage down from ``array.v_dd`` by ``delta_v`` and
+    register each cell at the first grid voltage below its threshold.
+
+    Every step rewrites the background at nominal supply, so a cell that
+    cannot be written at ``v_dd``, or whose swept threshold already lies
+    above it, would be registered at a voltage unrelated to the threshold
+    being measured; such a part is rejected instead.
+    """
     if not 0 < delta_v <= array.v_dd:
         raise ConfigurationError(f"delta_v={delta_v} outside (0, {array.v_dd}]")
-
-
-def run_wlvm_sweep(array: MemoryArray, delta_v: int = 10, seed=0) -> SweepResult:
-    """Word-line margin sweep over one block.
-
-    Each iteration writes the array at nominal, lowers the word-line
-    supply by one more step, writes the opposite value and reads back at
-    nominal; cells are registered at the first voltage whose write did not
-    take.  The loop ends once every cell has failed, which is guaranteed
-    because the grid is clamped at 0 and all write thresholds are positive.
-
-    ``seed`` is accepted for interface uniformity; the sweep is fully
-    determined by the array since the modeled write threshold is
-    polarity-independent.
-    """
-    _check_sweep_args(array, delta_v)
-    fail_v = kernels.sweep_registration(array.v_wl_min, array.v_dd, delta_v)
+    inoperable = (array.v_wl_min > array.v_dd) | (thresholds > array.v_dd)
+    if inoperable.any():
+        raise ProtocolError(
+            f"{int(inoperable.sum())} of {array.n_cells} cells cannot be "
+            f"written or already fail the {quantity} sweep at v_dd={array.v_dd} "
+            f"mV; the part is not operable at this supply")
+    fail_v = kernels.sweep_registration(thresholds, array.v_dd, delta_v)
     return SweepResult.from_registration(
-        array.part_id, array.cell_type.name, "word_line", delta_v, fail_v,
+        array.part_id, array.cell_type.name, quantity, delta_v, fail_v,
         array.v_dd)
 
 
-def run_hold_sweep(array: MemoryArray, delta_v: int = 10, seed=0) -> SweepResult:
+def run_wlvm_sweep(array: MemoryArray, delta_v: int = 10) -> SweepResult:
+    """Word-line margin sweep over one block.
+
+    Each step writes the array at nominal, lowers the word-line supply by
+    one more step, writes the opposite value and reads back at nominal;
+    cells are registered at the first voltage whose write did not take.
+    The modeled write threshold is polarity-independent, so the outcome is
+    computed in closed form from ``v_wl_min``; ``array.state`` is left
+    untouched.
+    """
+    return _run_sweep(array, delta_v, "word_line", array.v_wl_min)
+
+
+def run_hold_sweep(array: MemoryArray, delta_v: int = 10) -> SweepResult:
     """Retention sweep: lower the core supply and register bit corruption.
 
     A cell collapses to a fixed preferred state below its hold threshold,
-    so a single written polarity could never expose half the population.
-    The sweep therefore runs twice with opposite background values and
-    registers each cell at its first observed corruption over both runs.
+    so on the bench the sweep runs twice with opposite background values
+    and each cell shows its corruption in the run whose background is
+    opposite its preferred state, at the first grid voltage below its
+    hold threshold.  The outcome is computed in closed form from
+    ``v_dd_min_hold``; ``array.state`` is left untouched.
     """
-    _check_sweep_args(array, delta_v)
-    n = array.n_cells
-    fail_v = np.full(n, -1, dtype=np.int64)
-    for written in (0, 1):
-        background = np.full(n, written, dtype=np.uint8)
-        can_corrupt = array.preferred_state != written
-        step = 0
-        while True:
-            step += 1
-            v = max(array.v_dd - delta_v * step, 0)
-            array.write_all(background)
-            array.apply_hold_voltage(v)
-            bits, _ = array.read_all()
-            newly = (bits != written) & (fail_v < 0)
-            fail_v[newly] = v
-            if v == 0 or not (can_corrupt & (fail_v < 0)).any():
-                break
-    return SweepResult.from_registration(
-        array.part_id, array.cell_type.name, "vdd_hold", delta_v, fail_v,
-        array.v_dd)
+    return _run_sweep(array, delta_v, "vdd_hold", array.v_dd_min_hold)
 
 
-def run_read_sweep(array: MemoryArray, delta_v: int = 10, seed=0) -> SweepResult:
+def run_read_sweep(array: MemoryArray, delta_v: int = 10) -> SweepResult:
     """Read-voltage sweep: lower the core supply during reads only.
 
     The word line stays at nominal; cells are registered at the first
     supply voltage producing a read failure.  Reads are non-destructive so
-    a single polarity covers every cell.
+    a single polarity covers every cell.  The outcome is computed in
+    closed form from ``v_dd_min_read``; ``array.state`` is left untouched.
     """
-    _check_sweep_args(array, delta_v)
-    n = array.n_cells
-    pattern = np.zeros(n, dtype=np.uint8)
-    fail_v = np.full(n, -1, dtype=np.int64)
-    array.write_all(pattern)
-    _, failed = array.read_all()
-    if failed.any():
-        raise ProtocolError("read failures at nominal supply before sweeping")
-    step = 0
-    while (fail_v < 0).any():
-        step += 1
-        v = max(array.v_dd - delta_v * step, 0)
-        array.write_all(pattern)
-        _, failed = array.read_all(v)
-        newly = failed & (fail_v < 0)
-        fail_v[newly] = v
-        if v == 0:
-            break
-    return SweepResult.from_registration(
-        array.part_id, array.cell_type.name, "vdd_read", delta_v, fail_v,
-        array.v_dd)
+    return _run_sweep(array, delta_v, "vdd_read", array.v_dd_min_read)

@@ -250,6 +250,17 @@ def test_cli_sweep_and_ser_test_smoke(tmp_path, capsys):
     assert (tmp_path / "ser.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [["ser-test", "--vdd", "700", "--duration", "3600"],
+                                  ["simulate", "--vdd", "1080", "--parts", "1",
+                                   "--duration", "3600"],
+                                  ["sweep", "--kind", "read", "--vdd", "700"]])
+def test_cli_inoperable_supply_is_one_error_line(argv, tmp_path, capsys):
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "not operable" in err[0]
+
+
 def test_cli_report_bundled(tmp_path, capsys):
     assert cli.main(["report", "--input", "bundled",
                      "--out", str(tmp_path / "rep")]) == 0

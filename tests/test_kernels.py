@@ -1,4 +1,4 @@
-"""Backend equivalence and independent oracles for the jitted kernels."""
+"""Independent oracles for the numeric kernels."""
 
 import math
 
@@ -8,10 +8,6 @@ import pytest
 from wlvmser import kernels
 from wlvmser.errors import ConfigurationError
 from wlvmser.radiation import undetected_fraction
-
-BACKENDS = [b for b in ("numpy", "numba")
-            if kernels.IMPLEMENTATIONS["sweep_registration"][b] is not None]
-
 
 def _random_events(rng, n_events, n_windows, n_cells):
     windows = np.sort(rng.integers(0, n_windows, n_events)).astype(np.int64)
@@ -33,10 +29,18 @@ def window_flips_oracle(windows, cells, n_windows, n_cells):
 
 
 def sweep_oracle(thresholds, v_start, delta_v):
-    """Closed-form first failing grid voltage per cell."""
+    """Explicit step-down loop: lower the voltage one step at a time and
+    register each cell at the first visited voltage below its threshold."""
     t = np.asarray(thresholds, dtype=np.int64)
-    k = (v_start - t) // delta_v + 1
-    return np.maximum(v_start - delta_v * k, 0)
+    fail_v = np.full(t.size, -1, dtype=np.int64)
+    v = v_start
+    while (fail_v < 0).any():
+        v = max(v - delta_v, 0)
+        newly = (fail_v < 0) & (v < t)
+        fail_v[newly] = v
+        if v == 0:
+            break
+    return fail_v
 
 
 @pytest.mark.parametrize("n_events", [0, 1, 40, 2600])
@@ -48,18 +52,6 @@ def test_window_flips_matches_oracle(n_events):
     oracle_counts, oracle_state = window_flips_oracle(windows, cells, n_windows, n_cells)
     assert np.array_equal(counts, oracle_counts)
     assert np.array_equal(parity, oracle_state)
-
-
-def test_window_flips_backends_agree():
-    impls = kernels.IMPLEMENTATIONS["window_observed_flips"]
-    if impls["numba"] is None:
-        pytest.skip("numba backend unavailable")
-    rng = np.random.default_rng(99)
-    windows, cells = _random_events(rng, 5000, 240, 4096)
-    res_np = impls["numpy"](windows, cells, 240, 4096)
-    res_nb = impls["numba"](windows, cells, 240, 4096)
-    assert np.array_equal(res_np[0], res_nb[0])
-    assert np.array_equal(res_np[1], res_nb[1])
 
 
 def test_window_flips_validation():
@@ -82,14 +74,14 @@ def test_sweep_registration_matches_oracle(delta_v):
     assert np.all(fail_v + delta_v >= thresholds)
 
 
-def test_sweep_registration_backends_agree():
-    impls = kernels.IMPLEMENTATIONS["sweep_registration"]
-    if impls["numba"] is None:
-        pytest.skip("numba backend unavailable")
-    rng = np.random.default_rng(7)
-    thresholds = np.clip(np.rint(rng.normal(791, 44, 4096)), 1, 1200).astype(np.int64)
-    assert np.array_equal(impls["numpy"](thresholds, 1200, 10),
-                          impls["numba"](thresholds, 1200, 10))
+@pytest.mark.parametrize("delta_v", [1, 7, 10, 50])
+def test_sweep_registration_thresholds_above_start(delta_v):
+    rng = np.random.default_rng(100 + delta_v)
+    thresholds = rng.integers(1, 1500, 3000)
+    fail_v = kernels.sweep_registration(thresholds, 1000, delta_v)
+    assert np.array_equal(fail_v, sweep_oracle(thresholds, 1000, delta_v))
+    # cells already failing at the start register at the first visited step
+    assert np.all(fail_v[thresholds > 1000] == 1000 - delta_v)
 
 
 def test_sweep_registration_rejects_bad_input():
@@ -99,21 +91,18 @@ def test_sweep_registration_rejects_bad_input():
         kernels.sweep_registration(np.array([100]), 1200, 0)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_masked_mc_agrees_with_analytic(backend):
-    impl = kernels.IMPLEMENTATIONS["masked_upsets_mc"][backend]
+def test_masked_mc_agrees_with_analytic():
     lam_ts = 0.02
     n = 2_000_000
-    masked, total = impl(lam_ts, n, 12345)
+    masked, total = kernels.masked_upsets_mc(lam_ts, n, 12345)
     f = undetected_fraction(lam_ts / 2, 2.0)  # lambda*ts = 0.02
     tol = 4.0 * math.sqrt(f * (1 - f) / total)
     assert abs(masked / total - f) <= tol
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_masked_mc_deterministic_per_backend(backend):
-    impl = kernels.IMPLEMENTATIONS["masked_upsets_mc"][backend]
-    assert impl(1.5e-3, 100_000, 7) == impl(1.5e-3, 100_000, 7)
+def test_masked_mc_deterministic():
+    assert (kernels.masked_upsets_mc(1.5e-3, 100_000, 7)
+            == kernels.masked_upsets_mc(1.5e-3, 100_000, 7))
 
 
 def test_masked_mc_rejects_negative_rate():

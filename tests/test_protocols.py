@@ -1,12 +1,13 @@
 """Measurement procedure executors: SER test, sweeps, sampling time."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import manual_array, single_type_model
-from wlvmser.errors import ConfigurationError, SamplingTimeError
+from wlvmser.errors import ConfigurationError, ProtocolError, SamplingTimeError
 from wlvmser.io import write_ser_log, write_sweep_log
 from wlvmser.protocols import (choose_sampling_time, run_hold_sweep,
                                run_read_sweep, run_ser_test, run_wlvm_sweep,
@@ -102,6 +103,16 @@ def test_ser_cumulative_count_is_linear(ss_model):
     slope = np.polyfit(t, cumulative, 1)[0]
     rate = meas.n_tot / meas.t_exp
     assert abs(slope - rate) <= 4 * math.sqrt(meas.n_tot) / meas.t_exp
+
+
+def test_ser_test_inoperable_count_is_per_cell(ss_model):
+    """A cell that fails both the write and the read counts once."""
+    array = _block(ss_model, v_dd=700)
+    with pytest.raises(ProtocolError, match="not operable") as info:
+        run_ser_test(array, AlphaSource(), ts=1800, duration=3600, seed=0)
+    n_bad = int(re.search(r"failed for (\d+) cells", str(info.value)).group(1))
+    expected = (array.v_wl_min > 700) | (array.v_dd_min_read > 700)
+    assert n_bad == int(expected.sum()) <= array.n_cells
 
 
 def test_ser_test_duration_validation(ss_model):
@@ -229,6 +240,62 @@ def test_margin_domain_error():
 
 # --- hold sweep ----------------------------------------------------------------
 
+def hold_sweep_oracle(array, delta_v):
+    """Bench procedure: for each background polarity, write at nominal,
+    drop the supply one more step, restore it and read back; register each
+    cell at its first corruption over both polarities."""
+    n = array.n_cells
+    fail_v = np.full(n, -1, dtype=np.int64)
+    for written in (0, 1):
+        background = np.full(n, written, dtype=np.uint8)
+        can_corrupt = array.preferred_state != written
+        v = array.v_dd
+        while v > 0 and (can_corrupt & (fail_v < 0)).any():
+            v = max(v - delta_v, 0)
+            array.write_all(background)
+            array.apply_hold_voltage(v)
+            bits, _ = array.read_all()
+            newly = (bits != written) & (fail_v < 0)
+            fail_v[newly] = v
+    return fail_v
+
+
+def read_sweep_oracle(array, delta_v):
+    """Bench procedure: write a background at nominal, read it back at a
+    supply lowered one more step; register each cell at its first read
+    failure."""
+    pattern = np.zeros(array.n_cells, dtype=np.uint8)
+    fail_v = np.full(array.n_cells, -1, dtype=np.int64)
+    v = array.v_dd
+    while v > 0 and (fail_v < 0).any():
+        v = max(v - delta_v, 0)
+        array.write_all(pattern)
+        _, failed = array.read_all(v)
+        newly = failed & (fail_v < 0)
+        fail_v[newly] = v
+    return fail_v
+
+
+@pytest.mark.parametrize("runner, oracle", [(run_hold_sweep, hold_sweep_oracle),
+                                            (run_read_sweep, read_sweep_oracle)])
+def test_supply_sweeps_match_bench_procedure(runner, oracle):
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        n = int(rng.integers(1, 80))
+        v_dd = int(rng.choice([600, 1000, 1200]))
+        delta_v = int(rng.choice([1, 7, 10, 50]))
+        array = manual_array(rng.integers(1, v_dd + 1, n),
+                             v_dd_min_hold=rng.integers(1, v_dd + 1, n),
+                             v_dd_min_read=rng.integers(1, v_dd + 1, n),
+                             preferred=rng.integers(0, 2, n),
+                             state=rng.integers(0, 2, n), v_dd=v_dd)
+        state = array.state.copy()
+        result = runner(array, delta_v=delta_v)
+        assert np.array_equal(array.state, state)  # the sweep writes nothing
+        fail_v = oracle(array, delta_v)
+        assert np.array_equal(result.per_cell_threshold, fail_v + delta_v / 2)
+
+
 def test_hold_sweep_registers_every_cell(ss_model):
     array = _block(ss_model, seed=8)
     result = run_hold_sweep(array, delta_v=10)
@@ -267,6 +334,31 @@ def test_read_sweep_degenerate_distribution():
     result = run_read_sweep(sample_array("SS", model, seed=0), delta_v=10)
     assert len(result.histogram) == 1
     assert result.histogram == {640: 4096}
+
+
+# --- supply preconditions ---------------------------------------------------------
+
+@pytest.mark.parametrize("runner, field", [(run_wlvm_sweep, "v_wl_min"),
+                                           (run_hold_sweep, "v_dd_min_hold"),
+                                           (run_read_sweep, "v_dd_min_read")])
+def test_sweep_rejects_threshold_above_supply(runner, field):
+    kw = dict(v_wl_min=[900] * 3, v_dd_min_hold=[450] * 3, v_dd_min_read=[650] * 3)
+    kw[field] = [kw[field][0], 1201, 1300]
+    with pytest.raises(ProtocolError, match=r"2 of 3 cells .* v_dd=1200 mV"):
+        runner(manual_array(**kw), delta_v=10)
+
+
+@pytest.mark.parametrize("runner, field", [(run_hold_sweep, "v_dd_min_hold"),
+                                           (run_read_sweep, "v_dd_min_read")])
+def test_supply_sweeps_reject_unwritable_cells(runner, field, ss_model):
+    """At 700 mV many write thresholds exceed the supply: the background
+    cannot be written, so the part is flagged rather than mis-measured."""
+    array = _block(ss_model, v_dd=700)
+    unwritable = array.v_wl_min > 700
+    assert 0 < unwritable.sum() < array.n_cells
+    n_bad = int((unwritable | (getattr(array, field) > 700)).sum())
+    with pytest.raises(ProtocolError, match=f"{n_bad} of 4096 cells .* not operable"):
+        runner(array, delta_v=10)
 
 
 def test_read_sweep_leaves_data_intact(ss_model):
