@@ -1,9 +1,11 @@
 """Numeric inner loops of the simulator, in numpy.
 
 The hot paths are small operations over cell arrays: counting observed
-per-window bit flips, registering sweep failures and Monte-Carlo sampling
-of masked upsets.  ``window_observed_flips`` and ``sweep_registration``
-are deterministic; ``masked_upsets_mc`` is deterministic for a fixed seed.
+per-window bit flips (a sort of per-event keys, then hits minus the
+pairs of repeated hits), registering sweep failures (a closed form) and
+Monte-Carlo sampling of masked upsets.  ``window_observed_flips`` and
+``sweep_registration`` are deterministic; ``masked_upsets_mc`` is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -18,29 +20,48 @@ _MC_CHUNK = 4_000_000  # bounds the Monte-Carlo working set
 def window_observed_flips(windows, cells, n_windows, n_cells):
     """Per-window observed flip counts plus the total flip parity per cell.
 
-    ``windows`` must be non-decreasing (events sorted by time) and every
-    entry must lie in ``[0, n_windows)``.  Returns ``(counts, parity)``
-    where ``counts[i]`` is the number of cells whose read-back changed in
-    window ``i`` and ``parity`` is the cumulative XOR mask over all events.
+    ``windows`` must be non-decreasing (events sorted by time), every
+    entry must lie in ``[0, n_windows)`` and every cell in ``[0, n_cells)``.
+    Returns ``(counts, parity)`` where ``counts[i]`` is the number of cells
+    whose read-back changed in window ``i`` and ``parity`` is the
+    cumulative XOR mask over all events.
+
+    Each event becomes the key ``window * n_cells + cell``, as ``int32``
+    when every key fits and ``int64`` otherwise, and the keys are sorted in
+    place.  A cell hit ``L`` times within one window forms a run of ``L``
+    equal keys and reads back changed iff ``L`` is odd, so ``L // 2`` pairs
+    of hits go unseen: each window's count is its hits minus twice the
+    pairs of its runs.
     """
-    windows = np.ascontiguousarray(windows, dtype=np.int64)
-    cells = np.ascontiguousarray(cells, dtype=np.int64)
+    windows = np.asarray(windows)
+    cells = np.asarray(cells, dtype=np.int64)
     if windows.size != cells.size:
         raise ValueError("windows and cells must have the same length")
-    if windows.size:
-        if windows[0] < 0 or windows[-1] >= n_windows:
-            raise ValueError("window index out of range")
-        if np.any(np.diff(windows) < 0):
-            raise ValueError("windows must be sorted")
     n_windows, n_cells = int(n_windows), int(n_cells)
-    counts = np.zeros(n_windows, dtype=np.int64)
-    if cells.size:
-        # a cell reads back differently from the previous window iff it was
-        # hit an odd number of times inside the window
-        composite = windows * np.int64(n_cells) + cells
-        uniq, multiplicity = np.unique(composite, return_counts=True)
-        odd = uniq[(multiplicity & 1) == 1]
-        counts = np.bincount(odd // n_cells, minlength=n_windows).astype(np.int64)
+    if not cells.size:
+        return np.zeros(n_windows, dtype=np.int64), np.zeros(n_cells, dtype=np.uint8)
+    if windows[0] < 0 or windows[-1] >= n_windows:
+        raise ValueError("window index out of range")
+    if (windows[1:] < windows[:-1]).any():
+        raise ValueError("windows must be sorted")
+    if cells.min() < 0 or cells.max() >= n_cells:
+        raise ValueError("cell index out of range")
+    key = windows.astype(np.int32 if n_windows * n_cells < 2**31 else np.int64)
+    key *= n_cells
+    np.add(key, cells, out=key)
+    key.sort()
+    # a run of L equal keys shows as L - 1 consecutive repeat positions
+    repeat = np.flatnonzero(key[1:] == key[:-1])
+    edge = np.empty(repeat.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(repeat[1:], repeat[:-1] + 1, out=edge[1:-1])
+    heads = np.flatnonzero(edge)  # first repeat of each run, then repeat.size
+    pairs = (np.diff(heads) + 1) // 2
+    # sorting keeps each window's events at the positions they had
+    masked = np.bincount(windows[repeat[heads[:-1]]], weights=pairs,
+                         minlength=n_windows).astype(np.int64)
+    hits = np.diff(np.searchsorted(windows, np.arange(n_windows + 1)))
+    counts = hits - 2 * masked
     total_parity = (np.bincount(cells, minlength=n_cells) & 1).astype(np.uint8)
     return counts, total_parity
 

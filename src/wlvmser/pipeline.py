@@ -16,6 +16,7 @@ import numpy as np
 
 from .calibration import (CalibrationFit, build_weighted_points, predict_ser,
                           weighted_linfit)
+from .errors import ConfigurationError
 from .io import (PartDataset, PredictionRow, ReportBundle, ScatterPoint)
 from .protocols import (run_hold_sweep, run_read_sweep, run_ser_test,
                         run_wlvm_sweep, word_line_voltage_margin)
@@ -61,8 +62,11 @@ def simulate_parts(
     threshold means and one flux factor is drawn uniformly within
     ``+-geom_spread``.  Per block the ground-truth rate is the law applied
     to the part's true mean margin at ``v_dd``.  Deterministic under a
-    fixed seed.
+    fixed seed.  An inoperable block aborts the batch with a
+    ``ProtocolError`` that names its part and cell type.
     """
+    if n_parts < 1:
+        raise ConfigurationError(f"n_parts must be >= 1, got {n_parts}")
     model = model if model is not None else VariationModel.default()
     law = law if law is not None else LinearSerLaw()
     v_dd = int(v_dd) if v_dd is not None else model.v_dd_nominal

@@ -199,11 +199,13 @@ def run_ser_test(array: MemoryArray, source: AlphaSource, ts: float,
     if not ok.all() or read_failed.any() or not np.array_equal(bits, pat):
         n_bad = int((~ok | read_failed).sum())
         raise ProtocolError(
-            f"initial write/verify failed for {n_bad} cells at "
+            f"part {array.part_id} {array.cell_type.name}: initial write/verify "
+            f"failed for {n_bad} cells at "
             f"v_dd={array.v_dd} mV; the part is not operable at this supply")
 
     events = generate_events(array, source, t_exp, seed)
-    windows = np.minimum((events.times / ts).astype(np.int64), n_windows - 1)
+    windows = (events.times / ts).astype(np.int64)
+    np.minimum(windows, n_windows - 1, out=windows)
     counts, parity = kernels.window_observed_flips(
         windows, events.cells, n_windows, array.n_cells)
     array.state ^= parity
@@ -270,6 +272,7 @@ def _run_sweep(array: MemoryArray, delta_v: int, quantity: str,
     inoperable = (array.v_wl_min > array.v_dd) | (thresholds > array.v_dd)
     if inoperable.any():
         raise ProtocolError(
+            f"part {array.part_id} {array.cell_type.name}: "
             f"{int(inoperable.sum())} of {array.n_cells} cells cannot be "
             f"written or already fail the {quantity} sweep at v_dd={array.v_dd} "
             f"mV; the part is not operable at this supply")

@@ -3,7 +3,10 @@
 Upset instants form a Poisson process.  Events are generated with
 exponential inter-arrival times at the aggregate array rate and assigned
 to cells proportionally to their individual rates, which is exact for a
-superposition of independent homogeneous processes.  The per-cell rate is
+superposition of independent homogeneous processes.  Arrival times are
+running sums of the gaps, cut at the horizon by a binary search, and a
+draw whose expected count exceeds ``MAX_EXPECTED_EVENTS`` is refused
+before anything is allocated.  The per-cell rate is
 
     lambda_c = true_seu_rate * geom_factor * 1e-6   [per second]
 
@@ -25,6 +28,10 @@ import numpy as np
 from .errors import ConfigurationError
 from .sram import MemoryArray
 
+# Largest expected event count one draw may ask for.  A SER test holds
+# about 40 bytes per event at its peak, so this caps it near 0.7 GB.
+MAX_EXPECTED_EVENTS = 2**24
+
 
 @dataclass(frozen=True)
 class AlphaSource:
@@ -43,7 +50,7 @@ class AlphaSource:
     rel_geom_unc: float = 0.03
 
     def __post_init__(self):
-        if self.rate_per_bit < 0:
+        if not self.rate_per_bit >= 0:  # also rejects nan
             raise ConfigurationError("rate_per_bit must be >= 0")
         if not 0.9 <= self.geom_factor <= 1.1:
             raise ConfigurationError("geom_factor must lie in [0.9, 1.1]")
@@ -84,7 +91,12 @@ def expected_event_count(array: MemoryArray, source: AlphaSource, duration: floa
 
 
 def _arrival_times(rng, lam_total, duration):
-    """Exponential inter-arrival draw until the horizon is crossed."""
+    """Exponential inter-arrival draw until the horizon is crossed.
+
+    Each chunk's running sum is taken in place and cut at the first
+    arrival at or past ``duration``; arrival times increase, so that cut
+    keeps exactly the arrivals inside the horizon.
+    """
     mean_gap = 1.0 / lam_total
     expect = lam_total * duration
     chunk = max(int(expect + 10.0 * math.sqrt(expect)) + 16, 64)
@@ -92,20 +104,24 @@ def _arrival_times(rng, lam_total, duration):
     t = 0.0
     while True:
         gaps = rng.exponential(mean_gap, chunk)
-        times = t + np.cumsum(gaps)
-        inside = times[times < duration]
-        pieces.append(inside)
-        if inside.size < times.size:
+        times = np.cumsum(gaps, out=gaps)
+        if pieces:
+            times += t
+        k = int(np.searchsorted(times, duration, side="left"))
+        pieces.append(times[:k])
+        if k < times.size:
             break
         t = float(times[-1])
         chunk = max(chunk // 4, 64)
-    return np.concatenate(pieces)
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def generate_events(array: MemoryArray, source: AlphaSource, duration: float, seed=0) -> EventLog:
     """Draw the upset events hitting ``array`` over ``duration`` seconds.
 
     Deterministic for a fixed seed.  Events come out sorted by time.
+    Raises ``ConfigurationError`` before drawing anything when the expected
+    event count exceeds ``MAX_EXPECTED_EVENTS``.
     """
     if duration <= 0:
         raise ConfigurationError("duration must be positive")
@@ -115,6 +131,12 @@ def generate_events(array: MemoryArray, source: AlphaSource, duration: float, se
     if lam_total <= 0.0:
         empty = np.empty(0)
         return EventLog(empty, empty.astype(np.int64), array.n_cells, duration)
+    expected = lam_total * duration
+    if not expected <= MAX_EXPECTED_EVENTS:
+        raise ConfigurationError(
+            f"expected {expected:.3g} events over {duration:g} s, more than the "
+            f"budget of {MAX_EXPECTED_EVENTS} events; lower the rate, the block "
+            f"size or the duration")
     times = _arrival_times(rng, lam_total, duration)
     k = times.size
     if np.all(rates == rates[0]):

@@ -170,7 +170,7 @@ class MemoryArray:
                      "preferred_state", "true_seu_rate", "state"):
             if getattr(self, name).shape != (n,):
                 raise ConfigurationError(f"{name} must have {n} entries")
-        if np.any(self.true_seu_rate < 0):
+        if not np.all(self.true_seu_rate >= 0):  # also rejects nan
             raise ConfigurationError("true_seu_rate must be >= 0")
 
     @property

@@ -1,0 +1,43 @@
+"""Fixed-seed CLI runs write the same bytes as the recorded digests.
+
+A refactor or speed-up must not change any output byte of a fixed-seed
+run.  Each digest is the SHA-256 of the lines ``<file sha256> <path>``,
+sorted by path, over every file the command writes.  The digests were
+recorded with numpy 2.4 on x86-64 Linux; if a change alters them on
+purpose, record the new ones and say why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from wlvmser import cli
+
+EXPECTED = {
+    "simulate": "192e32fc962b5f08d823fede76a8f76aeaa1f86660933d602dc62e0e5617188e",
+    "report": "b3cc8fcf6e801312a3849cf91ed7643a7e04c93edaed05f55705309118e1f7e3",
+    "ser-test": "2f2b07a099dcab5f1bdc2bbc79e666d9b2003cbe1ff6dd80fe5828f933e48d8e",
+}
+
+COMMANDS = {
+    "simulate": ["simulate", "--seed", "1", "--emit-logs", "--out", "{out}"],
+    "report": ["report", "--simulate", "--seed", "1", "--out", "{out}"],
+    "ser-test": ["ser-test", "--rate", "100", "--seed", "1", "--out", "{out}/ser.csv"],
+}
+
+
+def tree_digest(root):
+    lines = sorted(f"{hashlib.sha256(p.read_bytes()).hexdigest()} "
+                   f"{p.relative_to(root).as_posix()}\n"
+                   for p in root.rglob("*") if p.is_file())
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_fixed_seed_output_bytes(name, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [arg.format(out=out) for arg in COMMANDS[name]]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert tree_digest(out) == EXPECTED[name]

@@ -261,6 +261,19 @@ def test_cli_inoperable_supply_is_one_error_line(argv, tmp_path, capsys):
     assert "not operable" in err[0]
 
 
+@pytest.mark.parametrize("argv, cause", [
+    (["ser-test", "--rate", "1e9"], "budget of"),
+    (["ser-test", "--rate", "nan"], "true_seu_rate"),
+    (["simulate", "--parts", "0"], "n_parts must be >= 1"),
+    (["simulate", "--vdd", "1080", "--parts", "2", "--duration", "3600"], "part 1 SL: "),
+])
+def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert cause in err[0]
+
+
 def test_cli_report_bundled(tmp_path, capsys):
     assert cli.main(["report", "--input", "bundled",
                      "--out", str(tmp_path / "rep")]) == 0

@@ -7,7 +7,8 @@ import pytest
 
 from wlvmser import kernels
 from wlvmser.errors import ConfigurationError
-from wlvmser.radiation import undetected_fraction
+from wlvmser.radiation import _arrival_times, undetected_fraction
+
 
 def _random_events(rng, n_events, n_windows, n_cells):
     windows = np.sort(rng.integers(0, n_windows, n_events)).astype(np.int64)
@@ -28,6 +29,49 @@ def window_flips_oracle(windows, cells, n_windows, n_cells):
     return counts, state
 
 
+def window_flips_unique(windows, cells, n_windows, n_cells):
+    """The earlier formulation: ``np.unique`` counts over int64 keys."""
+    composite = windows.astype(np.int64) * n_cells + cells
+    uniq, multiplicity = np.unique(composite, return_counts=True)
+    odd = uniq[(multiplicity & 1) == 1]
+    counts = np.bincount(odd // n_cells, minlength=n_windows)
+    return counts, (np.bincount(cells, minlength=n_cells) & 1).astype(np.uint8)
+
+
+def arrival_times_oracle(rng, lam_total, duration):
+    """The earlier formulation: fresh running sums, mask-and-copy cut."""
+    mean_gap = 1.0 / lam_total
+    expect = lam_total * duration
+    chunk = max(int(expect + 10.0 * math.sqrt(expect)) + 16, 64)
+    pieces = []
+    t = 0.0
+    while True:
+        gaps = rng.exponential(mean_gap, chunk)
+        times = t + np.cumsum(gaps)
+        inside = times[times < duration]
+        pieces.append(inside)
+        if inside.size < times.size:
+            break
+        t = float(times[-1])
+        chunk = max(chunk // 4, 64)
+    return np.concatenate(pieces)
+
+
+class ShortGapRng:
+    """Generator stand-in whose gaps are 1e-3 of the requested mean, so the
+    first chunk ends long before the horizon and continuation chunks run."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def exponential(self, scale, size):
+        self.calls += 1
+        if self.calls > 10_000:
+            raise RuntimeError("arrival times do not advance")
+        return self.rng.exponential(scale * 1e-3, size)
+
+
 def sweep_oracle(thresholds, v_start, delta_v):
     """Explicit step-down loop: lower the voltage one step at a time and
     register each cell at the first visited voltage below its threshold."""
@@ -43,8 +87,10 @@ def sweep_oracle(thresholds, v_start, delta_v):
     return fail_v
 
 
-@pytest.mark.parametrize("n_events", [0, 1, 40, 2600])
+@pytest.mark.parametrize("n_events", [0, 1, 40, 2600, 20_000])
 def test_window_flips_matches_oracle(n_events):
+    """20k events over 12 x 64 cell windows is about 26 hits per cell and
+    window, so many cells are hit an even number of times."""
     rng = np.random.default_rng(n_events)
     n_windows, n_cells = 12, 64
     windows, cells = _random_events(rng, n_events, n_windows, n_cells)
@@ -54,6 +100,24 @@ def test_window_flips_matches_oracle(n_events):
     assert np.array_equal(parity, oracle_state)
 
 
+def test_window_flips_int64_keys_match_unique():
+    """4096 windows x 2**20 cells do not fit an int32 key; events crowd
+    onto 300 cells, the highest cell among them, so runs are long."""
+    n_windows, n_cells = 4096, 2**20
+    assert n_windows * n_cells >= 2**31
+    rng = np.random.default_rng(5)
+    hot = np.append(rng.choice(n_cells, 299, replace=False), n_cells - 1)
+    windows = np.sort(rng.integers(0, n_windows, 400_000))
+    windows[-50:] = n_windows - 1
+    cells = rng.choice(hot, windows.size)
+    counts, parity = kernels.window_observed_flips(windows, cells, n_windows, n_cells)
+    oracle_counts, oracle_parity = window_flips_unique(windows, cells, n_windows, n_cells)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, oracle_counts)
+    assert np.array_equal(parity, oracle_parity)
+    assert counts.sum() < windows.size  # some hits were masked
+
+
 def test_window_flips_validation():
     with pytest.raises(ValueError):
         kernels.window_observed_flips(np.array([1, 0]), np.array([0, 0]), 2, 4)
@@ -61,6 +125,30 @@ def test_window_flips_validation():
         kernels.window_observed_flips(np.array([2]), np.array([0]), 2, 4)
     with pytest.raises(ValueError):
         kernels.window_observed_flips(np.array([0, 1]), np.array([0]), 2, 4)
+    with pytest.raises(ValueError, match="cell index"):
+        kernels.window_observed_flips(np.array([0, 1]), np.array([0, 4]), 2, 4)
+    with pytest.raises(ValueError, match="cell index"):
+        kernels.window_observed_flips(np.array([0, 1]), np.array([-1, 0]), 2, 4)
+
+
+def test_arrival_times_match_mask_and_copy():
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        lam_total = float(rng.uniform(1e-4, 2.0))
+        duration = float(rng.uniform(1.0, 2e4))
+        got = _arrival_times(np.random.default_rng(seed), lam_total, duration)
+        want = arrival_times_oracle(np.random.default_rng(seed), lam_total, duration)
+        assert got.tobytes() == want.tobytes(), seed
+
+
+def test_arrival_times_continuation_chunks():
+    for seed in range(5):
+        stub = ShortGapRng(seed)
+        got = _arrival_times(stub, 0.5, 100.0)
+        want = arrival_times_oracle(ShortGapRng(seed), 0.5, 100.0)
+        assert stub.calls > 3
+        assert got.tobytes() == want.tobytes(), seed
+        assert np.all(np.diff(got) >= 0) and got[-1] < 100.0
 
 
 @pytest.mark.parametrize("delta_v", [1, 7, 10, 50])

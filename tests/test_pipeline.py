@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wlvmser.errors import ConfigurationError, ProtocolError
 from wlvmser.pipeline import (LinearSerLaw, build_report_bundle,
                               calibrate_datasets, simulate_parts,
                               simulate_supply_sweeps)
@@ -13,6 +14,17 @@ def test_linear_law_clamps_at_zero():
     law = LinearSerLaw(m=4.32, b=-0.25)
     assert law.rate(0.409) == pytest.approx(1.51688)
     assert law.rate(0.0) == 0.0  # would be negative, clamped
+
+
+def test_simulate_rejects_zero_parts():
+    with pytest.raises(ConfigurationError, match="n_parts"):
+        simulate_parts(n_parts=0)
+
+
+def test_inoperable_block_names_part_and_cell_type():
+    """At -10% supply part 1's SL block has write thresholds above v_dd."""
+    with pytest.raises(ProtocolError, match=r"^part 1 SL: .*not operable"):
+        simulate_parts(n_parts=2, v_dd=1080, duration=3600.0)
 
 
 def test_supply_variation_keeps_fit_linear():

@@ -110,6 +110,7 @@ def test_ser_test_inoperable_count_is_per_cell(ss_model):
     array = _block(ss_model, v_dd=700)
     with pytest.raises(ProtocolError, match="not operable") as info:
         run_ser_test(array, AlphaSource(), ts=1800, duration=3600, seed=0)
+    assert str(info.value).startswith("part 0 SS: ")
     n_bad = int(re.search(r"failed for (\d+) cells", str(info.value)).group(1))
     expected = (array.v_wl_min > 700) | (array.v_dd_min_read > 700)
     assert n_bad == int(expected.sum()) <= array.n_cells
@@ -361,9 +362,10 @@ def test_supply_sweeps_reject_unwritable_cells(runner, field, ss_model):
         runner(array, delta_v=10)
 
 
-def test_read_sweep_leaves_data_intact(ss_model):
+def test_sweeps_leave_data_intact(ss_model):
     array = _block(ss_model, seed=10)
-    run_read_sweep(array, delta_v=10)
-    bits, failed = array.read_all()
-    assert not failed.any()
-    assert np.all(bits == 0)  # background pattern survives the sweep
+    pattern = np.random.default_rng(10).integers(0, 2, array.n_cells, dtype=np.uint8)
+    assert array.write_all(pattern).all()
+    for runner in (run_wlvm_sweep, run_hold_sweep, run_read_sweep):
+        runner(array, delta_v=10)
+        assert np.array_equal(array.state, pattern), runner.__name__

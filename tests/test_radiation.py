@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from wlvmser import radiation
 from wlvmser.errors import ConfigurationError
 from wlvmser.io import write_event_log
-from wlvmser.radiation import (AlphaSource, expected_event_count,
-                               generate_events, inject_window,
-                               undetected_fraction)
+from wlvmser.radiation import (MAX_EXPECTED_EVENTS, AlphaSource,
+                               expected_event_count, generate_events,
+                               inject_window, undetected_fraction)
 from wlvmser.sram import sample_array
 
 
@@ -35,6 +36,21 @@ def test_event_count_near_reference_conditions(ss_model):
     assert np.all(np.diff(events.times) >= 0)
     assert events.times.min() >= 0 and events.times.max() < 432_000.0
     assert events.cells.min() >= 0 and events.cells.max() < 4096
+
+
+def test_event_budget_rejects_before_drawing(ss_model):
+    """1e9 uSEU/(bit*s) over 4096 bits for 120 h would be 1.8e12 events."""
+    array = _uniform_rate_array(ss_model, 1e9)
+    with pytest.raises(ConfigurationError, match=rf"1\.77e\+12 events .* {MAX_EXPECTED_EVENTS}"):
+        generate_events(array, AlphaSource(rate_per_bit=1e9), 432_000.0, seed=1)
+
+
+def test_event_budget_bounds_the_expected_count(ss_model, monkeypatch):
+    monkeypatch.setattr(radiation, "MAX_EXPECTED_EVENTS", 1000)
+    array = _uniform_rate_array(ss_model, 1.0)  # 4.096e-3 events/s
+    assert len(generate_events(array, AlphaSource(), 1000 / 4.096e-3 * 0.9, seed=1)) > 0
+    with pytest.raises(ConfigurationError, match="budget of 1000 events"):
+        generate_events(array, AlphaSource(), 1000 / 4.096e-3 * 1.1, seed=1)
 
 
 def test_mean_count_over_seeds_matches_poisson(ss_model):
@@ -99,6 +115,8 @@ def test_weighted_cell_assignment_follows_rates(ss_model):
 def test_alpha_source_validation():
     with pytest.raises(ConfigurationError):
         AlphaSource(rate_per_bit=-1.0)
+    with pytest.raises(ConfigurationError):
+        AlphaSource(rate_per_bit=float("nan"))
     with pytest.raises(ConfigurationError):
         AlphaSource(geom_factor=1.2)
 
