@@ -30,8 +30,8 @@ from .pipeline import (LinearSerLaw, build_report_bundle, calibrate_datasets,
 from .protocols import run_hold_sweep, run_read_sweep, run_ser_test, run_wlvm_sweep, word_line_voltage_margin
 from .radiation import AlphaSource
 from .refdata import (CELL_TYPE_ORDER, PAPER_MATCHING_WEIGHT_MODE,
-                      PUBLISHED_FIT, REPRO_WINDOWS, SIMULATED_VWL_MIN_MV,
-                      load_reference_dataset)
+                      PUBLISHED_FIT, REFERENCE_CSV, REPRO_WINDOWS,
+                      SIMULATED_VWL_MIN_MV, load_reference_dataset)
 from .sram import VariationModel, sample_array
 
 
@@ -40,10 +40,8 @@ def _load_model(path: str | None) -> VariationModel:
 
 
 def _load_datasets(source: str, geom_unc: float):
-    if source == "bundled":
-        return wio.ingest_measurements_csv(
-            Path(__file__).parent / "data" / "reference_measurements.csv", geom_unc)
-    return wio.ingest_measurements_csv(source, geom_unc)
+    return wio.ingest_measurements_csv(
+        REFERENCE_CSV if source == "bundled" else source, geom_unc)
 
 
 def _print_fit(fit, indent: str = "  "):

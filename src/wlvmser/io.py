@@ -23,10 +23,11 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .calibration import CalibrationFit, Prediction
+from .calibration import DEFAULT_GEOM_UNC, CalibrationFit, Prediction
 from .errors import IngestError
 from .protocols import SerMeasurement, SweepResult
 from .refdata import CELL_TYPE_ORDER, CELL_TYPES
+from .sram import DEFAULT_VDD_MV
 
 QUANTITY_SER = "ser_uSEU_per_bit_s"
 QUANTITY_REL_STAT = "rel_stat_unc"
@@ -38,9 +39,6 @@ QUANTITIES = (QUANTITY_SER, QUANTITY_REL_STAT, QUANTITY_MARGIN_MU,
               QUANTITY_MARGIN_SIGMA, QUANTITY_VDD)
 
 _HEADER = ["part_id", "cell_type", "quantity", "value"]
-
-DEFAULT_VDD_MV = 1200
-DEFAULT_GEOM_UNC = 0.03
 
 
 @dataclass
@@ -77,7 +75,10 @@ def ingest_measurements_csv(path, rel_geom_unc: float = DEFAULT_GEOM_UNC) -> lis
     """Parse a measurement file into per-part datasets.
 
     Malformed rows are rejected with their line number.  Duplicate
-    (part, type, quantity) keys are errors.
+    (part, type, quantity) keys are errors.  Every value must be finite
+    and >= 0, except ``rel_stat_unc``, which may be ``inf`` (a block with
+    no observed upset); ``vdd_mV`` must be a positive whole number and
+    ``v_mewlvm_mV`` must not exceed its part's supply.
     """
     path = Path(path)
     raw: dict[str, dict] = {}
@@ -110,6 +111,14 @@ def ingest_measurements_csv(path, rel_geom_unc: float = DEFAULT_GEOM_UNC) -> lis
                 num = float(value)
             except ValueError:
                 raise IngestError(f"{path}:{lineno}: non-numeric value {value!r}")
+            if not (num >= 0 and (math.isfinite(num) or quantity == QUANTITY_REL_STAT)):
+                kind = "a value" if quantity == QUANTITY_REL_STAT else "a finite value"
+                raise IngestError(
+                    f"{path}:{lineno}: {quantity} must be {kind} >= 0, got {value!r}")
+            if quantity == QUANTITY_VDD and not (num > 0 and num.is_integer()):
+                raise IngestError(
+                    f"{path}:{lineno}: vdd_mV must be a positive whole number of mV, "
+                    f"got {value!r}")
             if part_id not in raw:
                 raw[part_id] = {"vdd": None, "types": {}}
                 order.append(part_id)
@@ -124,14 +133,15 @@ def ingest_measurements_csv(path, rel_geom_unc: float = DEFAULT_GEOM_UNC) -> lis
                     raise IngestError(
                         f"{path}:{lineno}: duplicate {quantity} for part "
                         f"{part_id} type {cell_type}")
-                per_type[quantity] = num
+                per_type[quantity] = (num, lineno)
 
     datasets = []
     for part_id in order:
         bucket = raw[part_id]
         v_dd = int(bucket["vdd"]) if bucket["vdd"] is not None else DEFAULT_VDD_MV
         ds = PartDataset(part_id=part_id, v_dd=v_dd)
-        for cell_type, vals in bucket["types"].items():
+        for cell_type, rows in bucket["types"].items():
+            vals = {quantity: num for quantity, (num, _) in rows.items()}
             has_ser = QUANTITY_SER in vals
             has_rel = QUANTITY_REL_STAT in vals
             if has_ser != has_rel:
@@ -143,8 +153,13 @@ def ingest_measurements_csv(path, rel_geom_unc: float = DEFAULT_GEOM_UNC) -> lis
                     part_id, cell_type, vals[QUANTITY_SER],
                     vals[QUANTITY_REL_STAT], rel_geom_unc)
             if QUANTITY_MARGIN_MU in vals:
+                mu, lineno = rows[QUANTITY_MARGIN_MU]
+                if mu > v_dd:
+                    raise IngestError(
+                        f"{path}:{lineno}: {QUANTITY_MARGIN_MU}={_fmt(mu)} above "
+                        f"the supply of part {part_id} ({v_dd} mV)")
                 ds.sweeps[cell_type] = SweepResult.summary(
-                    part_id, cell_type, vals[QUANTITY_MARGIN_MU],
+                    part_id, cell_type, mu,
                     vals.get(QUANTITY_MARGIN_SIGMA, math.nan),
                     v_nominal=v_dd)
             elif QUANTITY_MARGIN_SIGMA in vals:

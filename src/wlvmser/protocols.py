@@ -31,7 +31,8 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigurationError, ProtocolError, SamplingTimeError
-from .radiation import AlphaSource, generate_events, undetected_fraction
+from .radiation import (MAX_EXPECTED_EVENTS, AlphaSource, generate_events,
+                        undetected_fraction)
 from .sram import MemoryArray
 
 TS_GRID_S = 60
@@ -184,13 +185,22 @@ def run_ser_test(array: MemoryArray, source: AlphaSource, ts: float,
     sampling window the injected upsets are applied and the read-back is
     compared against the previous window's read-back.  Window reads happen
     at nominal supply and are non-destructive; irradiation continues
-    through them (reads are instantaneous in simulation time).
+    through them (reads are instantaneous in simulation time).  A window
+    count above ``MAX_EXPECTED_EVENTS`` is refused before anything is
+    allocated.
     """
-    if ts <= 0:
+    if not ts > 0:
         raise ConfigurationError("ts must be positive")
-    if duration < ts:
-        raise ConfigurationError("duration must cover at least one sampling period")
-    n_windows = int(duration // ts)
+    if not ts <= duration < math.inf:
+        raise ConfigurationError(
+            "duration must be finite and cover at least one sampling period")
+    n_windows = duration // ts
+    if n_windows > MAX_EXPECTED_EVENTS:
+        raise ConfigurationError(
+            f"{n_windows:.3g} sampling windows of {ts:g} s over {duration:g} s, "
+            f"more than the budget of {MAX_EXPECTED_EVENTS} windows; raise ts or "
+            f"shorten the duration")
+    n_windows = int(n_windows)
     t_exp = n_windows * ts
 
     pat = make_pattern(pattern, array.rows, array.cols, seed)

@@ -5,13 +5,22 @@ electrical thresholds, all in integer millivolts:
 
 * ``v_wl_min`` — minimum word-line voltage for a successful write,
 * ``v_dd_min_hold`` — minimum core supply at which the stored bit survives,
-* ``v_dd_min_read`` — minimum core supply for a successful read.
+* ``v_dd_min_read`` — minimum core supply for a successful read,
+
+plus the preferred state a cell collapses to below its hold threshold.
 
 Thresholds are drawn per cell from Gaussian distributions whose means and
 spreads depend on the cell's transistor sizing; a common per-part offset
 shifts all means of one die together.  Out-of-range draws are rejected and
 redrawn rather than clamped so the threshold histograms carry no boundary
 spikes.
+
+``sample_array`` draws ``v_wl_min`` at once: the SER test and the
+word-line sweep need nothing else.  The hold and read thresholds and the
+preferred states serve only the control-experiment sweeps, so they are
+one pending draw from the block's own generator, run on first access of
+any of them.  It draws in the fixed order hold, read, preferred states,
+so a seed gives the same values whichever of them is read first.
 
 No transistor-level electrics are modeled: the sizing ratios are metadata
 and the sizing-to-robustness link enters only through the per-type
@@ -21,9 +30,10 @@ distribution parameters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -144,34 +154,72 @@ class VariationModel:
         return cls.from_json(bundled)
 
 
-@dataclass
 class MemoryArray:
     """One memory block: per-cell thresholds plus the stored bits.
 
     Cell addressing is flat (row-major); the row/column split is carried
     only as geometry metadata since no protocol depends on it.
+
+    ``v_dd_min_hold``, ``v_dd_min_read`` and ``preferred_state`` are given
+    either as arrays or as ``draw_pending``, a callable returning all three
+    that runs once, on first access of any of them.  ``threshold_ceiling``
+    bounds every threshold of the block; at or above it no cell can fail a
+    read, which ``read_all`` answers without running the pending draw.
     """
 
-    part_id: str
-    cell_type: CellType
-    rows: int
-    cols: int
-    v_wl_min: np.ndarray
-    v_dd_min_hold: np.ndarray
-    v_dd_min_read: np.ndarray
-    preferred_state: np.ndarray
-    true_seu_rate: np.ndarray
-    state: np.ndarray = field(repr=False)
-    v_dd: int = DEFAULT_VDD_MV
-
-    def __post_init__(self):
-        n = self.rows * self.cols
-        for name in ("v_wl_min", "v_dd_min_hold", "v_dd_min_read",
-                     "preferred_state", "true_seu_rate", "state"):
-            if getattr(self, name).shape != (n,):
-                raise ConfigurationError(f"{name} must have {n} entries")
-        if not np.all(self.true_seu_rate >= 0):  # also rejects nan
+    def __init__(self, part_id: str, cell_type: CellType, rows: int, cols: int,
+                 v_wl_min: np.ndarray, true_seu_rate: np.ndarray, state: np.ndarray,
+                 v_dd: int = DEFAULT_VDD_MV, *, v_dd_min_hold: np.ndarray | None = None,
+                 v_dd_min_read: np.ndarray | None = None,
+                 preferred_state: np.ndarray | None = None,
+                 draw_pending: Callable[[], tuple] | None = None,
+                 threshold_ceiling: float = math.inf):
+        self.part_id = part_id
+        self.cell_type = cell_type
+        self.rows = rows
+        self.cols = cols
+        self.v_wl_min = v_wl_min
+        self.true_seu_rate = true_seu_rate
+        self.state = state
+        self.v_dd = v_dd
+        self.threshold_ceiling = threshold_ceiling
+        self._check_shapes(v_wl_min=v_wl_min, true_seu_rate=true_seu_rate, state=state)
+        if not np.all(true_seu_rate >= 0):  # also rejects nan
             raise ConfigurationError("true_seu_rate must be >= 0")
+        self._draw_pending = draw_pending
+        self._drawn = None
+        if draw_pending is None:
+            self._set_drawn((v_dd_min_hold, v_dd_min_read, preferred_state))
+
+    def _check_shapes(self, **arrays):
+        n = self.n_cells
+        for name, values in arrays.items():
+            if np.shape(values) != (n,):
+                raise ConfigurationError(f"{name} must have {n} entries")
+
+    def _set_drawn(self, arrays):
+        hold, read, preferred = arrays
+        self._check_shapes(v_dd_min_hold=hold, v_dd_min_read=read,
+                           preferred_state=preferred)
+        self._drawn = arrays
+
+    def _drawn_arrays(self):
+        if self._drawn is None:
+            self._set_drawn(self._draw_pending())
+            self._draw_pending = None
+        return self._drawn
+
+    @property
+    def v_dd_min_hold(self) -> np.ndarray:
+        return self._drawn_arrays()[0]
+
+    @property
+    def v_dd_min_read(self) -> np.ndarray:
+        return self._drawn_arrays()[1]
+
+    @property
+    def preferred_state(self) -> np.ndarray:
+        return self._drawn_arrays()[2]
 
     @property
     def n_cells(self) -> int:
@@ -243,7 +291,10 @@ class MemoryArray:
     def read_all(self, v_dd: int | None = None):
         """Read every cell; returns ``(bits, read_failed)`` arrays."""
         v = self.v_dd if v_dd is None else v_dd
-        failed = v < self.v_dd_min_read
+        if v >= self.threshold_ceiling:
+            failed = np.zeros(self.n_cells, dtype=bool)
+        else:
+            failed = v < self.v_dd_min_read
         return self.state.copy(), failed
 
 
@@ -277,13 +328,20 @@ def sample_array(
     """Build a block with per-cell thresholds drawn from the model.
 
     ``part_offset`` (mV) shifts all three means of this part.  The draw is
-    deterministic for a fixed seed: thresholds are sampled in the order
-    write, hold, read, then the preferred states.  ``true_seu_rate``
+    deterministic for a fixed ``seed`` (an int or a ``SeedSequence``): the
+    write thresholds are drawn now, the hold and read thresholds and the
+    preferred states later, in that order, from the same generator, when a
+    protocol first reads one of them (see the module docstring).  Every
+    threshold lies in ``[1, model.v_dd_nominal]``.  ``true_seu_rate``
     (µSEU per bit-second) is the ground-truth upset rate handed to the
     radiation simulator; it may be a scalar or a per-cell array.
     """
     if rows <= 0 or cols <= 0:
         raise ConfigurationError("geometry must be positive")
+    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+        raise ConfigurationError(
+            "seed must be an int or a SeedSequence: the pending draw needs a "
+            "generator of the block's own")
     if isinstance(cell_type, str):
         from .refdata import CELL_TYPES
         cell_type = CELL_TYPES[cell_type]
@@ -292,9 +350,12 @@ def sample_array(
     rng = np.random.default_rng(seed)
     vnom = model.v_dd_nominal
     v_wl_min = _sample_thresholds(rng, tv.mu_vwlmin + part_offset, tv.sigma_vwlmin, n, vnom)
-    v_hold = _sample_thresholds(rng, tv.mu_hold + part_offset, tv.sigma_hold, n, vnom)
-    v_read = _sample_thresholds(rng, tv.mu_read + part_offset, tv.sigma_read, n, vnom)
-    preferred = rng.integers(0, 2, n, dtype=np.uint8)
+
+    def draw_pending():
+        v_hold = _sample_thresholds(rng, tv.mu_hold + part_offset, tv.sigma_hold, n, vnom)
+        v_read = _sample_thresholds(rng, tv.mu_read + part_offset, tv.sigma_read, n, vnom)
+        return v_hold, v_read, rng.integers(0, 2, n, dtype=np.uint8)
+
     rate = np.broadcast_to(np.asarray(true_seu_rate, dtype=np.float64), (n,)).copy()
     return MemoryArray(
         part_id=str(part_id),
@@ -302,10 +363,9 @@ def sample_array(
         rows=rows,
         cols=cols,
         v_wl_min=v_wl_min,
-        v_dd_min_hold=v_hold,
-        v_dd_min_read=v_read,
-        preferred_state=preferred,
         true_seu_rate=rate,
         state=np.zeros(n, dtype=np.uint8),
         v_dd=int(v_dd if v_dd is not None else vnom),
+        draw_pending=draw_pending,
+        threshold_ceiling=vnom,
     )

@@ -17,12 +17,19 @@ EXPECTED = {
     "simulate": "192e32fc962b5f08d823fede76a8f76aeaa1f86660933d602dc62e0e5617188e",
     "report": "b3cc8fcf6e801312a3849cf91ed7643a7e04c93edaed05f55705309118e1f7e3",
     "ser-test": "2f2b07a099dcab5f1bdc2bbc79e666d9b2003cbe1ff6dd80fe5828f933e48d8e",
+    "sweep-hold": "d9c0a9d42283bd92bdb21acec0fcbff77e8a65b74df35ca4efdbfb93f6e48419",
+    "sweep-read": "f632ebcae78c66535007352956eabc9a94ca85892d1e26c1ff0d0a3ae3fee07c",
+    "sweep-hold-1000": "66fbd169adce3b6b1707a0788dc68146ea33a6283f922f7df51caab658104e76",
 }
 
 COMMANDS = {
     "simulate": ["simulate", "--seed", "1", "--emit-logs", "--out", "{out}"],
     "report": ["report", "--simulate", "--seed", "1", "--out", "{out}"],
     "ser-test": ["ser-test", "--rate", "100", "--seed", "1", "--out", "{out}/ser.csv"],
+    "sweep-hold": ["sweep", "--kind", "hold", "--seed", "3", "--out", "{out}/sweep.csv"],
+    "sweep-read": ["sweep", "--kind", "read", "--seed", "3", "--out", "{out}/sweep.csv"],
+    "sweep-hold-1000": ["sweep", "--kind", "hold", "--vdd", "1000", "--seed", "3",
+                        "--out", "{out}/sweep.csv"],
 }
 
 

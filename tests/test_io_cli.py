@@ -84,6 +84,43 @@ def test_ingest_requires_paired_ser_and_stat(tmp_path):
         ingest_measurements_csv(path)
 
 
+GOOD_ROWS = ["1,SS,ser_uSEU_per_bit_s,1.46", "1,SS,rel_stat_unc,0.02",
+             "1,SS,v_mewlvm_mV,791", "1,SS,sigma_wlvm_mV,44", "1,,vdd_mV,1200"]
+
+
+def _measurement_file(tmp_path, **values_by_line):
+    """``GOOD_ROWS`` as a file, with the value on line ``l<N>`` replaced."""
+    rows = list(GOOD_ROWS)
+    for key, value in values_by_line.items():
+        i = int(key[1:]) - 2
+        rows[i] = rows[i].rsplit(",", 1)[0] + "," + value
+    path = tmp_path / "m.csv"
+    path.write_text(HEADER + "".join(row + "\n" for row in rows))
+    return path
+
+
+def test_ingest_accepts_zero_count_block(tmp_path):
+    """The simulator writes ser=0, rel_stat_unc=inf for a block with no
+    observed upset; ingestion keeps them."""
+    [ds] = ingest_measurements_csv(_measurement_file(tmp_path, l2="0", l3="inf"))
+    assert ds.ser["SS"].ser == 0 and ds.ser["SS"].rel_stat_unc == math.inf
+
+
+@pytest.mark.parametrize("line, value, cause", [
+    (2, "nan", "ser_uSEU_per_bit_s must be a finite value >= 0, got 'nan'"),
+    (2, "-0.036", "ser_uSEU_per_bit_s must be a finite value >= 0, got '-0.036'"),
+    (3, "-0.02", "rel_stat_unc must be a value >= 0, got '-0.02'"),
+    (4, "1300", "v_mewlvm_mV=1300 above the supply of part 1 (1200 mV)"),
+    (6, "1200.7", "vdd_mV must be a positive whole number of mV, got '1200.7'"),
+])
+def test_cli_bad_measurement_value_is_one_error_line(line, value, cause, tmp_path,
+                                                     capsys):
+    path = _measurement_file(tmp_path, **{f"l{line}": value})
+    assert cli.main(["calibrate", "--input", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {path}:{line}: {cause}"]
+
+
 def test_roundtrip_bundled_dataset(tmp_path):
     original = load_reference_dataset()
     out = tmp_path / "copy.csv"
@@ -266,6 +303,8 @@ def test_cli_inoperable_supply_is_one_error_line(argv, tmp_path, capsys):
     (["ser-test", "--rate", "nan"], "true_seu_rate"),
     (["simulate", "--parts", "0"], "n_parts must be >= 1"),
     (["simulate", "--vdd", "1080", "--parts", "2", "--duration", "3600"], "part 1 SL: "),
+    (["ser-test", "--ts", "1e-9", "--rate", "1"], "4.32e+14 sampling windows"),
+    (["ser-test", "--ts", "0.01"], "4.32e+07 sampling windows"),
 ])
 def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import manual_array, single_type_model
+from wlvmser import protocols
 from wlvmser.errors import ConfigurationError, ProtocolError, SamplingTimeError
 from wlvmser.io import write_ser_log, write_sweep_log
 from wlvmser.protocols import (choose_sampling_time, run_hold_sweep,
@@ -121,6 +122,18 @@ def test_ser_test_duration_validation(ss_model):
         run_ser_test(_block(ss_model), AlphaSource(), ts=1800, duration=900, seed=0)
     with pytest.raises(ConfigurationError):
         run_ser_test(_block(ss_model), AlphaSource(), ts=0, duration=900, seed=0)
+    for ts, duration in ((math.nan, 900), (1800, math.nan), (1800, math.inf)):
+        with pytest.raises(ConfigurationError, match="must be"):
+            run_ser_test(_block(ss_model), AlphaSource(), ts=ts, duration=duration)
+
+
+def test_ser_test_window_budget(ss_model, monkeypatch):
+    """More windows than ``MAX_EXPECTED_EVENTS`` are refused up front."""
+    monkeypatch.setattr(protocols, "MAX_EXPECTED_EVENTS", 20)
+    meas = run_ser_test(_block(ss_model), AlphaSource(), ts=1800, duration=20 * 1800)
+    assert meas.n_windows == 20
+    with pytest.raises(ConfigurationError, match="21 sampling windows .* budget of 20"):
+        run_ser_test(_block(ss_model), AlphaSource(), ts=1800, duration=21 * 1800)
 
 
 def test_ser_log_csv(ss_model, tmp_path):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import manual_array, single_type_model
-from wlvmser.errors import ConfigurationError
+from wlvmser import sram
+from wlvmser.errors import ConfigurationError, ProtocolError
+from wlvmser.pipeline import simulate_parts
 from wlvmser.refdata import CELL_TYPES
 from wlvmser.sram import CellType, TypeVariation, VariationModel, sample_array
 
@@ -72,6 +74,125 @@ def test_invalid_model_parameters_rejected():
 def test_geometry_must_be_positive(ss_model):
     with pytest.raises(ConfigurationError):
         sample_array("SS", ss_model, rows=0, cols=64)
+
+
+# --- pending hold/read/preferred draw -----------------------------------------
+
+def eager_oracle(model, part_offset, seed, n):
+    """The draws of ``sample_array`` made all at once, in the order write,
+    hold, read, preferred states; returns them and the redraw count."""
+    rng = np.random.default_rng(seed)
+    tv = model.for_type("SS")
+    redraws = 0
+
+    def thresholds(mu, sigma):
+        nonlocal redraws
+        out = np.rint(rng.normal(mu + part_offset, sigma, n)).astype(np.int64)
+        while True:
+            bad = (out < 1) | (out > model.v_dd_nominal)
+            if not bad.any():
+                return out
+            redraws += 1
+            out[bad] = np.rint(rng.normal(mu + part_offset, sigma, int(bad.sum())))
+
+    drawn = {"v_wl_min": thresholds(tv.mu_vwlmin, tv.sigma_vwlmin),
+             "v_dd_min_hold": thresholds(tv.mu_hold, tv.sigma_hold),
+             "v_dd_min_read": thresholds(tv.mu_read, tv.sigma_read),
+             "preferred_state": rng.integers(0, 2, n, dtype=np.uint8)}
+    return drawn, redraws
+
+
+FIRST_ACCESS = {
+    "hold": lambda a: a.v_dd_min_hold,
+    "read": lambda a: a.v_dd_min_read,
+    "preferred_state": lambda a: a.preferred_state,
+    "cell_params": lambda a: a.cell_params(3),
+    "apply_hold_voltage": lambda a: a.apply_hold_voltage(500),
+}
+
+ORACLE_MODELS = {
+    "default": single_type_model(),
+    "near_1_mV": single_type_model(mu_vwlmin=2.0, mu_hold=1.0, sigma_hold=40.0,
+                                   mu_read=3.0, sigma_read=25.0),
+    "near_nominal": single_type_model(mu_vwlmin=1195.0, mu_hold=1200.0,
+                                      mu_read=1190.0),
+}
+
+
+@pytest.mark.parametrize("model_name", sorted(ORACLE_MODELS))
+@pytest.mark.parametrize("access", sorted(FIRST_ACCESS))
+def test_pending_draw_matches_eager_oracle(model_name, access):
+    model = ORACLE_MODELS[model_name]
+    n_redraws = 0
+    for seed in (0, 7, np.random.SeedSequence(2024)):
+        for part_offset in (0.0, -12.5, 9.0):
+            expected, redraws = eager_oracle(model, part_offset, seed, 32 * 32)
+            n_redraws += redraws
+            array = sample_array("SS", model, part_offset=part_offset, seed=seed,
+                                 rows=32, cols=32)
+            FIRST_ACCESS[access](array)
+            for name, values in expected.items():
+                got = getattr(array, name)
+                assert got.dtype == values.dtype, name
+                assert got.tobytes() == values.tobytes(), name
+    # the models near the bounds exercise the rejection redraws
+    assert (n_redraws > 0) == (model_name != "default")
+
+
+def _count_threshold_draws(monkeypatch):
+    calls = []
+    real = sram._sample_thresholds
+    monkeypatch.setattr(sram, "_sample_thresholds",
+                        lambda *a: calls.append(a[1]) or real(*a))
+    return calls
+
+
+def test_pending_draw_runs_once_and_is_shared(ss_model, monkeypatch):
+    calls = _count_threshold_draws(monkeypatch)
+    array = sample_array("SS", ss_model, seed=4, rows=8, cols=8)
+    assert len(calls) == 1
+    _, failed = array.read_all()  # at the ceiling: nothing to draw
+    assert len(calls) == 1 and not failed.any()
+    hold = array.v_dd_min_hold
+    assert len(calls) == 3
+    assert array.v_dd_min_hold is hold
+    array.read_all(600)
+    array.cell_params(0)
+    assert len(calls) == 3
+
+
+def test_pending_draw_checks_shapes():
+    array = sram.MemoryArray(
+        "x", CELL_TYPES["SS"], 1, 4, v_wl_min=np.full(4, 800),
+        true_seu_rate=np.zeros(4), state=np.zeros(4, dtype=np.uint8),
+        draw_pending=lambda: (np.full(4, 450), np.full(3, 650),
+                              np.zeros(4, dtype=np.uint8)))
+    with pytest.raises(ConfigurationError, match="v_dd_min_read must have 4 entries"):
+        array.preferred_state
+
+
+def test_generator_seed_is_rejected(ss_model):
+    with pytest.raises(ConfigurationError, match="SeedSequence"):
+        sample_array("SS", ss_model, seed=np.random.default_rng(1))
+
+
+def test_simulate_parts_at_nominal_draws_write_thresholds_only(monkeypatch):
+    calls = _count_threshold_draws(monkeypatch)
+    datasets = simulate_parts(n_parts=2, duration=3600, rows=16, cols=16, seed=5)
+    assert len(calls) == 2 * 5 == sum(len(ds.ser) for ds in datasets)
+
+
+def test_simulate_parts_below_nominal_draws_all_thresholds(monkeypatch):
+    calls = _count_threshold_draws(monkeypatch)
+    simulate_parts(n_parts=2, duration=3600, rows=16, cols=16, seed=5, v_dd=1199)
+    assert len(calls) == 3 * 2 * 5
+    calls.clear()
+    with pytest.raises(ProtocolError) as info:
+        simulate_parts(n_parts=2, duration=3600, seed=0, v_dd=1080)
+    assert str(info.value) == (
+        "part 1 SL: initial write/verify failed for 8 cells at v_dd=1080 mV; "
+        "the part is not operable at this supply")
+    assert len(calls) == 3 * 3  # SS and SM pass, SL fails
 
 
 # --- write semantics --------------------------------------------------------
