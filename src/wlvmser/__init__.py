@@ -8,9 +8,7 @@ propagated uncertainties.
 """
 
 from .calibration import (CalibrationFit, Prediction, WeightedPoint,
-                          build_weighted_points, calibrate_parts,
-                          combine_rel_uncertainties, poisson_rel_uncertainty,
-                          predict_ser, weighted_linfit)
+                          build_weighted_points, predict_ser, weighted_linfit)
 from .errors import (ConfigurationError, DegenerateFitError, IngestError,
                      ProtocolError, SamplingTimeError)
 from .io import (PartDataset, ReportBundle, emit_measurements_csv, emit_report,
@@ -20,29 +18,27 @@ from .pipeline import (LinearSerLaw, build_report_bundle, calibrate_datasets,
 from .protocols import (SerMeasurement, SweepResult, choose_sampling_time,
                         make_pattern, run_hold_sweep, run_read_sweep,
                         run_ser_test, run_wlvm_sweep, word_line_voltage_margin)
-from .radiation import (AlphaSource, EventLog, SeuEvent, expected_event_count,
-                        generate_events, inject_window, undetected_fraction)
+from .radiation import (AlphaSource, EventLog, generate_events,
+                        undetected_fraction)
 from .refdata import (CELL_TYPE_ORDER, CELL_TYPES, PUBLISHED_FIT,
                       SIMULATED_VWL_MIN_MV, load_reference_dataset)
-from .sram import (CellParams, CellType, MemoryArray, TypeVariation,
-                   VariationModel, sample_array)
+from .sram import (CellType, MemoryArray, TypeVariation, VariationModel,
+                   sample_array)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlphaSource", "CELL_TYPES", "CELL_TYPE_ORDER", "CalibrationFit",
-    "CellParams", "CellType", "ConfigurationError", "DegenerateFitError", "EventLog",
+    "CellType", "ConfigurationError", "DegenerateFitError", "EventLog",
     "IngestError", "LinearSerLaw", "MemoryArray", "PUBLISHED_FIT",
     "PartDataset", "Prediction", "ProtocolError", "ReportBundle",
-    "SIMULATED_VWL_MIN_MV", "SamplingTimeError", "SerMeasurement", "SeuEvent",
+    "SIMULATED_VWL_MIN_MV", "SamplingTimeError", "SerMeasurement",
     "SweepResult", "TypeVariation", "VariationModel", "WeightedPoint",
     "build_report_bundle", "build_weighted_points", "calibrate_datasets",
-    "calibrate_parts", "choose_sampling_time", "combine_rel_uncertainties",
-    "emit_measurements_csv", "emit_report", "expected_event_count",
-    "generate_events", "ingest_measurements_csv", "inject_window",
-    "load_reference_dataset", "make_pattern", "poisson_rel_uncertainty",
-    "predict_ser", "read_fit_json", "run_hold_sweep", "run_read_sweep",
-    "run_ser_test", "run_wlvm_sweep", "sample_array", "simulate_parts",
-    "undetected_fraction", "weighted_linfit", "word_line_voltage_margin",
-    "write_fit_json",
+    "choose_sampling_time", "emit_measurements_csv", "emit_report",
+    "generate_events", "ingest_measurements_csv", "load_reference_dataset",
+    "make_pattern", "predict_ser", "read_fit_json", "run_hold_sweep",
+    "run_read_sweep", "run_ser_test", "run_wlvm_sweep", "sample_array",
+    "simulate_parts", "undetected_fraction", "weighted_linfit",
+    "word_line_voltage_margin", "write_fit_json",
 ]

@@ -27,7 +27,7 @@ The low margin-measurement error is neglected in the fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,8 +36,6 @@ from .errors import DegenerateFitError
 from .protocols import SerMeasurement, SweepResult, word_line_voltage_margin
 
 WEIGHT_MODES = ("combined", "stat-only", "linear-sum")
-
-DEFAULT_GEOM_UNC = 0.03
 
 # relative |determinant| below which the design matrix is unusable
 _DEGENERATE_RTOL = 1e-12
@@ -76,36 +74,13 @@ class CalibrationFit:
     n_points: int
     weight_mode: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "b": self.b,
-            "sigma_m": self.sigma_m,
-            "sigma_b": self.sigma_b,
-            "cov_mb": self.cov_mb,
-            "chi2": self.chi2,
-            "nu": self.nu,
-            "chi2_red": self.chi2_red,
-            "r2": self.r2,
-            "n_points": self.n_points,
-            "weight_mode": self.weight_mode,
-        }
-
     @classmethod
     def from_dict(cls, raw: dict) -> "CalibrationFit":
-        return cls(
-            m=float(raw["m"]),
-            b=float(raw["b"]),
-            sigma_m=float(raw["sigma_m"]),
-            sigma_b=float(raw["sigma_b"]),
-            cov_mb=float(raw["cov_mb"]),
-            chi2=float(raw["chi2"]),
-            nu=int(raw["nu"]),
-            chi2_red=float(raw["chi2_red"]),
-            r2=float(raw["r2"]),
-            n_points=int(raw["n_points"]),
-            weight_mode=raw.get("weight_mode"),
-        )
+        """Inverse of ``dataclasses.asdict``; numbers take their field's type."""
+        cast = {"float": float, "int": int}
+        return cls(**{f.name: cast[f.type](raw[f.name])
+                      for f in fields(cls) if f.type in cast},
+                   weight_mode=raw.get("weight_mode"))
 
 
 @dataclass(frozen=True)
@@ -120,23 +95,9 @@ class Prediction:
         return self.ser < 0
 
 
-def poisson_rel_uncertainty(n_tot: int) -> float:
-    """Relative 1-sigma statistical uncertainty of a Poisson count."""
-    if n_tot <= 0:
-        raise ValueError("relative uncertainty undefined for n_tot <= 0")
-    return 1.0 / math.sqrt(n_tot)
-
-
-def combine_rel_uncertainties(stat: float, geom: float) -> float:
-    """Quadrature sum of the statistical and geometric relative terms."""
-    if stat < 0 or geom < 0:
-        raise ValueError("relative uncertainties must be >= 0")
-    return math.hypot(stat, geom)
-
-
 def _rel_uncertainty(stat: float, geom: float, weight_mode: str) -> float:
     if weight_mode == "combined":
-        return combine_rel_uncertainties(stat, geom)
+        return math.hypot(stat, geom)
     if weight_mode == "stat-only":
         return stat
     if weight_mode == "linear-sum":
@@ -201,8 +162,11 @@ def predict_ser(fit: CalibrationFit, v_wlvm: float) -> Prediction:
     fit-parameter uncertainty.
 
     A negative predicted SER is physically impossible; the value is still
-    returned and flagged via ``Prediction.below_physical_floor``.
+    returned and flagged via ``Prediction.below_physical_floor``.  A margin
+    that is not finite raises ``ValueError``.
     """
+    if not math.isfinite(v_wlvm):
+        raise ValueError(f"v_wlvm must be a finite margin in volts, got {v_wlvm}")
     ser = fit.m * v_wlvm + fit.b
     var = (v_wlvm * v_wlvm * fit.sigma_m ** 2
            + fit.sigma_b ** 2
@@ -214,7 +178,6 @@ def build_weighted_points(
     pairs: Iterable[tuple[SerMeasurement, SweepResult]],
     v_dd_mv: float,
     weight_mode: str = "combined",
-    default_geom_unc: float = DEFAULT_GEOM_UNC,
 ) -> list[WeightedPoint]:
     """Turn (SER measurement, margin sweep) pairs into fit points.
 
@@ -225,21 +188,7 @@ def build_weighted_points(
     points = []
     for meas, sweep in pairs:
         margin_mv = word_line_voltage_margin(v_dd_mv, sweep.mu)
-        stat = meas.rel_stat_unc
-        geom = meas.rel_geom_unc if meas.rel_geom_unc is not None else default_geom_unc
-        rel = _rel_uncertainty(stat, geom, weight_mode)
+        rel = _rel_uncertainty(meas.rel_stat_unc, meas.rel_geom_unc, weight_mode)
         points.append(WeightedPoint(x=margin_mv / 1000.0, y=meas.ser,
                                     sigma_y=meas.ser * rel))
     return points
-
-
-def calibrate_parts(
-    pairs: Iterable[tuple[SerMeasurement, SweepResult]],
-    v_dd_mv: float,
-    weight_mode: str = "combined",
-    default_geom_unc: float = DEFAULT_GEOM_UNC,
-) -> CalibrationFit:
-    """Weighted line fit over all (measurement, sweep) pairs of the parts."""
-    points = build_weighted_points(pairs, v_dd_mv, weight_mode, default_geom_unc)
-    fit = weighted_linfit(points)
-    return replace(fit, weight_mode=weight_mode)

@@ -23,12 +23,12 @@ from pathlib import Path
 
 from . import io as wio
 from .calibration import WEIGHT_MODES, predict_ser
-from .errors import (ConfigurationError, DegenerateFitError, IngestError,
-                     ProtocolError, SamplingTimeError)
+from .errors import ProtocolError, SamplingTimeError
 from .pipeline import (LinearSerLaw, build_report_bundle, calibrate_datasets,
                        simulate_parts)
-from .protocols import run_hold_sweep, run_read_sweep, run_ser_test, run_wlvm_sweep, word_line_voltage_margin
-from .radiation import AlphaSource
+from .protocols import (PATTERNS, run_hold_sweep, run_read_sweep, run_ser_test,
+                        run_wlvm_sweep, word_line_voltage_margin)
+from .radiation import DEFAULT_GEOM_UNC, AlphaSource
 from .refdata import (CELL_TYPE_ORDER, PAPER_MATCHING_WEIGHT_MODE,
                       PUBLISHED_FIT, REFERENCE_CSV, REPRO_WINDOWS,
                       SIMULATED_VWL_MIN_MV, load_reference_dataset)
@@ -148,24 +148,21 @@ def _cmd_predict(args) -> int:
     if not rows:
         print("predict: need --v-wlvm and/or --margins", file=sys.stderr)
         return 2
+    predictions = [wio.PredictionRow(part_id, cell_type, margin_v,
+                                     predict_ser(fit, margin_v))
+                   for part_id, cell_type, margin_v in rows]
     print("part cell_type  v_wlvm_V  ser_pred  sigma")
-    predictions = []
-    for part_id, cell_type, margin_v in rows:
-        pred = predict_ser(fit, margin_v)
+    for row in predictions:
+        pred = row.prediction
         flag = "  (below physical floor)" if pred.below_physical_floor else ""
-        print(f"{part_id:>4} {cell_type:>9}  {margin_v:8.4f}  {pred.ser:8.4f}  "
-              f"{pred.sigma:.4f}{flag}")
-        predictions.append(wio.PredictionRow(part_id, cell_type, margin_v, pred))
+        print(f"{row.part_id:>4} {row.cell_type:>9}  {row.v_wlvm_v:8.4f}  "
+              f"{pred.ser:8.4f}  {pred.sigma:.4f}{flag}")
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         wio.write_predictions_csv(predictions, out_dir / "predictions.csv")
         print(f"wrote {out_dir / 'predictions.csv'}")
     return 0
-
-
-def _in_window(value, lo, hi) -> bool:
-    return lo <= value <= hi
 
 
 def _cmd_paper_repro(args) -> int:
@@ -205,7 +202,7 @@ def _cmd_paper_repro(args) -> int:
     ]
     all_ok = True
     for name, value, (lo, hi) in checks:
-        ok = _in_window(value, lo, hi)
+        ok = lo <= value <= hi
         all_ok &= ok
         target = f"[{lo:g}, {hi:g}]" if hi != float("inf") else f">= {lo:g}"
         delta = value - pub[name.lower()]
@@ -253,9 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_model(p)
     p.add_argument("--parts", type=int, default=5)
     p.add_argument("--types", default=",".join(CELL_TYPE_ORDER))
-    p.add_argument("--law-m", type=float, default=4.32,
+    p.add_argument("--law-m", type=float, default=LinearSerLaw.m,
                    help="ground-truth slope, uSEU/(bit*s*V)")
-    p.add_argument("--law-b", type=float, default=-0.25,
+    p.add_argument("--law-b", type=float, default=LinearSerLaw.b,
                    help="ground-truth intercept, uSEU/(bit*s)")
     p.add_argument("--duration", type=float, default=432_000.0,
                    help="irradiation time per block, s")
@@ -263,8 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-v", type=int, default=10, help="sweep step, mV")
     p.add_argument("--vdd", type=int, default=None, help="supply, mV")
     p.add_argument("--geom-spread", type=float, default=0.03)
-    p.add_argument("--pattern", default="zeros",
-                   choices=["zeros", "ones", "checkerboard", "random"])
+    p.add_argument("--pattern", default="zeros", choices=PATTERNS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--emit-logs", action="store_true")
     p.add_argument("--out", default="out")
@@ -279,8 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=432_000.0)
     p.add_argument("--geom-factor", type=float, default=1.0)
     p.add_argument("--vdd", type=int, default=None)
-    p.add_argument("--pattern", default="zeros",
-                   choices=["zeros", "ones", "checkerboard", "random"])
+    p.add_argument("--pattern", default="zeros", choices=PATTERNS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="window log CSV")
     p.set_defaults(func=_cmd_ser_test)
@@ -301,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="bundled",
                    help="measurement CSV path, or 'bundled'")
     p.add_argument("--weight-mode", default="combined", choices=list(WEIGHT_MODES))
-    p.add_argument("--geom-unc", type=float, default=0.03)
+    p.add_argument("--geom-unc", type=float, default=DEFAULT_GEOM_UNC)
     p.add_argument("--out", default=None, help="fit JSON path")
     p.set_defaults(func=_cmd_calibrate)
 
@@ -327,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--simulate", action="store_true",
                    help="build the report from a fresh simulation instead")
     p.add_argument("--weight-mode", default="combined", choices=list(WEIGHT_MODES))
-    p.add_argument("--geom-unc", type=float, default=0.03)
+    p.add_argument("--geom-unc", type=float, default=DEFAULT_GEOM_UNC)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="report")
     p.set_defaults(func=_cmd_report)
@@ -343,8 +338,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ConfigurationError, DegenerateFitError, IngestError, ProtocolError,
-            SamplingTimeError, FileNotFoundError, ValueError) as exc:
+    except (ValueError, ProtocolError, SamplingTimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

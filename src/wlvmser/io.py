@@ -20,12 +20,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .calibration import DEFAULT_GEOM_UNC, CalibrationFit, Prediction
-from .errors import IngestError
+from .calibration import CalibrationFit, Prediction
+from .errors import ConfigurationError, IngestError
 from .protocols import SerMeasurement, SweepResult
+from .radiation import DEFAULT_GEOM_UNC
 from .refdata import CELL_TYPE_ORDER, CELL_TYPES
 from .sram import DEFAULT_VDD_MV
 
@@ -78,8 +79,13 @@ def ingest_measurements_csv(path, rel_geom_unc: float = DEFAULT_GEOM_UNC) -> lis
     (part, type, quantity) keys are errors.  Every value must be finite
     and >= 0, except ``rel_stat_unc``, which may be ``inf`` (a block with
     no observed upset); ``vdd_mV`` must be a positive whole number and
-    ``v_mewlvm_mV`` must not exceed its part's supply.
+    ``v_mewlvm_mV`` must not exceed its part's supply.  ``rel_geom_unc``,
+    the flux-positioning uncertainty given to every SER row, must be
+    finite and >= 0.
     """
+    if not 0 <= rel_geom_unc < math.inf:
+        raise ConfigurationError(
+            f"--geom-unc (rel_geom_unc) must be finite and >= 0, got {rel_geom_unc:g}")
     path = Path(path)
     raw: dict[str, dict] = {}
     order: list[str] = []
@@ -208,14 +214,20 @@ def emit_measurements_csv(datasets, path) -> Path:
 def write_fit_json(fit: CalibrationFit, path) -> Path:
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(fit.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(fit), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 
 
 def read_fit_json(path) -> CalibrationFit:
+    """Load a fit file; a malformed one raises ``IngestError`` naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        return CalibrationFit.from_dict(json.load(fh))
+        try:
+            return CalibrationFit.from_dict(json.load(fh))
+        except KeyError as exc:
+            raise IngestError(f"{path}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise IngestError(f"{path}: {exc}") from None
 
 
 def write_ser_log(meas: SerMeasurement, path) -> Path:
@@ -251,17 +263,6 @@ def write_sweep_log(result: SweepResult, path) -> Path:
             new = result.histogram.get(v, 0)
             cumulative += new
             writer.writerow([step, v, new, cumulative])
-    return path
-
-
-def write_event_log(events, path) -> Path:
-    """Raw upset events for replay/debug."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "cell_index"])
-        for t, c in zip(events.times, events.cells):
-            writer.writerow([repr(float(t)), int(c)])
     return path
 
 

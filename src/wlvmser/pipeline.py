@@ -22,7 +22,7 @@ from .protocols import (run_hold_sweep, run_read_sweep, run_ser_test,
                         run_wlvm_sweep, word_line_voltage_margin)
 from .radiation import AlphaSource
 from .refdata import CELL_TYPE_ORDER
-from .sram import VariationModel, sample_array
+from .sram import DEFAULT_COLS, DEFAULT_ROWS, VariationModel, sample_array
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,9 @@ def simulate_parts(
     seed=0,
     v_dd: int | None = None,
     geom_spread: float = 0.03,
-    rel_geom_unc: float = 0.03,
     pattern: str = "zeros",
-    rows: int = 64,
-    cols: int = 64,
+    rows: int = DEFAULT_ROWS,
+    cols: int = DEFAULT_COLS,
 ) -> list[PartDataset]:
     """Simulate ``n_parts`` virtual parts and measure each block.
 
@@ -89,8 +88,7 @@ def simulate_parts(
                 cell_type, model, part_offset=offset, seed=block_seqs[2 * i],
                 rows=rows, cols=cols, true_seu_rate=rate, part_id=part_id,
                 v_dd=v_dd)
-            source = AlphaSource(rate_per_bit=rate, geom_factor=geom,
-                                 rel_geom_unc=rel_geom_unc)
+            source = AlphaSource(rate_per_bit=rate, geom_factor=geom)
             ds.ser[cell_type] = run_ser_test(
                 array, source, ts, duration, seed=block_seqs[2 * i + 1],
                 pattern=pattern)
@@ -105,8 +103,8 @@ def simulate_supply_sweeps(
     kind: str = "hold",
     delta_v: int = 10,
     seed=0,
-    rows: int = 64,
-    cols: int = 64,
+    rows: int = DEFAULT_ROWS,
+    cols: int = DEFAULT_COLS,
 ):
     """Control-experiment supply sweeps (hold or read) for one part."""
     model = model if model is not None else VariationModel.default()

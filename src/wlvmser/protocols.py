@@ -31,8 +31,8 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigurationError, ProtocolError, SamplingTimeError
-from .radiation import (MAX_EXPECTED_EVENTS, AlphaSource, generate_events,
-                        undetected_fraction)
+from .radiation import (DEFAULT_GEOM_UNC, MAX_EXPECTED_EVENTS, AlphaSource,
+                        generate_events, undetected_fraction)
 from .sram import MemoryArray
 
 TS_GRID_S = 60
@@ -84,7 +84,7 @@ class SerMeasurement:
 
     @classmethod
     def summary(cls, part_id, cell_type, ser, rel_stat_unc,
-                rel_geom_unc=0.03) -> "SerMeasurement":
+                rel_geom_unc=DEFAULT_GEOM_UNC) -> "SerMeasurement":
         """Summary-only record as ingested from a measurement file."""
         return cls(
             part_id=str(part_id),
@@ -151,8 +151,12 @@ class SweepResult:
         )
 
 
+PATTERNS = ("zeros", "ones", "checkerboard", "random")
+
+
 def make_pattern(kind: str, rows: int, cols: int, seed=0) -> np.ndarray:
-    """Background data pattern written before a test."""
+    """Background data pattern written before a test; ``kind`` is one of
+    ``PATTERNS``."""
     n = rows * cols
     if kind == "zeros":
         return np.zeros(n, dtype=np.uint8)

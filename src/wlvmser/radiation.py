@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -31,6 +30,9 @@ from .sram import MemoryArray
 # Largest expected event count one draw may ask for.  A SER test holds
 # about 40 bytes per event at its peak, so this caps it near 0.7 GB.
 MAX_EXPECTED_EVENTS = 2**24
+
+# relative systematic uncertainty of the source-to-sample flux positioning
+DEFAULT_GEOM_UNC = 0.03
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,7 @@ class AlphaSource:
 
     rate_per_bit: float = 0.0
     geom_factor: float = 1.0
-    rel_geom_unc: float = 0.03
+    rel_geom_unc: float = DEFAULT_GEOM_UNC
 
     def __post_init__(self):
         if not self.rate_per_bit >= 0:  # also rejects nan
@@ -58,36 +60,15 @@ class AlphaSource:
             raise ConfigurationError("rel_geom_unc must be >= 0")
 
 
-class SeuEvent(NamedTuple):
-    time: float
-    cell: int
-
-
 @dataclass
 class EventLog:
     """Time-ordered upset events for one array."""
 
     times: np.ndarray
     cells: np.ndarray
-    n_cells: int
-    duration: float
 
     def __len__(self) -> int:
         return self.times.size
-
-    def __iter__(self) -> Iterator[SeuEvent]:
-        for t, c in zip(self.times, self.cells):
-            yield SeuEvent(float(t), int(c))
-
-
-def cell_rates(array: MemoryArray, source: AlphaSource) -> np.ndarray:
-    """Per-cell upset rates in events per second."""
-    return array.true_seu_rate * (source.geom_factor * 1e-6)
-
-
-def expected_event_count(array: MemoryArray, source: AlphaSource, duration: float) -> float:
-    """Mean number of events the source produces over ``duration`` seconds."""
-    return float(cell_rates(array, source).sum() * duration)
 
 
 def _arrival_times(rng, lam_total, duration):
@@ -125,12 +106,12 @@ def generate_events(array: MemoryArray, source: AlphaSource, duration: float, se
     """
     if duration <= 0:
         raise ConfigurationError("duration must be positive")
-    rates = cell_rates(array, source)
+    rates = array.true_seu_rate * (source.geom_factor * 1e-6)  # per second
     lam_total = float(rates.sum())
     rng = np.random.default_rng(seed)
     if lam_total <= 0.0:
         empty = np.empty(0)
-        return EventLog(empty, empty.astype(np.int64), array.n_cells, duration)
+        return EventLog(empty, empty.astype(np.int64))
     expected = lam_total * duration
     if not expected <= MAX_EXPECTED_EVENTS:
         raise ConfigurationError(
@@ -143,24 +124,7 @@ def generate_events(array: MemoryArray, source: AlphaSource, duration: float, se
         cells = rng.integers(0, array.n_cells, k, dtype=np.int64)
     else:
         cells = rng.choice(array.n_cells, size=k, p=rates / lam_total).astype(np.int64)
-    return EventLog(times, cells, array.n_cells, duration)
-
-
-def inject_window(array: MemoryArray, events: EventLog, t0: float, t1: float) -> int:
-    """Apply every event with ``t0 <= time < t1`` as a bit flip.
-
-    Returns the number of events applied, which can exceed the number of
-    observably changed cells when a cell is hit more than once.
-    """
-    if not t0 < t1:
-        raise ValueError("need t0 < t1")
-    i0 = int(np.searchsorted(events.times, t0, side="left"))
-    i1 = int(np.searchsorted(events.times, t1, side="left"))
-    hit = events.cells[i0:i1]
-    if hit.size:
-        parity = np.bincount(hit, minlength=array.n_cells).astype(np.uint8) & 1
-        array.state ^= parity
-    return i1 - i0
+    return EventLog(times, cells)
 
 
 def undetected_fraction(lambda_cell: float, ts: float) -> float:

@@ -27,15 +27,6 @@ CELL_TYPES = {
     "LS": CellType("LS", 2.0, 1.0),
 }
 
-REFERENCE_VDD_MV = 1200
-
-# one reference block: 4 kbit of each sizing
-REFERENCE_N_BITS = 4096
-
-# 120 h accelerated run, 30 min sampling period
-REFERENCE_T_EXP_S = 432_000
-REFERENCE_TS_S = 1800
-
 # electrically simulated minimum write voltages (typical corner), mV
 SIMULATED_VWL_MIN_MV = {
     "SS": 792,

@@ -33,7 +33,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -44,16 +44,6 @@ DEFAULT_ROWS = 64
 DEFAULT_COLS = 64
 
 _MAX_REDRAWS = 1000
-
-
-class CellParams(NamedTuple):
-    """Electrical parameters of a single cell (thresholds in mV)."""
-
-    v_wl_min: int
-    v_dd_min_hold: int
-    v_dd_min_read: int
-    preferred_state: int
-    true_seu_rate: float
 
 
 @dataclass(frozen=True)
@@ -144,8 +134,15 @@ class VariationModel:
 
     @classmethod
     def from_json(cls, path) -> "VariationModel":
+        """Load a model file; a malformed one raises ``ConfigurationError``
+        naming the file."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except KeyError as exc:
+                raise ConfigurationError(f"{path}: missing key {exc}") from None
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ConfigurationError(f"{path}: {exc}") from None
 
     @classmethod
     def default(cls) -> "VariationModel":
@@ -225,44 +222,6 @@ class MemoryArray:
     def n_cells(self) -> int:
         return self.rows * self.cols
 
-    def _check_index(self, index: int):
-        if not 0 <= index < self.n_cells:
-            raise IndexError(f"cell index {index} outside [0, {self.n_cells})")
-
-    def cell_params(self, index: int) -> CellParams:
-        """Sampled parameters of one cell (arrays hold the block-level view)."""
-        self._check_index(index)
-        return CellParams(
-            v_wl_min=int(self.v_wl_min[index]),
-            v_dd_min_hold=int(self.v_dd_min_hold[index]),
-            v_dd_min_read=int(self.v_dd_min_read[index]),
-            preferred_state=int(self.preferred_state[index]),
-            true_seu_rate=float(self.true_seu_rate[index]),
-        )
-
-    def write_cell(self, index: int, value: int, v_wl: int) -> bool:
-        """Attempt a write at word-line voltage ``v_wl``; True on success.
-
-        The write takes iff ``v_wl >= v_wl_min`` of the cell (success at
-        exactly the threshold); otherwise the stored bit is untouched.
-        """
-        self._check_index(index)
-        if not 0 <= v_wl <= self.v_dd:
-            raise ValueError(f"v_wl={v_wl} outside [0, {self.v_dd}]")
-        if v_wl >= self.v_wl_min[index]:
-            self.state[index] = 1 if value else 0
-            return True
-        return False
-
-    def read_cell(self, index: int, v_dd: int | None = None):
-        """Stored bit, or None when the supply is below the cell's read
-        threshold.  Reads are non-destructive."""
-        self._check_index(index)
-        v = self.v_dd if v_dd is None else v_dd
-        if v >= self.v_dd_min_read[index]:
-            return int(self.state[index])
-        return None
-
     def apply_hold_voltage(self, v_dd: int) -> int:
         """Drop the core supply to ``v_dd``; cells whose hold threshold is
         exceeded collapse to their preferred state.  Returns the number of
@@ -274,17 +233,10 @@ class MemoryArray:
         self.state[at_risk] = self.preferred_state[at_risk]
         return changed
 
-    def flip_cell(self, index: int):
-        """Invert one stored bit (upset injection hook)."""
-        self._check_index(index)
-        self.state[index] ^= 1
-
-    # array-wide variants used by the measurement protocols
-
-    def write_all(self, values: np.ndarray, v_wl: int | None = None) -> np.ndarray:
-        """Write a full pattern; returns the per-cell success mask."""
-        v = self.v_dd if v_wl is None else v_wl
-        ok = v >= self.v_wl_min
+    def write_all(self, values: np.ndarray) -> np.ndarray:
+        """Write a full pattern at ``v_dd``; a cell's write takes iff
+        ``v_dd >= v_wl_min``.  Returns the per-cell success mask."""
+        ok = self.v_dd >= self.v_wl_min
         self.state[ok] = values[ok]
         return ok
 

@@ -1,0 +1,45 @@
+"""The benchmark in ``perfbench/`` still finds every name it hooks.
+
+``perfbench`` looks functions up by name and reports a name it cannot
+find as a metric of 0 rather than failing, so a rename or deletion in
+``src/`` would otherwise pass unnoticed.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import wlvmser
+from wlvmser import kernels
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def perfbench_modules(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run
+    import spans
+    yield run, spans
+    for name in ("run", "spans"):
+        sys.modules.pop(name, None)
+
+
+def test_span_wraps_resolve(perfbench_modules):
+    _, spans = perfbench_modules
+    tracer = spans.instrument(spans.Tracer())
+    try:
+        assert tracer.missing == []
+    finally:
+        tracer.unwrap()
+
+
+def test_kernel_cases_resolve(perfbench_modules):
+    run, _ = perfbench_modules
+    assert [kernel for kernel, _, _ in run.KERNEL_CASES
+            if not callable(getattr(kernels, kernel, None))] == []
+
+
+def test_public_names_resolve():
+    assert [name for name in wlvmser.__all__ if not hasattr(wlvmser, name)] == []

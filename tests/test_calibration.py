@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from wlvmser.calibration import (WeightedPoint, build_weighted_points,
-                                 calibrate_parts, combine_rel_uncertainties,
-                                 poisson_rel_uncertainty, predict_ser,
-                                 weighted_linfit)
+                                 predict_ser, weighted_linfit)
 from wlvmser.errors import DegenerateFitError
+from wlvmser.pipeline import calibrate_datasets
+from wlvmser.protocols import SerMeasurement, SweepResult
 from wlvmser.refdata import PUBLISHED_FIT, load_reference_dataset
 
 
@@ -32,22 +32,34 @@ def random_points(rng, n):
     return [WeightedPoint(float(a), float(b), float(c)) for a, b, c in zip(x, y, s)]
 
 
-# --- scalar uncertainty helpers ----------------------------------------------
+# --- point uncertainties ------------------------------------------------------
+
+def _rel_stat(n_tot):
+    counts = [n_tot // 2, n_tot - n_tot // 2]
+    return SerMeasurement.from_windows("1", "SS", 1800.0, counts, 4096,
+                                       rel_geom_unc=0.03).rel_stat_unc
+
 
 def test_poisson_rel_uncertainty_values():
-    assert poisson_rel_uncertainty(10_000) == 0.01
-    assert poisson_rel_uncertainty(1) == 1.0
-    assert poisson_rel_uncertainty(2583) == pytest.approx(0.0197, abs=2e-4)
-    with pytest.raises(ValueError):
-        poisson_rel_uncertainty(0)
+    assert _rel_stat(10_000) == 0.01
+    assert _rel_stat(1) == 1.0
+    assert _rel_stat(2583) == pytest.approx(0.0197, abs=2e-4)
+    assert _rel_stat(0) == math.inf
+
+
+def _sigma_rel(stat, geom, weight_mode):
+    meas = SerMeasurement.summary("1", "SS", 2.0, stat, geom)
+    sweep = SweepResult.summary("1", "SS", 800.0)
+    [point] = build_weighted_points([(meas, sweep)], 1200, weight_mode)
+    return point.sigma_y / meas.ser
 
 
 def test_combine_rel_uncertainties():
-    assert combine_rel_uncertainties(0.02, 0.0) == 0.02
-    assert combine_rel_uncertainties(0.03, 0.04) == pytest.approx(0.05)
-    assert combine_rel_uncertainties(0.020, 0.03) == pytest.approx(0.0361, abs=1e-4)
-    with pytest.raises(ValueError):
-        combine_rel_uncertainties(-0.1, 0.0)
+    assert _sigma_rel(0.02, 0.0, "combined") == 0.02
+    assert _sigma_rel(0.03, 0.04, "combined") == pytest.approx(0.05)
+    assert _sigma_rel(0.020, 0.03, "combined") == pytest.approx(0.0361, abs=1e-4)
+    assert _sigma_rel(0.02, 0.03, "linear-sum") == pytest.approx(0.05)
+    assert _sigma_rel(0.02, 0.03, "stat-only") == 0.02
 
 
 # --- weighted line fit ---------------------------------------------------------
@@ -182,10 +194,10 @@ def test_prediction_sigma_minimized_at_weighted_centroid():
 
 # --- calibration over datasets ----------------------------------------------------
 
-def test_calibrate_parts_matches_direct_fit():
+def test_calibrate_datasets_matches_direct_fit():
     datasets = load_reference_dataset()
     pairs = [pair for ds in datasets for pair in ds.pairs()]
-    fit = calibrate_parts(pairs, 1200, weight_mode="combined")
+    fit = calibrate_datasets(datasets, weight_mode="combined")
     direct = weighted_linfit(build_weighted_points(pairs, 1200, "combined"))
     assert fit.m == direct.m and fit.b == direct.b and fit.chi2 == direct.chi2
     assert fit.weight_mode == "combined"
@@ -194,8 +206,7 @@ def test_calibrate_parts_matches_direct_fit():
 
 def test_reference_dataset_fit_windows():
     datasets = load_reference_dataset()
-    pairs = [pair for ds in datasets for pair in ds.pairs()]
-    linear = calibrate_parts(pairs, 1200, weight_mode="linear-sum")
+    linear = calibrate_datasets(datasets, weight_mode="linear-sum")
     assert 4.12 <= linear.m <= 4.52
     assert -0.31 <= linear.b <= -0.19
     assert linear.nu == 23
@@ -203,7 +214,7 @@ def test_reference_dataset_fit_windows():
     assert linear.r2 >= 0.94
     assert abs(linear.m - PUBLISHED_FIT["m"]) <= PUBLISHED_FIT["sigma_m"]
     # quadrature weights land the same line but understate the scatter
-    quad = calibrate_parts(pairs, 1200, weight_mode="combined")
+    quad = calibrate_datasets(datasets, weight_mode="combined")
     assert 4.12 <= quad.m <= 4.52
     assert -0.31 <= quad.b <= -0.19
     assert quad.chi2_red > 1.3
@@ -211,13 +222,12 @@ def test_reference_dataset_fit_windows():
 
 def test_single_part_fit_is_strongly_linear():
     [part1] = [ds for ds in load_reference_dataset() if ds.part_id == "1"]
-    fit = calibrate_parts(part1.pairs(), 1200, weight_mode="combined")
+    fit = calibrate_datasets([part1], weight_mode="combined")
     assert fit.m > 0
     assert fit.r2 > 0.9
 
 
 def test_unknown_weight_mode_rejected():
     datasets = load_reference_dataset()
-    pairs = datasets[0].pairs()
     with pytest.raises(ValueError):
-        calibrate_parts(pairs, 1200, weight_mode="nope")
+        calibrate_datasets(datasets[:1], weight_mode="nope")

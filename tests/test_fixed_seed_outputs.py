@@ -48,3 +48,32 @@ def test_fixed_seed_output_bytes(name, tmp_path, capsys):
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert tree_digest(out) == EXPECTED[name]
+
+
+# Standard output of fixed-seed and bundled-data commands, run from a
+# scratch directory so that every printed path is relative.  These guard
+# the CLI defaults (law, uncertainty, pattern choices) against drifting.
+STDOUT_EXPECTED = {
+    "calibrate-bundled": "19ea138e4a195d0fd4211ac29766a633e78b766a29c0df7957a7161165384bd8",
+    "paper-repro": "4364ba5284183229524d6ba81fbc7a0f075ce4ca49443c37656c7886dc28dfa7",
+    "predict": "4369662179bda64e6b852de9fac0059d42f36b0cae70878faa174ff1f6a7f970",
+    "simulate": "64df898f29a0ac95cf29acb6928be7ab4f458bb40d8b5259ab2b01969cf158e3",
+}
+
+STDOUT_COMMANDS = {
+    "calibrate-bundled": ["calibrate", "--input", "bundled", "--out", "fit.json"],
+    "paper-repro": ["paper-repro"],
+    "predict": ["predict", "--fit", "fit.json", "--v-wlvm", "0.409"],
+    "simulate": ["simulate", "--seed", "1", "--out", "sim"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_COMMANDS))
+def test_fixed_seed_stdout(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if name == "predict":
+        assert cli.main(STDOUT_COMMANDS["calibrate-bundled"]) == 0
+        capsys.readouterr()
+    assert cli.main(STDOUT_COMMANDS[name]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == STDOUT_EXPECTED[name]

@@ -305,12 +305,43 @@ def test_cli_inoperable_supply_is_one_error_line(argv, tmp_path, capsys):
     (["simulate", "--vdd", "1080", "--parts", "2", "--duration", "3600"], "part 1 SL: "),
     (["ser-test", "--ts", "1e-9", "--rate", "1"], "4.32e+14 sampling windows"),
     (["ser-test", "--ts", "0.01"], "4.32e+07 sampling windows"),
+    (["calibrate", "--input", "{tmp}"], "Is a directory"),
+    (["predict", "--fit", "{tmp}", "--v-wlvm", "0.4"], "Is a directory"),
+    (["calibrate", "--out", "{tmp}"], "Is a directory"),
+    (["predict", "--fit", "{tmp}/fit.json", "--v-wlvm", "nan"],
+     "v_wlvm must be a finite margin in volts, got nan"),
+    (["predict", "--fit", "{tmp}/fit.json", "--v-wlvm", "inf"],
+     "v_wlvm must be a finite margin in volts, got inf"),
+    (["calibrate", "--geom-unc", "nan"], "--geom-unc (rel_geom_unc) must be finite and >= 0, got nan"),
+    (["calibrate", "--geom-unc", "inf"], "--geom-unc (rel_geom_unc) must be finite and >= 0, got inf"),
+    (["calibrate", "--geom-unc", "-0.001", "--weight-mode", "linear-sum"],
+     "--geom-unc (rel_geom_unc) must be finite and >= 0, got -0.001"),
+    (["predict", "--fit", "{tmp}/no-b.json", "--v-wlvm", "0.4"], "no-b.json: missing key 'b'"),
+    (["simulate", "--model", "{tmp}/no-sigma.json"],
+     "no-sigma.json: missing key 'sigma_vwlmin_mV'"),
+    (["simulate", "--model", "{tmp}/list.json"], "list.json: list indices must be"),
 ])
 def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
-    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err.strip().splitlines()
+    fit = calibrate_datasets(load_reference_dataset())
+    write_fit_json(fit, tmp_path / "fit.json")
+    payload = json.loads((tmp_path / "fit.json").read_text())
+    del payload["b"]
+    (tmp_path / "no-b.json").write_text(json.dumps(payload))
+    model = {"cell_types": {"SS": {"mu_vwlmin_mV": 791, "mu_hold_mV": 450,
+                                   "sigma_hold_mV": 30, "mu_read_mV": 650,
+                                   "sigma_read_mV": 30}}}
+    (tmp_path / "no-sigma.json").write_text(json.dumps(model))
+    (tmp_path / "list.json").write_text("[1, 2]")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert cause in err[0]
+    if argv[0] == "predict":
+        assert captured.out == ""
 
 
 def test_cli_report_bundled(tmp_path, capsys):

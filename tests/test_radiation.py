@@ -1,18 +1,15 @@
-"""Poisson event generation, injection, and the multi-flip masking model."""
+"""Poisson event generation, window flips, and the multi-flip masking model."""
 
-import csv
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from wlvmser import radiation
+from wlvmser import kernels, radiation
 from wlvmser.errors import ConfigurationError
-from wlvmser.io import write_event_log
-from wlvmser.radiation import (MAX_EXPECTED_EVENTS, AlphaSource,
-                               expected_event_count, generate_events,
-                               inject_window, undetected_fraction)
+from wlvmser.radiation import (MAX_EXPECTED_EVENTS, AlphaSource, generate_events,
+                               undetected_fraction)
 from wlvmser.sram import sample_array
 
 
@@ -57,7 +54,7 @@ def test_mean_count_over_seeds_matches_poisson(ss_model):
     array = _uniform_rate_array(ss_model, 2.0, rows=16, cols=16)
     source = AlphaSource()
     duration = 1.0e6
-    expected = expected_event_count(array, source, duration)
+    expected = 2.0e-6 * array.n_cells * duration
     counts = [len(generate_events(array, source, duration, seed=s))
               for s in range(100)]
     assert abs(np.mean(counts) - expected) < 4 * math.sqrt(expected)
@@ -95,8 +92,6 @@ def test_geom_factor_scales_expected_count_linearly(ss_model):
     duration = 2.0e6
     low = AlphaSource(geom_factor=0.9)
     high = AlphaSource(geom_factor=1.08)
-    assert expected_event_count(array, high, duration) == pytest.approx(
-        1.2 * expected_event_count(array, low, duration))
     mean_low = np.mean([len(generate_events(array, low, duration, seed=s))
                         for s in range(40)])
     mean_high = np.mean([len(generate_events(array, high, duration, seed=s + 100))
@@ -121,45 +116,24 @@ def test_alpha_source_validation():
         AlphaSource(geom_factor=1.2)
 
 
-# --- injection --------------------------------------------------------------
+# --- window flips -------------------------------------------------------------
 
-def test_inject_empty_window(ss_model):
-    array = _uniform_rate_array(ss_model, 1.0, rows=4, cols=4)
-    events = generate_events(array, AlphaSource(), 1.0e5, seed=2)
-    before = array.state.copy()
-    assert inject_window(array, events, 1.0e5, 2.0e5) == 0
-    assert np.array_equal(array.state, before)
-
-
-def test_double_hit_cancels(ss_model):
-    array = sample_array("SS", ss_model, seed=0, rows=1, cols=4)
-    from wlvmser.radiation import EventLog
-    events = EventLog(times=np.array([1.0, 2.0]), cells=np.array([3, 3]),
-                      n_cells=4, duration=10.0)
-    before = array.state.copy()
-    applied = inject_window(array, events, 0.0, 10.0)
-    assert applied == 2
-    assert np.array_equal(array.state, before)
+def test_double_hit_cancels():
+    counts, parity = kernels.window_observed_flips(
+        np.array([0, 0]), np.array([3, 3]), 1, 4)
+    assert counts.tolist() == [0]
+    assert parity.tolist() == [0, 0, 0, 0]
 
 
 def test_disjoint_windows_apply_every_event_once(ss_model):
     array = _uniform_rate_array(ss_model, 2.0, rows=8, cols=8)
     events = generate_events(array, AlphaSource(), 4.0e5, seed=13)
-    parity = np.bincount(events.cells, minlength=array.n_cells).astype(np.uint8) & 1
-    before = array.state.copy()
-    total = 0
-    edges = np.linspace(0, 4.0e5, 9)
-    for t0, t1 in zip(edges[:-1], edges[1:]):
-        total += inject_window(array, events, t0, t1)
-    assert total == len(events)
-    assert np.array_equal(array.state, before ^ parity)
-
-
-def test_inject_window_requires_ordered_bounds(ss_model):
-    array = _uniform_rate_array(ss_model, 1.0, rows=2, cols=2)
-    events = generate_events(array, AlphaSource(), 100.0, seed=0)
-    with pytest.raises(ValueError):
-        inject_window(array, events, 5.0, 5.0)
+    windows = (events.times // 5.0e4).astype(np.int64)  # 8 windows
+    counts, parity = kernels.window_observed_flips(windows, events.cells, 8,
+                                                   array.n_cells)
+    assert np.array_equal(
+        parity, np.bincount(events.cells, minlength=array.n_cells).astype(np.uint8) & 1)
+    assert 0 < counts.sum() <= len(events)
 
 
 # --- masking model ----------------------------------------------------------
@@ -193,27 +167,3 @@ def test_masked_fraction_monte_carlo_small():
     masked, total = masked_upsets_mc(lam_ts, 2_000_000, seed=77)
     f = undetected_fraction(lam_ts, 1.0)
     assert abs(masked / total - f) <= 3 * math.sqrt(f * (1 - f) / total)
-
-
-# --- event log --------------------------------------------------------------
-
-def test_event_log_iterates_as_events(ss_model):
-    array = _uniform_rate_array(ss_model, 1.0, rows=4, cols=4)
-    events = generate_events(array, AlphaSource(), 2.0e5, seed=6)
-    assert len(events) > 0
-    first = next(iter(events))
-    assert first.time == events.times[0]
-    assert first.cell == events.cells[0]
-
-
-def test_event_log_roundtrip(ss_model, tmp_path):
-    array = _uniform_rate_array(ss_model, 1.0, rows=4, cols=4)
-    events = generate_events(array, AlphaSource(), 5.0e5, seed=4)
-    path = write_event_log(events, tmp_path / "events.csv")
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == len(events)
-    times = np.array([float(r["time_s"]) for r in rows])
-    cells = np.array([int(r["cell_index"]) for r in rows])
-    assert np.array_equal(times, events.times)
-    assert np.array_equal(cells, events.cells)

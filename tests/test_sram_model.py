@@ -7,6 +7,8 @@ from conftest import manual_array, single_type_model
 from wlvmser import sram
 from wlvmser.errors import ConfigurationError, ProtocolError
 from wlvmser.pipeline import simulate_parts
+from wlvmser.protocols import make_pattern, run_ser_test
+from wlvmser.radiation import AlphaSource, generate_events
 from wlvmser.refdata import CELL_TYPES
 from wlvmser.sram import CellType, TypeVariation, VariationModel, sample_array
 
@@ -106,7 +108,7 @@ FIRST_ACCESS = {
     "hold": lambda a: a.v_dd_min_hold,
     "read": lambda a: a.v_dd_min_read,
     "preferred_state": lambda a: a.preferred_state,
-    "cell_params": lambda a: a.cell_params(3),
+    "read_all": lambda a: a.read_all(600),
     "apply_hold_voltage": lambda a: a.apply_hold_voltage(500),
 }
 
@@ -157,7 +159,7 @@ def test_pending_draw_runs_once_and_is_shared(ss_model, monkeypatch):
     assert len(calls) == 3
     assert array.v_dd_min_hold is hold
     array.read_all(600)
-    array.cell_params(0)
+    array.preferred_state
     assert len(calls) == 3
 
 
@@ -195,67 +197,57 @@ def test_simulate_parts_below_nominal_draws_all_thresholds(monkeypatch):
     assert len(calls) == 3 * 3  # SS and SM pass, SL fails
 
 
-# --- write semantics --------------------------------------------------------
+# --- write semantics: a write takes iff v_dd >= v_wl_min ----------------------
+
+ONE = np.ones(1, dtype=np.uint8)
+
 
 def test_write_above_threshold_succeeds():
     array = manual_array([792])
-    assert array.write_cell(0, 1, 1200) is True
+    assert array.write_all(ONE).tolist() == [True]
     assert array.state[0] == 1
 
 
 def test_write_below_threshold_fails_and_keeps_state():
-    array = manual_array([792])
-    assert array.write_cell(0, 1, 791) is False
+    array = manual_array([792], v_dd=791)
+    assert array.write_all(ONE).tolist() == [False]
     assert array.state[0] == 0
 
 
 def test_write_at_exact_threshold_succeeds():
-    array = manual_array([792])
-    assert array.write_cell(0, 1, 792) is True
+    array = manual_array([792], v_dd=792)
+    assert array.write_all(ONE).tolist() == [True]
 
 
 def test_write_monotone_in_voltage():
     rng = np.random.default_rng(3)
     array = manual_array(rng.integers(200, 1200, 50))
-    for idx in range(50):
-        outcomes = [array.write_cell(idx, 1, v) for v in range(0, 1201, 37)]
-        # once a write succeeds, it succeeds at every higher voltage
-        first_ok = outcomes.index(True) if True in outcomes else len(outcomes)
-        assert all(outcomes[first_ok:])
-        assert not any(outcomes[:first_ok])
-
-
-def test_write_index_and_voltage_validation():
-    array = manual_array([792])
-    with pytest.raises(IndexError):
-        array.write_cell(1, 1, 1200)
-    with pytest.raises(ValueError):
-        array.write_cell(0, 1, 1300)
+    outcomes = []
+    for v in range(0, 1201, 37):
+        array.v_dd = v
+        outcomes.append(array.write_all(np.ones(50, dtype=np.uint8)))
+    # once a write succeeds, it succeeds at every higher voltage
+    assert np.all(np.diff(np.array(outcomes, dtype=np.int8), axis=0) >= 0)
 
 
 # --- read semantics ---------------------------------------------------------
 
 def test_read_nominal_returns_last_written():
     array = manual_array([500, 700])
-    array.write_cell(0, 1, 1200)
-    array.write_cell(1, 0, 1200)
-    assert array.read_cell(0) == 1
-    assert array.read_cell(1) == 0
+    array.write_all(np.array([1, 0], dtype=np.uint8))
+    bits, failed = array.read_all()
+    assert bits.tolist() == [1, 0] and not failed.any()
     # reads are idempotent and non-destructive
-    assert array.read_cell(0) == 1
-    assert array.state[0] == 1
+    assert array.read_all()[0].tolist() == [1, 0]
+    assert array.state.tolist() == [1, 0]
 
 
 def test_read_below_threshold_fails_without_corruption():
     array = manual_array([500], v_dd_min_read=[650])
-    array.write_cell(0, 1, 1200)
-    assert array.read_cell(0, v_dd=640) is None
-    assert array.read_cell(0, v_dd=650) == 1
-
-
-def test_read_index_validation():
-    with pytest.raises(IndexError):
-        manual_array([500]).read_cell(3)
+    array.write_all(ONE)
+    assert array.read_all(640)[1].tolist() == [True]
+    bits, failed = array.read_all(650)
+    assert bits.tolist() == [1] and failed.tolist() == [False]
 
 
 # --- hold semantics ---------------------------------------------------------
@@ -291,36 +283,20 @@ def test_hold_two_cell_enumeration(preferred, stored, expected_changed):
 
 # --- flip semantics ---------------------------------------------------------
 
-def test_flip_is_involution():
-    array = manual_array([500], state=[1])
-    array.flip_cell(0)
-    assert array.state[0] == 0
-    array.flip_cell(0)
-    assert array.state[0] == 1
-    with pytest.raises(IndexError):
-        array.flip_cell(9)
-
-
-def test_cell_params_view(ss_model):
-    array = sample_array("SS", ss_model, seed=30, true_seu_rate=1.46)
-    params = array.cell_params(17)
-    assert params.v_wl_min == array.v_wl_min[17]
-    assert params.preferred_state in (0, 1)
-    assert params.true_seu_rate == 1.46
-    with pytest.raises(IndexError):
-        array.cell_params(array.n_cells)
-
-
 def test_random_flips_match_xor_bookkeeping(ss_model):
-    array = sample_array("SS", ss_model, seed=21)
-    before = array.state.copy()
-    rng = np.random.default_rng(22)
-    hits = rng.integers(0, array.n_cells, 500)
+    """After a SER test the block holds its pattern with every cell hit an
+    odd number of times flipped."""
+    kw = dict(seed=21, rows=16, cols=16, true_seu_rate=50.0)
+    array = sample_array("SS", ss_model, **kw)
+    run_ser_test(array, AlphaSource(), ts=600, duration=60_000, seed=22,
+                 pattern="random")
+    events = generate_events(sample_array("SS", ss_model, **kw), AlphaSource(),
+                             60_000, seed=22)
+    assert len(events) > 2 * array.n_cells  # many cells are hit repeatedly
     mask = np.zeros(array.n_cells, dtype=np.uint8)
-    for idx in hits:
-        array.flip_cell(int(idx))
-        mask[idx] ^= 1
-    assert np.array_equal(array.state, before ^ mask)
+    for cell in events.cells:
+        mask[cell] ^= 1
+    assert np.array_equal(array.state, make_pattern("random", 16, 16, 22) ^ mask)
 
 
 # --- model loading ----------------------------------------------------------
