@@ -16,29 +16,28 @@ from .io import (PartDataset, ReportBundle, emit_measurements_csv, emit_report,
 from .pipeline import (LinearSerLaw, build_report_bundle, calibrate_datasets,
                        simulate_parts)
 from .protocols import (SerMeasurement, SweepResult, choose_sampling_time,
-                        make_pattern, run_hold_sweep, run_read_sweep,
-                        run_ser_test, run_wlvm_sweep, word_line_voltage_margin)
+                        run_hold_sweep, run_read_sweep, run_ser_test,
+                        run_wlvm_sweep, word_line_voltage_margin)
 from .radiation import (AlphaSource, EventLog, generate_events,
                         undetected_fraction)
-from .refdata import (CELL_TYPE_ORDER, CELL_TYPES, PUBLISHED_FIT,
-                      SIMULATED_VWL_MIN_MV, load_reference_dataset)
-from .sram import (CellType, MemoryArray, TypeVariation, VariationModel,
-                   sample_array)
+from .refdata import (CELL_TYPE_ORDER, PUBLISHED_FIT, SIMULATED_VWL_MIN_MV,
+                      load_reference_dataset)
+from .sram import MemoryArray, TypeVariation, VariationModel, sample_array
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaSource", "CELL_TYPES", "CELL_TYPE_ORDER", "CalibrationFit",
-    "CellType", "ConfigurationError", "DegenerateFitError", "EventLog",
-    "IngestError", "LinearSerLaw", "MemoryArray", "PUBLISHED_FIT",
-    "PartDataset", "Prediction", "ProtocolError", "ReportBundle",
-    "SIMULATED_VWL_MIN_MV", "SamplingTimeError", "SerMeasurement",
-    "SweepResult", "TypeVariation", "VariationModel", "WeightedPoint",
-    "build_report_bundle", "build_weighted_points", "calibrate_datasets",
-    "choose_sampling_time", "emit_measurements_csv", "emit_report",
-    "generate_events", "ingest_measurements_csv", "load_reference_dataset",
-    "make_pattern", "predict_ser", "read_fit_json", "run_hold_sweep",
-    "run_read_sweep", "run_ser_test", "run_wlvm_sweep", "sample_array",
-    "simulate_parts", "undetected_fraction", "weighted_linfit",
-    "word_line_voltage_margin", "write_fit_json",
+    "AlphaSource", "CELL_TYPE_ORDER", "CalibrationFit",
+    "ConfigurationError", "DegenerateFitError", "EventLog", "IngestError",
+    "LinearSerLaw", "MemoryArray", "PUBLISHED_FIT", "PartDataset",
+    "Prediction", "ProtocolError", "ReportBundle", "SIMULATED_VWL_MIN_MV",
+    "SamplingTimeError", "SerMeasurement", "SweepResult", "TypeVariation",
+    "VariationModel", "WeightedPoint", "build_report_bundle",
+    "build_weighted_points", "calibrate_datasets", "choose_sampling_time",
+    "emit_measurements_csv", "emit_report", "generate_events",
+    "ingest_measurements_csv", "load_reference_dataset", "predict_ser",
+    "read_fit_json", "run_hold_sweep", "run_read_sweep", "run_ser_test",
+    "run_wlvm_sweep", "sample_array", "simulate_parts",
+    "undetected_fraction", "weighted_linfit", "word_line_voltage_margin",
+    "write_fit_json",
 ]

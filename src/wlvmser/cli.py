@@ -23,10 +23,10 @@ from pathlib import Path
 
 from . import io as wio
 from .calibration import WEIGHT_MODES, predict_ser
-from .errors import ProtocolError, SamplingTimeError
+from .errors import ConfigurationError, ProtocolError, SamplingTimeError
 from .pipeline import (LinearSerLaw, build_report_bundle, calibrate_datasets,
                        simulate_parts)
-from .protocols import (PATTERNS, run_hold_sweep, run_read_sweep, run_ser_test,
+from .protocols import (run_hold_sweep, run_read_sweep, run_ser_test,
                         run_wlvm_sweep, word_line_voltage_margin)
 from .radiation import DEFAULT_GEOM_UNC, AlphaSource
 from .refdata import (CELL_TYPE_ORDER, PAPER_MATCHING_WEIGHT_MODE,
@@ -56,14 +56,20 @@ def _print_fit(fit, indent: str = "  "):
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
+# simulate options without a CLI default: simulate_parts gets only those
+# the user gave, so its own defaults are the only ones
+_SIMULATE_OPTIONS = {"parts": "n_parts", "duration": "duration", "ts": "ts",
+                     "delta_v": "delta_v", "geom_spread": "geom_spread"}
+
+
 def _cmd_simulate(args) -> int:
     model = _load_model(args.model)
     law = LinearSerLaw(args.law_m, args.law_b)
+    given = {param: getattr(args, dest) for dest, param in _SIMULATE_OPTIONS.items()
+             if hasattr(args, dest)}
     datasets = simulate_parts(
-        model=model, law=law, n_parts=args.parts,
-        cell_types=args.types.split(","), duration=args.duration, ts=args.ts,
-        delta_v=args.delta_v, seed=args.seed, v_dd=args.vdd,
-        geom_spread=args.geom_spread, pattern=args.pattern)
+        model=model, law=law, cell_types=args.types.split(","), seed=args.seed,
+        v_dd=args.vdd, **given)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = wio.emit_measurements_csv(datasets, out_dir / "measurements.csv")
@@ -91,8 +97,7 @@ def _cmd_ser_test(args) -> int:
     array = sample_array(args.cell_type, model, seed=args.seed,
                          true_seu_rate=args.rate, v_dd=args.vdd)
     source = AlphaSource(rate_per_bit=args.rate, geom_factor=args.geom_factor)
-    meas = run_ser_test(array, source, args.ts, args.duration,
-                        seed=args.seed + 1, pattern=args.pattern)
+    meas = run_ser_test(array, source, args.ts, args.duration, seed=args.seed + 1)
     print(f"part {meas.part_id} {meas.cell_type}: "
           f"ser = {meas.ser:.4f} uSEU/(bit*s), n_tot = {meas.n_tot}, "
           f"windows = {meas.n_windows} x {meas.ts:.0f} s, "
@@ -215,12 +220,25 @@ def _cmd_paper_repro(args) -> int:
     return 0 if all_ok else 1
 
 
+def _refuse_options(args, mode: str, dests):
+    """Reject the options of ``dests`` that the user gave but ``mode``
+    does not read."""
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            raise ConfigurationError(
+                f"{mode} ignores --{dest.replace('_', '-')}; leave it out")
+
+
 def _cmd_report(args) -> int:
     if args.simulate:
+        _refuse_options(args, "report --simulate", ("input", "geom_unc"))
         model = _load_model(args.model)
-        datasets = simulate_parts(model=model, seed=args.seed)
+        datasets = simulate_parts(model=model, seed=args.seed or 0)
     else:
-        datasets = _load_datasets(args.input, args.geom_unc)
+        _refuse_options(args, "report without --simulate", ("seed", "model"))
+        datasets = _load_datasets(
+            "bundled" if args.input is None else args.input,
+            DEFAULT_GEOM_UNC if args.geom_unc is None else args.geom_unc)
     bundle = build_report_bundle(datasets, args.weight_mode)
     manifest = wio.emit_report(bundle, args.out)
     print(f"fit ({bundle.fit.weight_mode} weights):")
@@ -248,19 +266,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate parts and measure them")
     add_model(p)
-    p.add_argument("--parts", type=int, default=5)
+    p.add_argument("--parts", type=int, default=argparse.SUPPRESS)
     p.add_argument("--types", default=",".join(CELL_TYPE_ORDER))
     p.add_argument("--law-m", type=float, default=LinearSerLaw.m,
                    help="ground-truth slope, uSEU/(bit*s*V)")
     p.add_argument("--law-b", type=float, default=LinearSerLaw.b,
                    help="ground-truth intercept, uSEU/(bit*s)")
-    p.add_argument("--duration", type=float, default=432_000.0,
+    p.add_argument("--duration", type=float, default=argparse.SUPPRESS,
                    help="irradiation time per block, s")
-    p.add_argument("--ts", type=float, default=1800.0, help="sampling period, s")
-    p.add_argument("--delta-v", type=int, default=10, help="sweep step, mV")
+    p.add_argument("--ts", type=float, default=argparse.SUPPRESS,
+                   help="sampling period, s")
+    p.add_argument("--delta-v", type=int, default=argparse.SUPPRESS,
+                   help="sweep step, mV")
     p.add_argument("--vdd", type=int, default=None, help="supply, mV")
-    p.add_argument("--geom-spread", type=float, default=0.03)
-    p.add_argument("--pattern", default="zeros", choices=PATTERNS)
+    p.add_argument("--geom-spread", type=float, default=argparse.SUPPRESS,
+                   help="half-width of the per-part flux factor spread")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--emit-logs", action="store_true")
     p.add_argument("--out", default="out")
@@ -275,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=432_000.0)
     p.add_argument("--geom-factor", type=float, default=1.0)
     p.add_argument("--vdd", type=int, default=None)
-    p.add_argument("--pattern", default="zeros", choices=PATTERNS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="window log CSV")
     p.set_defaults(func=_cmd_ser_test)
@@ -316,14 +335,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="fit JSON path")
     p.set_defaults(func=_cmd_paper_repro)
 
+    # --input and --geom-unc serve only a measurement file, --model and
+    # --seed only --simulate; None marks an option the user left out
     p = sub.add_parser("report", help="emit fit + predictions + plot data")
     add_model(p)
-    p.add_argument("--input", default="bundled")
+    p.add_argument("--input", default=None,
+                   help="measurement CSV path, or 'bundled' (default)")
     p.add_argument("--simulate", action="store_true",
                    help="build the report from a fresh simulation instead")
     p.add_argument("--weight-mode", default="combined", choices=list(WEIGHT_MODES))
-    p.add_argument("--geom-unc", type=float, default=DEFAULT_GEOM_UNC)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--geom-unc", type=float, default=None,
+                   help=f"default: {DEFAULT_GEOM_UNC}")
+    p.add_argument("--seed", type=int, default=None, help="default: 0")
     p.add_argument("--out", default="report")
     p.set_defaults(func=_cmd_report)
 

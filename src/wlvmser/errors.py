@@ -6,7 +6,7 @@ class ConfigurationError(ValueError):
 
 
 class ProtocolError(RuntimeError):
-    """A measurement procedure hit a state it cannot recover from."""
+    """A measurement procedure met a condition it cannot recover from."""
 
 
 class SamplingTimeError(RuntimeError):

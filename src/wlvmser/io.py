@@ -27,7 +27,7 @@ from .calibration import CalibrationFit, Prediction
 from .errors import ConfigurationError, IngestError
 from .protocols import SerMeasurement, SweepResult
 from .radiation import DEFAULT_GEOM_UNC
-from .refdata import CELL_TYPE_ORDER, CELL_TYPES
+from .refdata import CELL_TYPE_ORDER
 from .sram import DEFAULT_VDD_MV
 
 QUANTITY_SER = "ser_uSEU_per_bit_s"
@@ -56,11 +56,8 @@ class PartDataset:
     sweeps: dict[str, SweepResult] = field(default_factory=dict)
 
     def cell_types(self) -> list[str]:
-        """Types present in either record, canonical order first."""
-        present = set(self.ser) | set(self.sweeps)
-        ordered = [t for t in CELL_TYPE_ORDER if t in present]
-        ordered += sorted(present - set(CELL_TYPE_ORDER))
-        return ordered
+        """Types present in either record, in canonical order."""
+        return [t for t in CELL_TYPE_ORDER if t in self.ser or t in self.sweeps]
 
     def pairs(self) -> list[tuple[SerMeasurement, SweepResult]]:
         """(SER, sweep) pairs for the types measured both ways."""
@@ -111,7 +108,7 @@ def ingest_measurements_csv(path, rel_geom_unc: float = DEFAULT_GEOM_UNC) -> lis
                 if cell_type:
                     raise IngestError(
                         f"{path}:{lineno}: vdd_mV rows must leave cell_type empty")
-            elif cell_type not in CELL_TYPES:
+            elif cell_type not in CELL_TYPE_ORDER:
                 raise IngestError(f"{path}:{lineno}: unknown cell type {cell_type!r}")
             try:
                 num = float(value)

@@ -51,7 +51,6 @@ def simulate_parts(
     seed=0,
     v_dd: int | None = None,
     geom_spread: float = 0.03,
-    pattern: str = "zeros",
     rows: int = DEFAULT_ROWS,
     cols: int = DEFAULT_COLS,
 ) -> list[PartDataset]:
@@ -61,11 +60,25 @@ def simulate_parts(
     threshold means and one flux factor is drawn uniformly within
     ``+-geom_spread``.  Per block the ground-truth rate is the law applied
     to the part's true mean margin at ``v_dd``.  Deterministic under a
-    fixed seed.  An inoperable block aborts the batch with a
-    ``ProtocolError`` that names its part and cell type.
+    fixed seed.  ``cell_types`` names each type of ``CELL_TYPE_ORDER`` at
+    most once, and ``geom_spread`` lies in [0, 0.1] so every flux factor
+    stays within the source's range.  An inoperable block aborts the
+    batch with a ``ProtocolError`` that names its part and cell type.
     """
     if n_parts < 1:
         raise ConfigurationError(f"n_parts must be >= 1, got {n_parts}")
+    for i, cell_type in enumerate(cell_types):
+        if cell_type not in CELL_TYPE_ORDER:
+            raise ConfigurationError(
+                f"--types (cell_types) names unknown cell type {cell_type!r}; "
+                f"known: {', '.join(CELL_TYPE_ORDER)}")
+        if cell_type in cell_types[:i]:
+            raise ConfigurationError(
+                f"--types (cell_types) names {cell_type!r} twice")
+    if not 0 <= geom_spread <= 0.1:
+        raise ConfigurationError(
+            f"--geom-spread (geom_spread) must be finite and within [0, 0.1], "
+            f"got {geom_spread:g}")
     model = model if model is not None else VariationModel.default()
     law = law if law is not None else LinearSerLaw()
     v_dd = int(v_dd) if v_dd is not None else model.v_dd_nominal
@@ -90,8 +103,7 @@ def simulate_parts(
                 v_dd=v_dd)
             source = AlphaSource(rate_per_bit=rate, geom_factor=geom)
             ds.ser[cell_type] = run_ser_test(
-                array, source, ts, duration, seed=block_seqs[2 * i + 1],
-                pattern=pattern)
+                array, source, ts, duration, seed=block_seqs[2 * i + 1])
             ds.sweeps[cell_type] = run_wlvm_sweep(array, delta_v)
         datasets.append(ds)
     return datasets

@@ -2,20 +2,22 @@
 
 Four procedures are implemented:
 
-* accelerated SER test — write a known pattern, then repeatedly wait one
-  sampling period, read the whole memory and count the cells whose state
-  changed since the previous read;
-* word-line margin sweep — write at nominal, rewrite the opposite value
-  at a word-line voltage lowered step by step, and register each cell at
-  the first voltage where the write no longer takes;
+* accelerated SER test — write and verify the whole memory, then
+  repeatedly wait one sampling period, read it back and count the cells
+  whose read-back changed since the previous read;
+* word-line margin sweep — lower the word-line voltage step by step and
+  register each cell at the first voltage where its write no longer
+  takes;
 * hold sweep / read sweep — the same descending-voltage loop applied to
   the core supply during retention or read.
 
-All three sweeps follow one step-down rule on a different per-cell
-threshold, which ``kernels.sweep_registration`` evaluates in closed form.
-Sweeps record a per-cell threshold estimate as the first failing voltage
-plus half a step (midpoint correction), which removes the quantization
-bias of the voltage grid.
+Every procedure is computed from the block's thresholds alone.  The
+write/verify step refuses a block with cells that cannot be written or
+read at its supply.  All three sweeps follow one step-down rule on a
+different per-cell threshold, which ``kernels.sweep_registration``
+evaluates in closed form.  Sweeps record a per-cell threshold estimate as
+the first failing voltage plus half a step (midpoint correction), which
+removes the quantization bias of the voltage grid.
 
 The SER test counts observed flips: a cell hit an even number of times
 within one sampling period reads back unchanged and those upsets are
@@ -151,25 +153,6 @@ class SweepResult:
         )
 
 
-PATTERNS = ("zeros", "ones", "checkerboard", "random")
-
-
-def make_pattern(kind: str, rows: int, cols: int, seed=0) -> np.ndarray:
-    """Background data pattern written before a test; ``kind`` is one of
-    ``PATTERNS``."""
-    n = rows * cols
-    if kind == "zeros":
-        return np.zeros(n, dtype=np.uint8)
-    if kind == "ones":
-        return np.ones(n, dtype=np.uint8)
-    if kind == "checkerboard":
-        idx = np.arange(n)
-        return (((idx // cols) + (idx % cols)) & 1).astype(np.uint8)
-    if kind == "random":
-        return np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
-    raise ConfigurationError(f"unknown pattern {kind!r}")
-
-
 def word_line_voltage_margin(v_dd, v_mewlvm):
     """Margin between the supply and the mean effective write voltage.
 
@@ -182,16 +165,17 @@ def word_line_voltage_margin(v_dd, v_mewlvm):
 
 
 def run_ser_test(array: MemoryArray, source: AlphaSource, ts: float,
-                 duration: float, seed=0, pattern: str = "zeros") -> SerMeasurement:
+                 duration: float, seed=0) -> SerMeasurement:
     """Accelerated SER test: irradiate and read every ``ts`` seconds.
 
-    The whole memory is written to a known pattern and verified, then per
-    sampling window the injected upsets are applied and the read-back is
-    compared against the previous window's read-back.  Window reads happen
-    at nominal supply and are non-destructive; irradiation continues
-    through them (reads are instantaneous in simulation time).  A window
-    count above ``MAX_EXPECTED_EVENTS`` is refused before anything is
-    allocated.
+    The whole memory is written and verified first, which fails for a
+    cell whose write or read threshold lies above ``array.v_dd``.  Then
+    per sampling window the injected upsets are counted as the cells
+    whose read-back changed since the previous window.  Window reads
+    happen at nominal supply and are non-destructive; irradiation
+    continues through them (reads are instantaneous in simulation time).
+    A window count above ``MAX_EXPECTED_EVENTS`` is refused before
+    anything is allocated.
     """
     if not ts > 0:
         raise ConfigurationError("ts must be positive")
@@ -207,26 +191,24 @@ def run_ser_test(array: MemoryArray, source: AlphaSource, ts: float,
     n_windows = int(n_windows)
     t_exp = n_windows * ts
 
-    pat = make_pattern(pattern, array.rows, array.cols, seed)
-    ok = array.write_all(pat)
-    bits, read_failed = array.read_all()
-    if not ok.all() or read_failed.any() or not np.array_equal(bits, pat):
-        n_bad = int((~ok | read_failed).sum())
+    # at or above the ceiling no read can fail, so nothing is drawn
+    read = array.v_dd_min_read if array.v_dd < array.threshold_ceiling else None
+    n_bad = _inoperable_cells(array, read)
+    if n_bad:
         raise ProtocolError(
-            f"part {array.part_id} {array.cell_type.name}: initial write/verify "
+            f"part {array.part_id} {array.cell_type}: initial write/verify "
             f"failed for {n_bad} cells at "
             f"v_dd={array.v_dd} mV; the part is not operable at this supply")
 
     events = generate_events(array, source, t_exp, seed)
     windows = (events.times / ts).astype(np.int64)
     np.minimum(windows, n_windows - 1, out=windows)
-    counts, parity = kernels.window_observed_flips(
+    counts, _ = kernels.window_observed_flips(
         windows, events.cells, n_windows, array.n_cells)
-    array.state ^= parity
 
     return SerMeasurement.from_windows(
         part_id=array.part_id,
-        cell_type=array.cell_type.name,
+        cell_type=array.cell_type,
         ts=ts,
         window_counts=counts,
         n_bits=array.n_cells,
@@ -271,6 +253,15 @@ def choose_sampling_time(probe_rate: float, n_bits: int, error_budget: float,
     return min(ts_cap, TS_GRID_S * lo)
 
 
+def _inoperable_cells(array: MemoryArray, thresholds: np.ndarray | None) -> int:
+    """Cells that cannot be written at ``array.v_dd`` or whose
+    ``thresholds`` (if given) lie above it."""
+    bad = array.v_wl_min > array.v_dd
+    if thresholds is not None:
+        bad |= thresholds > array.v_dd
+    return int(np.count_nonzero(bad))
+
+
 def _run_sweep(array: MemoryArray, delta_v: int, quantity: str,
                thresholds: np.ndarray) -> SweepResult:
     """Step the swept voltage down from ``array.v_dd`` by ``delta_v`` and
@@ -283,16 +274,16 @@ def _run_sweep(array: MemoryArray, delta_v: int, quantity: str,
     """
     if not 0 < delta_v <= array.v_dd:
         raise ConfigurationError(f"delta_v={delta_v} outside (0, {array.v_dd}]")
-    inoperable = (array.v_wl_min > array.v_dd) | (thresholds > array.v_dd)
-    if inoperable.any():
+    n_bad = _inoperable_cells(array, thresholds)
+    if n_bad:
         raise ProtocolError(
-            f"part {array.part_id} {array.cell_type.name}: "
-            f"{int(inoperable.sum())} of {array.n_cells} cells cannot be "
+            f"part {array.part_id} {array.cell_type}: "
+            f"{n_bad} of {array.n_cells} cells cannot be "
             f"written or already fail the {quantity} sweep at v_dd={array.v_dd} "
             f"mV; the part is not operable at this supply")
     fail_v = kernels.sweep_registration(thresholds, array.v_dd, delta_v)
     return SweepResult.from_registration(
-        array.part_id, array.cell_type.name, quantity, delta_v, fail_v,
+        array.part_id, array.cell_type, quantity, delta_v, fail_v,
         array.v_dd)
 
 
@@ -303,8 +294,7 @@ def run_wlvm_sweep(array: MemoryArray, delta_v: int = 10) -> SweepResult:
     one more step, writes the opposite value and reads back at nominal;
     cells are registered at the first voltage whose write did not take.
     The modeled write threshold is polarity-independent, so the outcome is
-    computed in closed form from ``v_wl_min``; ``array.state`` is left
-    untouched.
+    computed in closed form from ``v_wl_min``.
     """
     return _run_sweep(array, delta_v, "word_line", array.v_wl_min)
 
@@ -312,12 +302,10 @@ def run_wlvm_sweep(array: MemoryArray, delta_v: int = 10) -> SweepResult:
 def run_hold_sweep(array: MemoryArray, delta_v: int = 10) -> SweepResult:
     """Retention sweep: lower the core supply and register bit corruption.
 
-    A cell collapses to a fixed preferred state below its hold threshold,
-    so on the bench the sweep runs twice with opposite background values
-    and each cell shows its corruption in the run whose background is
-    opposite its preferred state, at the first grid voltage below its
-    hold threshold.  The outcome is computed in closed form from
-    ``v_dd_min_hold``; ``array.state`` is left untouched.
+    On the bench the sweep runs twice with opposite background values, so
+    every cell shows its corruption in one of the two runs, at the first
+    grid voltage below its hold threshold.  The outcome is computed in
+    closed form from ``v_dd_min_hold``.
     """
     return _run_sweep(array, delta_v, "vdd_hold", array.v_dd_min_hold)
 
@@ -328,6 +316,6 @@ def run_read_sweep(array: MemoryArray, delta_v: int = 10) -> SweepResult:
     The word line stays at nominal; cells are registered at the first
     supply voltage producing a read failure.  Reads are non-destructive so
     a single polarity covers every cell.  The outcome is computed in
-    closed form from ``v_dd_min_read``; ``array.state`` is left untouched.
+    closed form from ``v_dd_min_read``.
     """
     return _run_sweep(array, delta_v, "vdd_read", array.v_dd_min_read)

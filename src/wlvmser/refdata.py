@@ -10,22 +10,12 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .sram import CellType
-
 DATA_DIR = Path(__file__).parent / "data"
 
 REFERENCE_CSV = DATA_DIR / "reference_measurements.csv"
 
-CELL_TYPE_ORDER = ("SS", "SM", "SL", "MM", "LS")
-
 # first letter sizes the nMOS pair, second the pMOS pair (S/M/L = 1/1.5/2 x)
-CELL_TYPES = {
-    "SS": CellType("SS", 1.0, 1.0),
-    "SM": CellType("SM", 1.0, 1.5),
-    "SL": CellType("SL", 1.0, 2.0),
-    "MM": CellType("MM", 1.5, 1.5),
-    "LS": CellType("LS", 2.0, 1.0),
-}
+CELL_TYPE_ORDER = ("SS", "SM", "SL", "MM", "LS")
 
 # electrically simulated minimum write voltages (typical corner), mV
 SIMULATED_VWL_MIN_MV = {

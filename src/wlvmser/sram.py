@@ -1,30 +1,24 @@
 """Behavioral model of the virtual test chip's memory blocks.
 
-A block is a grid of six-transistor cells. Each cell carries three sampled
-electrical thresholds, all in integer millivolts:
+A block is a set of six-transistor cells, each described only by three
+sampled electrical thresholds, all in integer millivolts:
 
 * ``v_wl_min`` — minimum word-line voltage for a successful write,
 * ``v_dd_min_hold`` — minimum core supply at which the stored bit survives,
-* ``v_dd_min_read`` — minimum core supply for a successful read,
+* ``v_dd_min_read`` — minimum core supply for a successful read.
 
-plus the preferred state a cell collapses to below its hold threshold.
+The stored bits themselves are not modeled: no output depends on them.
 
 Thresholds are drawn per cell from Gaussian distributions whose means and
-spreads depend on the cell's transistor sizing; a common per-part offset
-shifts all means of one die together.  Out-of-range draws are rejected and
-redrawn rather than clamped so the threshold histograms carry no boundary
-spikes.
+spreads depend on the cell type; a common per-part offset shifts all
+means of one die together.  Out-of-range draws are rejected and redrawn
+rather than clamped so the threshold histograms carry no boundary spikes.
 
-``sample_array`` draws ``v_wl_min`` at once: the SER test and the
-word-line sweep need nothing else.  The hold and read thresholds and the
-preferred states serve only the control-experiment sweeps, so they are
-one pending draw from the block's own generator, run on first access of
-any of them.  It draws in the fixed order hold, read, preferred states,
-so a seed gives the same values whichever of them is read first.
-
-No transistor-level electrics are modeled: the sizing ratios are metadata
-and the sizing-to-robustness link enters only through the per-type
-distribution parameters.
+``sample_array`` draws ``v_wl_min`` at once: the SER test at nominal
+supply and the word-line sweep need nothing else.  The hold and read
+thresholds are one pending draw from the block's own generator, run on
+first access of either, in the fixed order hold, read, so a seed gives
+the same values whichever of them is read first.
 """
 
 from __future__ import annotations
@@ -38,31 +32,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
+from .refdata import CELL_TYPE_ORDER
 
 DEFAULT_VDD_MV = 1200
 DEFAULT_ROWS = 64
 DEFAULT_COLS = 64
 
 _MAX_REDRAWS = 1000
-
-
-@dataclass(frozen=True)
-class CellType:
-    """Transistor-sizing configuration of a 6T cell.
-
-    ``r_n`` and ``r_p`` scale the nMOS/pMOS widths relative to the minimum
-    device; both must be >= 1 so diffusion regions stay straight.
-    """
-
-    name: str
-    r_n: float
-    r_p: float
-
-    def __post_init__(self):
-        if self.r_n < 1 or self.r_p < 1:
-            raise ConfigurationError(
-                f"cell type {self.name!r}: sizing ratios must be >= 1"
-            )
 
 
 @dataclass(frozen=True)
@@ -152,41 +128,33 @@ class VariationModel:
 
 
 class MemoryArray:
-    """One memory block: per-cell thresholds plus the stored bits.
+    """One memory block: per-cell thresholds and true upset rates.
 
-    Cell addressing is flat (row-major); the row/column split is carried
-    only as geometry metadata since no protocol depends on it.
-
-    ``v_dd_min_hold``, ``v_dd_min_read`` and ``preferred_state`` are given
-    either as arrays or as ``draw_pending``, a callable returning all three
-    that runs once, on first access of any of them.  ``threshold_ceiling``
-    bounds every threshold of the block; at or above it no cell can fail a
-    read, which ``read_all`` answers without running the pending draw.
+    ``v_dd_min_hold`` and ``v_dd_min_read`` are given either as arrays or
+    as ``draw_pending``, a callable returning both that runs once, on
+    first access of either.  ``threshold_ceiling`` bounds every threshold
+    of the block, so a protocol at or above it can skip the draw.
     """
 
-    def __init__(self, part_id: str, cell_type: CellType, rows: int, cols: int,
-                 v_wl_min: np.ndarray, true_seu_rate: np.ndarray, state: np.ndarray,
-                 v_dd: int = DEFAULT_VDD_MV, *, v_dd_min_hold: np.ndarray | None = None,
+    def __init__(self, part_id: str, cell_type: str, v_wl_min: np.ndarray,
+                 true_seu_rate: np.ndarray, v_dd: int = DEFAULT_VDD_MV, *,
+                 v_dd_min_hold: np.ndarray | None = None,
                  v_dd_min_read: np.ndarray | None = None,
-                 preferred_state: np.ndarray | None = None,
                  draw_pending: Callable[[], tuple] | None = None,
                  threshold_ceiling: float = math.inf):
         self.part_id = part_id
         self.cell_type = cell_type
-        self.rows = rows
-        self.cols = cols
         self.v_wl_min = v_wl_min
         self.true_seu_rate = true_seu_rate
-        self.state = state
         self.v_dd = v_dd
         self.threshold_ceiling = threshold_ceiling
-        self._check_shapes(v_wl_min=v_wl_min, true_seu_rate=true_seu_rate, state=state)
+        self._check_shapes(v_wl_min=v_wl_min, true_seu_rate=true_seu_rate)
         if not np.all(true_seu_rate >= 0):  # also rejects nan
             raise ConfigurationError("true_seu_rate must be >= 0")
         self._draw_pending = draw_pending
         self._drawn = None
         if draw_pending is None:
-            self._set_drawn((v_dd_min_hold, v_dd_min_read, preferred_state))
+            self._set_drawn((v_dd_min_hold, v_dd_min_read))
 
     def _check_shapes(self, **arrays):
         n = self.n_cells
@@ -195,9 +163,8 @@ class MemoryArray:
                 raise ConfigurationError(f"{name} must have {n} entries")
 
     def _set_drawn(self, arrays):
-        hold, read, preferred = arrays
-        self._check_shapes(v_dd_min_hold=hold, v_dd_min_read=read,
-                           preferred_state=preferred)
+        hold, read = arrays
+        self._check_shapes(v_dd_min_hold=hold, v_dd_min_read=read)
         self._drawn = arrays
 
     def _drawn_arrays(self):
@@ -215,39 +182,8 @@ class MemoryArray:
         return self._drawn_arrays()[1]
 
     @property
-    def preferred_state(self) -> np.ndarray:
-        return self._drawn_arrays()[2]
-
-    @property
     def n_cells(self) -> int:
-        return self.rows * self.cols
-
-    def apply_hold_voltage(self, v_dd: int) -> int:
-        """Drop the core supply to ``v_dd``; cells whose hold threshold is
-        exceeded collapse to their preferred state.  Returns the number of
-        stored bits that actually changed."""
-        if not 0 <= v_dd <= self.v_dd:
-            raise ValueError(f"v_dd={v_dd} outside [0, {self.v_dd}]")
-        at_risk = self.v_dd_min_hold > v_dd
-        changed = int(np.count_nonzero(at_risk & (self.state != self.preferred_state)))
-        self.state[at_risk] = self.preferred_state[at_risk]
-        return changed
-
-    def write_all(self, values: np.ndarray) -> np.ndarray:
-        """Write a full pattern at ``v_dd``; a cell's write takes iff
-        ``v_dd >= v_wl_min``.  Returns the per-cell success mask."""
-        ok = self.v_dd >= self.v_wl_min
-        self.state[ok] = values[ok]
-        return ok
-
-    def read_all(self, v_dd: int | None = None):
-        """Read every cell; returns ``(bits, read_failed)`` arrays."""
-        v = self.v_dd if v_dd is None else v_dd
-        if v >= self.threshold_ceiling:
-            failed = np.zeros(self.n_cells, dtype=bool)
-        else:
-            failed = v < self.v_dd_min_read
-        return self.state.copy(), failed
+        return np.size(self.v_wl_min)
 
 
 def _sample_thresholds(rng, mu, sigma, n, v_dd_nominal):
@@ -267,7 +203,7 @@ def _sample_thresholds(rng, mu, sigma, n, v_dd_nominal):
 
 
 def sample_array(
-    cell_type: CellType | str,
+    cell_type: str,
     model: VariationModel,
     part_offset: float = 0.0,
     seed=0,
@@ -277,16 +213,18 @@ def sample_array(
     part_id: str = "0",
     v_dd: int | None = None,
 ) -> MemoryArray:
-    """Build a block with per-cell thresholds drawn from the model.
+    """Build a block of ``rows * cols`` cells with thresholds drawn from
+    the model.
 
-    ``part_offset`` (mV) shifts all three means of this part.  The draw is
-    deterministic for a fixed ``seed`` (an int or a ``SeedSequence``): the
-    write thresholds are drawn now, the hold and read thresholds and the
-    preferred states later, in that order, from the same generator, when a
-    protocol first reads one of them (see the module docstring).  Every
-    threshold lies in ``[1, model.v_dd_nominal]``.  ``true_seu_rate``
-    (µSEU per bit-second) is the ground-truth upset rate handed to the
-    radiation simulator; it may be a scalar or a per-cell array.
+    ``cell_type`` is one of ``CELL_TYPE_ORDER``.  ``part_offset`` (mV)
+    shifts all three means of this part.  The draw is deterministic for a
+    fixed ``seed`` (an int or a ``SeedSequence``): the write thresholds
+    are drawn now, the hold and read thresholds later, in that order, from
+    the same generator, when a protocol first reads one of them (see the
+    module docstring).  Every threshold lies in
+    ``[1, model.v_dd_nominal]``.  ``true_seu_rate`` (µSEU per bit-second)
+    is the ground-truth upset rate handed to the radiation simulator; it
+    may be a scalar or a per-cell array.
     """
     if rows <= 0 or cols <= 0:
         raise ConfigurationError("geometry must be positive")
@@ -294,10 +232,10 @@ def sample_array(
         raise ConfigurationError(
             "seed must be an int or a SeedSequence: the pending draw needs a "
             "generator of the block's own")
-    if isinstance(cell_type, str):
-        from .refdata import CELL_TYPES
-        cell_type = CELL_TYPES[cell_type]
-    tv = model.for_type(cell_type.name)
+    if cell_type not in CELL_TYPE_ORDER:
+        raise ConfigurationError(
+            f"unknown cell type {cell_type!r}; known: {', '.join(CELL_TYPE_ORDER)}")
+    tv = model.for_type(cell_type)
     n = rows * cols
     rng = np.random.default_rng(seed)
     vnom = model.v_dd_nominal
@@ -306,17 +244,14 @@ def sample_array(
     def draw_pending():
         v_hold = _sample_thresholds(rng, tv.mu_hold + part_offset, tv.sigma_hold, n, vnom)
         v_read = _sample_thresholds(rng, tv.mu_read + part_offset, tv.sigma_read, n, vnom)
-        return v_hold, v_read, rng.integers(0, 2, n, dtype=np.uint8)
+        return v_hold, v_read
 
     rate = np.broadcast_to(np.asarray(true_seu_rate, dtype=np.float64), (n,)).copy()
     return MemoryArray(
         part_id=str(part_id),
         cell_type=cell_type,
-        rows=rows,
-        cols=cols,
         v_wl_min=v_wl_min,
         true_seu_rate=rate,
-        state=np.zeros(n, dtype=np.uint8),
         v_dd=int(v_dd if v_dd is not None else vnom),
         draw_pending=draw_pending,
         threshold_ceiling=vnom,

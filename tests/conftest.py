@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from wlvmser.refdata import CELL_TYPES
 from wlvmser.sram import MemoryArray, TypeVariation, VariationModel
 
 
@@ -16,29 +15,21 @@ def single_type_model(name="SS", mu_vwlmin=791.0, sigma_vwlmin=44.0,
 
 
 def manual_array(v_wl_min, v_dd_min_hold=None, v_dd_min_read=None,
-                 preferred=None, state=None, v_dd=1200, cell_type="SS"):
-    """Hand-built block for enumeration-style tests (1 x n geometry)."""
+                 v_dd=1200, cell_type="SS"):
+    """Hand-built block for enumeration-style tests."""
     v_wl_min = np.asarray(v_wl_min, dtype=np.int64)
     n = v_wl_min.size
     if v_dd_min_hold is None:
         v_dd_min_hold = np.full(n, 450, dtype=np.int64)
     if v_dd_min_read is None:
         v_dd_min_read = np.full(n, 650, dtype=np.int64)
-    if preferred is None:
-        preferred = np.zeros(n, dtype=np.uint8)
-    if state is None:
-        state = np.zeros(n, dtype=np.uint8)
     return MemoryArray(
         part_id="manual",
-        cell_type=CELL_TYPES[cell_type],
-        rows=1,
-        cols=n,
+        cell_type=cell_type,
         v_wl_min=v_wl_min,
         v_dd_min_hold=np.asarray(v_dd_min_hold, dtype=np.int64),
         v_dd_min_read=np.asarray(v_dd_min_read, dtype=np.int64),
-        preferred_state=np.asarray(preferred, dtype=np.uint8),
         true_seu_rate=np.zeros(n, dtype=np.float64),
-        state=np.asarray(state, dtype=np.uint8),
         v_dd=v_dd,
     )
 

@@ -52,7 +52,7 @@ def test_fixed_seed_output_bytes(name, tmp_path, capsys):
 
 # Standard output of fixed-seed and bundled-data commands, run from a
 # scratch directory so that every printed path is relative.  These guard
-# the CLI defaults (law, uncertainty, pattern choices) against drifting.
+# the CLI defaults (law, uncertainty, simulation settings) against drifting.
 STDOUT_EXPECTED = {
     "calibrate-bundled": "19ea138e4a195d0fd4211ac29766a633e78b766a29c0df7957a7161165384bd8",
     "paper-repro": "4364ba5284183229524d6ba81fbc7a0f075ce4ca49443c37656c7886dc28dfa7",

@@ -4,14 +4,18 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wlvmser import cli
 from wlvmser.calibration import weighted_linfit
 from wlvmser.errors import IngestError
-from wlvmser.io import (ReportBundle, emit_measurements_csv, emit_report,
-                        ingest_measurements_csv, read_fit_json, write_fit_json)
+from wlvmser.io import (PartDataset, ReportBundle, emit_measurements_csv,
+                        emit_report, ingest_measurements_csv, read_fit_json,
+                        write_fit_json)
 from wlvmser.pipeline import build_report_bundle, calibrate_datasets, simulate_parts
-from wlvmser.refdata import REFERENCE_CSV, load_reference_dataset
+from wlvmser.protocols import SerMeasurement, SweepResult
+from wlvmser.refdata import CELL_TYPE_ORDER, REFERENCE_CSV, load_reference_dataset
 
 HEADER = "part_id,cell_type,quantity,value\n"
 
@@ -146,6 +150,53 @@ def test_roundtrip_simulated_dataset(tmp_path):
     reloaded = ingest_measurements_csv(out)
     assert reloaded[0].ser["SS"].ser == datasets[0].ser["SS"].ser
     assert reloaded[0].sweeps["SS"].mu == datasets[0].sweeps["SS"].mu
+
+
+_values = st.floats(min_value=0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _part_datasets(draw):
+    """Random parts with any mix of SER and sweep records per cell type,
+    zero-count blocks (ser 0, rel_stat_unc inf) and missing sigmas
+    included."""
+    part_ids = draw(st.lists(st.text("0123456789abcXYZ_-", min_size=1, max_size=4),
+                             max_size=4, unique=True))
+    datasets = []
+    for part_id in part_ids:
+        v_dd = draw(st.integers(1, 2000))
+        ds = PartDataset(part_id=part_id, v_dd=v_dd)
+        for cell_type in CELL_TYPE_ORDER:
+            if draw(st.booleans()):
+                zero = draw(st.booleans())
+                ds.ser[cell_type] = SerMeasurement.summary(
+                    part_id, cell_type, 0.0 if zero else draw(_values),
+                    math.inf if zero else draw(_values))
+            if draw(st.booleans()):
+                sigma = draw(_values | st.just(math.nan))
+                ds.sweeps[cell_type] = SweepResult.summary(
+                    part_id, cell_type, draw(st.floats(0, v_dd)), sigma)
+        datasets.append(ds)
+    return datasets
+
+
+def _summary(datasets):
+    """Every value a measurement file carries, as comparable text."""
+    return [(ds.part_id, ds.v_dd,
+             {t: (repr(m.ser), repr(m.rel_stat_unc)) for t, m in ds.ser.items()},
+             {t: (repr(s.mu), repr(s.sigma)) for t, s in ds.sweeps.items()})
+            for ds in datasets]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_part_datasets())
+def test_emit_ingest_emit_is_byte_identical(tmp_path_factory, datasets):
+    tmp = tmp_path_factory.mktemp("roundtrip")
+    first = emit_measurements_csv(datasets, tmp / "first.csv")
+    ingested = ingest_measurements_csv(first)
+    assert _summary(ingested) == _summary(datasets)
+    second = emit_measurements_csv(ingested, tmp / "second.csv")
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_partial_dataset_supported(tmp_path):
@@ -320,6 +371,19 @@ def test_cli_inoperable_supply_is_one_error_line(argv, tmp_path, capsys):
     (["simulate", "--model", "{tmp}/no-sigma.json"],
      "no-sigma.json: missing key 'sigma_vwlmin_mV'"),
     (["simulate", "--model", "{tmp}/list.json"], "list.json: list indices must be"),
+    (["simulate", "--types", "SS,SS"], "--types (cell_types) names 'SS' twice"),
+    (["simulate", "--types", "SS,XX"],
+     "--types (cell_types) names unknown cell type 'XX'; known: SS, SM, SL, MM, LS"),
+    (["simulate", "--geom-spread", "nan"],
+     "--geom-spread (geom_spread) must be finite and within [0, 0.1], got nan"),
+    (["simulate", "--geom-spread", "5"],
+     "--geom-spread (geom_spread) must be finite and within [0, 0.1], got 5"),
+    (["report", "--simulate", "--geom-unc", "nan", "--input", "nosuch.csv"],
+     "report --simulate ignores --input"),
+    (["report", "--simulate", "--geom-unc", "0.03"], "report --simulate ignores --geom-unc"),
+    (["report", "--seed", "0"], "report without --simulate ignores --seed"),
+    (["report", "--input", "bundled", "--model", "{tmp}/list.json"],
+     "report without --simulate ignores --model"),
 ])
 def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
     fit = calibrate_datasets(load_reference_dataset())

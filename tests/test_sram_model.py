@@ -1,5 +1,7 @@
 """Cell/array model: sampling statistics, voltage semantics, determinism."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,10 @@ from conftest import manual_array, single_type_model
 from wlvmser import sram
 from wlvmser.errors import ConfigurationError, ProtocolError
 from wlvmser.pipeline import simulate_parts
-from wlvmser.protocols import make_pattern, run_ser_test
-from wlvmser.radiation import AlphaSource, generate_events
-from wlvmser.refdata import CELL_TYPES
-from wlvmser.sram import CellType, TypeVariation, VariationModel, sample_array
+from wlvmser.protocols import run_hold_sweep, run_read_sweep, run_ser_test
+from wlvmser.radiation import AlphaSource
+from wlvmser.refdata import CELL_TYPE_ORDER
+from wlvmser.sram import TypeVariation, VariationModel, sample_array
 
 
 def test_sample_mean_tracks_model_mean(ss_model):
@@ -28,8 +30,7 @@ def test_zero_sigma_is_degenerate():
 def test_same_seed_identical_arrays(ss_model):
     a = sample_array("SS", ss_model, part_offset=5.0, seed=123)
     b = sample_array("SS", ss_model, part_offset=5.0, seed=123)
-    for name in ("v_wl_min", "v_dd_min_hold", "v_dd_min_read",
-                 "preferred_state", "state"):
+    for name in ("v_wl_min", "v_dd_min_hold", "v_dd_min_read"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     c = sample_array("SS", ss_model, part_offset=5.0, seed=124)
     assert not np.array_equal(a.v_wl_min, c.v_wl_min)
@@ -67,8 +68,8 @@ def test_invalid_model_parameters_rejected():
         TypeVariation(791, -1.0, 450, 30, 650, 30)
     with pytest.raises(ConfigurationError):
         VariationModel(types={"SS": TypeVariation(1500, 44, 450, 30, 650, 30)})
-    with pytest.raises(ConfigurationError):
-        CellType("XX", 0.5, 1.0)
+    with pytest.raises(ConfigurationError, match="unknown cell type 'XX'"):
+        sample_array("XX", single_type_model(name="XX"))
     with pytest.raises(ConfigurationError):
         single_type_model().for_type("nope")
 
@@ -78,11 +79,11 @@ def test_geometry_must_be_positive(ss_model):
         sample_array("SS", ss_model, rows=0, cols=64)
 
 
-# --- pending hold/read/preferred draw -----------------------------------------
+# --- pending hold/read draw ---------------------------------------------------
 
 def eager_oracle(model, part_offset, seed, n):
     """The draws of ``sample_array`` made all at once, in the order write,
-    hold, read, preferred states; returns them and the redraw count."""
+    hold, read; returns them and the redraw count."""
     rng = np.random.default_rng(seed)
     tv = model.for_type("SS")
     redraws = 0
@@ -99,17 +100,15 @@ def eager_oracle(model, part_offset, seed, n):
 
     drawn = {"v_wl_min": thresholds(tv.mu_vwlmin, tv.sigma_vwlmin),
              "v_dd_min_hold": thresholds(tv.mu_hold, tv.sigma_hold),
-             "v_dd_min_read": thresholds(tv.mu_read, tv.sigma_read),
-             "preferred_state": rng.integers(0, 2, n, dtype=np.uint8)}
+             "v_dd_min_read": thresholds(tv.mu_read, tv.sigma_read)}
     return drawn, redraws
 
 
 FIRST_ACCESS = {
     "hold": lambda a: a.v_dd_min_hold,
     "read": lambda a: a.v_dd_min_read,
-    "preferred_state": lambda a: a.preferred_state,
-    "read_all": lambda a: a.read_all(600),
-    "apply_hold_voltage": lambda a: a.apply_hold_voltage(500),
+    "hold_sweep": run_hold_sweep,
+    "read_sweep": run_read_sweep,
 }
 
 ORACLE_MODELS = {
@@ -153,24 +152,23 @@ def test_pending_draw_runs_once_and_is_shared(ss_model, monkeypatch):
     calls = _count_threshold_draws(monkeypatch)
     array = sample_array("SS", ss_model, seed=4, rows=8, cols=8)
     assert len(calls) == 1
-    _, failed = array.read_all()  # at the ceiling: nothing to draw
-    assert len(calls) == 1 and not failed.any()
+    # at the ceiling no read can fail: the SER test's verify draws nothing
+    run_ser_test(array, AlphaSource(), ts=1800, duration=1800)
+    assert len(calls) == 1
     hold = array.v_dd_min_hold
     assert len(calls) == 3
     assert array.v_dd_min_hold is hold
-    array.read_all(600)
-    array.preferred_state
+    array.v_dd_min_read
+    run_read_sweep(array)
     assert len(calls) == 3
 
 
 def test_pending_draw_checks_shapes():
     array = sram.MemoryArray(
-        "x", CELL_TYPES["SS"], 1, 4, v_wl_min=np.full(4, 800),
-        true_seu_rate=np.zeros(4), state=np.zeros(4, dtype=np.uint8),
-        draw_pending=lambda: (np.full(4, 450), np.full(3, 650),
-                              np.zeros(4, dtype=np.uint8)))
+        "x", "SS", v_wl_min=np.full(4, 800), true_seu_rate=np.zeros(4),
+        draw_pending=lambda: (np.full(4, 450), np.full(3, 650)))
     with pytest.raises(ConfigurationError, match="v_dd_min_read must have 4 entries"):
-        array.preferred_state
+        array.v_dd_min_hold
 
 
 def test_generator_seed_is_rejected(ss_model):
@@ -197,113 +195,55 @@ def test_simulate_parts_below_nominal_draws_all_thresholds(monkeypatch):
     assert len(calls) == 3 * 3  # SS and SM pass, SL fails
 
 
-# --- write semantics: a write takes iff v_dd >= v_wl_min ----------------------
+# --- write/verify: writes need v_dd >= v_wl_min, reads v_dd >= v_dd_min_read
 
-ONE = np.ones(1, dtype=np.uint8)
+def failed_verify_cells(array):
+    """Cells the SER test's initial write/verify reports as failed."""
+    try:
+        run_ser_test(array, AlphaSource(), ts=1800, duration=1800)
+    except ProtocolError as exc:
+        return int(re.search(r"failed for (\d+) cells", str(exc)).group(1))
+    return 0
 
 
 def test_write_above_threshold_succeeds():
-    array = manual_array([792])
-    assert array.write_all(ONE).tolist() == [True]
-    assert array.state[0] == 1
+    assert failed_verify_cells(manual_array([792])) == 0
 
 
-def test_write_below_threshold_fails_and_keeps_state():
-    array = manual_array([792], v_dd=791)
-    assert array.write_all(ONE).tolist() == [False]
-    assert array.state[0] == 0
+def test_write_below_threshold_fails():
+    assert failed_verify_cells(manual_array([792], v_dd=791)) == 1
 
 
 def test_write_at_exact_threshold_succeeds():
-    array = manual_array([792], v_dd=792)
-    assert array.write_all(ONE).tolist() == [True]
+    assert failed_verify_cells(manual_array([792], v_dd=792)) == 0
 
 
 def test_write_monotone_in_voltage():
     rng = np.random.default_rng(3)
-    array = manual_array(rng.integers(200, 1200, 50))
-    outcomes = []
-    for v in range(0, 1201, 37):
-        array.v_dd = v
-        outcomes.append(array.write_all(np.ones(50, dtype=np.uint8)))
+    thresholds = rng.integers(200, 1200, 50)
+    failed = [failed_verify_cells(manual_array(thresholds, v_dd_min_read=np.ones(50),
+                                               v_dd=v))
+              for v in range(0, 1201, 37)]
+    assert failed == [int((thresholds > v).sum()) for v in range(0, 1201, 37)]
     # once a write succeeds, it succeeds at every higher voltage
-    assert np.all(np.diff(np.array(outcomes, dtype=np.int8), axis=0) >= 0)
+    assert failed == sorted(failed, reverse=True)
 
 
-# --- read semantics ---------------------------------------------------------
-
-def test_read_nominal_returns_last_written():
-    array = manual_array([500, 700])
-    array.write_all(np.array([1, 0], dtype=np.uint8))
-    bits, failed = array.read_all()
-    assert bits.tolist() == [1, 0] and not failed.any()
-    # reads are idempotent and non-destructive
-    assert array.read_all()[0].tolist() == [1, 0]
-    assert array.state.tolist() == [1, 0]
+def test_read_at_supply_threshold_succeeds():
+    assert failed_verify_cells(manual_array([500, 700],
+                                            v_dd_min_read=[1200, 650])) == 0
 
 
-def test_read_below_threshold_fails_without_corruption():
-    array = manual_array([500], v_dd_min_read=[650])
-    array.write_all(ONE)
-    assert array.read_all(640)[1].tolist() == [True]
-    bits, failed = array.read_all(650)
-    assert bits.tolist() == [1] and failed.tolist() == [False]
-
-
-# --- hold semantics ---------------------------------------------------------
-
-def test_hold_at_nominal_never_corrupts(ss_model):
-    array = sample_array("SS", ss_model, seed=11)
-    assert array.apply_hold_voltage(array.v_dd) == 0
-
-
-def test_hold_at_zero_collapses_to_preferred(ss_model):
-    array = sample_array("SS", ss_model, seed=12)
-    array.apply_hold_voltage(0)
-    assert np.array_equal(array.state, array.preferred_state)
-
-
-@pytest.mark.parametrize("preferred,stored,expected_changed", [
-    ((0, 0), (0, 0), 0),   # at-risk cell already holds its preferred value
-    ((0, 1), (0, 0), 1),   # at-risk cell flips to preferred 1
-    ((1, 0), (0, 0), 0),   # only the 500 mV cell is at risk at 400 mV
-    ((1, 1), (0, 1), 0),
-])
-def test_hold_two_cell_enumeration(preferred, stored, expected_changed):
-    # thresholds {300, 500}, v_dd = 400: exactly the 500 mV cell is at risk,
-    # and it corrupts iff its preferred state differs from the stored bit
-    array = manual_array([900, 900], v_dd_min_hold=[300, 500],
-                         preferred=preferred, state=stored)
-    changed = array.apply_hold_voltage(400)
-    assert changed == expected_changed
-    assert array.state[0] == stored[0]
-    expect_cell1 = preferred[1]
-    assert array.state[1] == expect_cell1
-
-
-# --- flip semantics ---------------------------------------------------------
-
-def test_random_flips_match_xor_bookkeeping(ss_model):
-    """After a SER test the block holds its pattern with every cell hit an
-    odd number of times flipped."""
-    kw = dict(seed=21, rows=16, cols=16, true_seu_rate=50.0)
-    array = sample_array("SS", ss_model, **kw)
-    run_ser_test(array, AlphaSource(), ts=600, duration=60_000, seed=22,
-                 pattern="random")
-    events = generate_events(sample_array("SS", ss_model, **kw), AlphaSource(),
-                             60_000, seed=22)
-    assert len(events) > 2 * array.n_cells  # many cells are hit repeatedly
-    mask = np.zeros(array.n_cells, dtype=np.uint8)
-    for cell in events.cells:
-        mask[cell] ^= 1
-    assert np.array_equal(array.state, make_pattern("random", 16, 16, 22) ^ mask)
+def test_read_below_threshold_fails():
+    assert failed_verify_cells(manual_array([500], v_dd_min_read=[650], v_dd=649)) == 1
+    assert failed_verify_cells(manual_array([500], v_dd_min_read=[650], v_dd=650)) == 0
 
 
 # --- model loading ----------------------------------------------------------
 
 def test_default_model_covers_all_types():
     model = VariationModel.default()
-    for name in CELL_TYPES:
+    for name in CELL_TYPE_ORDER:
         tv = model.for_type(name)
         assert 0 < tv.mu_vwlmin <= model.v_dd_nominal
     assert model.v_dd_nominal == 1200
