@@ -7,6 +7,7 @@ soft-error rate, and predicts the SER of non-irradiated parts with
 propagated uncertainties.
 """
 
+from . import lazy
 from .calibration import (CalibrationFit, Prediction, WeightedPoint,
                           build_weighted_points, predict_ser, weighted_linfit)
 from .errors import (ConfigurationError, DegenerateFitError, IngestError,
@@ -15,14 +16,12 @@ from .io import (PartDataset, ReportBundle, emit_measurements_csv, emit_report,
                  ingest_measurements_csv, read_fit_json, write_fit_json)
 from .pipeline import (LinearSerLaw, build_report_bundle, calibrate_datasets,
                        simulate_parts)
-from .protocols import (SerMeasurement, SweepResult, choose_sampling_time,
-                        run_hold_sweep, run_read_sweep, run_ser_test,
-                        run_wlvm_sweep, word_line_voltage_margin)
-from .radiation import (AlphaSource, EventLog, generate_events,
-                        undetected_fraction)
+from .records import SerMeasurement, SweepResult, word_line_voltage_margin
 from .refdata import (CELL_TYPE_ORDER, PUBLISHED_FIT, SIMULATED_VWL_MIN_MV,
                       load_reference_dataset)
-from .sram import MemoryArray, TypeVariation, VariationModel, sample_array
+
+# the simulator's names import numpy, so they are bound on first lookup
+__getattr__ = lazy.module_getattr(globals(), tuple(lazy.SIMULATOR))
 
 __version__ = "0.1.0"
 

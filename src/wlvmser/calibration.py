@@ -8,7 +8,10 @@ their electrically measured margins alone.
 Closed-form estimators for the weighted line fit (slope, intercept, their
 variances and covariance) follow the standard least-squares sums; the
 goodness of fit is reported as chi-squared per degree of freedom together
-with a weighted R².
+with a weighted R².  The fit runs on Python floats and imports no numpy:
+a fit has some 25 points, and numpy's import would cost a command more
+than the fit.  Its sums follow numpy's pairwise order (``pairwise_sum``),
+so every figure has the bits a float64 array computation gives.
 
 Point uncertainties combine a statistical term (Poisson counting,
 1/sqrt(N)) with the systematic flux-positioning term.  Three combination
@@ -21,7 +24,8 @@ own:
   published fit (chi2 22.6 vs published 22.3 with matching parameter
   uncertainties), so it is what the reproduction command uses.
 
-The low margin-measurement error is neglected in the fit.
+The low margin-measurement error is neglected in the fit, and a block
+that counted no upset is left out of it (``build_weighted_points``).
 """
 
 from __future__ import annotations
@@ -30,10 +34,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import DegenerateFitError
-from .protocols import SerMeasurement, SweepResult, word_line_voltage_margin
+from .records import SerMeasurement, SweepResult, word_line_voltage_margin
 
 WEIGHT_MODES = ("combined", "stat-only", "linear-sum")
 
@@ -105,50 +107,88 @@ def _rel_uncertainty(stat: float, geom: float, weight_mode: str) -> float:
     raise ValueError(f"unknown weight mode {weight_mode!r}; pick from {WEIGHT_MODES}")
 
 
+def pairwise_sum(values: Sequence[float]) -> float:
+    """Sum of ``values`` with the rounding of numpy's float64 ``sum``.
+
+    numpy adds a run of up to 128 numbers into eight interleaved partial
+    sums, combines them as a tree and then adds the remainder that is not
+    a multiple of eight; a longer run is split in two halves, the first a
+    multiple of eight long, and their sums are added.  The same order
+    gives the same bits.  The result is added to 0.0, as numpy adds it
+    to the sum's identity (which turns a -0.0 into 0.0).
+    """
+    def run(lo: int, n: int) -> float:
+        if n < 8:
+            total = 0.0
+            for i in range(lo, lo + n):
+                total += values[i]
+            return total
+        if n <= 128:
+            r = list(values[lo:lo + 8])
+            stop = lo + n - n % 8
+            for i in range(lo + 8, stop, 8):
+                for j in range(8):
+                    r[j] += values[i + j]
+            total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            for i in range(stop, lo + n):
+                total += values[i]
+            return total
+        half = n // 2
+        half -= half % 8
+        return run(lo, half) + run(lo + half, n - half)
+
+    return 0.0 + run(0, len(values))
+
+
 def weighted_linfit(points: Sequence[WeightedPoint]) -> CalibrationFit:
     """Minimize sum(((y - m*x - b)/sigma)^2) over (m, b), closed form.
 
     Needs at least two points with distinct x.  Returns the optimum, the
     parameter variances/covariance from the inverse normal matrix, the
     chi-squared at the optimum with nu = n - 2, and the weighted R²
-    against the weighted-mean-only null model.
+    against the weighted-mean-only null model.  The sums run on Python
+    floats in numpy's order (``pairwise_sum``), so the figures are the
+    bits a float64 array computation gives.
     """
     points = list(points)
     n = len(points)
     if n < 2:
         raise DegenerateFitError(f"need at least 2 points, got {n}")
-    x = np.array([p.x for p in points], dtype=np.float64)
-    y = np.array([p.y for p in points], dtype=np.float64)
-    sig = np.array([p.sigma_y for p in points], dtype=np.float64)
-    w = 1.0 / (sig * sig)
+    x = [p.x for p in points]
+    y = [p.y for p in points]
+    # a variance that underflows to 0 weighs the point infinitely, as in
+    # float64 array division
+    w = [1.0 / (p.sigma_y * p.sigma_y) if p.sigma_y * p.sigma_y else math.inf
+         for p in points]
 
-    s = w.sum()
-    sx = (w * x).sum()
-    sy = (w * y).sum()
-    sxx = (w * x * x).sum()
-    sxy = (w * x * y).sum()
+    s = pairwise_sum(w)
+    sx = pairwise_sum([wi * xi for wi, xi in zip(w, x)])
+    sy = pairwise_sum([wi * yi for wi, yi in zip(w, y)])
+    sxx = pairwise_sum([wi * xi * xi for wi, xi in zip(w, x)])
+    sxy = pairwise_sum([wi * xi * yi for wi, xi, yi in zip(w, x, y)])
     det = s * sxx - sx * sx
-    if det <= _DEGENERATE_RTOL * s * sxx or not np.isfinite(det):
+    if det <= _DEGENERATE_RTOL * s * sxx or not math.isfinite(det):
         raise DegenerateFitError("all x values coincide; slope is undetermined")
 
     m = (s * sxy - sx * sy) / det
     b = (sxx * sy - sx * sxy) / det
-    resid = y - (m * x + b)
-    chi2 = float((w * resid * resid).sum())
+    resid = [yi - (m * xi + b) for xi, yi in zip(x, y)]
+    chi2 = pairwise_sum([wi * d * d for wi, d in zip(w, resid)])
     nu = n - 2
     chi2_red = chi2 / nu if nu > 0 else math.nan
     ybar = sy / s
-    chi2_null = float((w * (y - ybar) ** 2).sum())
+    dev = [yi - ybar for yi in y]
+    chi2_null = pairwise_sum([wi * (d * d) for wi, d in zip(w, dev)])
     if chi2_null > 0:
         r2 = 1.0 - chi2 / chi2_null
     else:
         r2 = 1.0  # all y identical and fit exact
     return CalibrationFit(
-        m=float(m),
-        b=float(b),
+        m=m,
+        b=b,
         sigma_m=math.sqrt(s / det),
         sigma_b=math.sqrt(sxx / det),
-        cov_mb=float(-sx / det),
+        cov_mb=-sx / det,
         chi2=chi2,
         nu=nu,
         chi2_red=chi2_red,
@@ -184,9 +224,17 @@ def build_weighted_points(
     x is the word-line voltage margin in volts, y the SER in µSEU per
     bit-second, sigma_y the SER scaled by the selected relative
     uncertainty recipe.  Margin uncertainty is neglected.
+
+    A block that counted no upset (SER 0) is left out: its counting
+    uncertainty is unbounded, and where the rate itself is 0 (a law
+    clamped at zero) no straight line holds the point anyway.  Leaving it
+    out biases the fit upwards where a positive rate happened to count
+    zero, so such blocks should be rare in the input.
     """
     points = []
     for meas, sweep in pairs:
+        if meas.zero_count:
+            continue
         margin_mv = word_line_voltage_margin(v_dd_mv, sweep.mu)
         rel = _rel_uncertainty(meas.rel_stat_unc, meas.rel_geom_unc, weight_mode)
         points.append(WeightedPoint(x=margin_mv / 1000.0, y=meas.ser,

@@ -22,26 +22,39 @@ import sys
 from pathlib import Path
 
 from . import io as wio
+from . import lazy
 from .calibration import WEIGHT_MODES, predict_ser
 from .errors import ConfigurationError, ProtocolError, SamplingTimeError
 from .pipeline import (LinearSerLaw, build_report_bundle, calibrate_datasets,
-                       simulate_parts)
-from .protocols import (run_hold_sweep, run_read_sweep, run_ser_test,
-                        run_wlvm_sweep, word_line_voltage_margin)
-from .radiation import DEFAULT_GEOM_UNC, AlphaSource
+                       simulate_parts, zero_count_blocks)
+from .records import DEFAULT_GEOM_UNC, word_line_voltage_margin
 from .refdata import (CELL_TYPE_ORDER, PAPER_MATCHING_WEIGHT_MODE,
                       PUBLISHED_FIT, REFERENCE_CSV, REPRO_WINDOWS,
                       SIMULATED_VWL_MIN_MV, load_reference_dataset)
-from .sram import VariationModel, sample_array
+
+# bound by ``_load_model``, which every simulating command calls first, so
+# that the commands that fit and predict start without numpy
+_SIMULATOR = ("AlphaSource", "VariationModel", "sample_array", "run_ser_test",
+              "run_wlvm_sweep", "run_hold_sweep", "run_read_sweep")
+__getattr__ = lazy.module_getattr(globals(), _SIMULATOR)
 
 
 def _load_model(path: str | None) -> VariationModel:
+    lazy.bind(globals(), _SIMULATOR)
     return VariationModel.from_json(path) if path else VariationModel.default()
 
 
 def _load_datasets(source: str, geom_unc: float):
     return wio.ingest_measurements_csv(
         REFERENCE_CSV if source == "bundled" else source, geom_unc)
+
+
+def _note_left_out(datasets):
+    """Name on stderr the zero-count SER points the fit left out."""
+    left_out = zero_count_blocks(datasets)
+    if left_out:
+        print(f"note: the fit leaves out {len(left_out)} zero-count SER "
+              f"points: {', '.join(left_out)}", file=sys.stderr)
 
 
 def _print_fit(fit, indent: str = "  "):
@@ -131,6 +144,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_calibrate(args) -> int:
     datasets = _load_datasets(args.input, args.geom_unc)
     fit = calibrate_datasets(datasets, args.weight_mode)
+    _note_left_out(datasets)
     n_pairs = sum(len(ds.pairs()) for ds in datasets)
     print(f"calibrated {n_pairs} (margin, SER) pairs from {len(datasets)} parts:")
     _print_fit(fit)
@@ -189,6 +203,7 @@ def _cmd_paper_repro(args) -> int:
         print(f"  {mode:<10}  m = {f.m:.4f} +- {f.sigma_m:.4f}   "
               f"b = {f.b:+.4f} +- {f.sigma_b:.4f}   chi2 = {f.chi2:7.2f}   "
               f"chi2_red = {f.chi2_red:.3f}   R2 = {f.r2:.4f}")
+    _note_left_out(datasets)
     pub = PUBLISHED_FIT
     print(f"  published   m = {pub['m']:.4f} +- {pub['sigma_m']:.4f}   "
           f"b = {pub['b']:+.4f} +- {pub['sigma_b']:.4f}   "
@@ -240,6 +255,7 @@ def _cmd_report(args) -> int:
             "bundled" if args.input is None else args.input,
             DEFAULT_GEOM_UNC if args.geom_unc is None else args.geom_unc)
     bundle = build_report_bundle(datasets, args.weight_mode)
+    _note_left_out(datasets)
     manifest = wio.emit_report(bundle, args.out)
     print(f"fit ({bundle.fit.weight_mode} weights):")
     _print_fit(bundle.fit)

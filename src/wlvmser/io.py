@@ -13,6 +13,9 @@ only.
 Reports are plot-ready text files: the fit as JSON, predictions as CSV
 and scatter/histogram/cumulative series as TSV.  Serialization is
 deterministic so reruns over identical inputs are byte-identical.
+
+Ingested rows become the summary records of ``records``; this module
+imports neither the simulator nor numpy.
 """
 
 from __future__ import annotations
@@ -25,10 +28,9 @@ from pathlib import Path
 
 from .calibration import CalibrationFit, Prediction
 from .errors import ConfigurationError, IngestError
-from .protocols import SerMeasurement, SweepResult
-from .radiation import DEFAULT_GEOM_UNC
+from .records import (DEFAULT_GEOM_UNC, DEFAULT_VDD_MV, SerMeasurement,
+                      SweepResult)
 from .refdata import CELL_TYPE_ORDER
-from .sram import DEFAULT_VDD_MV
 
 QUANTITY_SER = "ser_uSEU_per_bit_s"
 QUANTITY_REL_STAT = "rel_stat_unc"

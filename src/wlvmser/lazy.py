@@ -1,0 +1,44 @@
+"""Late binding of the simulator's names.
+
+The simulator (``sram``, ``radiation``, ``protocols``) needs numpy; the
+commands that only ingest, fit and predict do not.  A module that uses
+simulator names binds them on first use: through ``module_getattr`` for
+an attribute lookup from outside (PEP 562) and through ``bind`` at the
+top of the functions that simulate.  A name that is already bound is
+left as it is, so a wrapper put on a module attribute stays in the call
+path.
+"""
+
+from __future__ import annotations
+
+import importlib
+
+# simulator name -> module of the package that defines it
+SIMULATOR = {
+    "MemoryArray": "sram", "TypeVariation": "sram", "VariationModel": "sram",
+    "sample_array": "sram",
+    "AlphaSource": "radiation", "EventLog": "radiation",
+    "generate_events": "radiation", "undetected_fraction": "radiation",
+    "choose_sampling_time": "protocols", "run_hold_sweep": "protocols",
+    "run_read_sweep": "protocols", "run_ser_test": "protocols",
+    "run_wlvm_sweep": "protocols",
+}
+
+
+def bind(namespace: dict, names) -> None:
+    """Import each of ``names`` into ``namespace`` unless it is bound."""
+    for name in names:
+        if name not in namespace:
+            module = importlib.import_module(f"wlvmser.{SIMULATOR[name]}")
+            namespace[name] = getattr(module, name)
+
+
+def module_getattr(namespace: dict, names):
+    """A module ``__getattr__`` that binds ``names`` on first lookup."""
+    def __getattr__(name: str):
+        if name not in names:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}")
+        bind(namespace, names)
+        return namespace[name]
+    return __getattr__

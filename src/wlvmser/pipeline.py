@@ -6,23 +6,29 @@ sweep on every block, and returns the same per-part datasets an ingested
 measurement file would produce.  The ground-truth law maps each block's
 true mean margin to its upset rate, which makes the whole chain testable:
 calibrating the simulated measurements must recover the law.
+
+Calibration and report assembly need no numpy; the simulator's names
+(``sample_array``, ``run_*``, ``AlphaSource``, ``VariationModel``) are
+bound from ``sram``, ``radiation`` and ``protocols`` when a simulation
+starts, or when looked up on this module (see ``lazy``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from . import lazy
 from .calibration import (CalibrationFit, build_weighted_points, predict_ser,
                           weighted_linfit)
-from .errors import ConfigurationError
-from .io import (PartDataset, PredictionRow, ReportBundle, ScatterPoint)
-from .protocols import (run_hold_sweep, run_read_sweep, run_ser_test,
-                        run_wlvm_sweep, word_line_voltage_margin)
-from .radiation import AlphaSource
+from .errors import ConfigurationError, DegenerateFitError
+from .io import PartDataset, PredictionRow, ReportBundle, ScatterPoint
+from .records import DEFAULT_COLS, DEFAULT_ROWS, word_line_voltage_margin
 from .refdata import CELL_TYPE_ORDER
-from .sram import DEFAULT_COLS, DEFAULT_ROWS, VariationModel, sample_array
+
+# bound on first use, so that calibrating and reporting need no numpy
+_SIMULATOR = ("AlphaSource", "VariationModel", "sample_array", "run_ser_test",
+              "run_wlvm_sweep", "run_hold_sweep", "run_read_sweep")
+__getattr__ = lazy.module_getattr(globals(), _SIMULATOR)
 
 
 @dataclass(frozen=True)
@@ -79,6 +85,8 @@ def simulate_parts(
         raise ConfigurationError(
             f"--geom-spread (geom_spread) must be finite and within [0, 0.1], "
             f"got {geom_spread:g}")
+    import numpy as np
+    lazy.bind(globals(), _SIMULATOR)
     model = model if model is not None else VariationModel.default()
     law = law if law is not None else LinearSerLaw()
     v_dd = int(v_dd) if v_dd is not None else model.v_dd_nominal
@@ -119,6 +127,8 @@ def simulate_supply_sweeps(
     cols: int = DEFAULT_COLS,
 ):
     """Control-experiment supply sweeps (hold or read) for one part."""
+    import numpy as np
+    lazy.bind(globals(), _SIMULATOR)
     model = model if model is not None else VariationModel.default()
     runner = {"hold": run_hold_sweep, "read": run_read_sweep}.get(kind)
     if runner is None:
@@ -132,11 +142,27 @@ def simulate_supply_sweeps(
     return results
 
 
+def zero_count_blocks(datasets) -> list[str]:
+    """``part <id> <type>`` of each SER point the fit leaves out because
+    its block counted no upset (see ``build_weighted_points``)."""
+    return [f"part {ds.part_id} {meas.cell_type}"
+            for ds in datasets for meas, _ in ds.pairs() if meas.zero_count]
+
+
 def calibrate_datasets(datasets, weight_mode: str = "combined") -> CalibrationFit:
-    """Fit over all parts, honoring each dataset's own supply voltage."""
+    """Fit over all parts, honoring each dataset's own supply voltage.
+
+    Zero-count SER points are left out; when fewer than two points
+    remain, the ``DegenerateFitError`` says how many were left out.
+    """
     points = []
     for ds in datasets:
         points.extend(build_weighted_points(ds.pairs(), ds.v_dd, weight_mode))
+    left_out = zero_count_blocks(datasets) if len(points) < 2 else []
+    if left_out:
+        raise DegenerateFitError(
+            f"need at least 2 points, got {len(points)} after leaving out "
+            f"{len(left_out)} zero-count SER points")
     fit = weighted_linfit(points)
     return replace(fit, weight_mode=weight_mode)
 
@@ -160,11 +186,11 @@ def build_report_bundle(datasets, weight_mode: str = "combined") -> ReportBundle
                     key = (quantity_tag[sweep.swept_quantity], ds.part_id, cell_type)
                     bundle.histograms[key] = dict(sweep.histogram)
             if meas is not None and sweep is not None:
-                margin_v = word_line_voltage_margin(ds.v_dd, sweep.mu) / 1000.0
-                [pt] = build_weighted_points([(meas, sweep)], ds.v_dd, weight_mode)
-                bundle.scatter.append(ScatterPoint(
-                    ds.part_id, cell_type, pt.x, pt.y, pt.sigma_y,
-                    fit.m * pt.x + fit.b))
+                # empty for a zero-count point, which the fit leaves out
+                for pt in build_weighted_points([(meas, sweep)], ds.v_dd, weight_mode):
+                    bundle.scatter.append(ScatterPoint(
+                        ds.part_id, cell_type, pt.x, pt.y, pt.sigma_y,
+                        fit.m * pt.x + fit.b))
             if meas is not None and meas.window_counts is not None:
                 series = []
                 cumulative = 0

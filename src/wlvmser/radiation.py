@@ -25,14 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+from .records import DEFAULT_GEOM_UNC
 from .sram import MemoryArray
 
 # Largest expected event count one draw may ask for.  A SER test holds
 # about 40 bytes per event at its peak, so this caps it near 0.7 GB.
 MAX_EXPECTED_EVENTS = 2**24
-
-# relative systematic uncertainty of the source-to-sample flux positioning
-DEFAULT_GEOM_UNC = 0.03
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,158 @@
+"""Measurement records and the chip constants they default to.
+
+``SerMeasurement`` and ``SweepResult`` are what the procedures produce and
+what a measurement file ingests into; the fit reads nothing else.  This
+module imports no numpy, so the commands that only ingest, fit and
+predict start without it: the two constructors that take arrays import
+numpy when they are called.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# nominal core supply of the test chip, mV
+DEFAULT_VDD_MV = 1200
+# block geometry of the test chip: 64 x 64 cells
+DEFAULT_ROWS = 64
+DEFAULT_COLS = 64
+
+# relative systematic uncertainty of the source-to-sample flux positioning
+DEFAULT_GEOM_UNC = 0.03
+
+
+@dataclass
+class SerMeasurement:
+    """Outcome of one accelerated SER test (or an ingested summary).
+
+    ``ser`` is in µSEU per bit-second.  Protocol-produced records carry
+    the full window history; records ingested from a measurement file are
+    summary-only (``window_counts`` is None).
+    """
+
+    part_id: str
+    cell_type: str
+    ser: float
+    rel_stat_unc: float
+    rel_geom_unc: float
+    ts: float | None = None
+    window_counts: np.ndarray | None = None
+    n_windows: int = 0
+    n_tot: int = 0
+    t_exp: float = 0.0
+    n_bits: int = 0
+
+    @property
+    def zero_count(self) -> bool:
+        """True for a test that counted no upset, whose SER reads 0."""
+        return self.ser == 0
+
+    @classmethod
+    def from_windows(cls, part_id, cell_type, ts, window_counts, n_bits,
+                     rel_geom_unc) -> "SerMeasurement":
+        import numpy as np
+        counts = np.asarray(window_counts, dtype=np.int64)
+        n_windows = counts.size
+        n_tot = int(counts.sum())
+        t_exp = n_windows * ts
+        ser = 1e6 * n_tot / (t_exp * n_bits)
+        rel_stat = 1.0 / math.sqrt(n_tot) if n_tot > 0 else math.inf
+        return cls(
+            part_id=str(part_id),
+            cell_type=str(cell_type),
+            ser=ser,
+            rel_stat_unc=rel_stat,
+            rel_geom_unc=float(rel_geom_unc),
+            ts=float(ts),
+            window_counts=counts,
+            n_windows=n_windows,
+            n_tot=n_tot,
+            t_exp=float(t_exp),
+            n_bits=int(n_bits),
+        )
+
+    @classmethod
+    def summary(cls, part_id, cell_type, ser, rel_stat_unc,
+                rel_geom_unc=DEFAULT_GEOM_UNC) -> "SerMeasurement":
+        """Summary-only record as ingested from a measurement file."""
+        return cls(
+            part_id=str(part_id),
+            cell_type=str(cell_type),
+            ser=float(ser),
+            rel_stat_unc=float(rel_stat_unc),
+            rel_geom_unc=float(rel_geom_unc),
+        )
+
+
+@dataclass
+class SweepResult:
+    """Per-cell thresholds recovered by one descending-voltage sweep."""
+
+    part_id: str
+    cell_type: str
+    swept_quantity: str
+    delta_v: int
+    mu: float
+    sigma: float
+    se_mean: float
+    n_cells: int
+    v_nominal: int
+    per_cell_threshold: np.ndarray | None = None
+    histogram: dict[int, int] | None = None
+
+    @classmethod
+    def from_registration(cls, part_id, cell_type, quantity, delta_v, fail_v,
+                          v_nominal) -> "SweepResult":
+        import numpy as np
+        per_cell = fail_v + delta_v / 2.0
+        voltages, counts = np.unique(fail_v, return_counts=True)
+        hist = {int(v): int(c) for v, c in zip(voltages, counts)}
+        mu = float(per_cell.mean())
+        sigma = float(per_cell.std(ddof=1)) if per_cell.size > 1 else 0.0
+        return cls(
+            part_id=str(part_id),
+            cell_type=str(cell_type),
+            swept_quantity=quantity,
+            delta_v=int(delta_v),
+            mu=mu,
+            sigma=sigma,
+            se_mean=sigma / math.sqrt(per_cell.size),
+            n_cells=int(per_cell.size),
+            v_nominal=int(v_nominal),
+            per_cell_threshold=per_cell,
+            histogram=hist,
+        )
+
+    @classmethod
+    def summary(cls, part_id, cell_type, mu, sigma=float("nan"),
+                quantity="word_line", delta_v=10,
+                n_cells=DEFAULT_ROWS * DEFAULT_COLS,
+                v_nominal=DEFAULT_VDD_MV) -> "SweepResult":
+        """Summary-only record as ingested from a measurement file."""
+        return cls(
+            part_id=str(part_id),
+            cell_type=str(cell_type),
+            swept_quantity=quantity,
+            delta_v=int(delta_v),
+            mu=float(mu),
+            sigma=float(sigma),
+            se_mean=float(sigma) / math.sqrt(n_cells),
+            n_cells=int(n_cells),
+            v_nominal=int(v_nominal),
+        )
+
+
+def word_line_voltage_margin(v_dd, v_mewlvm):
+    """Margin between the supply and the mean effective write voltage.
+
+    Higher margin means the population can be written at lower word-line
+    voltages, i.e. weaker cells.
+    """
+    if not 0 <= v_mewlvm <= v_dd:
+        raise ValueError(f"v_mewlvm={v_mewlvm} outside [0, {v_dd}]")
+    return v_dd - v_mewlvm

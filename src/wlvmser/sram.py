@@ -32,11 +32,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
+from .records import DEFAULT_COLS, DEFAULT_ROWS, DEFAULT_VDD_MV
 from .refdata import CELL_TYPE_ORDER
-
-DEFAULT_VDD_MV = 1200
-DEFAULT_ROWS = 64
-DEFAULT_COLS = 64
 
 _MAX_REDRAWS = 1000
 

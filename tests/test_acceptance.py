@@ -13,8 +13,9 @@ import pytest
 from wlvmser import cli, kernels
 from wlvmser.calibration import WeightedPoint, weighted_linfit
 from wlvmser.pipeline import LinearSerLaw, calibrate_datasets, simulate_parts
-from wlvmser.protocols import run_ser_test, run_wlvm_sweep, word_line_voltage_margin
+from wlvmser.protocols import run_ser_test, run_wlvm_sweep
 from wlvmser.radiation import AlphaSource, undetected_fraction
+from wlvmser.records import word_line_voltage_margin
 from wlvmser.refdata import (PAPER_MATCHING_WEIGHT_MODE, REPRO_WINDOWS,
                              load_reference_dataset)
 from wlvmser.sram import VariationModel, sample_array

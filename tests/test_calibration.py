@@ -1,15 +1,20 @@
 """Regression core: closed-form fit vs. brute-force oracle, invariances."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from wlvmser.calibration import (WeightedPoint, build_weighted_points,
+from wlvmser.calibration import (CalibrationFit, WeightedPoint,
+                                 build_weighted_points, pairwise_sum,
                                  predict_ser, weighted_linfit)
 from wlvmser.errors import DegenerateFitError
-from wlvmser.pipeline import calibrate_datasets
-from wlvmser.protocols import SerMeasurement, SweepResult
+from wlvmser.io import PartDataset
+from wlvmser.pipeline import calibrate_datasets, zero_count_blocks
+from wlvmser.records import SerMeasurement, SweepResult
 from wlvmser.refdata import PUBLISHED_FIT, load_reference_dataset
 
 
@@ -231,3 +236,159 @@ def test_unknown_weight_mode_rejected():
     datasets = load_reference_dataset()
     with pytest.raises(ValueError):
         calibrate_datasets(datasets[:1], weight_mode="nope")
+
+
+def test_zero_count_points_are_left_out():
+    sweep = SweepResult.summary("1", "SS", 800.0)
+    counted = SerMeasurement.summary("1", "SS", 2.0, 0.02)
+    zero = SerMeasurement.summary("1", "SS", 0.0, math.inf)
+    assert zero.zero_count and not counted.zero_count
+    for mode in ("combined", "stat-only", "linear-sum"):
+        assert build_weighted_points([(zero, sweep)], 1200, mode) == []
+        assert len(build_weighted_points([(counted, sweep), (zero, sweep)],
+                                         1200, mode)) == 1
+
+
+def test_calibrate_datasets_counts_left_out_points():
+    datasets = load_reference_dataset()
+    ds = datasets[0]
+    for cell_type in ("SM", "SL"):
+        ds.ser[cell_type] = SerMeasurement.summary("1", cell_type, 0.0, math.inf)
+    assert zero_count_blocks(datasets) == ["part 1 SM", "part 1 SL"]
+    assert calibrate_datasets(datasets).n_points == 23
+    for cell_type in ("MM", "LS"):
+        ds.ser[cell_type] = SerMeasurement.summary("1", cell_type, 0.0, math.inf)
+    with pytest.raises(DegenerateFitError, match=r"need at least 2 points, got 1 "
+                                                  r"after leaving out 4 zero-count"):
+        calibrate_datasets([ds])
+    empty = PartDataset("9", ser={"SS": SerMeasurement.summary("9", "SS", 0.0, math.inf)},
+                        sweeps={"SS": SweepResult.summary("9", "SS", 800.0)})
+    with pytest.raises(DegenerateFitError, match="got 0 after leaving out 1 "):
+        calibrate_datasets([empty])
+
+
+# --- bit identity with float64 arrays ------------------------------------------
+
+
+def numpy_weighted_linfit(points):
+    """The array implementation ``weighted_linfit`` replaced, kept verbatim
+    as the oracle for its bits."""
+    points = list(points)
+    n = len(points)
+    if n < 2:
+        raise DegenerateFitError(f"need at least 2 points, got {n}")
+    x = np.array([p.x for p in points], dtype=np.float64)
+    y = np.array([p.y for p in points], dtype=np.float64)
+    sig = np.array([p.sigma_y for p in points], dtype=np.float64)
+    w = 1.0 / (sig * sig)
+
+    s = w.sum()
+    sx = (w * x).sum()
+    sy = (w * y).sum()
+    sxx = (w * x * x).sum()
+    sxy = (w * x * y).sum()
+    det = s * sxx - sx * sx
+    if det <= 1e-12 * s * sxx or not np.isfinite(det):
+        raise DegenerateFitError("all x values coincide; slope is undetermined")
+
+    m = (s * sxy - sx * sy) / det
+    b = (sxx * sy - sx * sxy) / det
+    resid = y - (m * x + b)
+    chi2 = float((w * resid * resid).sum())
+    nu = n - 2
+    chi2_red = chi2 / nu if nu > 0 else math.nan
+    ybar = sy / s
+    chi2_null = float((w * (y - ybar) ** 2).sum())
+    if chi2_null > 0:
+        r2 = 1.0 - chi2 / chi2_null
+    else:
+        r2 = 1.0  # all y identical and fit exact
+    return CalibrationFit(
+        m=float(m),
+        b=float(b),
+        sigma_m=math.sqrt(s / det),
+        sigma_b=math.sqrt(sxx / det),
+        cov_mb=float(-sx / det),
+        chi2=chi2,
+        nu=nu,
+        chi2_red=chi2_red,
+        r2=r2,
+        n_points=n,
+    )
+
+
+def field_reprs(fit):
+    return {f.name: repr(getattr(fit, f.name)) for f in dataclasses.fields(fit)}
+
+
+def assert_same_bits(points):
+    try:
+        with np.errstate(all="ignore"):
+            want = numpy_weighted_linfit(points)
+    except DegenerateFitError as exc:
+        with pytest.raises(DegenerateFitError, match=str(exc)):
+            weighted_linfit(points)
+        return
+    assert field_reprs(weighted_linfit(points)) == field_reprs(want)
+
+
+def random_array(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return rng.standard_normal(n)
+    if kind == "decades":  # magnitudes over 40 decades, mixed signs
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+    return rng.standard_normal(n) * 1e8 + 1e-3  # large terms around a small offset
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 1100), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["normal", "decades", "offset"]))
+def test_pairwise_sum_matches_numpy_sum(n, seed, kind):
+    values = random_array(seed, n, kind)
+    assert repr(pairwise_sum(values.tolist())) == repr(float(values.sum()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, width=64), max_size=300))
+@example([-0.0] * 9)
+def test_pairwise_sum_matches_numpy_sum_on_any_floats(values):
+    with np.errstate(all="ignore"):
+        want = float(np.array(values).sum())
+    assert repr(pairwise_sum(values)) == repr(want)
+
+
+@pytest.mark.parametrize("n", [8191, 8192, 8193, 16_389, 65_537])
+def test_pairwise_sum_matches_numpy_sum_long(n):
+    for seed, kind in enumerate(["normal", "decades", "offset"]):
+        values = random_array(seed, n, kind)
+        assert repr(pairwise_sum(values.tolist())) == repr(float(values.sum()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 600), seed=st.integers(0, 2**32 - 1),
+       spread=st.sampled_from([1e-6, 1.0, 1e6]))
+def test_fit_bits_match_array_oracle(n, seed, spread):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.2, 0.5, n)
+    y = 4.32 * x - 0.25 + rng.normal(0.0, 0.05, n)
+    sig = rng.uniform(0.01, 0.1, n) * spread
+    assert_same_bits([WeightedPoint(float(a), float(b), float(c))
+                      for a, b, c in zip(x, y, sig)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+                          st.floats(1e-200, 1e200)),
+                min_size=2, max_size=40))
+def test_fit_bits_match_array_oracle_on_any_points(triples):
+    assert_same_bits([WeightedPoint(*t) for t in triples])
+
+
+@pytest.mark.parametrize("weight_mode", ["combined", "stat-only", "linear-sum"])
+def test_reference_fit_bits_match_array_oracle(weight_mode):
+    datasets = load_reference_dataset()
+    points = [pt for ds in datasets
+              for pt in build_weighted_points(ds.pairs(), ds.v_dd, weight_mode)]
+    assert field_reprs(calibrate_datasets(datasets, weight_mode)) == field_reprs(
+        dataclasses.replace(numpy_weighted_linfit(points), weight_mode=weight_mode))

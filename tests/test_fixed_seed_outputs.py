@@ -77,3 +77,44 @@ def test_fixed_seed_stdout(name, tmp_path, monkeypatch, capsys):
     assert cli.main(STDOUT_COMMANDS[name]) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == STDOUT_EXPECTED[name]
+
+
+# Files the fit commands write from measurement files: the bundled data
+# and a 200-point simulated CSV, more points than one 128-element leaf of
+# the pairwise sums in ``weighted_linfit``.
+FIT_EXPECTED = {
+    "calibrate-sim40-combined": "fc168ee6a11a18429b4503b676e60b72a5599c5ff3cb606b91715bbd666046e6",
+    "calibrate-sim40-linear-sum": "99f99bf998f09df20c30ea8dbbac034b07f1b676c700e118ec830b24baf5e96e",
+    "calibrate-sim40-stat-only": "76035d4b67cca1ac003578ad00cb53765eb5dfaa582e877220b1b6ba6740c8b4",
+    "report-bundled": "8a8bb5e404cc59ba177cf7bba00f15acef1b3c73e3f2ac9c56977d1786ab0be6",
+    "report-sim40-combined": "8207b0a030173e8c248d50c26322092a3af0e0695c0b65923f3106aa361653ae",
+    "report-sim40-linear-sum": "ff7eee7c8b90d941599f008019e7ff9b188eec7626fe36ce254a5fe1d6d8e56a",
+    "report-sim40-stat-only": "50888e7d620df3b5af26ace9c7dc25cd24e2166eeaeb047202694c4b7f6492e4",
+}
+
+FIT_COMMANDS = {
+    "report-bundled": ["report", "--input", "bundled", "--out", "{out}"],
+    **{f"calibrate-sim40-{mode}": ["calibrate", "--input", "{sim40}", "--weight-mode",
+                                   mode, "--out", "{out}/fit.json"]
+       for mode in ("combined", "linear-sum", "stat-only")},
+    **{f"report-sim40-{mode}": ["report", "--input", "{sim40}", "--weight-mode",
+                                mode, "--out", "{out}"]
+       for mode in ("combined", "linear-sum", "stat-only")},
+}
+
+
+@pytest.fixture(scope="module")
+def sim40_csv(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sim40")
+    assert cli.main(["simulate", "--seed", "2", "--parts", "40", "--out", str(out)]) == 0
+    return out / "measurements.csv"
+
+
+@pytest.mark.parametrize("name", sorted(FIT_COMMANDS))
+def test_fit_output_bytes(name, sim40_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [arg.format(out=out, sim40=sim40_csv) for arg in FIT_COMMANDS[name]]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert tree_digest(out) == FIT_EXPECTED[name]

@@ -14,7 +14,7 @@ from wlvmser.io import (PartDataset, ReportBundle, emit_measurements_csv,
                         emit_report, ingest_measurements_csv, read_fit_json,
                         write_fit_json)
 from wlvmser.pipeline import build_report_bundle, calibrate_datasets, simulate_parts
-from wlvmser.protocols import SerMeasurement, SweepResult
+from wlvmser.records import SerMeasurement, SweepResult
 from wlvmser.refdata import CELL_TYPE_ORDER, REFERENCE_CSV, load_reference_dataset
 
 HEADER = "part_id,cell_type,quantity,value\n"
@@ -384,6 +384,10 @@ def test_cli_inoperable_supply_is_one_error_line(argv, tmp_path, capsys):
     (["report", "--seed", "0"], "report without --simulate ignores --seed"),
     (["report", "--input", "bundled", "--model", "{tmp}/list.json"],
      "report without --simulate ignores --model"),
+    (["calibrate", "--input", "{tmp}/zero.csv"],
+     "need at least 2 points, got 1 after leaving out 2 zero-count SER points"),
+    (["report", "--input", "{tmp}/zero.csv"],
+     "need at least 2 points, got 1 after leaving out 2 zero-count SER points"),
 ])
 def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
     fit = calibrate_datasets(load_reference_dataset())
@@ -396,6 +400,10 @@ def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
                                    "sigma_read_mV": 30}}}
     (tmp_path / "no-sigma.json").write_text(json.dumps(model))
     (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "zero.csv").write_text(HEADER + "".join(
+        f"1,{t},ser_uSEU_per_bit_s,{ser}\n1,{t},rel_stat_unc,{rel}\n1,{t},v_mewlvm_mV,{mu}\n"
+        for t, ser, rel, mu in [("SS", 0, "inf", 791), ("SM", 1.2, 0.02, 850),
+                                ("LS", 0, "inf", 730)]))
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     if "--out" not in argv:
         argv += ["--out", str(tmp_path / "out")]
@@ -406,6 +414,34 @@ def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
     assert cause in err[0]
     if argv[0] == "predict":
         assert captured.out == ""
+
+
+def test_cli_fits_what_simulate_writes_with_zero_counts(tmp_path, capsys):
+    """A simulated block that counted no upset is left out of the fit with
+    one note naming it; with no point left the fit is one error line."""
+    sim = ["simulate", "--parts", "2", "--duration", "36000"]
+    assert cli.main(sim + ["--law-b", "-3", "--out", str(tmp_path / "a")]) == 0
+    capsys.readouterr()
+    assert cli.main(["calibrate", "--input", str(tmp_path / "a" / "measurements.csv")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: need at least 2 points, got 0 after leaving out 10 zero-count SER points"]
+
+    assert cli.main(sim + ["--law-b", "-1.6", "--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    csv_path = tmp_path / "b" / "measurements.csv"
+    left_out = "part 1 SM, part 1 SL, part 1 MM, part 2 SM, part 2 SL, part 2 MM"
+    note = f"note: the fit leaves out 6 zero-count SER points: {left_out}"
+    assert cli.main(["calibrate", "--input", str(csv_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [note]
+    assert "points   = 4, weights = combined" in captured.out
+    assert cli.main(["report", "--input", str(csv_path), "--out", str(tmp_path / "r")]) == 0
+    assert capsys.readouterr().err.splitlines() == [note]
+    scatter = (tmp_path / "r" / "scatter_fit.tsv").read_text().splitlines()
+    assert [row.split("\t")[:2] for row in scatter[1:]] == [
+        ["1", "SS"], ["1", "LS"], ["2", "SS"], ["2", "LS"]]
+    predictions = (tmp_path / "r" / "predictions.csv").read_text().splitlines()
+    assert len(predictions) == 1 + 10
 
 
 def test_cli_report_bundled(tmp_path, capsys):

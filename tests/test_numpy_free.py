@@ -1,0 +1,85 @@
+"""The commands that ingest, fit and predict start without numpy.
+
+numpy's import is most of a cold command's time, and these commands need
+no array.  Each case runs in a fresh interpreter and reports whether
+numpy ended up in ``sys.modules``.  The simulator's names, bound late for
+this, must keep a wrapper set on them before their first use.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import wlvmser
+from wlvmser.io import write_fit_json
+from wlvmser.pipeline import calibrate_datasets
+from wlvmser.refdata import load_reference_dataset
+
+SRC = str(Path(wlvmser.__file__).resolve().parents[1])
+
+CHILD = """\
+import sys
+import wlvmser
+if sys.argv[1:]:
+    from wlvmser import cli
+    if cli.main(sys.argv[1:]) != 0:
+        sys.exit("command failed")
+print("numpy" in sys.modules)
+"""
+
+# wraps late-bound names before their first use, as perfbench/spans.py does
+WRAPPING_CHILD = """\
+import sys
+from wlvmser import cli, pipeline
+calls = []
+for module, name in [(cli, "sample_array"), (cli, "run_ser_test"),
+                     (pipeline, "sample_array"), (pipeline, "run_wlvm_sweep")]:
+    fn = getattr(module, name)
+    def wrapper(*args, _fn=fn, _tag=f"{module.__name__}.{name}", **kwargs):
+        calls.append(_tag)
+        return _fn(*args, **kwargs)
+    setattr(module, name, wrapper)
+cli.main(["ser-test", "--duration", "3600"])
+pipeline.simulate_parts(n_parts=1, cell_types=("SS",), duration=3600)
+print(*calls)
+"""
+
+
+def run_child(code, argv, cwd) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def numpy_imported(argv, cwd) -> bool:
+    return run_child(CHILD, argv, cwd) == "True"
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["paper-repro"],
+    ["calibrate", "--input", "bundled"],
+    ["predict", "--fit", "fit.json", "--v-wlvm", "0.4"],
+    ["report", "--input", "bundled", "--out", "report"],
+], ids=["import", "paper-repro", "calibrate", "predict", "report"])
+def test_fit_commands_do_not_import_numpy(argv, tmp_path):
+    write_fit_json(calibrate_datasets(load_reference_dataset()), tmp_path / "fit.json")
+    assert not numpy_imported(argv, tmp_path)
+
+
+def test_simulate_imports_numpy(tmp_path):
+    argv = ["simulate", "--parts", "1", "--types", "SS", "--duration", "3600",
+            "--out", "sim"]
+    assert numpy_imported(argv, tmp_path)
+
+
+def test_late_bound_names_keep_a_wrapper(tmp_path):
+    assert run_child(WRAPPING_CHILD, [], tmp_path).split() == [
+        "wlvmser.cli.sample_array", "wlvmser.cli.run_ser_test",
+        "wlvmser.pipeline.sample_array", "wlvmser.pipeline.run_wlvm_sweep"]

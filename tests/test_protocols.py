@@ -11,9 +11,9 @@ from wlvmser import protocols
 from wlvmser.errors import ConfigurationError, ProtocolError, SamplingTimeError
 from wlvmser.io import write_ser_log, write_sweep_log
 from wlvmser.protocols import (choose_sampling_time, run_hold_sweep,
-                               run_read_sweep, run_ser_test, run_wlvm_sweep,
-                               word_line_voltage_margin)
+                               run_read_sweep, run_ser_test, run_wlvm_sweep)
 from wlvmser.radiation import AlphaSource, generate_events, undetected_fraction
+from wlvmser.records import word_line_voltage_margin
 from wlvmser.sram import sample_array
 
 
