@@ -12,7 +12,11 @@ only.
 
 Reports are plot-ready text files: the fit as JSON, predictions as CSV
 and scatter/histogram/cumulative series as TSV.  Serialization is
-deterministic so reruns over identical inputs are byte-identical.
+deterministic so reruns over identical inputs are byte-identical.  Every
+file is written by ``_write_text``: an existing file is overwritten in
+place and cut to its new length, so a rerun into the same directory
+leaves the same bytes as a fresh one.  A target that is not a regular
+file, such as ``/dev/stdout``, is written without being cut.
 
 Ingested rows become the summary records of ``records``; this module
 imports neither the simulator nor numpy.
@@ -23,7 +27,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
+from functools import cache
+from io import StringIO
+from itertools import accumulate
 from pathlib import Path
 
 from .calibration import CalibrationFit, Prediction
@@ -76,8 +84,10 @@ def ingest_measurements_csv(path, rel_geom_unc: float = DEFAULT_GEOM_UNC) -> lis
 
     Malformed rows are rejected with their line number.  Duplicate
     (part, type, quantity) keys are errors.  Every value must be finite
-    and >= 0, except ``rel_stat_unc``, which may be ``inf`` (a block with
-    no observed upset); ``vdd_mV`` must be a positive whole number and
+    and >= 0, except ``rel_stat_unc``, which may be ``inf`` for a block
+    with no observed upset (SER 0) and only there: a counted point of
+    infinite sigma would weigh nothing in the fit yet count in its
+    ``n_points`` and ``nu``.  ``vdd_mV`` must be a positive whole number and
     ``v_mewlvm_mV`` must not exceed its part's supply.  ``rel_geom_unc``,
     the flux-positioning uncertainty given to every SER row, must be
     finite and >= 0.
@@ -154,6 +164,12 @@ def ingest_measurements_csv(path, rel_geom_unc: float = DEFAULT_GEOM_UNC) -> lis
                     f"{path}: part {part_id} type {cell_type}: "
                     f"{QUANTITY_SER} and {QUANTITY_REL_STAT} must come together")
             if has_ser:
+                rel_stat, rel_lineno = rows[QUANTITY_REL_STAT]
+                if rel_stat == math.inf and vals[QUANTITY_SER] > 0:
+                    raise IngestError(
+                        f"{path}:{rel_lineno}: {QUANTITY_REL_STAT} may be inf only "
+                        f"with {QUANTITY_SER} 0 (no observed upset), got "
+                        f"{QUANTITY_SER}={_fmt(vals[QUANTITY_SER])}")
                 ds.ser[cell_type] = SerMeasurement.summary(
                     part_id, cell_type, vals[QUANTITY_SER],
                     vals[QUANTITY_REL_STAT], rel_geom_unc)
@@ -182,28 +198,51 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _write_text(path, text: str) -> Path:
+    """Write ``text`` to ``path`` as UTF-8, overwriting the old bytes in place.
+
+    The file is opened without ``O_TRUNC``: on a file system that discards
+    freed blocks (ext4 mounted with ``discard``, for one), truncating a
+    non-empty file and allocating its blocks again costs several times
+    the write itself.  A file left longer than the new bytes is cut to
+    their length.  A target that is not a regular file (a pipe or a
+    terminal behind ``/dev/stdout``) reports size 0 and is never cut,
+    since ``ftruncate`` fails on it.
+    """
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        if os.fstat(fd).st_size > written:
+            os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
+    return Path(path)
+
+
 def emit_measurements_csv(datasets, path) -> Path:
     """Write datasets back out in the ingestion schema (round-trip safe)."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_HEADER)
-        for ds in datasets:
-            for cell_type in ds.cell_types():
-                meas = ds.ser.get(cell_type)
-                if meas is not None:
-                    writer.writerow([ds.part_id, cell_type, QUANTITY_SER, _fmt(meas.ser)])
-                    writer.writerow([ds.part_id, cell_type, QUANTITY_REL_STAT,
-                                     _fmt(meas.rel_stat_unc)])
-                sweep = ds.sweeps.get(cell_type)
-                if sweep is not None:
-                    writer.writerow([ds.part_id, cell_type, QUANTITY_MARGIN_MU,
-                                     _fmt(sweep.mu)])
-                    if not math.isnan(sweep.sigma):
-                        writer.writerow([ds.part_id, cell_type, QUANTITY_MARGIN_SIGMA,
-                                         _fmt(sweep.sigma)])
-            writer.writerow([ds.part_id, "", QUANTITY_VDD, _fmt(ds.v_dd)])
-    return path
+    buf = StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(_HEADER)
+    for ds in datasets:
+        for cell_type in ds.cell_types():
+            meas = ds.ser.get(cell_type)
+            if meas is not None:
+                writer.writerow([ds.part_id, cell_type, QUANTITY_SER, _fmt(meas.ser)])
+                writer.writerow([ds.part_id, cell_type, QUANTITY_REL_STAT,
+                                 _fmt(meas.rel_stat_unc)])
+            sweep = ds.sweeps.get(cell_type)
+            if sweep is not None:
+                writer.writerow([ds.part_id, cell_type, QUANTITY_MARGIN_MU,
+                                 _fmt(sweep.mu)])
+                if not math.isnan(sweep.sigma):
+                    writer.writerow([ds.part_id, cell_type, QUANTITY_MARGIN_SIGMA,
+                                     _fmt(sweep.sigma)])
+        writer.writerow([ds.part_id, "", QUANTITY_VDD, _fmt(ds.v_dd)])
+    return _write_text(path, buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +250,7 @@ def emit_measurements_csv(datasets, path) -> Path:
 # ---------------------------------------------------------------------------
 
 def write_fit_json(fit: CalibrationFit, path) -> Path:
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(fit), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return _write_text(path, json.dumps(asdict(fit), indent=2, sort_keys=True) + "\n")
 
 
 def read_fit_json(path) -> CalibrationFit:
@@ -233,36 +268,33 @@ def write_ser_log(meas: SerMeasurement, path) -> Path:
     """Window-by-window SEU log of one SER test."""
     if meas.window_counts is None:
         raise ValueError("summary-only measurement has no window history")
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_index", "t_start_s", "n_i", "cumulative"])
-        cumulative = 0
-        for i, n_i in enumerate(meas.window_counts):
-            cumulative += int(n_i)
-            writer.writerow([i, _fmt(i * meas.ts), int(n_i), cumulative])
-    return path
+    counts = meas.window_counts.tolist()
+    buf = StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["window_index", "t_start_s", "n_i", "cumulative"])
+    writer.writerows([i, _fmt(i * meas.ts), n_i, cumulative]
+                     for i, (n_i, cumulative) in enumerate(zip(counts, accumulate(counts))))
+    return _write_text(path, buf.getvalue())
 
 
 def write_sweep_log(result: SweepResult, path) -> Path:
     """Step-by-step failure log of one voltage sweep."""
     if result.histogram is None:
         raise ValueError("summary-only sweep has no step history")
-    path = Path(path)
     lowest = min(result.histogram)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "v_mV", "new_failures", "cumulative_failures"])
-        cumulative = 0
-        step = 0
-        v = result.v_nominal
-        while v > lowest:
-            step += 1
-            v = max(result.v_nominal - result.delta_v * step, 0)
-            new = result.histogram.get(v, 0)
-            cumulative += new
-            writer.writerow([step, v, new, cumulative])
-    return path
+    buf = StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["step", "v_mV", "new_failures", "cumulative_failures"])
+    cumulative = 0
+    step = 0
+    v = result.v_nominal
+    while v > lowest:
+        step += 1
+        v = max(result.v_nominal - result.delta_v * step, 0)
+        new = result.histogram.get(v, 0)
+        cumulative += new
+        writer.writerow([step, v, new, cumulative])
+    return _write_text(path, buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +331,16 @@ class ReportBundle:
 
 
 def write_predictions_csv(predictions, path) -> Path:
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["part_id", "cell_type", "v_wlvm_V",
-                         "ser_uSEU_per_bit_s", "sigma_uSEU_per_bit_s",
-                         "below_floor"])
-        for row in predictions:
-            writer.writerow([row.part_id, row.cell_type, _fmt(row.v_wlvm_v),
-                             _fmt(row.prediction.ser), _fmt(row.prediction.sigma),
-                             int(row.prediction.below_physical_floor)])
-    return path
+    buf = StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["part_id", "cell_type", "v_wlvm_V",
+                     "ser_uSEU_per_bit_s", "sigma_uSEU_per_bit_s",
+                     "below_floor"])
+    writer.writerows([row.part_id, row.cell_type, _fmt(row.v_wlvm_v),
+                      _fmt(row.prediction.ser), _fmt(row.prediction.sigma),
+                      int(row.prediction.below_physical_floor)]
+                     for row in predictions)
+    return _write_text(path, buf.getvalue())
 
 
 def emit_report(bundle: ReportBundle, out_dir) -> list[str]:
@@ -324,27 +355,24 @@ def emit_report(bundle: ReportBundle, out_dir) -> list[str]:
     write_predictions_csv(bundle.predictions, out / "predictions.csv")
     manifest.append("predictions.csv")
 
-    with open(out / "scatter_fit.tsv", "w", encoding="utf-8") as fh:
-        fh.write("part_id\tcell_type\tx_V\ty\tsigma_y\ty_fit\n")
-        for p in bundle.scatter:
-            fh.write(f"{p.part_id}\t{p.cell_type}\t{_fmt(p.x)}\t{_fmt(p.y)}"
-                     f"\t{_fmt(p.sigma_y)}\t{_fmt(p.y_fit)}\n")
+    _write_text(out / "scatter_fit.tsv",
+                "part_id\tcell_type\tx_V\ty\tsigma_y\ty_fit\n" + "".join([
+                    f"{p.part_id}\t{p.cell_type}\t{_fmt(p.x)}\t{_fmt(p.y)}"
+                    f"\t{_fmt(p.sigma_y)}\t{_fmt(p.y_fit)}\n" for p in bundle.scatter]))
     manifest.append("scatter_fit.tsv")
 
     for (quantity, part_id, cell_type), hist in sorted(bundle.histograms.items()):
         name = f"hist_{quantity}_{part_id}_{cell_type}.tsv"
-        with open(out / name, "w", encoding="utf-8") as fh:
-            fh.write("v_mV\tcount\n")
-            for v in sorted(hist):
-                fh.write(f"{v}\t{hist[v]}\n")
+        _write_text(out / name, "v_mV\tcount\n" + "".join(
+            [f"{v}\t{hist[v]}\n" for v in sorted(hist)]))
         manifest.append(name)
 
+    # the blocks of a run share their window start times: format each once
+    fmt_t_start = cache(_fmt)
     for (part_id, cell_type), series in sorted(bundle.cumulative.items()):
         name = f"cumulative_seu_{part_id}_{cell_type}.tsv"
-        with open(out / name, "w", encoding="utf-8") as fh:
-            fh.write("window_index\tt_start_s\tcumulative\n")
-            for idx, t_start, cum in series:
-                fh.write(f"{idx}\t{_fmt(t_start)}\t{cum}\n")
+        _write_text(out / name, "window_index\tt_start_s\tcumulative\n" + "".join(
+            [f"{idx}\t{fmt_t_start(t_start)}\t{cum}\n" for idx, t_start, cum in series]))
         manifest.append(name)
 
     return sorted(manifest)

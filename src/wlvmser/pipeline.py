@@ -16,6 +16,7 @@ starts, or when looked up on this module (see ``lazy``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 from . import lazy
 from .calibration import (CalibrationFit, build_weighted_points, predict_ser,
@@ -192,10 +193,7 @@ def build_report_bundle(datasets, weight_mode: str = "combined") -> ReportBundle
                         ds.part_id, cell_type, pt.x, pt.y, pt.sigma_y,
                         fit.m * pt.x + fit.b))
             if meas is not None and meas.window_counts is not None:
-                series = []
-                cumulative = 0
-                for i, n_i in enumerate(meas.window_counts):
-                    cumulative += int(n_i)
-                    series.append((i, i * meas.ts, cumulative))
-                bundle.cumulative[(ds.part_id, cell_type)] = series
+                cumulative = accumulate(meas.window_counts.tolist())
+                bundle.cumulative[(ds.part_id, cell_type)] = [
+                    (i, i * meas.ts, total) for i, total in enumerate(cumulative)]
     return bundle

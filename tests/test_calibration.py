@@ -111,36 +111,68 @@ def test_fit_matches_bruteforce_oracle():
         assert fit.cov_mb == pytest.approx(cov, rel=1e-8, abs=1e-14)
 
 
-def test_sigma_scaling_invariance():
-    rng = np.random.default_rng(1)
-    pts = random_points(rng, 12)
+# Invariances of the fit on random points with distinct abscissas.  The
+# closed form sums raw moments, so float64 rounding in its sums grows with
+# the condition number sum(w x^2) / sum(w (x - xbar)^2) of the normal
+# equations: 1 for centred abscissas, about 1e8 for two close points far
+# from 0.  Each comparison allows a relative error of 1e-12 times that
+# number, and a figure near 0 is compared on the scale of its own sigma.
+
+@st.composite
+def distinct_x_points(draw):
+    """2 to 30 points, abscissas distinct multiples of 0.01 within [-3, 3]."""
+    ks = draw(st.lists(st.integers(-300, 300), min_size=2, max_size=30, unique=True))
+    return [WeightedPoint(k / 100, draw(st.floats(-10, 10)), draw(st.floats(0.1, 3.0)))
+            for k in ks]
+
+
+def rounding_rel(*point_sets):
+    def condition(pts):
+        w = [1.0 / p.sigma_y**2 for p in pts]
+        xbar = sum(wi * p.x for wi, p in zip(w, pts)) / sum(w)
+        return (sum(wi * p.x**2 for wi, p in zip(w, pts))
+                / sum(wi * (p.x - xbar) ** 2 for wi, p in zip(w, pts)))
+    return 1e-12 * max(condition(pts) for pts in point_sets)
+
+
+def close(got, want, rel, scale=0.0):
+    return got == pytest.approx(want, rel=rel, abs=rel * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(distinct_x_points(), st.floats(1e-3, 1e3))
+def test_sigma_scaling_invariance(pts, k):
     fit = weighted_linfit(pts)
-    scaled = weighted_linfit([WeightedPoint(p.x, p.y, 3.0 * p.sigma_y) for p in pts])
-    assert scaled.m == pytest.approx(fit.m, rel=1e-12)
-    assert scaled.b == pytest.approx(fit.b, rel=1e-12)
-    assert scaled.sigma_m == pytest.approx(3.0 * fit.sigma_m, rel=1e-12)
-    assert scaled.sigma_b == pytest.approx(3.0 * fit.sigma_b, rel=1e-12)
-    assert scaled.chi2 == pytest.approx(fit.chi2 / 9.0, rel=1e-12)
+    scaled = weighted_linfit([WeightedPoint(p.x, p.y, k * p.sigma_y) for p in pts])
+    rel = rounding_rel(pts)
+    assert close(scaled.m, fit.m, rel, fit.sigma_m)
+    assert close(scaled.b, fit.b, rel, fit.sigma_b)
+    assert close(scaled.sigma_m, k * fit.sigma_m, rel)
+    assert close(scaled.sigma_b, k * fit.sigma_b, rel)
+    assert close(scaled.chi2, fit.chi2 / k**2, rel, fit.n_points / k**2)
 
 
-def test_y_shift_moves_intercept_only():
-    rng = np.random.default_rng(2)
-    pts = random_points(rng, 10)
+@settings(max_examples=200, deadline=None)
+@given(distinct_x_points(), st.floats(-10, 10))
+def test_y_shift_moves_intercept_only(pts, c):
     fit = weighted_linfit(pts)
-    shifted = weighted_linfit([WeightedPoint(p.x, p.y + 7.5, p.sigma_y) for p in pts])
-    assert shifted.m == pytest.approx(fit.m, rel=1e-10, abs=1e-12)
-    assert shifted.b == pytest.approx(fit.b + 7.5, rel=1e-10)
-    assert shifted.chi2 == pytest.approx(fit.chi2, rel=1e-9, abs=1e-12)
+    shifted = weighted_linfit([WeightedPoint(p.x, p.y + c, p.sigma_y) for p in pts])
+    rel = rounding_rel(pts)
+    assert close(shifted.m, fit.m, rel, fit.sigma_m)
+    assert close(shifted.b, fit.b + c, rel, fit.sigma_b)
+    assert close(shifted.chi2, fit.chi2, rel, fit.n_points)
 
 
-def test_x_affine_rescaling_maps_parameters():
-    rng = np.random.default_rng(3)
-    pts = random_points(rng, 10)
-    a, d = 2.5, -1.25
+@settings(max_examples=200, deadline=None)
+@given(distinct_x_points(),
+       st.floats(0.5, 4.0) | st.floats(-4.0, -0.5), st.floats(-2.0, 2.0))
+def test_x_affine_rescaling_maps_parameters(pts, a, c):
     fit = weighted_linfit(pts)
-    mapped = weighted_linfit([WeightedPoint(a * p.x + d, p.y, p.sigma_y) for p in pts])
-    assert mapped.m == pytest.approx(fit.m / a, rel=1e-10)
-    assert mapped.b == pytest.approx(fit.b - fit.m * d / a, rel=1e-9, abs=1e-12)
+    mapped_pts = [WeightedPoint(a * p.x + c, p.y, p.sigma_y) for p in pts]
+    mapped = weighted_linfit(mapped_pts)
+    rel = rounding_rel(pts, mapped_pts)
+    assert close(mapped.m, fit.m / a, rel, mapped.sigma_m)
+    assert close(mapped.b, fit.b - fit.m * c / a, rel, mapped.sigma_b)
 
 
 def test_fit_is_local_chi2_minimum():

@@ -50,6 +50,26 @@ def test_fixed_seed_output_bytes(name, tmp_path, capsys):
     assert tree_digest(out) == EXPECTED[name]
 
 
+@pytest.mark.parametrize("name", ["report", "simulate"])
+def test_rerun_over_stale_files_bytes(name, tmp_path, capsys):
+    """A run into a directory that holds another seed's files of the same
+    names leaves the bytes of a fresh directory, whether each old file was
+    longer or shorter than the new one."""
+    out = tmp_path / "out"
+    out.mkdir()
+    sizes = {}
+    for seed in ("2", "1"):
+        argv = [arg.format(out=out) for arg in COMMANDS[name]]
+        argv[argv.index("--seed") + 1] = seed
+        assert cli.main(argv) == 0
+        sizes[seed] = {p.name: p.stat().st_size for p in out.iterdir()}
+    capsys.readouterr()
+    assert sizes["2"].keys() == sizes["1"].keys()
+    assert any(sizes["2"][f] > sizes["1"][f] for f in sizes["1"])
+    assert any(sizes["2"][f] < sizes["1"][f] for f in sizes["1"])
+    assert tree_digest(out) == EXPECTED[name]
+
+
 # Standard output of fixed-seed and bundled-data commands, run from a
 # scratch directory so that every printed path is relative.  These guard
 # the CLI defaults (law, uncertainty, simulation settings) against drifting.

@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wlvmser
 from wlvmser import cli
-from wlvmser.calibration import weighted_linfit
+from wlvmser.calibration import CalibrationFit, weighted_linfit
 from wlvmser.errors import IngestError
 from wlvmser.io import (PartDataset, ReportBundle, emit_measurements_csv,
                         emit_report, ingest_measurements_csv, read_fit_json,
@@ -114,6 +119,8 @@ def test_ingest_accepts_zero_count_block(tmp_path):
     (2, "nan", "ser_uSEU_per_bit_s must be a finite value >= 0, got 'nan'"),
     (2, "-0.036", "ser_uSEU_per_bit_s must be a finite value >= 0, got '-0.036'"),
     (3, "-0.02", "rel_stat_unc must be a value >= 0, got '-0.02'"),
+    (3, "inf", "rel_stat_unc may be inf only with ser_uSEU_per_bit_s 0 "
+               "(no observed upset), got ser_uSEU_per_bit_s=1.46"),
     (4, "1300", "v_mewlvm_mV=1300 above the supply of part 1 (1200 mV)"),
     (6, "1200.7", "vdd_mV must be a positive whole number of mV, got '1200.7'"),
 ])
@@ -231,6 +238,13 @@ def test_emit_report_manifest_and_determinism(tmp_path):
     manifest2 = emit_report(bundle, out2)
     assert manifest1 == manifest2
     assert {"fit.json", "predictions.csv", "scatter_fit.tsv"} <= set(manifest1)
+    for name in manifest1:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # a rerun over longer stale files cuts each to the new bytes
+    for name in manifest1:
+        with open(out1 / name, "ab") as fh:
+            fh.write(b"stale bytes\n" * 50)
+    assert emit_report(bundle, out1) == manifest1
     for name in manifest1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     scatter = (out1 / "scatter_fit.tsv").read_text().strip().splitlines()
@@ -450,6 +464,20 @@ def test_cli_report_bundled(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "scatter_fit.tsv" in out
     assert (tmp_path / "rep" / "fit.json").exists()
+
+
+def test_cli_calibrate_out_dev_stdout_through_a_pipe():
+    """``--out /dev/stdout`` writes the fit to a pipe, which cannot be cut
+    to length as a regular file is."""
+    src = str(Path(wlvmser.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "wlvmser", "calibrate", "--input", "bundled",
+         "--out", "/dev/stdout"], capture_output=True, text=True, env=env, check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    payload, _ = json.JSONDecoder().raw_decode(proc.stdout, proc.stdout.index("{"))
+    assert CalibrationFit.from_dict(payload) == calibrate_datasets(load_reference_dataset())
 
 
 def test_cli_error_paths(tmp_path, capsys):
