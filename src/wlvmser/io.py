@@ -12,11 +12,10 @@ only.
 
 Reports are plot-ready text files: the fit as JSON, predictions as CSV
 and scatter/histogram/cumulative series as TSV.  Serialization is
-deterministic so reruns over identical inputs are byte-identical.  Every
-file is written by ``_write_text``: an existing file is overwritten in
-place and cut to its new length, so a rerun into the same directory
-leaves the same bytes as a fresh one.  A target that is not a regular
-file, such as ``/dev/stdout``, is written without being cut.
+deterministic so reruns over identical inputs are byte-identical.  Each
+file is formatted into one string and written whole by ``_write_text``,
+which replaces an existing file's contents, so a rerun into the same
+directory leaves the same bytes as a fresh one.
 
 Ingested rows become the summary records of ``records``; this module
 imports neither the simulator nor numpy.
@@ -27,9 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, field
-from functools import cache
 from io import StringIO
 from itertools import accumulate
 from pathlib import Path
@@ -199,27 +196,11 @@ def _fmt(value: float) -> str:
 
 
 def _write_text(path, text: str) -> Path:
-    """Write ``text`` to ``path`` as UTF-8, overwriting the old bytes in place.
-
-    The file is opened without ``O_TRUNC``: on a file system that discards
-    freed blocks (ext4 mounted with ``discard``, for one), truncating a
-    non-empty file and allocating its blocks again costs several times
-    the write itself.  A file left longer than the new bytes is cut to
-    their length.  A target that is not a regular file (a pipe or a
-    terminal behind ``/dev/stdout``) reports size 0 and is never cut,
-    since ``ftruncate`` fails on it.
-    """
-    data = memoryview(text.encode("utf-8"))
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        written = 0
-        while written < len(data):
-            written += os.write(fd, data[written:])
-        if os.fstat(fd).st_size > written:
-            os.ftruncate(fd, written)
-    finally:
-        os.close(fd)
-    return Path(path)
+    """Write ``text``, one whole file built in memory, to ``path`` as UTF-8."""
+    path = Path(path)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
 
 
 def emit_measurements_csv(datasets, path) -> Path:
@@ -320,6 +301,14 @@ class PredictionRow:
 
 
 @dataclass
+class CumulativeSeries:
+    """Running SEU total of one SER test: ``totals[i]`` upsets by the end of
+    window ``i``, which starts at ``i * ts`` seconds."""
+    ts: float
+    totals: list[int]
+
+
+@dataclass
 class ReportBundle:
     """Everything one report run produces, ready for serialization."""
 
@@ -327,7 +316,7 @@ class ReportBundle:
     predictions: list[PredictionRow] = field(default_factory=list)
     scatter: list[ScatterPoint] = field(default_factory=list)
     histograms: dict[tuple[str, str, str], dict[int, int]] = field(default_factory=dict)
-    cumulative: dict[tuple[str, str], list[tuple[int, float, int]]] = field(default_factory=dict)
+    cumulative: dict[tuple[str, str], CumulativeSeries] = field(default_factory=dict)
 
 
 def write_predictions_csv(predictions, path) -> Path:
@@ -367,12 +356,16 @@ def emit_report(bundle: ReportBundle, out_dir) -> list[str]:
             [f"{v}\t{hist[v]}\n" for v in sorted(hist)]))
         manifest.append(name)
 
-    # the blocks of a run share their window start times: format each once
-    fmt_t_start = cache(_fmt)
+    # the blocks of a run share their windows: one template per window
+    # length and count holds the index and start-time columns
+    templates = {}
     for (part_id, cell_type), series in sorted(bundle.cumulative.items()):
+        key = (series.ts, len(series.totals))
+        if key not in templates:
+            templates[key] = "window_index\tt_start_s\tcumulative\n" + "".join(
+                [f"{i}\t{_fmt(i * series.ts)}\t%d\n" for i in range(key[1])])
         name = f"cumulative_seu_{part_id}_{cell_type}.tsv"
-        _write_text(out / name, "window_index\tt_start_s\tcumulative\n" + "".join(
-            [f"{idx}\t{fmt_t_start(t_start)}\t{cum}\n" for idx, t_start, cum in series]))
+        _write_text(out / name, templates[key] % tuple(series.totals))
         manifest.append(name)
 
     return sorted(manifest)

@@ -16,13 +16,13 @@ starts, or when looked up on this module (see ``lazy``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate
 
 from . import lazy
 from .calibration import (CalibrationFit, build_weighted_points, predict_ser,
                           weighted_linfit)
 from .errors import ConfigurationError, DegenerateFitError
-from .io import PartDataset, PredictionRow, ReportBundle, ScatterPoint
+from .io import (CumulativeSeries, PartDataset, PredictionRow, ReportBundle,
+                 ScatterPoint)
 from .records import DEFAULT_COLS, DEFAULT_ROWS, word_line_voltage_margin
 from .refdata import CELL_TYPE_ORDER
 
@@ -193,7 +193,6 @@ def build_report_bundle(datasets, weight_mode: str = "combined") -> ReportBundle
                         ds.part_id, cell_type, pt.x, pt.y, pt.sigma_y,
                         fit.m * pt.x + fit.b))
             if meas is not None and meas.window_counts is not None:
-                cumulative = accumulate(meas.window_counts.tolist())
-                bundle.cumulative[(ds.part_id, cell_type)] = [
-                    (i, i * meas.ts, total) for i, total in enumerate(cumulative)]
+                bundle.cumulative[(ds.part_id, cell_type)] = CumulativeSeries(
+                    meas.ts, meas.window_counts.cumsum().tolist())
     return bundle

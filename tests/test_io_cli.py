@@ -240,7 +240,7 @@ def test_emit_report_manifest_and_determinism(tmp_path):
     assert {"fit.json", "predictions.csv", "scatter_fit.tsv"} <= set(manifest1)
     for name in manifest1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    # a rerun over longer stale files cuts each to the new bytes
+    # a rerun over longer stale files replaces each with the new bytes
     for name in manifest1:
         with open(out1 / name, "ab") as fh:
             fh.write(b"stale bytes\n" * 50)
@@ -467,8 +467,7 @@ def test_cli_report_bundled(tmp_path, capsys):
 
 
 def test_cli_calibrate_out_dev_stdout_through_a_pipe():
-    """``--out /dev/stdout`` writes the fit to a pipe, which cannot be cut
-    to length as a regular file is."""
+    """``--out /dev/stdout`` writes the fit to a pipe that the caller reads."""
     src = str(Path(wlvmser.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
