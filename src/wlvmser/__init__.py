@@ -21,7 +21,7 @@ from .refdata import (CELL_TYPE_ORDER, PUBLISHED_FIT, SIMULATED_VWL_MIN_MV,
                       load_reference_dataset)
 
 # the simulator's names import numpy, so they are bound on first lookup
-__getattr__ = lazy.module_getattr(globals(), tuple(lazy.SIMULATOR))
+__getattr__ = lazy.module_getattr(globals())
 
 __version__ = "0.1.0"
 

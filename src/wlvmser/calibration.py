@@ -31,6 +31,7 @@ that counted no upset is left out of it (``build_weighted_points``).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
@@ -78,11 +79,28 @@ class CalibrationFit:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CalibrationFit":
-        """Inverse of ``dataclasses.asdict``; numbers take their field's type."""
-        cast = {"float": float, "int": int}
-        return cls(**{f.name: cast[f.type](raw[f.name])
-                      for f in fields(cls) if f.type in cast},
-                   weight_mode=raw.get("weight_mode"))
+        """Inverse of ``dataclasses.asdict``.  Each figure must be a number
+        of its field's type (not a bool or string), finite, the sigmas >= 0;
+        ``chi2_red`` may be NaN where ``nu`` is 0, as for two points.  A
+        bad figure raises ``ValueError`` naming its key."""
+        values = {}
+        for f in fields(cls):  # nu comes before chi2_red
+            if f.type == "int":
+                values[f.name] = value = raw[f.name]
+                if type(value) is not int:
+                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            elif f.type == "float":
+                value = raw[f.name]
+                if type(value) not in (int, float):
+                    raise ValueError(f"{f.name} must be a number, got {value!r}")
+                if f.name == "chi2_red" and values["nu"] == 0 and value != value:
+                    pass  # NaN: two points leave no degree of freedom
+                elif not abs(value) <= sys.float_info.max:
+                    raise ValueError(f"{f.name} must be finite, got {value!r}")
+                elif f.name in ("sigma_m", "sigma_b") and value < 0:
+                    raise ValueError(f"{f.name} must be >= 0, got {value!r}")
+                values[f.name] = float(value)
+        return cls(**values, weight_mode=raw.get("weight_mode"))
 
 
 @dataclass(frozen=True)
@@ -203,15 +221,20 @@ def predict_ser(fit: CalibrationFit, v_wlvm: float) -> Prediction:
 
     A negative predicted SER is physically impossible; the value is still
     returned and flagged via ``Prediction.below_physical_floor``.  A margin
-    that is not finite raises ``ValueError``.
+    that is not finite, or one so large that the prediction or its sigma
+    overflows, raises ``ValueError``.
     """
     if not math.isfinite(v_wlvm):
         raise ValueError(f"v_wlvm must be a finite margin in volts, got {v_wlvm}")
-    ser = fit.m * v_wlvm + fit.b
+    ser = float(fit.m * v_wlvm + fit.b)
     var = (v_wlvm * v_wlvm * fit.sigma_m ** 2
            + fit.sigma_b ** 2
            + 2.0 * v_wlvm * fit.cov_mb)
-    return Prediction(ser=float(ser), sigma=math.sqrt(max(var, 0.0)))
+    sigma = math.sqrt(max(var, 0.0))
+    if not (math.isfinite(ser) and math.isfinite(sigma)):
+        raise ValueError(f"the prediction at v_wlvm = {v_wlvm} V is not finite: "
+                         f"ser = {ser}, sigma = {sigma}")
+    return Prediction(ser=ser, sigma=sigma)
 
 
 def build_weighted_points(

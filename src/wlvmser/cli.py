@@ -34,13 +34,11 @@ from .refdata import (CELL_TYPE_ORDER, PAPER_MATCHING_WEIGHT_MODE,
 
 # bound by ``_load_model``, which every simulating command calls first, so
 # that the commands that fit and predict start without numpy
-_SIMULATOR = ("AlphaSource", "VariationModel", "sample_array", "run_ser_test",
-              "run_wlvm_sweep", "run_hold_sweep", "run_read_sweep")
-__getattr__ = lazy.module_getattr(globals(), _SIMULATOR)
+__getattr__ = lazy.module_getattr(globals())
 
 
 def _load_model(path: str | None) -> VariationModel:
-    lazy.bind(globals(), _SIMULATOR)
+    lazy.bind(globals())
     return VariationModel.from_json(path) if path else VariationModel.default()
 
 
@@ -167,14 +165,11 @@ def _cmd_predict(args) -> int:
     if not rows:
         print("predict: need --v-wlvm and/or --margins", file=sys.stderr)
         return 2
-    predictions = [wio.PredictionRow(part_id, cell_type, margin_v,
-                                     predict_ser(fit, margin_v))
-                   for part_id, cell_type, margin_v in rows]
+    predictions = [(*row, predict_ser(fit, row[2])) for row in rows]
     print("part cell_type  v_wlvm_V  ser_pred  sigma")
-    for row in predictions:
-        pred = row.prediction
+    for part_id, cell_type, margin_v, pred in predictions:
         flag = "  (below physical floor)" if pred.below_physical_floor else ""
-        print(f"{row.part_id:>4} {row.cell_type:>9}  {row.v_wlvm_v:8.4f}  "
+        print(f"{part_id:>4} {cell_type:>9}  {margin_v:8.4f}  "
               f"{pred.ser:8.4f}  {pred.sigma:.4f}{flag}")
     if args.out:
         out_dir = Path(args.out)

@@ -11,11 +11,13 @@ survives partial datasets: parts awaiting prediction carry margin rows
 only.
 
 Reports are plot-ready text files: the fit as JSON, predictions as CSV
-and scatter/histogram/cumulative series as TSV.  Serialization is
-deterministic so reruns over identical inputs are byte-identical.  Each
-file is formatted into one string and written whole by ``_write_text``,
-which replaces an existing file's contents, so a rerun into the same
-directory leaves the same bytes as a fresh one.
+and scatter/histogram/cumulative series as TSV.  A ``ReportBundle`` is
+the fit plus the datasets it reports on, and ``emit_report`` derives each
+row from them as it writes.  Serialization is deterministic so reruns
+over identical inputs are byte-identical.  Each file is formatted into
+one string and written whole by ``_write_text`` (the CSV files through
+``_write_csv``), which replaces an existing file's contents, so a rerun
+into the same directory leaves the same bytes as a fresh one.
 
 Ingested rows become the summary records of ``records``; this module
 imports neither the simulator nor numpy.
@@ -31,10 +33,10 @@ from io import StringIO
 from itertools import accumulate
 from pathlib import Path
 
-from .calibration import CalibrationFit, Prediction
+from .calibration import CalibrationFit, build_weighted_points, predict_ser
 from .errors import ConfigurationError, IngestError
 from .records import (DEFAULT_GEOM_UNC, DEFAULT_VDD_MV, SerMeasurement,
-                      SweepResult)
+                      SweepResult, word_line_voltage_margin)
 from .refdata import CELL_TYPE_ORDER
 
 QUANTITY_SER = "ser_uSEU_per_bit_s"
@@ -203,27 +205,33 @@ def _write_text(path, text: str) -> Path:
     return path
 
 
-def emit_measurements_csv(datasets, path) -> Path:
-    """Write datasets back out in the ingestion schema (round-trip safe)."""
+def _write_csv(path, header, rows) -> Path:
+    """Write ``header`` and ``rows`` to ``path`` as one CSV file."""
     buf = StringIO(newline="")
     writer = csv.writer(buf)
-    writer.writerow(_HEADER)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return _write_text(path, buf.getvalue())
+
+
+def emit_measurements_csv(datasets, path) -> Path:
+    """Write datasets back out in the ingestion schema (round-trip safe)."""
+    rows = []
     for ds in datasets:
         for cell_type in ds.cell_types():
             meas = ds.ser.get(cell_type)
             if meas is not None:
-                writer.writerow([ds.part_id, cell_type, QUANTITY_SER, _fmt(meas.ser)])
-                writer.writerow([ds.part_id, cell_type, QUANTITY_REL_STAT,
-                                 _fmt(meas.rel_stat_unc)])
+                rows.append([ds.part_id, cell_type, QUANTITY_SER, _fmt(meas.ser)])
+                rows.append([ds.part_id, cell_type, QUANTITY_REL_STAT,
+                             _fmt(meas.rel_stat_unc)])
             sweep = ds.sweeps.get(cell_type)
             if sweep is not None:
-                writer.writerow([ds.part_id, cell_type, QUANTITY_MARGIN_MU,
-                                 _fmt(sweep.mu)])
+                rows.append([ds.part_id, cell_type, QUANTITY_MARGIN_MU, _fmt(sweep.mu)])
                 if not math.isnan(sweep.sigma):
-                    writer.writerow([ds.part_id, cell_type, QUANTITY_MARGIN_SIGMA,
-                                     _fmt(sweep.sigma)])
-        writer.writerow([ds.part_id, "", QUANTITY_VDD, _fmt(ds.v_dd)])
-    return _write_text(path, buf.getvalue())
+                    rows.append([ds.part_id, cell_type, QUANTITY_MARGIN_SIGMA,
+                                 _fmt(sweep.sigma)])
+        rows.append([ds.part_id, "", QUANTITY_VDD, _fmt(ds.v_dd)])
+    return _write_csv(path, _HEADER, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -250,122 +258,93 @@ def write_ser_log(meas: SerMeasurement, path) -> Path:
     if meas.window_counts is None:
         raise ValueError("summary-only measurement has no window history")
     counts = meas.window_counts.tolist()
-    buf = StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(["window_index", "t_start_s", "n_i", "cumulative"])
-    writer.writerows([i, _fmt(i * meas.ts), n_i, cumulative]
-                     for i, (n_i, cumulative) in enumerate(zip(counts, accumulate(counts))))
-    return _write_text(path, buf.getvalue())
+    return _write_csv(
+        path, ["window_index", "t_start_s", "n_i", "cumulative"],
+        ([i, _fmt(i * meas.ts), n_i, cumulative]
+         for i, (n_i, cumulative) in enumerate(zip(counts, accumulate(counts)))))
 
 
 def write_sweep_log(result: SweepResult, path) -> Path:
     """Step-by-step failure log of one voltage sweep."""
     if result.histogram is None:
         raise ValueError("summary-only sweep has no step history")
-    lowest = min(result.histogram)
-    buf = StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(["step", "v_mV", "new_failures", "cumulative_failures"])
-    cumulative = 0
-    step = 0
-    v = result.v_nominal
-    while v > lowest:
-        step += 1
-        v = max(result.v_nominal - result.delta_v * step, 0)
-        new = result.histogram.get(v, 0)
-        cumulative += new
-        writer.writerow([step, v, new, cumulative])
-    return _write_text(path, buf.getvalue())
+    # steps of delta_v down from v_nominal, clamped at 0 V, until the
+    # lowest failure: a ceiling division
+    n_steps = -(-(result.v_nominal - min(result.histogram)) // result.delta_v)
+    steps = range(1, n_steps + 1)
+    volts = [max(result.v_nominal - result.delta_v * step, 0) for step in steps]
+    new = [result.histogram.get(v, 0) for v in volts]
+    return _write_csv(path, ["step", "v_mV", "new_failures", "cumulative_failures"],
+                      zip(steps, volts, new, accumulate(new)))
 
 
 # ---------------------------------------------------------------------------
-# report bundle
+# report
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ScatterPoint:
-    part_id: str
-    cell_type: str
-    x: float
-    y: float
-    sigma_y: float
-    y_fit: float
-
-
-@dataclass
-class PredictionRow:
-    part_id: str
-    cell_type: str
-    v_wlvm_v: float
-    prediction: Prediction
-
-
-@dataclass
-class CumulativeSeries:
-    """Running SEU total of one SER test: ``totals[i]`` upsets by the end of
-    window ``i``, which starts at ``i * ts`` seconds."""
-    ts: float
-    totals: list[int]
-
 
 @dataclass
 class ReportBundle:
-    """Everything one report run produces, ready for serialization."""
+    """The fit and the datasets it reports on, from which ``emit_report``
+    derives every row."""
 
     fit: CalibrationFit
-    predictions: list[PredictionRow] = field(default_factory=list)
-    scatter: list[ScatterPoint] = field(default_factory=list)
-    histograms: dict[tuple[str, str, str], dict[int, int]] = field(default_factory=dict)
-    cumulative: dict[tuple[str, str], CumulativeSeries] = field(default_factory=dict)
+    datasets: list[PartDataset] = field(default_factory=list)
 
 
 def write_predictions_csv(predictions, path) -> Path:
-    buf = StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(["part_id", "cell_type", "v_wlvm_V",
-                     "ser_uSEU_per_bit_s", "sigma_uSEU_per_bit_s",
-                     "below_floor"])
-    writer.writerows([row.part_id, row.cell_type, _fmt(row.v_wlvm_v),
-                      _fmt(row.prediction.ser), _fmt(row.prediction.sigma),
-                      int(row.prediction.below_physical_floor)]
-                     for row in predictions)
-    return _write_text(path, buf.getvalue())
+    """Write ``(part_id, cell_type, v_wlvm_V, Prediction)`` rows."""
+    return _write_csv(
+        path, ["part_id", "cell_type", "v_wlvm_V", "ser_uSEU_per_bit_s",
+               "sigma_uSEU_per_bit_s", "below_floor"],
+        ([part_id, cell_type, _fmt(v_wlvm), _fmt(pred.ser), _fmt(pred.sigma),
+          int(pred.below_physical_floor)]
+         for part_id, cell_type, v_wlvm, pred in predictions))
 
 
 def emit_report(bundle: ReportBundle, out_dir) -> list[str]:
-    """Write the report files; returns the manifest (sorted file names)."""
+    """Write the report files; returns the manifest (sorted file names).
+
+    Scatter rows leave out the zero-count SER points the fit left out.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = []
-
-    write_fit_json(bundle.fit, out / "fit.json")
-    manifest.append("fit.json")
-
-    write_predictions_csv(bundle.predictions, out / "predictions.csv")
-    manifest.append("predictions.csv")
-
-    _write_text(out / "scatter_fit.tsv",
-                "part_id\tcell_type\tx_V\ty\tsigma_y\ty_fit\n" + "".join([
-                    f"{p.part_id}\t{p.cell_type}\t{_fmt(p.x)}\t{_fmt(p.y)}"
-                    f"\t{_fmt(p.sigma_y)}\t{_fmt(p.y_fit)}\n" for p in bundle.scatter]))
-    manifest.append("scatter_fit.tsv")
-
-    for (quantity, part_id, cell_type), hist in sorted(bundle.histograms.items()):
-        name = f"hist_{quantity}_{part_id}_{cell_type}.tsv"
-        _write_text(out / name, "v_mV\tcount\n" + "".join(
-            [f"{v}\t{hist[v]}\n" for v in sorted(hist)]))
-        manifest.append(name)
-
+    fit = bundle.fit
+    manifest = {"fit.json", "predictions.csv", "scatter_fit.tsv"}
+    predictions = []
+    scatter = ["part_id\tcell_type\tx_V\ty\tsigma_y\ty_fit\n"]
     # the blocks of a run share their windows: one template per window
     # length and count holds the index and start-time columns
     templates = {}
-    for (part_id, cell_type), series in sorted(bundle.cumulative.items()):
-        key = (series.ts, len(series.totals))
-        if key not in templates:
-            templates[key] = "window_index\tt_start_s\tcumulative\n" + "".join(
-                [f"{i}\t{_fmt(i * series.ts)}\t%d\n" for i in range(key[1])])
-        name = f"cumulative_seu_{part_id}_{cell_type}.tsv"
-        _write_text(out / name, templates[key] % tuple(series.totals))
-        manifest.append(name)
 
+    for ds in bundle.datasets:
+        for cell_type in ds.cell_types():
+            meas, sweep = ds.ser.get(cell_type), ds.sweeps.get(cell_type)
+            if sweep is not None:
+                margin_v = word_line_voltage_margin(ds.v_dd, sweep.mu) / 1000.0
+                predictions.append((ds.part_id, cell_type, margin_v,
+                                    predict_ser(fit, margin_v)))
+                if sweep.histogram:
+                    name = f"hist_wlvm_{ds.part_id}_{cell_type}.tsv"
+                    _write_text(out / name, "v_mV\tcount\n" + "".join(
+                        [f"{v}\t{sweep.histogram[v]}\n" for v in sorted(sweep.histogram)]))
+                    manifest.add(name)
+                if meas is not None:
+                    scatter.extend(
+                        f"{ds.part_id}\t{cell_type}\t{_fmt(p.x)}\t{_fmt(p.y)}"
+                        f"\t{_fmt(p.sigma_y)}\t{_fmt(fit.m * p.x + fit.b)}\n"
+                        for p in build_weighted_points([(meas, sweep)], ds.v_dd,
+                                                       fit.weight_mode))
+            if meas is not None and meas.window_counts is not None:
+                key = (meas.ts, len(meas.window_counts))
+                if key not in templates:
+                    templates[key] = "window_index\tt_start_s\tcumulative\n" + "".join(
+                        [f"{i}\t{_fmt(i * meas.ts)}\t%d\n" for i in range(key[1])])
+                name = f"cumulative_seu_{ds.part_id}_{cell_type}.tsv"
+                _write_text(out / name,
+                            templates[key] % tuple(meas.window_counts.cumsum().tolist()))
+                manifest.add(name)
+
+    write_fit_json(fit, out / "fit.json")
+    write_predictions_csv(predictions, out / "predictions.csv")
+    _write_text(out / "scatter_fit.tsv", "".join(scatter))
     return sorted(manifest)

@@ -25,20 +25,21 @@ SIMULATOR = {
 }
 
 
-def bind(namespace: dict, names) -> None:
-    """Import each of ``names`` into ``namespace`` unless it is bound."""
-    for name in names:
+def bind(namespace: dict) -> None:
+    """Import each simulator name into ``namespace`` unless it is bound."""
+    for name, module in SIMULATOR.items():
         if name not in namespace:
-            module = importlib.import_module(f"wlvmser.{SIMULATOR[name]}")
-            namespace[name] = getattr(module, name)
+            namespace[name] = getattr(
+                importlib.import_module(f"wlvmser.{module}"), name)
 
 
-def module_getattr(namespace: dict, names):
-    """A module ``__getattr__`` that binds ``names`` on first lookup."""
+def module_getattr(namespace: dict):
+    """A module ``__getattr__`` that binds the simulator names on first
+    lookup."""
     def __getattr__(name: str):
-        if name not in names:
+        if name not in SIMULATOR:
             raise AttributeError(
                 f"module {namespace['__name__']!r} has no attribute {name!r}")
-        bind(namespace, names)
+        bind(namespace)
         return namespace[name]
     return __getattr__

@@ -18,18 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import lazy
-from .calibration import (CalibrationFit, build_weighted_points, predict_ser,
-                          weighted_linfit)
+from .calibration import CalibrationFit, build_weighted_points, weighted_linfit
 from .errors import ConfigurationError, DegenerateFitError
-from .io import (CumulativeSeries, PartDataset, PredictionRow, ReportBundle,
-                 ScatterPoint)
-from .records import DEFAULT_COLS, DEFAULT_ROWS, word_line_voltage_margin
+from .io import PartDataset, ReportBundle
+from .records import DEFAULT_COLS, DEFAULT_ROWS
 from .refdata import CELL_TYPE_ORDER
 
 # bound on first use, so that calibrating and reporting need no numpy
-_SIMULATOR = ("AlphaSource", "VariationModel", "sample_array", "run_ser_test",
-              "run_wlvm_sweep", "run_hold_sweep", "run_read_sweep")
-__getattr__ = lazy.module_getattr(globals(), _SIMULATOR)
+__getattr__ = lazy.module_getattr(globals())
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,7 @@ def simulate_parts(
             f"--geom-spread (geom_spread) must be finite and within [0, 0.1], "
             f"got {geom_spread:g}")
     import numpy as np
-    lazy.bind(globals(), _SIMULATOR)
+    lazy.bind(globals())
     model = model if model is not None else VariationModel.default()
     law = law if law is not None else LinearSerLaw()
     v_dd = int(v_dd) if v_dd is not None else model.v_dd_nominal
@@ -129,7 +125,7 @@ def simulate_supply_sweeps(
 ):
     """Control-experiment supply sweeps (hold or read) for one part."""
     import numpy as np
-    lazy.bind(globals(), _SIMULATOR)
+    lazy.bind(globals())
     model = model if model is not None else VariationModel.default()
     runner = {"hold": run_hold_sweep, "read": run_read_sweep}.get(kind)
     if runner is None:
@@ -169,30 +165,5 @@ def calibrate_datasets(datasets, weight_mode: str = "combined") -> CalibrationFi
 
 
 def build_report_bundle(datasets, weight_mode: str = "combined") -> ReportBundle:
-    """Calibrate the datasets and assemble every plottable series."""
-    fit = calibrate_datasets(datasets, weight_mode)
-    bundle = ReportBundle(fit=fit)
-
-    quantity_tag = {"word_line": "wlvm", "vdd_hold": "vdd_hold",
-                    "vdd_read": "vdd_read"}
-    for ds in datasets:
-        for cell_type in ds.cell_types():
-            sweep = ds.sweeps.get(cell_type)
-            meas = ds.ser.get(cell_type)
-            if sweep is not None:
-                margin_v = word_line_voltage_margin(ds.v_dd, sweep.mu) / 1000.0
-                bundle.predictions.append(PredictionRow(
-                    ds.part_id, cell_type, margin_v, predict_ser(fit, margin_v)))
-                if sweep.histogram:
-                    key = (quantity_tag[sweep.swept_quantity], ds.part_id, cell_type)
-                    bundle.histograms[key] = dict(sweep.histogram)
-            if meas is not None and sweep is not None:
-                # empty for a zero-count point, which the fit leaves out
-                for pt in build_weighted_points([(meas, sweep)], ds.v_dd, weight_mode):
-                    bundle.scatter.append(ScatterPoint(
-                        ds.part_id, cell_type, pt.x, pt.y, pt.sigma_y,
-                        fit.m * pt.x + fit.b))
-            if meas is not None and meas.window_counts is not None:
-                bundle.cumulative[(ds.part_id, cell_type)] = CumulativeSeries(
-                    meas.ts, meas.window_counts.cumsum().tolist())
-    return bundle
+    """Calibrate the datasets and pack the fit with them for ``emit_report``."""
+    return ReportBundle(calibrate_datasets(datasets, weight_mode), datasets)

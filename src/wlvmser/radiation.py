@@ -37,9 +37,9 @@ MAX_EXPECTED_EVENTS = 2**24
 class AlphaSource:
     """Alpha source seen by one part.
 
-    ``rate_per_bit`` is the baseline upset rate (µSEU per bit-second) used
-    when building arrays without an explicit ground-truth law; event
-    generation itself always reads the per-cell rates stored in the array.
+    ``rate_per_bit`` is a baseline upset rate (µSEU per bit-second) that
+    is only validated: nothing reads it, since event generation reads the
+    per-cell rates stored in the array.
     ``geom_factor`` scales the flux for source-to-sample positioning and
     ``rel_geom_unc`` is the matching systematic uncertainty carried into
     measurements.

@@ -22,7 +22,7 @@ def perfbench_modules(monkeypatch):
     import run
     import spans
     yield run, spans
-    for name in ("run", "spans"):
+    for name in ("run", "spans", "workloads"):
         sys.modules.pop(name, None)
 
 
@@ -43,3 +43,19 @@ def test_kernel_cases_resolve(perfbench_modules):
 
 def test_public_names_resolve():
     assert [name for name in wlvmser.__all__ if not hasattr(wlvmser, name)] == []
+
+
+@pytest.mark.parametrize("name", ["campaign", "large-block", "high-flux"])
+def test_workload_smoke_passes_agree(name, perfbench_modules, tmp_path):
+    """Two in-process smoke passes of a workload check clean and agree.
+
+    ``cli`` is left out: it starts a child interpreter per command.
+    """
+    run, _ = perfbench_modules
+    import workloads
+    wl = workloads.WORKLOADS[name](seed=3, work=tmp_path, smoke=True)
+    checks = workloads.Checks()
+    _, first = run.one_pass(wl, checks, None)
+    _, second = run.one_pass(wl, checks, first)
+    assert checks.failures == [] and checks.failed == 0
+    assert first is not None and first == second

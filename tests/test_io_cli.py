@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import wlvmser
 from wlvmser import cli
-from wlvmser.calibration import CalibrationFit, weighted_linfit
+from wlvmser.calibration import CalibrationFit, predict_ser, weighted_linfit
 from wlvmser.errors import IngestError
 from wlvmser.io import (PartDataset, ReportBundle, emit_measurements_csv,
                         emit_report, ingest_measurements_csv, read_fit_json,
@@ -268,10 +268,10 @@ def test_emit_report_with_simulated_series(tmp_path):
 
 def test_emit_report_empty_predictions(tmp_path):
     fit = calibrate_datasets(load_reference_dataset())
-    manifest = emit_report(ReportBundle(fit=fit), tmp_path / "rep")
+    manifest = emit_report(ReportBundle(fit), tmp_path / "rep")
     lines = (tmp_path / "rep" / "predictions.csv").read_text().strip().splitlines()
     assert len(lines) == 1  # header only
-    assert "predictions.csv" in manifest
+    assert manifest == ["fit.json", "predictions.csv", "scatter_fit.tsv"]
 
 
 # --- CLI ---------------------------------------------------------------------------
@@ -315,6 +315,22 @@ def test_cli_predict_reference_value(tmp_path, capsys):
     assert cli.main(["predict", "--fit", str(fit_path), "--v-wlvm", "0.409"]) == 0
     out = capsys.readouterr().out
     assert "1.5169" in out
+
+
+def test_cli_predict_two_point_fit(tmp_path, capsys):
+    """A two-point fit leaves chi2_red NaN in its file and still predicts."""
+    csv_path = tmp_path / "two.csv"
+    csv_path.write_text(HEADER + "".join(
+        f"1,{t},ser_uSEU_per_bit_s,{ser}\n1,{t},rel_stat_unc,0.02\n1,{t},v_mewlvm_mV,{mu}\n"
+        for t, ser, mu in [("SS", 1.46, 791), ("LS", 2.0, 730)]))
+    fit_path = tmp_path / "fit.json"
+    assert cli.main(["calibrate", "--input", str(csv_path), "--out", str(fit_path)]) == 0
+    assert '"chi2_red": NaN' in fit_path.read_text()
+    assert cli.main(["predict", "--fit", str(fit_path), "--v-wlvm", "0.4",
+                     "--out", str(tmp_path)]) == 0
+    pred = predict_ser(calibrate_datasets(ingest_measurements_csv(csv_path)), 0.4)
+    rows = (tmp_path / "predictions.csv").read_text().splitlines()
+    assert rows[1] == f"-,-,0.4,{pred.ser!r},{pred.sigma!r},0"
 
 
 def test_cli_predict_from_margins_csv(tmp_path, capsys):
@@ -382,6 +398,23 @@ def test_cli_inoperable_supply_is_one_error_line(argv, tmp_path, capsys):
     (["calibrate", "--geom-unc", "-0.001", "--weight-mode", "linear-sum"],
      "--geom-unc (rel_geom_unc) must be finite and >= 0, got -0.001"),
     (["predict", "--fit", "{tmp}/no-b.json", "--v-wlvm", "0.4"], "no-b.json: missing key 'b'"),
+    (["predict", "--fit", "{tmp}/bad-m-nan.json", "--v-wlvm", "0.4"],
+     "bad-m-nan.json: m must be finite, got nan"),
+    (["predict", "--fit", "{tmp}/bad-cov_mb-inf.json", "--v-wlvm", "0.4"],
+     "bad-cov_mb-inf.json: cov_mb must be finite, got inf"),
+    (["predict", "--fit", "{tmp}/bad-chi2_red-nan.json", "--v-wlvm", "0.4"],
+     "bad-chi2_red-nan.json: chi2_red must be finite, got nan"),
+    (["predict", "--fit", "{tmp}/bad-sigma_m--1.json", "--v-wlvm", "0.4"],
+     "bad-sigma_m--1.json: sigma_m must be >= 0, got -1"),
+    (["predict", "--fit", "{tmp}/bad-m-True.json", "--v-wlvm", "0.4"],
+     "bad-m-True.json: m must be a number, got True"),
+    (["predict", "--fit", "{tmp}/bad-b-0.25.json", "--v-wlvm", "0.4"],
+     "bad-b-0.25.json: b must be a number, got '0.25'"),
+    (["predict", "--fit", "{tmp}/bad-n_points-2.7.json", "--v-wlvm", "0.4"],
+     "bad-n_points-2.7.json: n_points must be an integer, got 2.7"),
+    (["predict", "--fit", "{tmp}/list.json", "--v-wlvm", "0.4"], "list.json: list indices must be"),
+    (["predict", "--fit", "{tmp}/fit.json", "--v-wlvm", "1e308"],
+     "the prediction at v_wlvm = 1e+308 V is not finite"),
     (["simulate", "--model", "{tmp}/no-sigma.json"],
      "no-sigma.json: missing key 'sigma_vwlmin_mV'"),
     (["simulate", "--model", "{tmp}/list.json"], "list.json: list indices must be"),
@@ -407,6 +440,9 @@ def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
     fit = calibrate_datasets(load_reference_dataset())
     write_fit_json(fit, tmp_path / "fit.json")
     payload = json.loads((tmp_path / "fit.json").read_text())
+    for key, value in [("m", math.nan), ("cov_mb", math.inf), ("chi2_red", math.nan),
+                       ("sigma_m", -1), ("m", True), ("b", "0.25"), ("n_points", 2.7)]:
+        (tmp_path / f"bad-{key}-{value}.json").write_text(json.dumps({**payload, key: value}))
     del payload["b"]
     (tmp_path / "no-b.json").write_text(json.dumps(payload))
     model = {"cell_types": {"SS": {"mu_vwlmin_mV": 791, "mu_hold_mV": 450,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wlvmser.errors import ConfigurationError, ProtocolError
+from wlvmser.io import emit_report
 from wlvmser.pipeline import (LinearSerLaw, build_report_bundle,
                               calibrate_datasets, simulate_parts,
                               simulate_supply_sweeps)
@@ -99,17 +100,26 @@ def test_simulated_geom_spread_stays_in_source_range():
     assert len(datasets) == 5  # sources built without range violations
 
 
-def test_report_bundle_traceability():
+def test_report_bundle_traceability(tmp_path):
     """Every plotted point traces back to an ingested or simulated record."""
     datasets = simulate_parts(n_parts=2, cell_types=("SS", "LS"),
                               duration=36_000, ts=1800, seed=12,
                               rows=16, cols=16)
-    bundle = build_report_bundle(datasets, "combined")
+    manifest = emit_report(build_report_bundle(datasets, "combined"), tmp_path)
     keys = {(ds.part_id, t) for ds in datasets for t in ds.cell_types()}
-    assert {(p.part_id, p.cell_type) for p in bundle.scatter} == keys
-    assert {(p.part_id, p.cell_type) for p in bundle.predictions} == keys
-    assert set(bundle.cumulative) == keys
-    assert {(part, t) for _, part, t in bundle.histograms} == keys
-    for point in bundle.scatter:
-        ds = next(d for d in datasets if d.part_id == point.part_id)
-        assert point.y == ds.ser[point.cell_type].ser
+
+    def rows(name, sep):
+        header, *body = (tmp_path / name).read_text().splitlines()
+        return [dict(zip(header.split(sep), line.split(sep))) for line in body]
+
+    predictions = rows("predictions.csv", ",")
+    assert {(r["part_id"], r["cell_type"]) for r in predictions} == keys
+    assert len(predictions) == len(keys)
+    for part_id, cell_type in keys:
+        assert f"hist_wlvm_{part_id}_{cell_type}.tsv" in manifest
+        assert f"cumulative_seu_{part_id}_{cell_type}.tsv" in manifest
+    scatter = rows("scatter_fit.tsv", "\t")
+    assert {(r["part_id"], r["cell_type"]) for r in scatter} == keys
+    for r in scatter:
+        ds = next(d for d in datasets if d.part_id == r["part_id"])
+        assert float(r["y"]) == ds.ser[r["cell_type"]].ser

@@ -227,6 +227,39 @@ def test_sweep_log_csv(ss_model, tmp_path):
     assert int(second[1]) == result.v_nominal - result.delta_v
 
 
+def _sweep_log_rows_by_loop(result):
+    """The step loop ``write_sweep_log`` once ran, kept as its oracle."""
+    lowest = min(result.histogram)
+    rows, cumulative, step, v = [], 0, 0, result.v_nominal
+    while v > lowest:
+        step += 1
+        v = max(result.v_nominal - result.delta_v * step, 0)
+        new = result.histogram.get(v, 0)
+        cumulative += new
+        rows.append(f"{step},{v},{new},{cumulative}")
+    return rows
+
+
+def test_sweep_log_clamped_at_zero(tmp_path):
+    """A cell writable at 3 mV fails only at the 0 V step, 1200/7 steps down."""
+    result = run_wlvm_sweep(manual_array([3, 900]), delta_v=7)
+    lines = write_sweep_log(result, tmp_path / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 1 + 172
+    assert lines[-1] == "172,0,1,2"
+    assert lines[1:] == _sweep_log_rows_by_loop(result)
+
+
+def test_sweep_log_matches_step_loop(tmp_path):
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        v_dd = int(rng.integers(500, 1400))
+        n = int(rng.integers(1, 50))
+        array = manual_array(rng.integers(1, v_dd + 1, n), v_dd=v_dd)
+        result = run_wlvm_sweep(array, delta_v=int(rng.integers(1, 40)))
+        lines = write_sweep_log(result, tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[1:] == _sweep_log_rows_by_loop(result)
+
+
 # --- margin arithmetic --------------------------------------------------------
 
 def test_margin_reference_values():
