@@ -398,23 +398,6 @@ def test_cli_inoperable_supply_is_one_error_line(argv, tmp_path, capsys):
     (["calibrate", "--geom-unc", "-0.001", "--weight-mode", "linear-sum"],
      "--geom-unc (rel_geom_unc) must be finite and >= 0, got -0.001"),
     (["predict", "--fit", "{tmp}/no-b.json", "--v-wlvm", "0.4"], "no-b.json: missing key 'b'"),
-    (["predict", "--fit", "{tmp}/bad-m-nan.json", "--v-wlvm", "0.4"],
-     "bad-m-nan.json: m must be finite, got nan"),
-    (["predict", "--fit", "{tmp}/bad-cov_mb-inf.json", "--v-wlvm", "0.4"],
-     "bad-cov_mb-inf.json: cov_mb must be finite, got inf"),
-    (["predict", "--fit", "{tmp}/bad-chi2_red-nan.json", "--v-wlvm", "0.4"],
-     "bad-chi2_red-nan.json: chi2_red must be finite, got nan"),
-    (["predict", "--fit", "{tmp}/bad-sigma_m--1.json", "--v-wlvm", "0.4"],
-     "bad-sigma_m--1.json: sigma_m must be >= 0, got -1"),
-    (["predict", "--fit", "{tmp}/bad-m-True.json", "--v-wlvm", "0.4"],
-     "bad-m-True.json: m must be a number, got True"),
-    (["predict", "--fit", "{tmp}/bad-b-0.25.json", "--v-wlvm", "0.4"],
-     "bad-b-0.25.json: b must be a number, got '0.25'"),
-    (["predict", "--fit", "{tmp}/bad-n_points-2.7.json", "--v-wlvm", "0.4"],
-     "bad-n_points-2.7.json: n_points must be an integer, got 2.7"),
-    (["predict", "--fit", "{tmp}/list.json", "--v-wlvm", "0.4"], "list.json: list indices must be"),
-    (["predict", "--fit", "{tmp}/fit.json", "--v-wlvm", "1e308"],
-     "the prediction at v_wlvm = 1e+308 V is not finite"),
     (["simulate", "--model", "{tmp}/no-sigma.json"],
      "no-sigma.json: missing key 'sigma_vwlmin_mV'"),
     (["simulate", "--model", "{tmp}/list.json"], "list.json: list indices must be"),
@@ -435,6 +418,23 @@ def test_cli_inoperable_supply_is_one_error_line(argv, tmp_path, capsys):
      "need at least 2 points, got 1 after leaving out 2 zero-count SER points"),
     (["report", "--input", "{tmp}/zero.csv"],
      "need at least 2 points, got 1 after leaving out 2 zero-count SER points"),
+    (["predict", "--fit", "{tmp}/bad-m-nan.json", "--v-wlvm", "0.4"],
+     "bad-m-nan.json: m must be finite, got nan"),
+    (["predict", "--fit", "{tmp}/bad-cov_mb-inf.json", "--v-wlvm", "0.4"],
+     "bad-cov_mb-inf.json: cov_mb must be finite, got inf"),
+    (["predict", "--fit", "{tmp}/bad-chi2_red-nan.json", "--v-wlvm", "0.4"],
+     "bad-chi2_red-nan.json: chi2_red must be finite, got nan"),
+    (["predict", "--fit", "{tmp}/bad-sigma_m--1.json", "--v-wlvm", "0.4"],
+     "bad-sigma_m--1.json: sigma_m must be >= 0, got -1"),
+    (["predict", "--fit", "{tmp}/bad-m-True.json", "--v-wlvm", "0.4"],
+     "bad-m-True.json: m must be a number, got True"),
+    (["predict", "--fit", "{tmp}/bad-b-0.25.json", "--v-wlvm", "0.4"],
+     "bad-b-0.25.json: b must be a number, got '0.25'"),
+    (["predict", "--fit", "{tmp}/bad-n_points-2.7.json", "--v-wlvm", "0.4"],
+     "bad-n_points-2.7.json: n_points must be an integer, got 2.7"),
+    (["predict", "--fit", "{tmp}/list.json", "--v-wlvm", "0.4"], "list.json: list indices must be"),
+    (["predict", "--fit", "{tmp}/fit.json", "--v-wlvm", "1e308"],
+     "the prediction at v_wlvm = 1e+308 V is not finite"),
 ])
 def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
     fit = calibrate_datasets(load_reference_dataset())
