@@ -12,12 +12,13 @@ only.
 
 Reports are plot-ready text files: the fit as JSON, predictions as CSV
 and scatter/histogram/cumulative series as TSV.  A ``ReportBundle`` is
-the fit plus the datasets it reports on, and ``emit_report`` derives each
-row from them as it writes.  Serialization is deterministic so reruns
-over identical inputs are byte-identical.  Each file is formatted into
-one string and written whole by ``_write_text`` (the CSV files through
-``_write_csv``), which replaces an existing file's contents, so a rerun
-into the same directory leaves the same bytes as a fresh one.
+the fit plus the datasets it reports on; ``emit_report`` derives every
+row from them, formats every file and then writes them.  Serialization
+is deterministic so reruns over identical inputs are byte-identical.
+Each file is formatted into one string and written whole by
+``_write_text`` (the CSV files through ``_write_csv``), which replaces
+an existing file's contents, so a rerun into the same directory leaves
+the same bytes as a fresh one.
 
 Ingested rows become the summary records of ``records``; this module
 imports neither the simulator nor numpy.
@@ -305,11 +306,14 @@ def emit_report(bundle: ReportBundle, out_dir) -> list[str]:
     """Write the report files; returns the manifest (sorted file names).
 
     Scatter rows leave out the zero-count SER points the fit left out.
+    Every file is formatted before the first is written, so the writes
+    run back to back: on ext4 that took less time, and varied less from
+    one call to the next, than formatting each file between two writes.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fit = bundle.fit
-    manifest = {"fit.json", "predictions.csv", "scatter_fit.tsv"}
+    files = {}  # name -> text
     predictions = []
     scatter = ["part_id\tcell_type\tx_V\ty\tsigma_y\ty_fit\n"]
     # the blocks of a run share their windows: one template per window
@@ -324,10 +328,9 @@ def emit_report(bundle: ReportBundle, out_dir) -> list[str]:
                 predictions.append((ds.part_id, cell_type, margin_v,
                                     predict_ser(fit, margin_v)))
                 if sweep.histogram:
-                    name = f"hist_wlvm_{ds.part_id}_{cell_type}.tsv"
-                    _write_text(out / name, "v_mV\tcount\n" + "".join(
-                        [f"{v}\t{sweep.histogram[v]}\n" for v in sorted(sweep.histogram)]))
-                    manifest.add(name)
+                    files[f"hist_wlvm_{ds.part_id}_{cell_type}.tsv"] = (
+                        "v_mV\tcount\n" + "".join(
+                            [f"{v}\t{sweep.histogram[v]}\n" for v in sorted(sweep.histogram)]))
                 if meas is not None:
                     scatter.extend(
                         f"{ds.part_id}\t{cell_type}\t{_fmt(p.x)}\t{_fmt(p.y)}"
@@ -339,12 +342,12 @@ def emit_report(bundle: ReportBundle, out_dir) -> list[str]:
                 if key not in templates:
                     templates[key] = "window_index\tt_start_s\tcumulative\n" + "".join(
                         [f"{i}\t{_fmt(i * meas.ts)}\t%d\n" for i in range(key[1])])
-                name = f"cumulative_seu_{ds.part_id}_{cell_type}.tsv"
-                _write_text(out / name,
-                            templates[key] % tuple(meas.window_counts.cumsum().tolist()))
-                manifest.add(name)
+                files[f"cumulative_seu_{ds.part_id}_{cell_type}.tsv"] = (
+                    templates[key] % tuple(meas.window_counts.cumsum().tolist()))
 
+    files["scatter_fit.tsv"] = "".join(scatter)
+    for name, text in files.items():
+        _write_text(out / name, text)
     write_fit_json(fit, out / "fit.json")
     write_predictions_csv(predictions, out / "predictions.csv")
-    _write_text(out / "scatter_fit.tsv", "".join(scatter))
-    return sorted(manifest)
+    return sorted([*files, "fit.json", "predictions.csv"])

@@ -23,8 +23,10 @@ the same values whichever of them is read first.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -36,6 +38,15 @@ from .records import DEFAULT_COLS, DEFAULT_ROWS, DEFAULT_VDD_MV
 from .refdata import CELL_TYPE_ORDER
 
 _MAX_REDRAWS = 1000
+
+
+# glibc raises its mmap and trim thresholds as large blocks are freed, so
+# whether a SER test reuses the memory of the one before or faults it in
+# afresh depends on all the process allocated earlier (3.6k or 60k faults
+# per high-flux pass); at the dynamic rule's ceiling freed blocks are kept
+if sys.platform.startswith("linux") and hasattr(_libc := ctypes.CDLL(None), "mallopt"):
+    _libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    _libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 @dataclass(frozen=True)
