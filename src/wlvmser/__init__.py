@@ -10,8 +10,7 @@ propagated uncertainties.
 from . import lazy
 from .calibration import (CalibrationFit, Prediction, WeightedPoint,
                           build_weighted_points, predict_ser, weighted_linfit)
-from .errors import (ConfigurationError, DegenerateFitError, IngestError,
-                     ProtocolError, SamplingTimeError)
+from .errors import ConfigurationError, DegenerateFitError, IngestError, ProtocolError
 from .io import (PartDataset, ReportBundle, emit_measurements_csv, emit_report,
                  ingest_measurements_csv, read_fit_json, write_fit_json)
 from .pipeline import (LinearSerLaw, build_report_bundle, calibrate_datasets,
@@ -30,9 +29,9 @@ __all__ = [
     "ConfigurationError", "DegenerateFitError", "EventLog", "IngestError",
     "LinearSerLaw", "MemoryArray", "PUBLISHED_FIT", "PartDataset",
     "Prediction", "ProtocolError", "ReportBundle", "SIMULATED_VWL_MIN_MV",
-    "SamplingTimeError", "SerMeasurement", "SweepResult", "TypeVariation",
+    "SerMeasurement", "SweepResult", "TypeVariation",
     "VariationModel", "WeightedPoint", "build_report_bundle",
-    "build_weighted_points", "calibrate_datasets", "choose_sampling_time",
+    "build_weighted_points", "calibrate_datasets",
     "emit_measurements_csv", "emit_report", "generate_events",
     "ingest_measurements_csv", "load_reference_dataset", "predict_ser",
     "read_fit_json", "run_hold_sweep", "run_read_sweep", "run_ser_test",

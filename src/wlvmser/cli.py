@@ -18,13 +18,14 @@ All randomized subcommands accept ``--seed`` and are reproducible.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
 from . import io as wio
 from . import lazy
 from .calibration import WEIGHT_MODES, predict_ser
-from .errors import ConfigurationError, ProtocolError, SamplingTimeError
+from .errors import ConfigurationError, ProtocolError
 from .pipeline import (LinearSerLaw, build_report_bundle, calibrate_datasets,
                        simulate_parts, zero_count_blocks)
 from .records import DEFAULT_GEOM_UNC, word_line_voltage_margin
@@ -230,6 +231,17 @@ def _cmd_paper_repro(args) -> int:
     return 0 if all_ok else 1
 
 
+def _refuse_stdout_file(out: str):
+    """Reject an ``--out`` naming the regular file stdout is redirected to,
+    which a second open at offset 0 would write over."""
+    try:
+        target, stdout = os.stat(out), os.fstat(sys.stdout.fileno())
+    except OSError:  # no such file yet, or stdout has no descriptor
+        return
+    if os.path.samestat(target, stdout) and os.path.isfile(out):
+        raise ConfigurationError(f"--out {out} is the file stdout is redirected to")
+
+
 def _refuse_options(args, mode: str, dests):
     """Reject the options of ``dests`` that the user gave but ``mode``
     does not read."""
@@ -371,8 +383,10 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
+        if args.out is not None:
+            _refuse_stdout_file(args.out)
         return args.func(args)
-    except (ValueError, ProtocolError, SamplingTimeError, OSError) as exc:
+    except (ValueError, ProtocolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

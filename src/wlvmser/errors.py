@@ -9,10 +9,6 @@ class ProtocolError(RuntimeError):
     """A measurement procedure met a condition it cannot recover from."""
 
 
-class SamplingTimeError(RuntimeError):
-    """No sampling period on the allowed grid satisfies the error budget."""
-
-
 class DegenerateFitError(ValueError):
     """Regression input cannot determine a line (fewer than two distinct x)."""
 

@@ -15,6 +15,7 @@ and scatter/histogram/cumulative series as TSV.  A ``ReportBundle`` is
 the fit plus the datasets it reports on; ``emit_report`` derives every
 row from them, formats every file and then writes them.  Serialization
 is deterministic so reruns over identical inputs are byte-identical.
+Both emitters raise ``ValueError`` on datasets that repeat a part id.
 Each file is formatted into one string and written whole by
 ``_write_text`` (the CSV files through ``_write_csv``), which replaces
 an existing file's contents, so a rerun into the same directory leaves
@@ -215,8 +216,18 @@ def _write_csv(path, header, rows) -> Path:
     return _write_text(path, buf.getvalue())
 
 
+def _check_unique_part_ids(datasets):
+    """Refuse datasets that repeat a part id, whose rows and files would clash."""
+    seen = set()
+    for ds in datasets:
+        if ds.part_id in seen:
+            raise ValueError(f"part id {ds.part_id!r} names more than one dataset")
+        seen.add(ds.part_id)
+
+
 def emit_measurements_csv(datasets, path) -> Path:
     """Write datasets back out in the ingestion schema (round-trip safe)."""
+    _check_unique_part_ids(datasets)
     rows = []
     for ds in datasets:
         for cell_type in ds.cell_types():
@@ -310,6 +321,7 @@ def emit_report(bundle: ReportBundle, out_dir) -> list[str]:
     run back to back: on ext4 that took less time, and varied less from
     one call to the next, than formatting each file between two writes.
     """
+    _check_unique_part_ids(bundle.datasets)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fit = bundle.fit

@@ -19,9 +19,8 @@ SIMULATOR = {
     "sample_array": "sram",
     "AlphaSource": "radiation", "EventLog": "radiation",
     "generate_events": "radiation", "undetected_fraction": "radiation",
-    "choose_sampling_time": "protocols", "run_hold_sweep": "protocols",
-    "run_read_sweep": "protocols", "run_ser_test": "protocols",
-    "run_wlvm_sweep": "protocols",
+    "run_hold_sweep": "protocols", "run_read_sweep": "protocols",
+    "run_ser_test": "protocols", "run_wlvm_sweep": "protocols",
 }
 
 

@@ -15,8 +15,8 @@ Every procedure is computed from the block's thresholds alone.  The
 write/verify step refuses a block with cells that cannot be written or
 read at its supply.  All three sweeps follow one step-down rule on a
 different per-cell threshold, which ``kernels.sweep_registration``
-evaluates in closed form.  Sweeps record a per-cell threshold estimate as
-the first failing voltage plus half a step (midpoint correction), which
+evaluates in closed form.  Sweeps estimate each cell's threshold as its
+first failing voltage plus half a step (midpoint correction), which
 removes the quantization bias of the voltage grid.
 
 The SER test counts observed flips: a cell hit an even number of times
@@ -35,13 +35,10 @@ import math
 import numpy as np
 
 from . import kernels
-from .errors import ConfigurationError, ProtocolError, SamplingTimeError
-from .radiation import (MAX_EXPECTED_EVENTS, AlphaSource, generate_events,
-                        undetected_fraction)
+from .errors import ConfigurationError, ProtocolError
+from .radiation import MAX_EXPECTED_EVENTS, AlphaSource, generate_events
 from .records import SerMeasurement, SweepResult
 from .sram import MemoryArray
-
-TS_GRID_S = 60
 
 
 def run_ser_test(array: MemoryArray, source: AlphaSource, ts: float,
@@ -94,43 +91,6 @@ def run_ser_test(array: MemoryArray, source: AlphaSource, ts: float,
         n_bits=array.n_cells,
         rel_geom_unc=source.rel_geom_unc,
     )
-
-
-def choose_sampling_time(probe_rate: float, n_bits: int, error_budget: float,
-                         ts_cap: float):
-    """Largest sampling period on a 60 s grid whose multi-flip masking
-    stays within ``error_budget``, capped at ``ts_cap``.
-
-    ``probe_rate`` is the memory-wide upset rate (events per second)
-    estimated from a short probe run.
-    """
-    if error_budget <= 0:
-        raise ValueError("error_budget must be positive")
-    if n_bits <= 0:
-        raise ValueError("n_bits must be positive")
-    if ts_cap <= 0:
-        raise ValueError("ts_cap must be positive")
-    if probe_rate < 0:
-        raise ValueError("probe_rate must be >= 0")
-    if probe_rate == 0:
-        return ts_cap
-    lam = probe_rate / n_bits
-    k_cap = max(1, math.ceil(ts_cap / TS_GRID_S))
-    if undetected_fraction(lam, TS_GRID_S * k_cap) <= error_budget:
-        # the budget-satisfying range extends past the cap
-        return ts_cap
-    if undetected_fraction(lam, TS_GRID_S) > error_budget:
-        raise SamplingTimeError(
-            f"no sampling period >= {TS_GRID_S} s keeps masking below "
-            f"{error_budget:g} at {probe_rate:g} events/s")
-    lo, hi = 1, k_cap  # f(60*lo) <= budget < f(60*hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if undetected_fraction(lam, TS_GRID_S * mid) <= error_budget:
-            lo = mid
-        else:
-            hi = mid
-    return min(ts_cap, TS_GRID_S * lo)
 
 
 def _inoperable_cells(array: MemoryArray, thresholds: np.ndarray | None) -> int:

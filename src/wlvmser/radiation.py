@@ -2,8 +2,8 @@
 
 Upset instants form a Poisson process.  Events are generated with
 exponential inter-arrival times at the aggregate array rate and assigned
-to cells proportionally to their individual rates, which is exact for a
-superposition of independent homogeneous processes.  Arrival times are
+to cells uniformly: every cell of a block has the same rate, so each is
+equally likely to take the next event.  Arrival times are
 running sums of the gaps, cut at the horizon by a binary search, and a
 draw whose expected count exceeds ``MAX_EXPECTED_EVENTS`` is refused
 before anything is allocated.  The per-cell rate is
@@ -39,7 +39,7 @@ class AlphaSource:
 
     ``rate_per_bit`` is a baseline upset rate (µSEU per bit-second) that
     is only validated: nothing reads it, since event generation reads the
-    per-cell rates stored in the array.
+    block's rate stored in the array.
     ``geom_factor`` scales the flux for source-to-sample positioning and
     ``rel_geom_unc`` is the matching systematic uncertainty carried into
     measurements.
@@ -104,8 +104,7 @@ def generate_events(array: MemoryArray, source: AlphaSource, duration: float, se
     """
     if duration <= 0:
         raise ConfigurationError("duration must be positive")
-    rates = array.true_seu_rate * (source.geom_factor * 1e-6)  # per second
-    lam_total = float(rates.sum())
+    lam_total = array.true_seu_rate * (source.geom_factor * 1e-6) * array.n_cells
     rng = np.random.default_rng(seed)
     if lam_total <= 0.0:
         empty = np.empty(0)
@@ -117,11 +116,7 @@ def generate_events(array: MemoryArray, source: AlphaSource, duration: float, se
             f"budget of {MAX_EXPECTED_EVENTS} events; lower the rate, the block "
             f"size or the duration")
     times = _arrival_times(rng, lam_total, duration)
-    k = times.size
-    if np.all(rates == rates[0]):
-        cells = rng.integers(0, array.n_cells, k, dtype=np.int64)
-    else:
-        cells = rng.choice(array.n_cells, size=k, p=rates / lam_total).astype(np.int64)
+    cells = rng.integers(0, array.n_cells, times.size, dtype=np.int64)
     return EventLog(times, cells)
 
 

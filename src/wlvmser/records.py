@@ -91,7 +91,7 @@ class SerMeasurement:
 
 @dataclass
 class SweepResult:
-    """Per-cell thresholds recovered by one descending-voltage sweep."""
+    """Threshold mean, spread and failure histogram of one voltage sweep."""
 
     part_id: str
     cell_type: str
@@ -102,7 +102,6 @@ class SweepResult:
     se_mean: float
     n_cells: int
     v_nominal: int
-    per_cell_threshold: np.ndarray | None = None
     histogram: dict[int, int] | None = None
 
     @classmethod
@@ -124,25 +123,23 @@ class SweepResult:
             se_mean=sigma / math.sqrt(per_cell.size),
             n_cells=int(per_cell.size),
             v_nominal=int(v_nominal),
-            per_cell_threshold=per_cell,
             histogram=hist,
         )
 
     @classmethod
     def summary(cls, part_id, cell_type, mu, sigma=float("nan"),
-                quantity="word_line", delta_v=10,
-                n_cells=DEFAULT_ROWS * DEFAULT_COLS,
                 v_nominal=DEFAULT_VDD_MV) -> "SweepResult":
-        """Summary-only record as ingested from a measurement file."""
+        """Summary-only word-line sweep as ingested from a measurement file."""
+        n_cells = DEFAULT_ROWS * DEFAULT_COLS
         return cls(
             part_id=str(part_id),
             cell_type=str(cell_type),
-            swept_quantity=quantity,
-            delta_v=int(delta_v),
+            swept_quantity="word_line",
+            delta_v=10,
             mu=float(mu),
             sigma=float(sigma),
             se_mean=float(sigma) / math.sqrt(n_cells),
-            n_cells=int(n_cells),
+            n_cells=n_cells,
             v_nominal=int(v_nominal),
         )
 

@@ -136,7 +136,7 @@ class VariationModel:
 
 
 class MemoryArray:
-    """One memory block: per-cell thresholds and true upset rates.
+    """One memory block: per-cell thresholds and its true upset rate.
 
     ``v_dd_min_hold`` and ``v_dd_min_read`` are given either as arrays or
     as ``draw_pending``, a callable returning both that runs once, on
@@ -145,7 +145,7 @@ class MemoryArray:
     """
 
     def __init__(self, part_id: str, cell_type: str, v_wl_min: np.ndarray,
-                 true_seu_rate: np.ndarray, v_dd: int = DEFAULT_VDD_MV, *,
+                 true_seu_rate: float, v_dd: int = DEFAULT_VDD_MV, *,
                  v_dd_min_hold: np.ndarray | None = None,
                  v_dd_min_read: np.ndarray | None = None,
                  draw_pending: Callable[[], tuple] | None = None,
@@ -153,12 +153,12 @@ class MemoryArray:
         self.part_id = part_id
         self.cell_type = cell_type
         self.v_wl_min = v_wl_min
-        self.true_seu_rate = true_seu_rate
+        if np.ndim(true_seu_rate) != 0 or not true_seu_rate >= 0:  # also rejects nan
+            raise ConfigurationError("true_seu_rate must be one number >= 0")
+        self.true_seu_rate = float(true_seu_rate)
         self.v_dd = v_dd
         self.threshold_ceiling = threshold_ceiling
-        self._check_shapes(v_wl_min=v_wl_min, true_seu_rate=true_seu_rate)
-        if not np.all(true_seu_rate >= 0):  # also rejects nan
-            raise ConfigurationError("true_seu_rate must be >= 0")
+        self._check_shapes(v_wl_min=v_wl_min)
         self._draw_pending = draw_pending
         self._drawn = None
         if draw_pending is None:
@@ -231,8 +231,8 @@ def sample_array(
     the same generator, when a protocol first reads one of them (see the
     module docstring).  Every threshold lies in
     ``[1, model.v_dd_nominal]``.  ``true_seu_rate`` (µSEU per bit-second)
-    is the ground-truth upset rate handed to the radiation simulator; it
-    may be a scalar or a per-cell array.
+    is the ground-truth upset rate handed to the radiation simulator, one
+    scalar shared by every cell of the block.
     """
     if rows <= 0 or cols <= 0:
         raise ConfigurationError("geometry must be positive")
@@ -254,12 +254,11 @@ def sample_array(
         v_read = _sample_thresholds(rng, tv.mu_read + part_offset, tv.sigma_read, n, vnom)
         return v_hold, v_read
 
-    rate = np.broadcast_to(np.asarray(true_seu_rate, dtype=np.float64), (n,)).copy()
     return MemoryArray(
         part_id=str(part_id),
         cell_type=cell_type,
         v_wl_min=v_wl_min,
-        true_seu_rate=rate,
+        true_seu_rate=true_seu_rate,
         v_dd=int(v_dd if v_dd is not None else vnom),
         draw_pending=draw_pending,
         threshold_ceiling=vnom,

@@ -29,7 +29,7 @@ def manual_array(v_wl_min, v_dd_min_hold=None, v_dd_min_read=None,
         v_wl_min=v_wl_min,
         v_dd_min_hold=np.asarray(v_dd_min_hold, dtype=np.int64),
         v_dd_min_read=np.asarray(v_dd_min_read, dtype=np.int64),
-        true_seu_rate=np.zeros(n, dtype=np.float64),
+        true_seu_rate=0.0,
         v_dd=v_dd,
     )
 

@@ -159,6 +159,19 @@ def test_roundtrip_simulated_dataset(tmp_path):
     assert reloaded[0].sweeps["SS"].mu == datasets[0].sweeps["SS"].mu
 
 
+def test_emitters_refuse_repeated_part_ids(tmp_path):
+    """Pooled runs that repeat a part id would share measurement keys and
+    report file names: both emitters refuse them before writing a file."""
+    pooled = [ds for seed in (1, 2) for ds in simulate_parts(
+        n_parts=1, duration=7200, ts=1800, seed=seed, rows=16, cols=16)]
+    bundle = build_report_bundle(pooled)
+    with pytest.raises(ValueError, match="^part id '1' names more than one dataset$"):
+        emit_measurements_csv(pooled, tmp_path / "measurements.csv")
+    with pytest.raises(ValueError, match="^part id '1' names more than one dataset$"):
+        emit_report(bundle, tmp_path / "report")
+    assert list(tmp_path.iterdir()) == []
+
+
 _values = st.floats(min_value=0, allow_nan=False, allow_infinity=False)
 
 
@@ -502,17 +515,43 @@ def test_cli_report_bundled(tmp_path, capsys):
     assert (tmp_path / "rep" / "fit.json").exists()
 
 
-def test_cli_calibrate_out_dev_stdout_through_a_pipe():
-    """``--out /dev/stdout`` writes the fit to a pipe that the caller reads."""
+def _run_cli_process(argv, **kw):
+    """Run ``python -m wlvmser argv`` in a child process on this source tree."""
     src = str(Path(wlvmser.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "wlvmser", "calibrate", "--input", "bundled",
-         "--out", "/dev/stdout"], capture_output=True, text=True, env=env, check=False)
+    return subprocess.run([sys.executable, "-m", "wlvmser", *argv], text=True,
+                          env=env, check=False, **kw)
+
+
+def test_cli_calibrate_out_dev_stdout_through_a_pipe():
+    """``--out /dev/stdout`` writes the fit to a pipe that the caller reads."""
+    proc = _run_cli_process(["calibrate", "--input", "bundled", "--out", "/dev/stdout"],
+                            capture_output=True)
     assert (proc.returncode, proc.stderr) == (0, "")
     payload, _ = json.JSONDecoder().raw_decode(proc.stdout, proc.stdout.index("{"))
     assert CalibrationFit.from_dict(payload) == calibrate_datasets(load_reference_dataset())
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["calibrate", "--input", "bundled"], "/dev/stdout"),
+    (["paper-repro"], "/dev/stdout"),
+    (["ser-test", "--duration", "3600"], "{file}"),
+    (["sweep"], "{file}"),
+])
+def test_cli_out_naming_redirected_stdout_is_one_error_line(argv, out, tmp_path):
+    """An ``--out`` that is the regular file stdout is redirected to would
+    be written over the summary through a second open at offset 0: it is
+    refused before anything is printed."""
+    path = tmp_path / "stdout.txt"
+    out = out.format(file=path)
+    with open(path, "w") as stdout:
+        proc = _run_cli_process(argv + ["--out", out], stdout=stdout,
+                                stderr=subprocess.PIPE)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        f"error: --out {out} is the file stdout is redirected to"]
+    assert path.read_text() == ""
 
 
 def test_cli_error_paths(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """End-to-end pipeline behavior beyond the acceptance gates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,21 @@ def test_linear_law_clamps_at_zero():
 def test_simulate_rejects_zero_parts():
     with pytest.raises(ConfigurationError, match="n_parts"):
         simulate_parts(n_parts=0)
+
+
+def test_datasets_hold_less_than_a_byte_per_cell():
+    """A simulated run's records keep each block's summaries, window
+    counts and histogram, never an array with one entry per cell."""
+    tracemalloc.start()
+    try:
+        datasets = simulate_parts(n_parts=1, rows=256, cols=256, duration=36_000.0,
+                                  seed=1)
+        held = tracemalloc.get_traced_memory()[0]
+        del datasets
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < held < 5 * 256 * 256
 
 
 def test_inoperable_block_names_part_and_cell_type():

@@ -1,4 +1,4 @@
-"""Measurement procedure executors: SER test, sweeps, sampling time."""
+"""Measurement procedure executors: SER test and sweeps."""
 
 import math
 import re
@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import manual_array, single_type_model
-from wlvmser import protocols
-from wlvmser.errors import ConfigurationError, ProtocolError, SamplingTimeError
+from wlvmser import kernels, protocols
+from wlvmser.errors import ConfigurationError, ProtocolError
 from wlvmser.io import write_ser_log, write_sweep_log
-from wlvmser.protocols import (choose_sampling_time, run_hold_sweep,
-                               run_read_sweep, run_ser_test, run_wlvm_sweep)
+from wlvmser.protocols import (run_hold_sweep, run_read_sweep, run_ser_test,
+                               run_wlvm_sweep)
 from wlvmser.radiation import AlphaSource, generate_events, undetected_fraction
 from wlvmser.records import word_line_voltage_margin
 from wlvmser.sram import sample_array
@@ -137,33 +137,31 @@ def test_ser_log_csv(ss_model, tmp_path):
     assert int(last[3]) == meas.n_tot
 
 
-# --- sampling-time selection -------------------------------------------------
-
-def test_choose_sampling_time_reference_conditions():
-    # about 1 upset per minute over 20480 bits with a 1% masking budget:
-    # the feasible range runs far past the 30 min cap, so the cap wins
-    assert choose_sampling_time(1 / 60, 20480, 0.01, 1800) == 1800
-
-
-def test_choose_sampling_time_zero_rate_returns_cap():
-    assert choose_sampling_time(0.0, 20480, 0.01, 1800) == 1800
-
-
-def test_choose_sampling_time_infeasible_budget():
-    with pytest.raises(SamplingTimeError):
-        choose_sampling_time(1 / 60, 20480, 1e-12, 1800)
-
-
-def test_choose_sampling_time_grid_is_tight():
-    probe = 50 / 60
-    ts = choose_sampling_time(probe, 20480, 0.01, 1800)
-    lam = probe / 20480
-    assert ts % 60 == 0
-    assert undetected_fraction(lam, ts) <= 0.01
-    assert undetected_fraction(lam, ts + 60) > 0.01
-
-
 # --- word-line margin sweep ---------------------------------------------------
+
+def assert_registration(result, thresholds, fail_v):
+    """The closed form registers every cell where the bench oracle's
+    ``fail_v`` does, and the sweep's histogram and mean are those of the
+    oracle's registrations (midpoint corrected)."""
+    assert np.array_equal(
+        kernels.sweep_registration(thresholds, result.v_nominal, result.delta_v), fail_v)
+    voltages, counts = np.unique(fail_v, return_counts=True)
+    assert result.histogram == dict(zip(voltages.tolist(), counts.tolist()))
+    assert result.mu == (fail_v + result.delta_v / 2).mean()
+
+
+def wlvm_sweep_oracle(array, delta_v):
+    """Bench procedure: write a background at nominal, write the opposite
+    value with the word line lowered one more step and read back at
+    nominal; register each cell at its first write that did not take."""
+    fail_v = np.full(array.n_cells, -1, dtype=np.int64)
+    v = array.v_dd
+    while v > 0 and (fail_v < 0).any():
+        v = max(v - delta_v, 0)
+        missed = array.v_wl_min > v
+        fail_v[missed & (fail_v < 0)] = v
+    return fail_v
+
 
 def test_wlvm_sweep_recovers_distribution(ss_model):
     for seed in (1, 2, 3):
@@ -173,7 +171,7 @@ def test_wlvm_sweep_recovers_distribution(ss_model):
         assert abs(result.sigma - 44.0) <= 0.08 * 44.0
         assert result.se_mean < 1.0
         assert sum(result.histogram.values()) == array.n_cells
-        assert result.per_cell_threshold.size == array.n_cells
+        assert_registration(result, array.v_wl_min, wlvm_sweep_oracle(array, 10))
 
 
 def test_wlvm_sweep_degenerate_distribution():
@@ -313,6 +311,7 @@ def read_sweep_oracle(array, delta_v):
 @pytest.mark.parametrize("runner, oracle", [(run_hold_sweep, hold_sweep_oracle),
                                             (run_read_sweep, read_sweep_oracle)])
 def test_supply_sweeps_match_bench_procedure(runner, oracle):
+    field = {run_hold_sweep: "v_dd_min_hold", run_read_sweep: "v_dd_min_read"}[runner]
     rng = np.random.default_rng(2024)
     for _ in range(60):
         n = int(rng.integers(1, 80))
@@ -323,8 +322,7 @@ def test_supply_sweeps_match_bench_procedure(runner, oracle):
                              v_dd_min_read=rng.integers(1, v_dd + 1, n),
                              v_dd=v_dd)
         result = runner(array, delta_v=delta_v)
-        fail_v = oracle(array, delta_v)
-        assert np.array_equal(result.per_cell_threshold, fail_v + delta_v / 2)
+        assert_registration(result, getattr(array, field), oracle(array, delta_v))
 
 
 def test_hold_sweep_registers_every_cell(ss_model):
@@ -338,18 +336,20 @@ def test_hold_sweep_registers_every_cell(ss_model):
 def test_hold_sweep_two_threshold_order():
     array = manual_array([900, 900], v_dd_min_hold=[300, 500])
     result = run_hold_sweep(array, delta_v=10)
+    fail_v = hold_sweep_oracle(array, 10)
     # the weaker-hold cell (500 mV) must register first, i.e. at higher v_dd
-    assert result.per_cell_threshold[1] > result.per_cell_threshold[0]
-    assert result.per_cell_threshold[0] == pytest.approx(295.0)
-    assert result.per_cell_threshold[1] == pytest.approx(495.0)
+    assert fail_v.tolist() == [290, 490]
+    assert_registration(result, array.v_dd_min_hold, fail_v)
+    assert result.mu == pytest.approx(395.0)
 
 
 def test_hold_sweep_polarity_merge_covers_both_preferred_states():
     array = manual_array([900, 900, 900, 900], v_dd_min_hold=[400, 400, 600, 600])
     result = run_hold_sweep(array, delta_v=10)
-    assert np.allclose(result.per_cell_threshold, [395, 395, 595, 595])
     fail_v = hold_sweep_oracle(array, 10, preferred=[0, 1, 0, 1])
-    assert np.array_equal(result.per_cell_threshold, fail_v + 5)
+    assert fail_v.tolist() == [390, 390, 590, 590]
+    assert_registration(result, array.v_dd_min_hold, fail_v)
+    assert result.histogram == {390: 2, 590: 2}
 
 
 # --- read sweep -----------------------------------------------------------------

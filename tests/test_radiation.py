@@ -99,14 +99,6 @@ def test_geom_factor_scales_expected_count_linearly(ss_model):
     assert mean_high / mean_low == pytest.approx(1.2, rel=0.03)
 
 
-def test_weighted_cell_assignment_follows_rates(ss_model):
-    array = sample_array("SS", ss_model, seed=0, rows=1, cols=2)
-    array.true_seu_rate[:] = [1.0, 3.0]
-    events = generate_events(array, AlphaSource(), 5.0e6, seed=5)
-    share = np.mean(events.cells == 1)
-    assert share == pytest.approx(0.75, abs=0.02)
-
-
 def test_alpha_source_validation():
     with pytest.raises(ConfigurationError):
         AlphaSource(rate_per_bit=-1.0)

@@ -171,10 +171,18 @@ def test_pending_draw_runs_once_and_is_shared(ss_model, monkeypatch):
 
 def test_pending_draw_checks_shapes():
     array = sram.MemoryArray(
-        "x", "SS", v_wl_min=np.full(4, 800), true_seu_rate=np.zeros(4),
+        "x", "SS", v_wl_min=np.full(4, 800), true_seu_rate=0.0,
         draw_pending=lambda: (np.full(4, 450), np.full(3, 650)))
     with pytest.raises(ConfigurationError, match="v_dd_min_read must have 4 entries"):
         array.v_dd_min_hold
+
+
+@pytest.mark.parametrize("rate", [np.full(4096, 1.5), [1.0, 3.0], -1.0, float("nan")])
+def test_sample_array_refuses_a_rate_that_is_not_one_number_ge_0(ss_model, rate):
+    """A block has one upset rate: a per-cell array, a negative or a NaN
+    rate is one error naming ``true_seu_rate``."""
+    with pytest.raises(ConfigurationError, match="^true_seu_rate must be one number >= 0$"):
+        sample_array("SS", ss_model, seed=1, true_seu_rate=rate)
 
 
 def test_generator_seed_is_rejected(ss_model):
