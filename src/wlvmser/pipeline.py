@@ -86,7 +86,7 @@ def simulate_parts(
     lazy.bind(globals())
     model = model if model is not None else VariationModel.default()
     law = law if law is not None else LinearSerLaw()
-    v_dd = int(v_dd) if v_dd is not None else model.v_dd_nominal
+    v_dd = v_dd if v_dd is not None else model.v_dd_nominal
     root = np.random.SeedSequence(seed)
     part_seqs = root.spawn(n_parts)
 

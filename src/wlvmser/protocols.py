@@ -13,11 +13,14 @@ Four procedures are implemented:
 
 Every procedure is computed from the block's thresholds alone.  The
 write/verify step refuses a block with cells that cannot be written or
-read at its supply.  All three sweeps follow one step-down rule on a
-different per-cell threshold, which ``kernels.sweep_registration``
-evaluates in closed form.  Sweeps estimate each cell's threshold as its
-first failing voltage plus half a step (midpoint correction), which
-removes the quantization bias of the voltage grid.
+read at its supply, and each sweep one whose swept threshold already
+fails there; the block counts those cells itself
+(``MemoryArray.inoperable_cells``).  All three sweeps follow one
+step-down rule on a different per-cell threshold, which
+``kernels.sweep_registration`` evaluates in closed form.  Sweeps
+estimate each cell's threshold as its first failing voltage plus half a
+step (midpoint correction), which removes the quantization bias of the
+voltage grid.
 
 The SER test counts observed flips: a cell hit an even number of times
 within one sampling period reads back unchanged and those upsets are
@@ -37,7 +40,7 @@ import numpy as np
 from . import kernels
 from .errors import ConfigurationError, ProtocolError
 from .radiation import MAX_EXPECTED_EVENTS, AlphaSource, generate_events
-from .records import SerMeasurement, SweepResult
+from .records import DEFAULT_GEOM_UNC, SerMeasurement, SweepResult
 from .sram import MemoryArray
 
 
@@ -68,14 +71,10 @@ def run_ser_test(array: MemoryArray, source: AlphaSource, ts: float,
     n_windows = int(n_windows)
     t_exp = n_windows * ts
 
-    # at or above the ceiling no read can fail, so nothing is drawn
-    read = array.v_dd_min_read if array.v_dd < array.threshold_ceiling else None
-    n_bad = _inoperable_cells(array, read)
-    if n_bad:
+    if n_bad := array.inoperable_cells():
         raise ProtocolError(
-            f"part {array.part_id} {array.cell_type}: initial write/verify "
-            f"failed for {n_bad} cells at "
-            f"v_dd={array.v_dd} mV; the part is not operable at this supply")
+            f"part {array.part_id} {array.cell_type}: initial write/verify failed for "
+            f"{n_bad} cells at v_dd={array.v_dd} mV; the part is not operable at this supply")
 
     events = generate_events(array, source, t_exp, seed)
     windows = (events.times / ts).astype(np.int64)
@@ -83,23 +82,8 @@ def run_ser_test(array: MemoryArray, source: AlphaSource, ts: float,
     counts, _ = kernels.window_observed_flips(
         windows, events.cells, n_windows, array.n_cells)
 
-    return SerMeasurement.from_windows(
-        part_id=array.part_id,
-        cell_type=array.cell_type,
-        ts=ts,
-        window_counts=counts,
-        n_bits=array.n_cells,
-        rel_geom_unc=source.rel_geom_unc,
-    )
-
-
-def _inoperable_cells(array: MemoryArray, thresholds: np.ndarray | None) -> int:
-    """Cells that cannot be written at ``array.v_dd`` or whose
-    ``thresholds`` (if given) lie above it."""
-    bad = array.v_wl_min > array.v_dd
-    if thresholds is not None:
-        bad |= thresholds > array.v_dd
-    return int(np.count_nonzero(bad))
+    return SerMeasurement.from_windows(array.part_id, array.cell_type, ts, counts,
+                                       array.n_cells, DEFAULT_GEOM_UNC)
 
 
 def _run_sweep(array: MemoryArray, delta_v: int, quantity: str,
@@ -114,12 +98,10 @@ def _run_sweep(array: MemoryArray, delta_v: int, quantity: str,
     """
     if not 0 < delta_v <= array.v_dd:
         raise ConfigurationError(f"delta_v={delta_v} outside (0, {array.v_dd}]")
-    n_bad = _inoperable_cells(array, thresholds)
-    if n_bad:
+    if n_bad := array.inoperable_cells(thresholds):
         raise ProtocolError(
-            f"part {array.part_id} {array.cell_type}: "
-            f"{n_bad} of {array.n_cells} cells cannot be "
-            f"written or already fail the {quantity} sweep at v_dd={array.v_dd} "
+            f"part {array.part_id} {array.cell_type}: {n_bad} of {array.n_cells} cells "
+            f"cannot be written or already fail the {quantity} sweep at v_dd={array.v_dd} "
             f"mV; the part is not operable at this supply")
     fail_v = kernels.sweep_registration(thresholds, array.v_dd, delta_v)
     return SweepResult.from_registration(

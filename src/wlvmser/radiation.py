@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .records import DEFAULT_GEOM_UNC
 from .sram import MemoryArray
 
 # Largest expected event count one draw may ask for.  A SER test holds
@@ -40,22 +39,17 @@ class AlphaSource:
     ``rate_per_bit`` is a baseline upset rate (µSEU per bit-second) that
     is only validated: nothing reads it, since event generation reads the
     block's rate stored in the array.
-    ``geom_factor`` scales the flux for source-to-sample positioning and
-    ``rel_geom_unc`` is the matching systematic uncertainty carried into
-    measurements.
+    ``geom_factor`` scales the flux for source-to-sample positioning.
     """
 
     rate_per_bit: float = 0.0
     geom_factor: float = 1.0
-    rel_geom_unc: float = DEFAULT_GEOM_UNC
 
     def __post_init__(self):
         if not self.rate_per_bit >= 0:  # also rejects nan
             raise ConfigurationError("rate_per_bit must be >= 0")
         if not 0.9 <= self.geom_factor <= 1.1:
             raise ConfigurationError("geom_factor must lie in [0.9, 1.1]")
-        if self.rel_geom_unc < 0:
-            raise ConfigurationError("rel_geom_unc must be >= 0")
 
 
 @dataclass

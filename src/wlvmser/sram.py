@@ -18,12 +18,14 @@ rather than clamped so the threshold histograms carry no boundary spikes.
 supply and the word-line sweep need nothing else.  The hold and read
 thresholds are one pending draw from the block's own generator, run on
 first access of either, in the fixed order hold, read, so a seed gives
-the same values whichever of them is read first.
+the same values whichever of them is read first.  The block itself
+counts the cells inoperable at its supply (``inoperable_cells``).
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import json
 import math
 import sys
@@ -49,6 +51,11 @@ if sys.platform.startswith("linux") and hasattr(_libc := ctypes.CDLL(None), "mal
     _libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
+def _check_sigma(key: str, sigma: float):
+    if not 0 <= sigma < math.inf:  # also rejects nan
+        raise ConfigurationError(f"{key} must be finite and >= 0, got {sigma:g}")
+
+
 @dataclass(frozen=True)
 class TypeVariation:
     """Threshold distribution parameters for one cell type (all in mV)."""
@@ -62,8 +69,7 @@ class TypeVariation:
 
     def __post_init__(self):
         for label in ("vwlmin", "hold", "read"):
-            if getattr(self, f"sigma_{label}") < 0:
-                raise ConfigurationError(f"sigma_{label} must be >= 0")
+            _check_sigma(f"sigma_{label}_mV", getattr(self, f"sigma_{label}"))
 
 
 @dataclass
@@ -80,8 +86,7 @@ class VariationModel:
     v_dd_nominal: int = DEFAULT_VDD_MV
 
     def __post_init__(self):
-        if self.sigma_part < 0:
-            raise ConfigurationError("sigma_part must be >= 0")
+        _check_sigma("sigma_part_mV", self.sigma_part)
         if self.v_dd_nominal <= 0:
             raise ConfigurationError("v_dd_nominal must be positive")
         for name, tv in self.types.items():
@@ -125,7 +130,7 @@ class VariationModel:
                 return cls.from_dict(json.load(fh))
             except KeyError as exc:
                 raise ConfigurationError(f"{path}: missing key {exc}") from None
-            except (AttributeError, TypeError, ValueError) as exc:
+            except (AttributeError, OverflowError, TypeError, ValueError) as exc:
                 raise ConfigurationError(f"{path}: {exc}") from None
 
     @classmethod
@@ -138,17 +143,16 @@ class VariationModel:
 class MemoryArray:
     """One memory block: per-cell thresholds and its true upset rate.
 
-    ``v_dd_min_hold`` and ``v_dd_min_read`` are given either as arrays or
-    as ``draw_pending``, a callable returning both that runs once, on
-    first access of either.  ``threshold_ceiling`` bounds every threshold
-    of the block, so a protocol at or above it can skip the draw.
+    ``v_wl_min`` is given; the hold and read thresholds come from
+    ``draw_pending``, a callable returning both that runs once, on first
+    access of either.  ``threshold_ceiling`` bounds every threshold of
+    the block: at or above it no cell is inoperable, and
+    ``inoperable_cells`` draws and compares nothing.
     """
 
     def __init__(self, part_id: str, cell_type: str, v_wl_min: np.ndarray,
                  true_seu_rate: float, v_dd: int = DEFAULT_VDD_MV, *,
-                 v_dd_min_hold: np.ndarray | None = None,
-                 v_dd_min_read: np.ndarray | None = None,
-                 draw_pending: Callable[[], tuple] | None = None,
+                 draw_pending: Callable[[], tuple],
                  threshold_ceiling: float = math.inf):
         self.part_id = part_id
         self.cell_type = cell_type
@@ -158,53 +162,48 @@ class MemoryArray:
         self.true_seu_rate = float(true_seu_rate)
         self.v_dd = v_dd
         self.threshold_ceiling = threshold_ceiling
-        self._check_shapes(v_wl_min=v_wl_min)
         self._draw_pending = draw_pending
-        self._drawn = None
-        if draw_pending is None:
-            self._set_drawn((v_dd_min_hold, v_dd_min_read))
 
-    def _check_shapes(self, **arrays):
-        n = self.n_cells
-        for name, values in arrays.items():
-            if np.shape(values) != (n,):
-                raise ConfigurationError(f"{name} must have {n} entries")
-
-    def _set_drawn(self, arrays):
-        hold, read = arrays
-        self._check_shapes(v_dd_min_hold=hold, v_dd_min_read=read)
-        self._drawn = arrays
-
-    def _drawn_arrays(self):
-        if self._drawn is None:
-            self._set_drawn(self._draw_pending())
-            self._draw_pending = None
-        return self._drawn
+    @functools.cached_property
+    def _supply_thresholds(self) -> tuple:
+        drawn = self._draw_pending()
+        for name, values in zip(("v_dd_min_hold", "v_dd_min_read"), drawn):
+            if np.shape(values) != (self.n_cells,):
+                raise ConfigurationError(f"{name} must have {self.n_cells} entries")
+        return drawn
 
     @property
     def v_dd_min_hold(self) -> np.ndarray:
-        return self._drawn_arrays()[0]
+        return self._supply_thresholds[0]
 
     @property
     def v_dd_min_read(self) -> np.ndarray:
-        return self._drawn_arrays()[1]
+        return self._supply_thresholds[1]
 
     @property
     def n_cells(self) -> int:
         return np.size(self.v_wl_min)
 
+    def inoperable_cells(self, thresholds: np.ndarray | None = None) -> int:
+        """Cells that cannot be written at ``v_dd`` or whose ``thresholds``
+        (by default the read thresholds) lie above it."""
+        if self.v_dd >= self.threshold_ceiling:
+            return 0
+        bad = self.v_wl_min > self.v_dd
+        bad |= (self.v_dd_min_read if thresholds is None else thresholds) > self.v_dd
+        return int(np.count_nonzero(bad))
+
 
 def _sample_thresholds(rng, mu, sigma, n, v_dd_nominal):
-    """Integer-mV Gaussian draws, redrawn until inside (0, v_dd_nominal]."""
-    if sigma < 0:
-        raise ConfigurationError("sigma must be >= 0")
-    out = np.rint(rng.normal(mu, sigma, n)).astype(np.int64)
+    """Integer-mV Gaussian draws, redrawn until inside (0, v_dd_nominal];
+    checked as floats, so a draw beyond ``int64`` is redrawn, never cast."""
+    out = np.rint(rng.normal(mu, sigma, n))
     for _ in range(_MAX_REDRAWS):
         bad = (out < 1) | (out > v_dd_nominal)
         n_bad = int(bad.sum())
         if n_bad == 0:
-            return out
-        out[bad] = np.rint(rng.normal(mu, sigma, n_bad)).astype(np.int64)
+            return out.astype(np.int64)
+        out[bad] = np.rint(rng.normal(mu, sigma, n_bad))
     raise ConfigurationError(
         f"threshold sampling did not converge for mu={mu}, sigma={sigma}"
     )
@@ -232,8 +231,18 @@ def sample_array(
     module docstring).  Every threshold lies in
     ``[1, model.v_dd_nominal]``.  ``true_seu_rate`` (µSEU per bit-second)
     is the ground-truth upset rate handed to the radiation simulator, one
-    scalar shared by every cell of the block.
+    scalar shared by every cell of the block.  ``v_dd`` (default: the
+    nominal supply) is a whole number of mV up to twice the nominal.
     """
+    vnom = model.v_dd_nominal
+    v_dd = vnom if v_dd is None else v_dd
+    if not (0 < v_dd <= 2 * vnom and v_dd == int(v_dd)):
+        raise ConfigurationError(
+            f"--vdd (v_dd) must be a whole number of mV within (0, {2 * vnom}], "
+            f"got {v_dd}")
+    if not math.isfinite(part_offset):
+        raise ConfigurationError(
+            f"--part-offset (part_offset) must be finite, got {part_offset}")
     if rows <= 0 or cols <= 0:
         raise ConfigurationError("geometry must be positive")
     if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
@@ -246,7 +255,6 @@ def sample_array(
     tv = model.for_type(cell_type)
     n = rows * cols
     rng = np.random.default_rng(seed)
-    vnom = model.v_dd_nominal
     v_wl_min = _sample_thresholds(rng, tv.mu_vwlmin + part_offset, tv.sigma_vwlmin, n, vnom)
 
     def draw_pending():
@@ -259,7 +267,7 @@ def sample_array(
         cell_type=cell_type,
         v_wl_min=v_wl_min,
         true_seu_rate=true_seu_rate,
-        v_dd=int(v_dd if v_dd is not None else vnom),
+        v_dd=int(v_dd),
         draw_pending=draw_pending,
         threshold_ceiling=vnom,
     )

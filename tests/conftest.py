@@ -23,14 +23,15 @@ def manual_array(v_wl_min, v_dd_min_hold=None, v_dd_min_read=None,
         v_dd_min_hold = np.full(n, 450, dtype=np.int64)
     if v_dd_min_read is None:
         v_dd_min_read = np.full(n, 650, dtype=np.int64)
+    hold = np.asarray(v_dd_min_hold, dtype=np.int64)
+    read = np.asarray(v_dd_min_read, dtype=np.int64)
     return MemoryArray(
         part_id="manual",
         cell_type=cell_type,
         v_wl_min=v_wl_min,
-        v_dd_min_hold=np.asarray(v_dd_min_hold, dtype=np.int64),
-        v_dd_min_read=np.asarray(v_dd_min_read, dtype=np.int64),
         true_seu_rate=0.0,
         v_dd=v_dd,
+        draw_pending=lambda: (hold, read),
     )
 
 

@@ -448,6 +448,15 @@ def test_cli_inoperable_supply_is_one_error_line(argv, tmp_path, capsys):
     (["predict", "--fit", "{tmp}/list.json", "--v-wlvm", "0.4"], "list.json: list indices must be"),
     (["predict", "--fit", "{tmp}/fit.json", "--v-wlvm", "1e308"],
      "the prediction at v_wlvm = 1e+308 V is not finite"),
+    (["sweep", "--vdd", "100000000000000000000"],
+     "--vdd (v_dd) must be a whole number of mV within (0, 2400], "
+     "got 100000000000000000000"),
+    (["sweep", "--vdd", "0"], "--vdd (v_dd) must be a whole number of mV within (0, 2400], got 0"),
+    (["sweep", "--vdd", "2401"],
+     "--vdd (v_dd) must be a whole number of mV within (0, 2400], got 2401"),
+    (["sweep", "--part-offset", "nan"], "--part-offset (part_offset) must be finite, got nan"),
+    (["simulate", "--model", "{tmp}/nan-sigma-part.json"],
+     "nan-sigma-part.json: sigma_part_mV must be finite and >= 0, got nan"),
 ])
 def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
     fit = calibrate_datasets(load_reference_dataset())
@@ -462,6 +471,9 @@ def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
                                    "sigma_hold_mV": 30, "mu_read_mV": 650,
                                    "sigma_read_mV": 30}}}
     (tmp_path / "no-sigma.json").write_text(json.dumps(model))
+    model["cell_types"]["SS"]["sigma_vwlmin_mV"] = 44
+    model["sigma_part_mV"] = math.nan
+    (tmp_path / "nan-sigma-part.json").write_text(json.dumps(model))
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "zero.csv").write_text(HEADER + "".join(
         f"1,{t},ser_uSEU_per_bit_s,{ser}\n1,{t},rel_stat_unc,{rel}\n1,{t},v_mewlvm_mV,{mu}\n"

@@ -1,5 +1,6 @@
 """Cell/array model: sampling statistics, voltage semantics, determinism."""
 
+import math
 import os
 import re
 import subprocess
@@ -78,6 +79,37 @@ def test_invalid_model_parameters_rejected():
         sample_array("XX", single_type_model(name="XX"))
     with pytest.raises(ConfigurationError):
         single_type_model().for_type("nope")
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+def test_sigmas_must_be_finite_and_non_negative(sigma):
+    with pytest.raises(ConfigurationError,
+                       match=f"^sigma_hold_mV must be finite and >= 0, got {sigma:g}$"):
+        TypeVariation(791, 44, 450, sigma, 650, 30)
+    with pytest.raises(ConfigurationError,
+                       match=f"^sigma_part_mV must be finite and >= 0, got {sigma:g}$"):
+        single_type_model(sigma_part=sigma)
+
+
+def test_draws_far_outside_int64_are_redrawn_not_cast():
+    """A finite but huge sigma ends in one error, with no numpy warning
+    about casting a draw beyond ``int64`` (warnings fail this suite)."""
+    model = single_type_model(sigma_vwlmin=1e308)
+    with pytest.raises(ConfigurationError, match="did not converge"):
+        sample_array("SS", model, seed=1, rows=2, cols=2)
+
+
+@pytest.mark.parametrize("v_dd", [0, -5, 2401, 10**20, 1199.5, math.nan, math.inf])
+def test_sample_array_bounds_the_supply(ss_model, v_dd):
+    with pytest.raises(ConfigurationError,
+                       match=r"^--vdd \(v_dd\) must be a whole number of mV within \(0, 2400\]"):
+        sample_array("SS", ss_model, seed=1, v_dd=v_dd)
+
+
+@pytest.mark.parametrize("part_offset", [math.nan, math.inf, -math.inf])
+def test_sample_array_refuses_a_non_finite_part_offset(ss_model, part_offset):
+    with pytest.raises(ConfigurationError, match=r"^--part-offset \(part_offset\) must be finite"):
+        sample_array("SS", ss_model, seed=1, part_offset=part_offset)
 
 
 def test_geometry_must_be_positive(ss_model):
@@ -253,6 +285,32 @@ def test_read_below_threshold_fails():
     assert failed_verify_cells(manual_array([500], v_dd_min_read=[650], v_dd=650)) == 0
 
 
+def test_inoperable_cells_matches_brute_force():
+    """Random hand-built blocks whose thresholds lie under a finite
+    ceiling, at supplies below, at and above it: the count is the cells
+    whose write threshold or given threshold (by default the read one)
+    lies above ``v_dd``, and from the ceiling up it is 0 with nothing
+    drawn."""
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        n = int(rng.integers(1, 40))
+        ceiling = int(rng.integers(2, 1300))
+        wl, hold, read = (rng.integers(1, ceiling + 1, n) for _ in range(3))
+        for v_dd in (int(rng.integers(1, ceiling)), ceiling - 1, ceiling, ceiling + 1,
+                     int(rng.integers(ceiling, 2 * ceiling + 1))):
+            draws = []
+            array = sram.MemoryArray(
+                "x", "SS", v_wl_min=wl, true_seu_rate=0.0, v_dd=v_dd,
+                draw_pending=lambda: draws.append(v_dd) or (hold, read),
+                threshold_ceiling=ceiling)
+            for given, other in ((wl, wl), (hold, hold), (None, read)):
+                expected = sum(int(w > v_dd or t > v_dd) for w, t in zip(wl, other))
+                assert array.inoperable_cells(given) == expected
+                if v_dd >= ceiling:
+                    assert expected == 0
+            assert len(draws) == (v_dd < ceiling)
+
+
 # --- model loading ----------------------------------------------------------
 
 def test_default_model_covers_all_types():
@@ -282,6 +340,14 @@ def test_model_json_roundtrip(tmp_path):
     path.write_text(json.dumps(payload))
     reloaded = VariationModel.from_json(path)
     assert reloaded == model
+
+
+def test_model_file_with_an_infinite_nominal_supply_is_refused(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text('{"v_dd_nominal_mV": 1e400, "cell_types": {}}')
+    with pytest.raises(ConfigurationError,
+                       match="model.json: cannot convert float infinity to integer"):
+        VariationModel.from_json(path)
 
 
 # --- heap reuse ----------------------------------------------------------------
