@@ -2,9 +2,11 @@
 
 The hot paths are small operations over cell arrays: counting observed
 per-window bit flips (a sort of per-event keys, then hits minus the
-pairs of repeated hits), registering sweep failures (a closed form) and
-Monte-Carlo sampling of masked upsets.  ``window_observed_flips`` and
-``sweep_registration`` are deterministic; ``masked_upsets_mc`` is
+pairs of repeated hits), registering sweep failures (a closed form,
+evaluated once per voltage up to the block's top threshold and gathered
+per cell, or per cell when that voltage is not below the cell count)
+and Monte-Carlo sampling of masked upsets.  ``window_observed_flips``
+and ``sweep_registration`` are deterministic; ``masked_upsets_mc`` is
 deterministic for a fixed seed.
 """
 
@@ -66,6 +68,12 @@ def window_observed_flips(windows, cells, n_windows, n_cells):
     return counts, total_parity
 
 
+def _step_down(thresholds, v_start, delta_v):
+    """The step-down rule in closed form, for an int64 array of thresholds."""
+    steps = np.maximum((v_start - thresholds) // delta_v + 1, 1)
+    return np.maximum(v_start - delta_v * steps, 0)
+
+
 def sweep_registration(thresholds, v_start, delta_v):
     """First grid voltage at which each cell fails, sweeping down from
     ``v_start`` in ``delta_v`` steps (clamped at 0).
@@ -75,15 +83,28 @@ def sweep_registration(thresholds, v_start, delta_v):
     strictly below its threshold.  The first visited voltage is
     ``v_start - delta_v``, so a threshold above ``v_start`` registers
     there.
+
+    A block's thresholds are integers below a supply of a few thousand mV
+    and it has thousands of cells, so the rule is evaluated once per
+    integer voltage from 0 up to ``min(max, v_start)`` and gathered per
+    cell, with no per-cell division; a threshold above ``v_start`` shares
+    ``v_start``'s entry.  When that top voltage is not below the cell
+    count the rule is evaluated per cell instead, so no allocation is
+    larger than the cell count, whatever the thresholds or supply.
     """
     thresholds = np.ascontiguousarray(thresholds, dtype=np.int64)
     if delta_v <= 0:
         raise ConfigurationError("delta_v must be positive")
-    if np.any(thresholds <= 0):
-        raise ConfigurationError("sweep requires strictly positive thresholds")
     v_start, delta_v = int(v_start), int(delta_v)
-    steps = np.maximum((v_start - thresholds) // delta_v + 1, 1)
-    return np.maximum(v_start - delta_v * steps, 0)
+    if not thresholds.size:
+        return thresholds.copy()
+    if thresholds.min() <= 0:
+        raise ConfigurationError("sweep requires strictly positive thresholds")
+    top = min(int(thresholds.max()), max(v_start, 0))
+    if top >= thresholds.size:
+        return _step_down(thresholds, v_start, delta_v)
+    table = _step_down(np.arange(top + 1, dtype=np.int64), v_start, delta_v)
+    return table.take(thresholds, mode="clip")
 
 
 def masked_upsets_mc(lam_ts, n_cell_windows, seed):

@@ -15,6 +15,7 @@ starts, or when looked up on this module (see ``lazy``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from . import lazy
@@ -38,6 +39,12 @@ class LinearSerLaw:
 
     m: float = 4.32
     b: float = -0.25
+
+    def __post_init__(self):
+        for option, name in (("--law-m", "m"), ("--law-b", "b")):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{option} ({name}) must be finite, got {value}")
 
     def rate(self, margin_v: float) -> float:
         return max(self.m * margin_v + self.b, 0.0)

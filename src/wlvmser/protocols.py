@@ -17,10 +17,16 @@ read at its supply, and each sweep one whose swept threshold already
 fails there; the block counts those cells itself
 (``MemoryArray.inoperable_cells``).  All three sweeps follow one
 step-down rule on a different per-cell threshold, which
-``kernels.sweep_registration`` evaluates in closed form.  Sweeps
-estimate each cell's threshold as its first failing voltage plus half a
-step (midpoint correction), which removes the quantization bias of the
-voltage grid.
+``kernels.sweep_registration`` evaluates in closed form: once per
+voltage up to the block's top threshold and gathered per cell, or per
+cell when that voltage is not below the cell count, so no allocation is
+larger than the block.  ``SweepResult.from_registration`` counts the
+failure voltages with a ``bincount`` (``np.unique`` under the same size
+rule).  Sweeps estimate each cell's threshold as its first failing
+voltage plus half a step (midpoint correction), which removes the
+quantization bias of the voltage grid; ``mu`` and ``sigma`` are reduced
+over those per-cell midpoints, not over the histogram, because
+``sigma``'s last bits follow numpy's pairwise summation over the cells.
 
 The SER test counts observed flips: a cell hit an even number of times
 within one sampling period reads back unchanged and those upsets are

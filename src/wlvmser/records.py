@@ -107,10 +107,25 @@ class SweepResult:
     @classmethod
     def from_registration(cls, part_id, cell_type, quantity, delta_v, fail_v,
                           v_nominal) -> "SweepResult":
+        """Record of a sweep from each cell's first failing voltage.
+
+        ``fail_v`` holds non-negative voltages, as
+        ``kernels.sweep_registration`` returns them.  The histogram is a
+        ``bincount`` of them, or ``np.unique`` when the highest is not below
+        the cell count, so no allocation is larger than the cell count.  ``mu``
+        and ``sigma`` are reduced over the per-cell midpoints, not the
+        histogram: ``sigma``'s last bits follow numpy's pairwise summation
+        order over the cells, and the fixed-seed outputs pin them.
+        """
         import numpy as np
         per_cell = fail_v + delta_v / 2.0
-        voltages, counts = np.unique(fail_v, return_counts=True)
-        hist = {int(v): int(c) for v, c in zip(voltages, counts)}
+        if fail_v.max() < fail_v.size:
+            counts = np.bincount(fail_v)
+            voltages = np.flatnonzero(counts)
+            counts = counts[voltages]
+        else:
+            voltages, counts = np.unique(fail_v, return_counts=True)
+        hist = dict(zip(voltages.tolist(), counts.tolist()))
         mu = float(per_cell.mean())
         sigma = float(per_cell.std(ddof=1)) if per_cell.size > 1 else 0.0
         return cls(

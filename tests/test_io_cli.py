@@ -381,6 +381,22 @@ def test_cli_sweep_and_ser_test_smoke(tmp_path, capsys):
     assert (tmp_path / "ser.csv").exists()
 
 
+def test_cli_sweep_of_a_supply_far_above_its_cells(tmp_path, capsys):
+    """A supply of 10**12 mV and thresholds spread over about 10**12 mV
+    are swept per cell: nothing is sized by a voltage."""
+    model = json.loads((Path(wlvmser.__file__).parent / "data" /
+                        "variation_model.json").read_text())
+    model["v_dd_nominal_mV"] = 10**12
+    for params in model["cell_types"].values():
+        params.update(mu_vwlmin_mV=5 * 10**11, sigma_vwlmin_mV=10**11)
+    (tmp_path / "wide.json").write_text(json.dumps(model))
+    assert cli.main(["sweep", "--kind", "wlvm", "--model", str(tmp_path / "wide.json")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "word_line sweep, 4096 cells, delta_v = 10 mV:",
+        "  mu = 498387094548.40 mV, sigma = 99767762503.59 mV, se_mean = 1558871289.119 mV",
+        "  margin = 501612905451.60 mV at v_dd = 1000000000000 mV"]
+
+
 @pytest.mark.parametrize("argv", [["ser-test", "--vdd", "700", "--duration", "3600"],
                                   ["simulate", "--vdd", "1080", "--parts", "1",
                                    "--duration", "3600"],
@@ -457,6 +473,10 @@ def test_cli_inoperable_supply_is_one_error_line(argv, tmp_path, capsys):
     (["sweep", "--part-offset", "nan"], "--part-offset (part_offset) must be finite, got nan"),
     (["simulate", "--model", "{tmp}/nan-sigma-part.json"],
      "nan-sigma-part.json: sigma_part_mV must be finite and >= 0, got nan"),
+    (["simulate", "--law-m", "nan"], "--law-m (m) must be finite, got nan"),
+    (["simulate", "--law-m=-inf"], "--law-m (m) must be finite, got -inf"),
+    (["simulate", "--law-b", "nan"], "--law-b (b) must be finite, got nan"),
+    (["simulate", "--law-b", "inf"], "--law-b (b) must be finite, got inf"),
 ])
 def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
     fit = calibrate_datasets(load_reference_dataset())

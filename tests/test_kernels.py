@@ -162,14 +162,22 @@ def test_sweep_registration_matches_oracle(delta_v):
     assert np.all(fail_v + delta_v >= thresholds)
 
 
-@pytest.mark.parametrize("delta_v", [1, 7, 10, 50])
+@pytest.mark.parametrize("delta_v", [1, 7, 10, 50, 3, 1000])
 def test_sweep_registration_thresholds_above_start(delta_v):
+    """Thresholds up to 2**62 register as the per-cell closed form says,
+    whether the span up to ``v_start`` is narrower than the cell count or,
+    from ``v_start`` = 10**12, far wider; the step-down loop would take
+    10**12 steps from there, so it checks only the lower starts."""
     rng = np.random.default_rng(100 + delta_v)
-    thresholds = rng.integers(1, 1500, 3000)
-    fail_v = kernels.sweep_registration(thresholds, 1000, delta_v)
-    assert np.array_equal(fail_v, sweep_oracle(thresholds, 1000, delta_v))
-    # cells already failing at the start register at the first visited step
-    assert np.all(fail_v[thresholds > 1000] == 1000 - delta_v)
+    thresholds = np.append(rng.integers(1, 1500, 3000), [2**62, 10**15])
+    for v_start in (-50, 0, 1, 1000, 1200, 10**12):
+        fail_v = kernels.sweep_registration(thresholds, v_start, delta_v)
+        steps = np.maximum((v_start - thresholds) // delta_v + 1, 1)
+        assert np.array_equal(fail_v, np.maximum(v_start - delta_v * steps, 0))
+        if v_start <= 1200:
+            assert np.array_equal(fail_v, sweep_oracle(thresholds, v_start, delta_v))
+        # cells already failing at the start register at the first visited step
+        assert np.all(fail_v[thresholds > v_start] == max(v_start - delta_v, 0))
 
 
 def test_sweep_registration_rejects_bad_input():

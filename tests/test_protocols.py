@@ -313,14 +313,19 @@ def read_sweep_oracle(array, delta_v):
 def test_supply_sweeps_match_bench_procedure(runner, oracle):
     field = {run_hold_sweep: "v_dd_min_hold", run_read_sweep: "v_dd_min_read"}[runner]
     rng = np.random.default_rng(2024)
+    blocks = []
     for _ in range(60):
         n = int(rng.integers(1, 80))
         v_dd = int(rng.choice([600, 1000, 1200]))
         delta_v = int(rng.choice([1, 7, 10, 50]))
-        array = manual_array(rng.integers(1, v_dd + 1, n),
-                             v_dd_min_hold=rng.integers(1, v_dd + 1, n),
-                             v_dd_min_read=rng.integers(1, v_dd + 1, n),
-                             v_dd=v_dd)
+        blocks.append((v_dd, delta_v, rng.integers(1, v_dd + 1, n),
+                       rng.integers(1, v_dd + 1, n), rng.integers(1, v_dd + 1, n)))
+    # 200 cells below one step register at 0 V, through the per-voltage table;
+    # 3 cells reach 1200 mV, above their count, and register per cell
+    low, wide = np.arange(200) % 49 + 1, np.array([1, 600, 1200])
+    blocks += [(1200, 50, low, low, low), (1200, 7, wide, wide, wide)]
+    for v_dd, delta_v, v_wl_min, hold, read in blocks:
+        array = manual_array(v_wl_min, v_dd_min_hold=hold, v_dd_min_read=read, v_dd=v_dd)
         result = runner(array, delta_v=delta_v)
         assert_registration(result, getattr(array, field), oracle(array, delta_v))
 
