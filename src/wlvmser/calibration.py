@@ -39,6 +39,7 @@ from .errors import DegenerateFitError
 from .records import SerMeasurement, SweepResult, word_line_voltage_margin
 
 WEIGHT_MODES = ("combined", "stat-only", "linear-sum")
+DEFAULT_WEIGHT_MODE = "combined"
 
 # relative |determinant| below which the design matrix is unusable
 _DEGENERATE_RTOL = 1e-12
@@ -240,7 +241,7 @@ def predict_ser(fit: CalibrationFit, v_wlvm: float) -> Prediction:
 def build_weighted_points(
     pairs: Iterable[tuple[SerMeasurement, SweepResult]],
     v_dd_mv: float,
-    weight_mode: str = "combined",
+    weight_mode: str = DEFAULT_WEIGHT_MODE,
 ) -> list[WeightedPoint]:
     """Turn (SER measurement, margin sweep) pairs into fit points.
 

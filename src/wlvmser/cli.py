@@ -12,13 +12,16 @@ Subcommands:
                   result against its published regression values
 * ``report``      full report bundle (fit, predictions, plot series)
 
-All randomized subcommands accept ``--seed`` and are reproducible.
+All randomized subcommands accept ``--seed`` and are reproducible.  An
+option left out takes the library default: handlers forward only the
+options given (``_given``).  ``-1e-3`` is read as a number.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -28,7 +31,7 @@ from .calibration import WEIGHT_MODES, predict_ser
 from .errors import ConfigurationError, ProtocolError
 from .pipeline import (LinearSerLaw, build_report_bundle, calibrate_datasets,
                        simulate_parts, zero_count_blocks)
-from .records import DEFAULT_GEOM_UNC, word_line_voltage_margin
+from .records import word_line_voltage_margin
 from .refdata import (CELL_TYPE_ORDER, PAPER_MATCHING_WEIGHT_MODE,
                       PUBLISHED_FIT, REFERENCE_CSV, REPRO_WINDOWS,
                       SIMULATED_VWL_MIN_MV, load_reference_dataset)
@@ -38,14 +41,20 @@ from .refdata import (CELL_TYPE_ORDER, PAPER_MATCHING_WEIGHT_MODE,
 __getattr__ = lazy.module_getattr(globals())
 
 
-def _load_model(path: str | None) -> VariationModel:
+def _given(args, *names) -> dict:
+    """The options among ``names`` that the user gave, by parameter name."""
+    return {name: getattr(args, name) for name in names if name in args}
+
+
+def _load_model(args) -> VariationModel:
     lazy.bind(globals())
-    return VariationModel.from_json(path) if path else VariationModel.default()
+    return VariationModel.from_json(args.model) if "model" in args else VariationModel.default()
 
 
-def _load_datasets(source: str, geom_unc: float):
-    return wio.ingest_measurements_csv(
-        REFERENCE_CSV if source == "bundled" else source, geom_unc)
+def _load_datasets(args):
+    source = getattr(args, "input", "bundled")
+    return wio.ingest_measurements_csv(REFERENCE_CSV if source == "bundled" else source,
+                                       **_given(args, "rel_geom_unc"))
 
 
 def _note_left_out(datasets):
@@ -68,20 +77,11 @@ def _print_fit(fit, indent: str = "  "):
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-# simulate options without a CLI default: simulate_parts gets only those
-# the user gave, so its own defaults are the only ones
-_SIMULATE_OPTIONS = {"parts": "n_parts", "duration": "duration", "ts": "ts",
-                     "delta_v": "delta_v", "geom_spread": "geom_spread"}
-
-
 def _cmd_simulate(args) -> int:
-    model = _load_model(args.model)
-    law = LinearSerLaw(args.law_m, args.law_b)
-    given = {param: getattr(args, dest) for dest, param in _SIMULATE_OPTIONS.items()
-             if hasattr(args, dest)}
     datasets = simulate_parts(
-        model=model, law=law, cell_types=args.types.split(","), seed=args.seed,
-        v_dd=args.vdd, **given)
+        model=_load_model(args), law=LinearSerLaw(**_given(args, "m", "b")),
+        **_given(args, "n_parts", "cell_types", "duration", "ts", "delta_v", "seed",
+                 "v_dd", "geom_spread"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = wio.emit_measurements_csv(datasets, out_dir / "measurements.csv")
@@ -93,7 +93,7 @@ def _cmd_simulate(args) -> int:
             print(f"  part {ds.part_id} {cell_type}: ser = {meas.ser:.3f} "
                   f"(n_tot = {meas.n_tot}), mu = {sweep.mu:.1f} mV, "
                   f"sigma = {sweep.sigma:.1f} mV")
-    if args.emit_logs:
+    if "emit_logs" in args:
         for ds in datasets:
             for cell_type in ds.cell_types():
                 wio.write_ser_log(ds.ser[cell_type],
@@ -105,28 +105,27 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_ser_test(args) -> int:
-    model = _load_model(args.model)
+    model = _load_model(args)
     array = sample_array(args.cell_type, model, seed=args.seed,
-                         true_seu_rate=args.rate, v_dd=args.vdd)
-    source = AlphaSource(rate_per_bit=args.rate, geom_factor=args.geom_factor)
-    meas = run_ser_test(array, source, args.ts, args.duration, seed=args.seed + 1)
+                         true_seu_rate=args.rate, **_given(args, "v_dd"))
+    meas = run_ser_test(array, AlphaSource(rate_per_bit=args.rate), seed=args.seed + 1,
+                        **_given(args, "ts", "duration"))
     print(f"part {meas.part_id} {meas.cell_type}: "
           f"ser = {meas.ser:.4f} uSEU/(bit*s), n_tot = {meas.n_tot}, "
           f"windows = {meas.n_windows} x {meas.ts:.0f} s, "
           f"rel_stat = {meas.rel_stat_unc:.4f}")
-    if args.out:
+    if "out" in args:
         wio.write_ser_log(meas, args.out)
         print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    model = _load_model(args.model)
-    array = sample_array(args.cell_type, model, part_offset=args.part_offset,
-                         seed=args.seed, v_dd=args.vdd)
+    model = _load_model(args)
+    array = sample_array(args.cell_type, model, **_given(args, "part_offset", "seed", "v_dd"))
     runner = {"wlvm": run_wlvm_sweep, "hold": run_hold_sweep,
               "read": run_read_sweep}[args.kind]
-    result = runner(array, args.delta_v)
+    result = runner(array, **_given(args, "delta_v"))
     print(f"{result.swept_quantity} sweep, {result.n_cells} cells, "
           f"delta_v = {result.delta_v} mV:")
     print(f"  mu = {result.mu:.2f} mV, sigma = {result.sigma:.2f} mV, "
@@ -134,20 +133,20 @@ def _cmd_sweep(args) -> int:
     if args.kind == "wlvm":
         margin = word_line_voltage_margin(array.v_dd, result.mu)
         print(f"  margin = {margin:.2f} mV at v_dd = {array.v_dd} mV")
-    if args.out:
+    if "out" in args:
         wio.write_sweep_log(result, args.out)
         print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_calibrate(args) -> int:
-    datasets = _load_datasets(args.input, args.geom_unc)
-    fit = calibrate_datasets(datasets, args.weight_mode)
+    datasets = _load_datasets(args)
+    fit = calibrate_datasets(datasets, **_given(args, "weight_mode"))
     _note_left_out(datasets)
     n_pairs = sum(len(ds.pairs()) for ds in datasets)
     print(f"calibrated {n_pairs} (margin, SER) pairs from {len(datasets)} parts:")
     _print_fit(fit)
-    if args.out:
+    if "out" in args:
         wio.write_fit_json(fit, args.out)
         print(f"wrote {args.out}")
     return 0
@@ -156,23 +155,22 @@ def _cmd_calibrate(args) -> int:
 def _cmd_predict(args) -> int:
     fit = wio.read_fit_json(args.fit)
     rows = []
-    if args.v_wlvm is not None:
+    if "v_wlvm" in args:
         rows.append(("-", "-", args.v_wlvm))
-    if args.margins:
+    if "margins" in args:
         for ds in wio.ingest_measurements_csv(args.margins):
             for cell_type, sweep in sorted(ds.sweeps.items()):
                 margin_v = word_line_voltage_margin(ds.v_dd, sweep.mu) / 1000.0
                 rows.append((ds.part_id, cell_type, margin_v))
     if not rows:
-        print("predict: need --v-wlvm and/or --margins", file=sys.stderr)
-        return 2
+        raise ConfigurationError("predict needs --v-wlvm, --margins with margin rows, or both")
     predictions = [(*row, predict_ser(fit, row[2])) for row in rows]
     print("part cell_type  v_wlvm_V  ser_pred  sigma")
     for part_id, cell_type, margin_v, pred in predictions:
         flag = "  (below physical floor)" if pred.below_physical_floor else ""
         print(f"{part_id:>4} {cell_type:>9}  {margin_v:8.4f}  "
               f"{pred.ser:8.4f}  {pred.sigma:.4f}{flag}")
-    if args.out:
+    if "out" in args:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         wio.write_predictions_csv(predictions, out_dir / "predictions.csv")
@@ -206,7 +204,7 @@ def _cmd_paper_repro(args) -> int:
           f"chi2 = {pub['chi2']:7.2f}   chi2_red = {pub['chi2_red']:.3f}   "
           f"R2 = {pub['r2']:.4f}")
 
-    mode = args.weight_mode or PAPER_MATCHING_WEIGHT_MODE
+    mode = args.weight_mode
     fit = fits[mode]
     print(f"\nchecks ({mode} weights):")
     checks = [
@@ -225,7 +223,7 @@ def _cmd_paper_repro(args) -> int:
         print(f"  {name:<8} = {value:8.4f}  target {target:<16} "
               f"delta vs published = {delta:+.4f}  {'PASS' if ok else 'FAIL'}")
     print(f"\noverall: {'PASS' if all_ok else 'FAIL'}")
-    if args.out:
+    if "out" in args:
         wio.write_fit_json(fit, args.out)
         print(f"wrote {args.out}")
     return 0 if all_ok else 1
@@ -242,26 +240,23 @@ def _refuse_stdout_file(out: str):
         raise ConfigurationError(f"--out {out} is the file stdout is redirected to")
 
 
-def _refuse_options(args, mode: str, dests):
-    """Reject the options of ``dests`` that the user gave but ``mode``
-    does not read."""
-    for dest in dests:
-        if getattr(args, dest) is not None:
-            raise ConfigurationError(
-                f"{mode} ignores --{dest.replace('_', '-')}; leave it out")
+def _refuse_options(args, mode: str, options: dict):
+    """Reject the ``options`` (option: dest) given that ``mode`` does not read."""
+    for option, dest in options.items():
+        if dest in args:
+            raise ConfigurationError(f"{mode} ignores {option}; leave it out")
 
 
 def _cmd_report(args) -> int:
-    if args.simulate:
-        _refuse_options(args, "report --simulate", ("input", "geom_unc"))
-        model = _load_model(args.model)
-        datasets = simulate_parts(model=model, seed=args.seed or 0)
+    if "simulate" in args:
+        _refuse_options(args, "report --simulate",
+                        {"--input": "input", "--geom-unc": "rel_geom_unc"})
+        datasets = simulate_parts(model=_load_model(args), **_given(args, "seed"))
     else:
-        _refuse_options(args, "report without --simulate", ("seed", "model"))
-        datasets = _load_datasets(
-            "bundled" if args.input is None else args.input,
-            DEFAULT_GEOM_UNC if args.geom_unc is None else args.geom_unc)
-    bundle = build_report_bundle(datasets, args.weight_mode)
+        _refuse_options(args, "report without --simulate",
+                        {"--seed": "seed", "--model": "model"})
+        datasets = _load_datasets(args)
+    bundle = build_report_bundle(datasets, **_given(args, "weight_mode"))
     _note_left_out(datasets)
     manifest = wio.emit_report(bundle, args.out)
     print(f"fit ({bundle.fit.weight_mode} weights):")
@@ -276,35 +271,39 @@ def _cmd_report(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Options are absent unless given or defaulted, and ``-1e-3`` is a number,
+    as in Python 3.13's argparse (3.11 takes it for an option)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wlvmser",
         description="Virtual SRAM test chip: estimate alpha-SER from "
                     "word-line voltage-margin measurements.")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     def add_model(p):
-        p.add_argument("--model", default=None,
-                       help="variation-model JSON (default: bundled)")
+        p.add_argument("--model", help="variation-model JSON (default: bundled)")
 
     p = sub.add_parser("simulate", help="simulate parts and measure them")
     add_model(p)
-    p.add_argument("--parts", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--types", default=",".join(CELL_TYPE_ORDER))
-    p.add_argument("--law-m", type=float, default=LinearSerLaw.m,
-                   help="ground-truth slope, uSEU/(bit*s*V)")
-    p.add_argument("--law-b", type=float, default=LinearSerLaw.b,
-                   help="ground-truth intercept, uSEU/(bit*s)")
-    p.add_argument("--duration", type=float, default=argparse.SUPPRESS,
-                   help="irradiation time per block, s")
-    p.add_argument("--ts", type=float, default=argparse.SUPPRESS,
-                   help="sampling period, s")
-    p.add_argument("--delta-v", type=int, default=argparse.SUPPRESS,
-                   help="sweep step, mV")
-    p.add_argument("--vdd", type=int, default=None, help="supply, mV")
-    p.add_argument("--geom-spread", type=float, default=argparse.SUPPRESS,
+    p.add_argument("--parts", dest="n_parts", type=int)
+    p.add_argument("--types", dest="cell_types", type=lambda text: text.split(","),
+                   help="comma-separated cell types")
+    p.add_argument("--law-m", dest="m", type=float, help="ground-truth slope, uSEU/(bit*s*V)")
+    p.add_argument("--law-b", dest="b", type=float, help="ground-truth intercept, uSEU/(bit*s)")
+    p.add_argument("--duration", type=float, help="irradiation time per block, s")
+    p.add_argument("--ts", type=float, help="sampling period, s")
+    p.add_argument("--delta-v", type=int, help="sweep step, mV")
+    p.add_argument("--vdd", dest="v_dd", type=int, help="supply, mV")
+    p.add_argument("--geom-spread", type=float,
                    help="half-width of the per-part flux factor spread")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--emit-logs", action="store_true")
     p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_simulate)
@@ -312,64 +311,55 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ser-test", help="one accelerated SER test")
     add_model(p)
     p.add_argument("--cell-type", default="SS", choices=list(CELL_TYPE_ORDER))
-    p.add_argument("--rate", type=float, default=1.46,
-                   help="true upset rate, uSEU/(bit*s)")
-    p.add_argument("--ts", type=float, default=1800.0)
-    p.add_argument("--duration", type=float, default=432_000.0)
-    p.add_argument("--geom-factor", type=float, default=1.0)
-    p.add_argument("--vdd", type=int, default=None)
+    p.add_argument("--rate", type=float, default=1.46, help="true upset rate, uSEU/(bit*s)")
+    p.add_argument("--ts", type=float, help="sampling period, s")
+    p.add_argument("--duration", type=float, help="irradiation time, s")
+    p.add_argument("--vdd", dest="v_dd", type=int, help="supply, mV")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="window log CSV")
+    p.add_argument("--out", help="window log CSV")
     p.set_defaults(func=_cmd_ser_test)
 
     p = sub.add_parser("sweep", help="one voltage sweep")
     add_model(p)
     p.add_argument("--kind", default="wlvm", choices=["wlvm", "hold", "read"])
     p.add_argument("--cell-type", default="SS", choices=list(CELL_TYPE_ORDER))
-    p.add_argument("--delta-v", type=int, default=10)
-    p.add_argument("--part-offset", type=float, default=0.0,
-                   help="part-level mean shift, mV")
-    p.add_argument("--vdd", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="sweep log CSV")
+    p.add_argument("--delta-v", type=int, help="sweep step, mV")
+    p.add_argument("--part-offset", type=float, help="part-level mean shift, mV")
+    p.add_argument("--vdd", dest="v_dd", type=int, help="supply, mV")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out", help="sweep log CSV")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("calibrate", help="fit a measurement CSV")
-    p.add_argument("--input", default="bundled",
-                   help="measurement CSV path, or 'bundled'")
-    p.add_argument("--weight-mode", default="combined", choices=list(WEIGHT_MODES))
-    p.add_argument("--geom-unc", type=float, default=DEFAULT_GEOM_UNC)
-    p.add_argument("--out", default=None, help="fit JSON path")
+    p.add_argument("--input", help="measurement CSV path, or 'bundled' (default)")
+    p.add_argument("--weight-mode", choices=list(WEIGHT_MODES))
+    p.add_argument("--geom-unc", dest="rel_geom_unc", type=float)
+    p.add_argument("--out", help="fit JSON path")
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("predict", help="predict SER from margins")
     p.add_argument("--fit", required=True, help="fit JSON path")
-    p.add_argument("--v-wlvm", type=float, default=None,
-                   help="single margin value, volts")
-    p.add_argument("--margins", default=None,
-                   help="measurement CSV with margin rows")
-    p.add_argument("--out", default=None, help="directory for predictions.csv")
+    p.add_argument("--v-wlvm", type=float, help="single margin value, volts")
+    p.add_argument("--margins", help="measurement CSV with margin rows")
+    p.add_argument("--out", help="directory for predictions.csv")
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("paper-repro",
-                       help="reproduce the published reference regression")
-    p.add_argument("--weight-mode", default=None, choices=list(WEIGHT_MODES),
-                   help=f"mode to check (default: {PAPER_MATCHING_WEIGHT_MODE})")
-    p.add_argument("--out", default=None, help="fit JSON path")
+    p = sub.add_parser("paper-repro", help="reproduce the published reference regression")
+    p.add_argument("--weight-mode", choices=list(WEIGHT_MODES), default=PAPER_MATCHING_WEIGHT_MODE,
+                   help="mode to check")
+    p.add_argument("--out", help="fit JSON path")
     p.set_defaults(func=_cmd_paper_repro)
 
     # --input and --geom-unc serve only a measurement file, --model and
-    # --seed only --simulate; None marks an option the user left out
+    # --seed only --simulate
     p = sub.add_parser("report", help="emit fit + predictions + plot data")
     add_model(p)
-    p.add_argument("--input", default=None,
-                   help="measurement CSV path, or 'bundled' (default)")
+    p.add_argument("--input", help="measurement CSV path, or 'bundled' (default)")
     p.add_argument("--simulate", action="store_true",
                    help="build the report from a fresh simulation instead")
-    p.add_argument("--weight-mode", default="combined", choices=list(WEIGHT_MODES))
-    p.add_argument("--geom-unc", type=float, default=None,
-                   help=f"default: {DEFAULT_GEOM_UNC}")
-    p.add_argument("--seed", type=int, default=None, help="default: 0")
+    p.add_argument("--weight-mode", choices=list(WEIGHT_MODES))
+    p.add_argument("--geom-unc", dest="rel_geom_unc", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", default="report")
     p.set_defaults(func=_cmd_report)
 
@@ -383,7 +373,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        if args.out is not None:
+        if "out" in args:
             _refuse_stdout_file(args.out)
         return args.func(args)
     except (ValueError, ProtocolError, OSError) as exc:

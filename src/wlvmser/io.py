@@ -97,8 +97,7 @@ def ingest_measurements_csv(path, rel_geom_unc: float = DEFAULT_GEOM_UNC) -> lis
         raise ConfigurationError(
             f"--geom-unc (rel_geom_unc) must be finite and >= 0, got {rel_geom_unc:g}")
     path = Path(path)
-    raw: dict[str, dict] = {}
-    order: list[str] = []
+    raw: dict[str, dict] = {}  # by part id, in file order
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -137,7 +136,6 @@ def ingest_measurements_csv(path, rel_geom_unc: float = DEFAULT_GEOM_UNC) -> lis
                     f"got {value!r}")
             if part_id not in raw:
                 raw[part_id] = {"vdd": None, "types": {}}
-                order.append(part_id)
             bucket = raw[part_id]
             if quantity == QUANTITY_VDD:
                 if bucket["vdd"] is not None:
@@ -152,8 +150,7 @@ def ingest_measurements_csv(path, rel_geom_unc: float = DEFAULT_GEOM_UNC) -> lis
                 per_type[quantity] = (num, lineno)
 
     datasets = []
-    for part_id in order:
-        bucket = raw[part_id]
+    for part_id, bucket in raw.items():
         v_dd = int(bucket["vdd"]) if bucket["vdd"] is not None else DEFAULT_VDD_MV
         ds = PartDataset(part_id=part_id, v_dd=v_dd)
         for cell_type, rows in bucket["types"].items():

@@ -19,10 +19,12 @@ import math
 from dataclasses import dataclass, replace
 
 from . import lazy
-from .calibration import CalibrationFit, build_weighted_points, weighted_linfit
+from .calibration import (DEFAULT_WEIGHT_MODE, CalibrationFit, build_weighted_points,
+                          weighted_linfit)
 from .errors import ConfigurationError, DegenerateFitError
 from .io import PartDataset, ReportBundle
-from .records import DEFAULT_COLS, DEFAULT_ROWS
+from .records import (DEFAULT_COLS, DEFAULT_DELTA_V_MV, DEFAULT_DURATION_S,
+                      DEFAULT_ROWS, DEFAULT_TS_S)
 from .refdata import CELL_TYPE_ORDER
 
 # bound on first use, so that calibrating and reporting need no numpy
@@ -55,9 +57,9 @@ def simulate_parts(
     law: LinearSerLaw | None = None,
     n_parts: int = 5,
     cell_types=CELL_TYPE_ORDER,
-    duration: float = 432_000.0,
-    ts: float = 1800.0,
-    delta_v: int = 10,
+    duration: float = DEFAULT_DURATION_S,
+    ts: float = DEFAULT_TS_S,
+    delta_v: int = DEFAULT_DELTA_V_MV,
     seed=0,
     v_dd: int | None = None,
     geom_spread: float = 0.03,
@@ -72,8 +74,10 @@ def simulate_parts(
     to the part's true mean margin at ``v_dd``.  Deterministic under a
     fixed seed.  ``cell_types`` names each type of ``CELL_TYPE_ORDER`` at
     most once, and ``geom_spread`` lies in [0, 0.1] so every flux factor
-    stays within the source's range.  An inoperable block aborts the
-    batch with a ``ProtocolError`` that names its part and cell type.
+    stays within the source's range.  A batch keeping more than
+    ``MAX_EXPECTED_EVENTS`` window counts is refused before any draw.  An
+    inoperable block aborts the batch with a ``ProtocolError`` that names
+    its part and cell type.
     """
     if n_parts < 1:
         raise ConfigurationError(f"n_parts must be >= 1, got {n_parts}")
@@ -90,16 +94,23 @@ def simulate_parts(
             f"--geom-spread (geom_spread) must be finite and within [0, 0.1], "
             f"got {geom_spread:g}")
     import numpy as np
+    from .radiation import MAX_EXPECTED_EVENTS
+    windows = duration // ts if ts > 0 else 0  # run_ser_test refuses a bad schedule
+    if n_parts * len(cell_types) * windows > MAX_EXPECTED_EVENTS:
+        raise ConfigurationError(
+            f"--parts (n_parts) {n_parts} x {len(cell_types)} cell types x {windows:.3g} "
+            f"windows keep more than the budget of {MAX_EXPECTED_EVENTS} window counts")
     lazy.bind(globals())
     model = model if model is not None else VariationModel.default()
     law = law if law is not None else LinearSerLaw()
     v_dd = v_dd if v_dd is not None else model.v_dd_nominal
     root = np.random.SeedSequence(seed)
-    part_seqs = root.spawn(n_parts)
 
     datasets = []
-    for p, part_seq in enumerate(part_seqs):
+    for p in range(n_parts):
         part_id = str(p + 1)
+        # one child at a time, the same children as root.spawn(n_parts)
+        part_seq = root.spawn(1)[0]
         prng = np.random.default_rng(part_seq)
         offset = prng.normal(0.0, model.sigma_part)
         geom = 1.0 + prng.uniform(-geom_spread, geom_spread)
@@ -125,7 +136,7 @@ def simulate_supply_sweeps(
     model: VariationModel | None = None,
     cell_types=CELL_TYPE_ORDER,
     kind: str = "hold",
-    delta_v: int = 10,
+    delta_v: int = DEFAULT_DELTA_V_MV,
     seed=0,
     rows: int = DEFAULT_ROWS,
     cols: int = DEFAULT_COLS,
@@ -153,7 +164,7 @@ def zero_count_blocks(datasets) -> list[str]:
             for ds in datasets for meas, _ in ds.pairs() if meas.zero_count]
 
 
-def calibrate_datasets(datasets, weight_mode: str = "combined") -> CalibrationFit:
+def calibrate_datasets(datasets, weight_mode: str = DEFAULT_WEIGHT_MODE) -> CalibrationFit:
     """Fit over all parts, honoring each dataset's own supply voltage.
 
     Zero-count SER points are left out; when fewer than two points
@@ -171,6 +182,6 @@ def calibrate_datasets(datasets, weight_mode: str = "combined") -> CalibrationFi
     return replace(fit, weight_mode=weight_mode)
 
 
-def build_report_bundle(datasets, weight_mode: str = "combined") -> ReportBundle:
+def build_report_bundle(datasets, weight_mode: str = DEFAULT_WEIGHT_MODE) -> ReportBundle:
     """Calibrate the datasets and pack the fit with them for ``emit_report``."""
     return ReportBundle(calibrate_datasets(datasets, weight_mode), datasets)

@@ -46,12 +46,13 @@ import numpy as np
 from . import kernels
 from .errors import ConfigurationError, ProtocolError
 from .radiation import MAX_EXPECTED_EVENTS, AlphaSource, generate_events
-from .records import DEFAULT_GEOM_UNC, SerMeasurement, SweepResult
+from .records import (DEFAULT_DELTA_V_MV, DEFAULT_DURATION_S, DEFAULT_GEOM_UNC,
+                      DEFAULT_TS_S, SerMeasurement, SweepResult)
 from .sram import MemoryArray
 
 
-def run_ser_test(array: MemoryArray, source: AlphaSource, ts: float,
-                 duration: float, seed=0) -> SerMeasurement:
+def run_ser_test(array: MemoryArray, source: AlphaSource, ts: float = DEFAULT_TS_S,
+                 duration: float = DEFAULT_DURATION_S, seed=0) -> SerMeasurement:
     """Accelerated SER test: irradiate and read every ``ts`` seconds.
 
     The whole memory is written and verified first, which fails for a
@@ -115,7 +116,7 @@ def _run_sweep(array: MemoryArray, delta_v: int, quantity: str,
         array.v_dd)
 
 
-def run_wlvm_sweep(array: MemoryArray, delta_v: int = 10) -> SweepResult:
+def run_wlvm_sweep(array: MemoryArray, delta_v: int = DEFAULT_DELTA_V_MV) -> SweepResult:
     """Word-line margin sweep over one block.
 
     Each step writes the array at nominal, lowers the word-line supply by
@@ -127,7 +128,7 @@ def run_wlvm_sweep(array: MemoryArray, delta_v: int = 10) -> SweepResult:
     return _run_sweep(array, delta_v, "word_line", array.v_wl_min)
 
 
-def run_hold_sweep(array: MemoryArray, delta_v: int = 10) -> SweepResult:
+def run_hold_sweep(array: MemoryArray, delta_v: int = DEFAULT_DELTA_V_MV) -> SweepResult:
     """Retention sweep: lower the core supply and register bit corruption.
 
     On the bench the sweep runs twice with opposite background values, so
@@ -138,7 +139,7 @@ def run_hold_sweep(array: MemoryArray, delta_v: int = 10) -> SweepResult:
     return _run_sweep(array, delta_v, "vdd_hold", array.v_dd_min_hold)
 
 
-def run_read_sweep(array: MemoryArray, delta_v: int = 10) -> SweepResult:
+def run_read_sweep(array: MemoryArray, delta_v: int = DEFAULT_DELTA_V_MV) -> SweepResult:
     """Read-voltage sweep: lower the core supply during reads only.
 
     The word line stays at nominal; cells are registered at the first

@@ -25,6 +25,11 @@ DEFAULT_COLS = 64
 # relative systematic uncertainty of the source-to-sample flux positioning
 DEFAULT_GEOM_UNC = 0.03
 
+# SER test schedule, a read every 30 min over 120 h (s), and sweep step (mV)
+DEFAULT_TS_S = 1800.0
+DEFAULT_DURATION_S = 432_000.0
+DEFAULT_DELTA_V_MV = 10
+
 
 @dataclass
 class SerMeasurement:
@@ -150,7 +155,7 @@ class SweepResult:
             part_id=str(part_id),
             cell_type=str(cell_type),
             swept_quantity="word_line",
-            delta_v=10,
+            delta_v=DEFAULT_DELTA_V_MV,
             mu=float(mu),
             sigma=float(sigma),
             se_mean=float(sigma) / math.sqrt(n_cells),

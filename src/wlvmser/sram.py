@@ -29,7 +29,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -86,9 +86,12 @@ class VariationModel:
     v_dd_nominal: int = DEFAULT_VDD_MV
 
     def __post_init__(self):
+        self.sigma_part = float(self.sigma_part)
         _check_sigma("sigma_part_mV", self.sigma_part)
-        if self.v_dd_nominal <= 0:
-            raise ConfigurationError("v_dd_nominal must be positive")
+        if not (type(v := self.v_dd_nominal) in (int, float) and v > 0 and v % 1 == 0):
+            raise ConfigurationError(
+                f"v_dd_nominal_mV must be a positive whole number of mV, got {v!r}")
+        self.v_dd_nominal = int(v)
         for name, tv in self.types.items():
             for label in ("vwlmin", "hold", "read"):
                 mu = getattr(tv, f"mu_{label}")
@@ -105,21 +108,13 @@ class VariationModel:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "VariationModel":
-        types = {}
-        for name, p in raw["cell_types"].items():
-            types[name] = TypeVariation(
-                mu_vwlmin=float(p["mu_vwlmin_mV"]),
-                sigma_vwlmin=float(p["sigma_vwlmin_mV"]),
-                mu_hold=float(p["mu_hold_mV"]),
-                sigma_hold=float(p["sigma_hold_mV"]),
-                mu_read=float(p["mu_read_mV"]),
-                sigma_read=float(p["sigma_read_mV"]),
-            )
-        return cls(
-            types=types,
-            sigma_part=float(raw.get("sigma_part_mV", 8.0)),
-            v_dd_nominal=int(raw.get("v_dd_nominal_mV", DEFAULT_VDD_MV)),
-        )
+        """Model of a parsed model file; each value is keyed by its field's
+        name plus ``_mV``, and a key the file leaves out takes the default."""
+        types = {name: TypeVariation(**{f.name: float(p[f"{f.name}_mV"])
+                                        for f in fields(TypeVariation)})
+                 for name, p in raw["cell_types"].items()}
+        return cls(types=types, **{f: raw[f"{f}_mV"] for f in ("sigma_part", "v_dd_nominal")
+                                   if f"{f}_mV" in raw})
 
     @classmethod
     def from_json(cls, path) -> "VariationModel":
@@ -158,7 +153,7 @@ class MemoryArray:
         self.cell_type = cell_type
         self.v_wl_min = v_wl_min
         if np.ndim(true_seu_rate) != 0 or not true_seu_rate >= 0:  # also rejects nan
-            raise ConfigurationError("true_seu_rate must be one number >= 0")
+            raise ConfigurationError("--rate (true_seu_rate) must be one number >= 0")
         self.true_seu_rate = float(true_seu_rate)
         self.v_dd = v_dd
         self.threshold_ceiling = threshold_ceiling

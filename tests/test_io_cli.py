@@ -93,6 +93,23 @@ def test_ingest_requires_paired_ser_and_stat(tmp_path):
         ingest_measurements_csv(path)
 
 
+@pytest.mark.parametrize("text, cause", [
+    ("", ": empty file, expected header ['part_id', 'cell_type', 'quantity', 'value']"),
+    (HEADER + "1,SS,v_mewlvm_mV\n", ":2: expected 4 fields, got 3"),
+    (HEADER + ",SS,v_mewlvm_mV,800\n", ":2: missing part_id"),
+    (HEADER + "1,SS,vdd_mV,1200\n", ":2: vdd_mV rows must leave cell_type empty"),
+    (HEADER + "1,,vdd_mV,1200\n1,SS,v_mewlvm_mV,800\n1,,vdd_mV,1100\n",
+     ":4: duplicate vdd_mV for part 1"),
+    (HEADER + "1,SS,v_mewlvm_mV,800\n1,SM,sigma_wlvm_mV,44\n",
+     ": part 1 type SM: sigma_wlvm_mV without v_mewlvm_mV"),
+], ids=["empty", "field-count", "part-id", "vdd-cell-type", "vdd-twice", "sigma-alone"])
+def test_cli_malformed_measurement_file_is_one_error_line(text, cause, tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    assert cli.main(["calibrate", "--input", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}{cause}"]
+
+
 GOOD_ROWS = ["1,SS,ser_uSEU_per_bit_s,1.46", "1,SS,rel_stat_unc,0.02",
              "1,SS,v_mewlvm_mV,791", "1,SS,sigma_wlvm_mV,44", "1,,vdd_mV,1200"]
 
@@ -328,6 +345,8 @@ def test_cli_predict_reference_value(tmp_path, capsys):
     assert cli.main(["predict", "--fit", str(fit_path), "--v-wlvm", "0.409"]) == 0
     out = capsys.readouterr().out
     assert "1.5169" in out
+    assert cli.main(["predict", "--fit", str(fit_path), "--v-wlvm", "-1e-3"]) == 0
+    assert "   -         -   -0.0010   -0.2543" in capsys.readouterr().out
 
 
 def test_cli_predict_two_point_fit(tmp_path, capsys):
@@ -363,7 +382,8 @@ def test_cli_simulate_reproducible(tmp_path, capsys):
     args = ["simulate", "--parts", "1", "--types", "SS", "--duration", "7200",
             "--ts", "1800", "--seed", "11"]
     assert cli.main(args + ["--out", str(tmp_path / "a")]) == 0
-    assert cli.main(args + ["--out", str(tmp_path / "b")]) == 0
+    # -2.5e-1 is the default intercept, read as a number and not as an option
+    assert cli.main(args + ["--law-b", "-2.5e-1", "--out", str(tmp_path / "b")]) == 0
     capsys.readouterr()
     a = (tmp_path / "a" / "measurements.csv").read_bytes()
     b = (tmp_path / "b" / "measurements.csv").read_bytes()
@@ -375,6 +395,8 @@ def test_cli_sweep_and_ser_test_smoke(tmp_path, capsys):
                      "--seed", "2", "--out", str(tmp_path / "sweep.csv")]) == 0
     out = capsys.readouterr().out
     assert "word_line sweep" in out
+    assert cli.main(["sweep", "--part-offset", "-1e-3"]) == 0
+    assert "margin = 399.46 mV" in capsys.readouterr().out
     assert (tmp_path / "sweep.csv").exists()
     assert cli.main(["ser-test", "--rate", "1.46", "--duration", "7200",
                      "--seed", "2", "--out", str(tmp_path / "ser.csv")]) == 0
@@ -477,6 +499,22 @@ def test_cli_inoperable_supply_is_one_error_line(argv, tmp_path, capsys):
     (["simulate", "--law-m=-inf"], "--law-m (m) must be finite, got -inf"),
     (["simulate", "--law-b", "nan"], "--law-b (b) must be finite, got nan"),
     (["simulate", "--law-b", "inf"], "--law-b (b) must be finite, got inf"),
+    (["sweep", "--part-offset", "-1e400"], "--part-offset (part_offset) must be finite, got -inf"),
+    (["simulate", "--law-b", "-1e400"], "--law-b (b) must be finite, got -inf"),
+    (["predict", "--fit", "{tmp}/fit.json", "--v-wlvm", "-1e400"],
+     "v_wlvm must be a finite margin in volts, got -inf"),
+    (["ser-test", "--rate", "-1e-3"], "--rate (true_seu_rate) must be one number >= 0"),
+    (["simulate", "--parts", "100000000000"],
+     "--parts (n_parts) 100000000000 x 5 cell types x 240 windows keep more than the "
+     "budget of 16777216 window counts"),
+    (["simulate", "--model", "{tmp}/vdd-1200.7.json"],
+     "vdd-1200.7.json: v_dd_nominal_mV must be a positive whole number of mV, got 1200.7"),
+    (["simulate", "--model", "{tmp}/vdd-'1200'.json"],
+     "vdd-'1200'.json: v_dd_nominal_mV must be a positive whole number of mV, got '1200'"),
+    (["simulate", "--model", "{tmp}/vdd-0.5.json"],
+     "vdd-0.5.json: v_dd_nominal_mV must be a positive whole number of mV, got 0.5"),
+    (["predict", "--fit", "{tmp}/fit.json"],
+     "predict needs --v-wlvm, --margins with margin rows, or both"),
 ])
 def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
     fit = calibrate_datasets(load_reference_dataset())
@@ -495,6 +533,11 @@ def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
     model["sigma_part_mV"] = math.nan
     (tmp_path / "nan-sigma-part.json").write_text(json.dumps(model))
     (tmp_path / "list.json").write_text("[1, 2]")
+    bundled = json.loads((Path(wlvmser.__file__).parent / "data" /
+                          "variation_model.json").read_text())
+    for value in (1200.7, "1200", 0.5):
+        (tmp_path / f"vdd-{value!r}.json").write_text(json.dumps(
+            {**bundled, "v_dd_nominal_mV": value}))
     (tmp_path / "zero.csv").write_text(HEADER + "".join(
         f"1,{t},ser_uSEU_per_bit_s,{ser}\n1,{t},rel_stat_unc,{rel}\n1,{t},v_mewlvm_mV,{mu}\n"
         for t, ser, rel, mu in [("SS", 0, "inf", 791), ("SM", 1.2, 0.02, 850),

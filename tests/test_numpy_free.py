@@ -73,9 +73,15 @@ def test_fit_commands_do_not_import_numpy(argv, tmp_path):
     assert not numpy_imported(argv, tmp_path)
 
 
-def test_simulate_imports_numpy(tmp_path):
-    argv = ["simulate", "--parts", "1", "--types", "SS", "--duration", "3600",
-            "--out", "sim"]
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--parts", "1", "--types", "SS", "--duration", "3600", "--out", "sim"],
+    ["ser-test", "--duration", "3600"],
+    ["sweep", "--kind", "hold"],
+    ["report", "--simulate", "--out", "report"],
+], ids=["simulate", "ser-test", "sweep", "report-simulate"])
+def test_simulate_imports_numpy(argv, tmp_path):
+    """Each simulating command runs in a fresh interpreter, where a handler
+    that names a simulator function before ``_load_model`` binds it fails."""
     assert numpy_imported(argv, tmp_path)
 
 

@@ -212,8 +212,9 @@ def test_pending_draw_checks_shapes():
 @pytest.mark.parametrize("rate", [np.full(4096, 1.5), [1.0, 3.0], -1.0, float("nan")])
 def test_sample_array_refuses_a_rate_that_is_not_one_number_ge_0(ss_model, rate):
     """A block has one upset rate: a per-cell array, a negative or a NaN
-    rate is one error naming ``true_seu_rate``."""
-    with pytest.raises(ConfigurationError, match="^true_seu_rate must be one number >= 0$"):
+    rate is one error naming ``--rate (true_seu_rate)``."""
+    with pytest.raises(ConfigurationError,
+                       match=r"^--rate \(true_seu_rate\) must be one number >= 0$"):
         sample_array("SS", ss_model, seed=1, true_seu_rate=rate)
 
 
@@ -342,11 +343,22 @@ def test_model_json_roundtrip(tmp_path):
     assert reloaded == model
 
 
+def test_model_keys_left_out_take_the_field_defaults():
+    """Only the keys a model file has reach ``VariationModel``, so its field
+    defaults are the only ones."""
+    tv = VariationModel.default().for_type("SS")
+    params = {f"{name}_mV": getattr(tv, name) for name in
+              ("mu_vwlmin", "sigma_vwlmin", "mu_hold", "sigma_hold", "mu_read", "sigma_read")}
+    model = VariationModel.from_dict({"cell_types": {"SS": params}})
+    assert model == VariationModel(types={"SS": tv})
+    assert (model.sigma_part, model.v_dd_nominal) == (8.0, 1200)
+
+
 def test_model_file_with_an_infinite_nominal_supply_is_refused(tmp_path):
     path = tmp_path / "model.json"
     path.write_text('{"v_dd_nominal_mV": 1e400, "cell_types": {}}')
-    with pytest.raises(ConfigurationError,
-                       match="model.json: cannot convert float infinity to integer"):
+    with pytest.raises(ConfigurationError, match="model.json: v_dd_nominal_mV must be "
+                                                 "a positive whole number of mV, got inf"):
         VariationModel.from_json(path)
 
 
