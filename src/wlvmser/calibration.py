@@ -31,12 +31,11 @@ that counted no upset is left out of it (``build_weighted_points``).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from .errors import DegenerateFitError
-from .records import SerMeasurement, SweepResult, word_line_voltage_margin
+from .records import SerMeasurement, SweepResult, json_number, word_line_voltage_margin
 
 WEIGHT_MODES = ("combined", "stat-only", "linear-sum")
 DEFAULT_WEIGHT_MODE = "combined"
@@ -92,15 +91,13 @@ class CalibrationFit:
                     raise ValueError(f"{f.name} must be an integer, got {value!r}")
             elif f.type == "float":
                 value = raw[f.name]
-                if type(value) not in (int, float):
-                    raise ValueError(f"{f.name} must be a number, got {value!r}")
-                if f.name == "chi2_red" and values["nu"] == 0 and value != value:
+                values[f.name] = number = json_number(f.name, value)
+                if f.name == "chi2_red" and values["nu"] == 0 and number != number:
                     pass  # NaN: two points leave no degree of freedom
-                elif not abs(value) <= sys.float_info.max:
+                elif not math.isfinite(number):
                     raise ValueError(f"{f.name} must be finite, got {value!r}")
-                elif f.name in ("sigma_m", "sigma_b") and value < 0:
+                elif f.name in ("sigma_m", "sigma_b") and number < 0:
                     raise ValueError(f"{f.name} must be >= 0, got {value!r}")
-                values[f.name] = float(value)
         return cls(**values, weight_mode=raw.get("weight_mode"))
 
 

@@ -7,7 +7,8 @@ Subcommands:
 * ``ser-test``    one accelerated SER test on one block
 * ``sweep``       one margin/hold/read sweep on one block
 * ``calibrate``   measurement CSV -> weighted line fit (JSON)
-* ``predict``     fit JSON + margins -> predicted SER
+* ``predict``     fit JSON + margins -> predicted SER, the rows of
+                  ``report``'s predictions.csv for a measurement file
 * ``paper-repro`` re-fit the bundled reference dataset and check the
                   result against its published regression values
 * ``report``      full report bundle (fit, predictions, plot series)
@@ -154,17 +155,13 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_predict(args) -> int:
     fit = wio.read_fit_json(args.fit)
-    rows = []
+    predictions = []
     if "v_wlvm" in args:
-        rows.append(("-", "-", args.v_wlvm))
+        predictions.append(("-", "-", args.v_wlvm, predict_ser(fit, args.v_wlvm)))
     if "margins" in args:
-        for ds in wio.ingest_measurements_csv(args.margins):
-            for cell_type, sweep in sorted(ds.sweeps.items()):
-                margin_v = word_line_voltage_margin(ds.v_dd, sweep.mu) / 1000.0
-                rows.append((ds.part_id, cell_type, margin_v))
-    if not rows:
+        predictions += wio.prediction_rows(fit, wio.ingest_measurements_csv(args.margins))
+    if not predictions:
         raise ConfigurationError("predict needs --v-wlvm, --margins with margin rows, or both")
-    predictions = [(*row, predict_ser(fit, row[2])) for row in rows]
     print("part cell_type  v_wlvm_V  ser_pred  sigma")
     for part_id, cell_type, margin_v, pred in predictions:
         flag = "  (below physical floor)" if pred.below_physical_floor else ""

@@ -13,13 +13,14 @@ only.
 Reports are plot-ready text files: the fit as JSON, predictions as CSV
 and scatter/histogram/cumulative series as TSV.  A ``ReportBundle`` is
 the fit plus the datasets it reports on; ``emit_report`` derives every
-row from them, formats every file and then writes them.  Serialization
-is deterministic so reruns over identical inputs are byte-identical.
-Both emitters raise ``ValueError`` on datasets that repeat a part id.
-Each file is formatted into one string and written whole by
-``_write_text`` (the CSV files through ``_write_csv``), which replaces
-an existing file's contents, so a rerun into the same directory leaves
-the same bytes as a fresh one.
+row from them, formats every file and then writes them.  Its prediction
+rows come from ``prediction_rows``, which ``predict --margins`` uses too.
+Serialization is deterministic so reruns over identical inputs are
+byte-identical.  Both emitters raise ``ValueError`` on datasets that
+repeat a part id.  Each file is formatted into one string and written
+whole by ``_write_text`` (the CSV files through ``_write_csv``), which
+replaces an existing file's contents, so a rerun into the same
+directory leaves the same bytes as a fresh one.
 
 Ingested rows become the summary records of ``records``; this module
 imports neither the simulator nor numpy.
@@ -300,6 +301,14 @@ class ReportBundle:
     datasets: list[PartDataset] = field(default_factory=list)
 
 
+def prediction_rows(fit: CalibrationFit, datasets) -> list[tuple]:
+    """``(part_id, cell_type, v_wlvm_V, Prediction)`` of every swept block,
+    in the parts' order and, within a part, ``CELL_TYPE_ORDER``."""
+    margins = [(ds.part_id, t, word_line_voltage_margin(ds.v_dd, ds.sweeps[t].mu) / 1000.0)
+               for ds in datasets for t in ds.cell_types() if t in ds.sweeps]
+    return [(*row, predict_ser(fit, row[2])) for row in margins]
+
+
 def write_predictions_csv(predictions, path) -> Path:
     """Write ``(part_id, cell_type, v_wlvm_V, Prediction)`` rows."""
     return _write_csv(
@@ -322,8 +331,8 @@ def emit_report(bundle: ReportBundle, out_dir) -> list[str]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fit = bundle.fit
+    predictions = prediction_rows(fit, bundle.datasets)
     files = {}  # name -> text
-    predictions = []
     scatter = ["part_id\tcell_type\tx_V\ty\tsigma_y\ty_fit\n"]
     # the blocks of a run share their windows: one template per window
     # length and count holds the index and start-time columns
@@ -333,9 +342,6 @@ def emit_report(bundle: ReportBundle, out_dir) -> list[str]:
         for cell_type in ds.cell_types():
             meas, sweep = ds.ser.get(cell_type), ds.sweeps.get(cell_type)
             if sweep is not None:
-                margin_v = word_line_voltage_margin(ds.v_dd, sweep.mu) / 1000.0
-                predictions.append((ds.part_id, cell_type, margin_v,
-                                    predict_ser(fit, margin_v)))
                 if sweep.histogram:
                     files[f"hist_wlvm_{ds.part_id}_{cell_type}.tsv"] = (
                         "v_mV\tcount\n" + "".join(

@@ -30,7 +30,9 @@ over those per-cell midpoints, not over the histogram, because
 
 The SER test counts observed flips: a cell hit an even number of times
 within one sampling period reads back unchanged and those upsets are
-missed, exactly as on the bench.
+missed, exactly as on the bench.  Its schedule, ``duration // ts``
+windows, is checked by ``schedule_windows``, which ``simulate_parts``
+calls before it draws a part.
 
 The records the procedures return, ``SerMeasurement`` and
 ``SweepResult``, live in ``records``, which a measurement file ingests
@@ -51,6 +53,25 @@ from .records import (DEFAULT_DELTA_V_MV, DEFAULT_DURATION_S, DEFAULT_GEOM_UNC,
 from .sram import MemoryArray
 
 
+def schedule_windows(ts: float, duration: float) -> int:
+    """``duration // ts``, the windows of a SER test read every ``ts`` s; a
+    schedule of no window, more than ``MAX_EXPECTED_EVENTS`` windows or a
+    time that is not positive and finite raises ``ConfigurationError``."""
+    if not ts > 0:
+        raise ConfigurationError(f"--ts (ts) must be positive, got {ts:g}")
+    if not ts <= duration < math.inf:
+        raise ConfigurationError(
+            f"--duration (duration) must be finite and cover at least one sampling "
+            f"period of {ts:g} s, got {duration:g}")
+    n_windows = duration // ts
+    if n_windows > MAX_EXPECTED_EVENTS:
+        raise ConfigurationError(
+            f"{n_windows:.3g} sampling windows of {ts:g} s over {duration:g} s, "
+            f"more than the budget of {MAX_EXPECTED_EVENTS} windows; raise --ts or "
+            f"shorten --duration")
+    return int(n_windows)
+
+
 def run_ser_test(array: MemoryArray, source: AlphaSource, ts: float = DEFAULT_TS_S,
                  duration: float = DEFAULT_DURATION_S, seed=0) -> SerMeasurement:
     """Accelerated SER test: irradiate and read every ``ts`` seconds.
@@ -61,21 +82,9 @@ def run_ser_test(array: MemoryArray, source: AlphaSource, ts: float = DEFAULT_TS
     whose read-back changed since the previous window.  Window reads
     happen at nominal supply and are non-destructive; irradiation
     continues through them (reads are instantaneous in simulation time).
-    A window count above ``MAX_EXPECTED_EVENTS`` is refused before
-    anything is allocated.
+    The schedule is checked first (``schedule_windows``).
     """
-    if not ts > 0:
-        raise ConfigurationError("ts must be positive")
-    if not ts <= duration < math.inf:
-        raise ConfigurationError(
-            "duration must be finite and cover at least one sampling period")
-    n_windows = duration // ts
-    if n_windows > MAX_EXPECTED_EVENTS:
-        raise ConfigurationError(
-            f"{n_windows:.3g} sampling windows of {ts:g} s over {duration:g} s, "
-            f"more than the budget of {MAX_EXPECTED_EVENTS} windows; raise ts or "
-            f"shorten the duration")
-    n_windows = int(n_windows)
+    n_windows = schedule_windows(ts, duration)
     t_exp = n_windows * ts
 
     if n_bad := array.inoperable_cells():
@@ -104,7 +113,8 @@ def _run_sweep(array: MemoryArray, delta_v: int, quantity: str,
     being measured; such a part is rejected instead.
     """
     if not 0 < delta_v <= array.v_dd:
-        raise ConfigurationError(f"delta_v={delta_v} outside (0, {array.v_dd}]")
+        raise ConfigurationError(
+            f"--delta-v (delta_v) must be within (0, {array.v_dd}], got {delta_v}")
     if n_bad := array.inoperable_cells(thresholds):
         raise ProtocolError(
             f"part {array.part_id} {array.cell_type}: {n_bad} of {array.n_cells} cells "

@@ -10,6 +10,7 @@ numpy when they are called.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -162,6 +163,17 @@ class SweepResult:
             n_cells=n_cells,
             v_nominal=int(v_nominal),
         )
+
+
+def json_number(key: str, value) -> float:
+    """The number of ``key`` in a fit or model file as a float, infinite past
+    the float range; any other value, a bool or a string too, raises
+    ``ValueError`` naming the key."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    if abs(value) > sys.float_info.max:
+        return math.inf if value > 0 else -math.inf
+    return float(value)
 
 
 def word_line_voltage_margin(v_dd, v_mewlvm):

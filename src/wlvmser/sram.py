@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
-from .records import DEFAULT_COLS, DEFAULT_ROWS, DEFAULT_VDD_MV
+from .records import DEFAULT_COLS, DEFAULT_ROWS, DEFAULT_VDD_MV, json_number
 from .refdata import CELL_TYPE_ORDER
 
 _MAX_REDRAWS = 1000
@@ -86,13 +86,16 @@ class VariationModel:
     v_dd_nominal: int = DEFAULT_VDD_MV
 
     def __post_init__(self):
-        self.sigma_part = float(self.sigma_part)
+        self.sigma_part = json_number("sigma_part_mV", self.sigma_part)
         _check_sigma("sigma_part_mV", self.sigma_part)
         if not (type(v := self.v_dd_nominal) in (int, float) and v > 0 and v % 1 == 0):
             raise ConfigurationError(
                 f"v_dd_nominal_mV must be a positive whole number of mV, got {v!r}")
         self.v_dd_nominal = int(v)
         for name, tv in self.types.items():
+            if name not in CELL_TYPE_ORDER:
+                raise ConfigurationError(
+                    f"unknown cell type {name!r}; known: {', '.join(CELL_TYPE_ORDER)}")
             for label in ("vwlmin", "hold", "read"):
                 mu = getattr(tv, f"mu_{label}")
                 if not 0 < mu <= self.v_dd_nominal:
@@ -108,9 +111,9 @@ class VariationModel:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "VariationModel":
-        """Model of a parsed model file; each value is keyed by its field's
-        name plus ``_mV``, and a key the file leaves out takes the default."""
-        types = {name: TypeVariation(**{f.name: float(p[f"{f.name}_mV"])
+        """Model of a parsed model file; each number (``json_number``) is keyed
+        by its field's name plus ``_mV``, and a key left out takes the default."""
+        types = {name: TypeVariation(**{f.name: json_number(f"{f.name}_mV", p[f"{f.name}_mV"])
                                         for f in fields(TypeVariation)})
                  for name, p in raw["cell_types"].items()}
         return cls(types=types, **{f: raw[f"{f}_mV"] for f in ("sigma_part", "v_dd_nominal")
@@ -125,7 +128,7 @@ class VariationModel:
                 return cls.from_dict(json.load(fh))
             except KeyError as exc:
                 raise ConfigurationError(f"{path}: missing key {exc}") from None
-            except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+            except (AttributeError, TypeError, ValueError) as exc:
                 raise ConfigurationError(f"{path}: {exc}") from None
 
     @classmethod

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wlvmser
-from wlvmser import cli
+from wlvmser import cli, pipeline
 from wlvmser.calibration import CalibrationFit, predict_ser, weighted_linfit
 from wlvmser.errors import IngestError
 from wlvmser.io import (PartDataset, ReportBundle, emit_measurements_csv,
@@ -515,6 +515,21 @@ def test_cli_inoperable_supply_is_one_error_line(argv, tmp_path, capsys):
      "vdd-0.5.json: v_dd_nominal_mV must be a positive whole number of mV, got 0.5"),
     (["predict", "--fit", "{tmp}/fit.json"],
      "predict needs --v-wlvm, --margins with margin rows, or both"),
+    (["simulate", "--model", "{tmp}/mu-'791'.json"],
+     "mu-'791'.json: mu_vwlmin_mV must be a number, got '791'"),
+    (["simulate", "--model", "{tmp}/sigma-part-True.json"],
+     "sigma-part-True.json: sigma_part_mV must be a number, got True"),
+    (["simulate", "--model", "{tmp}/type-XX.json"],
+     "type-XX.json: unknown cell type 'XX'; known: SS, SM, SL, MM, LS"),
+    (["simulate", "--ts", "0.01", "--parts", "1", "--types", "SS"],
+     "4.32e+07 sampling windows of 0.01 s over 432000 s, more than the budget of "
+     "16777216 windows; raise --ts or shorten --duration"),
+    (["ser-test", "--ts", "0"], "--ts (ts) must be positive, got 0"),
+    (["simulate", "--duration", "600"],
+     "--duration (duration) must be finite and cover at least one sampling period "
+     "of 1800 s, got 600"),
+    (["sweep", "--delta-v", "0"], "--delta-v (delta_v) must be within (0, 1200], got 0"),
+    (["simulate", "--parts", "-1"], "--parts: n_parts must be >= 1, got -1"),
 ])
 def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
     fit = calibrate_datasets(load_reference_dataset())
@@ -538,6 +553,13 @@ def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
     for value in (1200.7, "1200", 0.5):
         (tmp_path / f"vdd-{value!r}.json").write_text(json.dumps(
             {**bundled, "v_dd_nominal_mV": value}))
+    types = bundled["cell_types"]
+    for name, payload in [
+            ("mu-'791'", {**bundled, "cell_types": {
+                **types, "SS": {**types["SS"], "mu_vwlmin_mV": "791"}}}),
+            ("sigma-part-True", {**bundled, "sigma_part_mV": True}),
+            ("type-XX", {**bundled, "cell_types": {**types, "XX": types["SS"]}})]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
     (tmp_path / "zero.csv").write_text(HEADER + "".join(
         f"1,{t},ser_uSEU_per_bit_s,{ser}\n1,{t},rel_stat_unc,{rel}\n1,{t},v_mewlvm_mV,{mu}\n"
         for t, ser, rel, mu in [("SS", 0, "inf", 791), ("SM", 1.2, 0.02, 850),
@@ -552,6 +574,34 @@ def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
     assert cause in err[0]
     if argv[0] == "predict":
         assert captured.out == ""
+
+
+def test_cli_simulate_budget_counts_each_blocks_records(tmp_path, capsys, monkeypatch):
+    """Three million parts of one window each keep about 47 GB of records
+    besides their 15 M window counts, and are refused before any draw."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("simulate_parts drew a block of a batch over its budget")
+    monkeypatch.setattr(pipeline, "sample_array", no_draw)
+    argv = ["simulate", "--duration", "1800", "--parts", "3000000", "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --parts (n_parts) 3000000 x 5 cell types x 1 windows keep more than the "
+        "budget of 16777216 window counts, each block's records counting as 400 more"]
+
+
+def test_cli_predict_margins_writes_the_rows_of_report(tmp_path, capsys):
+    """``predict --margins`` and ``report`` list the same blocks in the same
+    order, the parts' and then ``CELL_TYPE_ORDER``, with the same bytes."""
+    fit = tmp_path / "fit.json"
+    assert cli.main(["calibrate", "--input", "bundled", "--out", str(fit)]) == 0
+    assert cli.main(["predict", "--fit", str(fit), "--margins", str(REFERENCE_CSV),
+                     "--out", str(tmp_path / "d")]) == 0
+    assert cli.main(["report", "--input", "bundled", "--out", str(tmp_path / "r")]) == 0
+    capsys.readouterr()
+    predicted = (tmp_path / "d" / "predictions.csv").read_bytes()
+    assert predicted == (tmp_path / "r" / "predictions.csv").read_bytes()
+    assert [row.split(",")[1] for row in predicted.decode().splitlines()[1:6]] == list(
+        CELL_TYPE_ORDER)
 
 
 def test_cli_fits_what_simulate_writes_with_zero_counts(tmp_path, capsys):

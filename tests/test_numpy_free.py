@@ -16,7 +16,7 @@ import pytest
 import wlvmser
 from wlvmser.io import write_fit_json
 from wlvmser.pipeline import calibrate_datasets
-from wlvmser.refdata import load_reference_dataset
+from wlvmser.refdata import REFERENCE_CSV, load_reference_dataset
 
 SRC = str(Path(wlvmser.__file__).resolve().parents[1])
 
@@ -66,8 +66,9 @@ def numpy_imported(argv, cwd) -> bool:
     ["paper-repro"],
     ["calibrate", "--input", "bundled"],
     ["predict", "--fit", "fit.json", "--v-wlvm", "0.4"],
+    ["predict", "--fit", "fit.json", "--margins", str(REFERENCE_CSV)],
     ["report", "--input", "bundled", "--out", "report"],
-], ids=["import", "paper-repro", "calibrate", "predict", "report"])
+], ids=["import", "paper-repro", "calibrate", "predict", "predict-margins", "report"])
 def test_fit_commands_do_not_import_numpy(argv, tmp_path):
     write_fit_json(calibrate_datasets(load_reference_dataset()), tmp_path / "fit.json")
     assert not numpy_imported(argv, tmp_path)

@@ -126,6 +126,30 @@ def test_ser_test_window_budget(ss_model, monkeypatch):
         run_ser_test(_block(ss_model), AlphaSource(), ts=1800, duration=21 * 1800)
 
 
+@pytest.mark.parametrize("lam_ts, n_windows", [(0.18, 9600), (0.0026, 48_000),
+                                               (0.24, 6000)])
+def test_ser_test_window_counts_follow_the_exact_law(ss_model, lam_ts, n_windows):
+    """Within one window each cell takes Poisson(lam * ts) hits and reads
+    back changed iff their count is odd, so the window counts of the real
+    SER path are iid Binomial(n_cells, (1 - exp(-2 lam ts)) / 2).  Their
+    mean and variance must match it within 4 standard errors."""
+    ts = 1800.0
+    array = sample_array("SS", ss_model, seed=21, rows=32, cols=32,
+                         true_seu_rate=lam_ts / ts * 1e6)
+    counts = run_ser_test(array, AlphaSource(), ts=ts, duration=n_windows * ts,
+                          seed=22).window_counts
+    assert counts.size == n_windows
+    p = -math.expm1(-2 * lam_ts) / 2
+    mean, var = array.n_cells * p, array.n_cells * p * (1 - p)
+    z = (counts.mean() - mean) / math.sqrt(var / n_windows)
+    assert abs(z) <= 4
+    # standard error of a sample variance: 2 / (W - 1) plus the excess
+    # kurtosis of the binomial over W, relative to the variance squared
+    kurtosis = (1 - 6 * p * (1 - p)) / var
+    se_ratio = math.sqrt(2 / (n_windows - 1) + kurtosis / n_windows)
+    assert abs(counts.var(ddof=1) / var - 1) <= 4 * se_ratio
+
+
 def test_ser_log_csv(ss_model, tmp_path):
     meas = run_ser_test(_block(ss_model, rate=1.0, seed=13), AlphaSource(),
                         ts=600, duration=6_000, seed=14)
