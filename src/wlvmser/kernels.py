@@ -1,8 +1,10 @@
 """Numeric inner loops of the simulator, in numpy.
 
 The hot paths are small operations over cell arrays: counting observed
-per-window bit flips (a sort of per-event keys, then hits minus the
-pairs of repeated hits), registering sweep failures (a closed form,
+per-window bit flips (a sort of per-event keys, then each window's hits
+minus twice its pairs of repeated hits: one ``reduceat`` sum of the
+repeats per window, less a correction for the rare runs of three or more
+hits), registering sweep failures (a closed form,
 evaluated once per voltage up to the block's top threshold and gathered
 per cell, or per cell when that voltage is not below the cell count)
 and Monte-Carlo sampling of masked upsets.  ``window_observed_flips``
@@ -20,20 +22,23 @@ _MC_CHUNK = 4_000_000  # bounds the Monte-Carlo working set
 
 
 def window_observed_flips(windows, cells, n_windows, n_cells):
-    """Per-window observed flip counts plus the total flip parity per cell.
+    """Per-window observed flip counts plus the events hitting each window.
 
     ``windows`` must be non-decreasing (events sorted by time), every
     entry must lie in ``[0, n_windows)`` and every cell in ``[0, n_cells)``.
-    Returns ``(counts, parity)`` where ``counts[i]`` is the number of cells
-    whose read-back changed in window ``i`` and ``parity`` is the
-    cumulative XOR mask over all events.
+    Returns ``(counts, hits)`` where ``counts[i]`` is the number of cells
+    whose read-back changed in window ``i`` and ``hits[i]`` the number of
+    events in it; ``hits - counts`` is the even number of upsets masked.
 
     Each event becomes the key ``window * n_cells + cell``, as ``int32``
     when every key fits and ``int64`` otherwise, and the keys are sorted in
     place.  A cell hit ``L`` times within one window forms a run of ``L``
     equal keys and reads back changed iff ``L`` is odd, so ``L // 2`` pairs
-    of hits go unseen: each window's count is its hits minus twice the
-    pairs of its runs.
+    of hits go unseen.  Sorting keeps each window's events at the positions
+    they had, so one ``np.add.reduceat`` of the repeat flags over the
+    window starts gives each window's ``sum(L - 1)``; the pairs are that
+    less ``sum((L - 1) // 2)``, which only the rare runs of three or more
+    keys add to, found among the positions that repeat twice in a row.
     """
     windows = np.asarray(windows)
     cells = np.asarray(cells, dtype=np.int64)
@@ -41,7 +46,7 @@ def window_observed_flips(windows, cells, n_windows, n_cells):
         raise ValueError("windows and cells must have the same length")
     n_windows, n_cells = int(n_windows), int(n_cells)
     if not cells.size:
-        return np.zeros(n_windows, dtype=np.int64), np.zeros(n_cells, dtype=np.uint8)
+        return np.zeros(n_windows, dtype=np.int64), np.zeros(n_windows, dtype=np.int64)
     if windows[0] < 0 or windows[-1] >= n_windows:
         raise ValueError("window index out of range")
     if (windows[1:] < windows[:-1]).any():
@@ -49,23 +54,31 @@ def window_observed_flips(windows, cells, n_windows, n_cells):
     if cells.min() < 0 or cells.max() >= n_cells:
         raise ValueError("cell index out of range")
     key = windows.astype(np.int32 if n_windows * n_cells < 2**31 else np.int64)
+    starts = np.searchsorted(key, np.arange(n_windows + 1, dtype=key.dtype))
+    hits = starts[1:] - starts[:-1]
     key *= n_cells
     np.add(key, cells, out=key)
     key.sort()
-    # a run of L equal keys shows as L - 1 consecutive repeat positions
-    repeat = np.flatnonzero(key[1:] == key[:-1])
-    edge = np.empty(repeat.size + 1, dtype=bool)
-    edge[0] = edge[-1] = True
-    np.not_equal(repeat[1:], repeat[:-1] + 1, out=edge[1:-1])
-    heads = np.flatnonzero(edge)  # first repeat of each run, then repeat.size
-    pairs = (np.diff(heads) + 1) // 2
-    # sorting keeps each window's events at the positions they had
-    masked = np.bincount(windows[repeat[heads[:-1]]], weights=pairs,
-                         minlength=n_windows).astype(np.int64)
-    hits = np.diff(np.searchsorted(windows, np.arange(n_windows + 1)))
-    counts = hits - 2 * masked
-    total_parity = (np.bincount(cells, minlength=n_cells) & 1).astype(np.uint8)
-    return counts, total_parity
+    # repeat[j]: event j has the key of event j - 1; False at both ends, so
+    # an empty window's reduceat term, repeat at the next window's start, is
+    # 0.  reduceat first casts all of repeat to its dtype: int32 unless one
+    # window could hold 2**31 events
+    repeat = np.empty(key.size + 1, dtype=bool)
+    repeat[0] = repeat[-1] = False
+    np.equal(key[1:], key[:-1], out=repeat[1:-1])
+    pairs = np.add.reduceat(repeat, starts[:-1],
+                            dtype=np.int32 if key.size < 2**31 else np.int64)
+    # a run of L >= 3 keys repeats twice in a row at L - 2 consecutive
+    # positions; runs are at least three positions apart
+    twice = np.flatnonzero(repeat[1:-2] & repeat[2:-1])
+    if twice.size:
+        edge = np.empty(twice.size + 1, dtype=bool)
+        edge[0] = edge[-1] = True
+        np.not_equal(twice[1:], twice[:-1] + 1, out=edge[1:-1])
+        heads = np.flatnonzero(edge)  # first position of each run, then twice.size
+        np.subtract.at(pairs, windows[twice[heads[:-1]]], (np.diff(heads) + 1) // 2)
+    counts = hits - 2 * pairs
+    return counts, hits
 
 
 def _step_down(thresholds, v_start, delta_v):

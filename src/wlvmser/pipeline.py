@@ -30,10 +30,14 @@ from .refdata import CELL_TYPE_ORDER
 # bound on first use, so that calibrating and reporting need no numpy
 __getattr__ = lazy.module_getattr(globals())
 
-# A simulated block keeps about 3.1 kB of SER and sweep records besides
-# its window counts (tracemalloc over simulate_parts(n_parts=200) at 1, 10
-# and 240 windows), charged to the batch budget as 400 window counts of 8 B.
-_BLOCK_RECORDS_AS_WINDOWS = 400
+# Besides its window counts, a simulated block keeps about 1 kB of SER and
+# sweep records plus 72 B per bin of its sweep histogram (tracemalloc over
+# simulate_parts(n_parts=100) at delta_v = 1, 10 and 50 mV: 17.4, 3.1 and
+# 1.5 kB per block at 229, 29 and 7 bins).  The batch budget charges them
+# as window counts of 8 B: 128 per block and 10 per bin the histogram can
+# have, the fewer of the cell count and ``sweep_bins``.
+_BLOCK_RECORDS_AS_WINDOWS = 128
+_BIN_AS_WINDOWS = 10
 
 
 @dataclass(frozen=True)
@@ -81,9 +85,11 @@ def simulate_parts(
     most once, and ``geom_spread`` lies in [0, 0.1] so every flux factor
     stays within the source's range.  A bad schedule (``schedule_windows``)
     or a batch keeping more than ``MAX_EXPECTED_EVENTS`` window counts, a
-    block's records counted as ``_BLOCK_RECORDS_AS_WINDOWS`` more, is
-    refused before any draw.  An inoperable block aborts the batch with a
-    ``ProtocolError`` that names its part and cell type.
+    block's records counted as ``_BLOCK_RECORDS_AS_WINDOWS`` more and its
+    sweep histogram as ``_BIN_AS_WINDOWS`` per bin it can have, is refused
+    before any draw, and so is a bad supply or sweep step.  An inoperable
+    block aborts the batch with a ``ProtocolError`` that names its part and
+    cell type.
     """
     if n_parts < 1:
         raise ConfigurationError(f"--parts: n_parts must be >= 1, got {n_parts}")
@@ -100,18 +106,20 @@ def simulate_parts(
             f"--geom-spread (geom_spread) must be finite and within [0, 0.1], "
             f"got {geom_spread:g}")
     import numpy as np
-    from .protocols import schedule_windows
+    from .protocols import schedule_windows, sweep_bins
     from .radiation import MAX_EXPECTED_EVENTS
     windows = schedule_windows(ts, duration)
-    if n_parts * len(cell_types) * (windows + _BLOCK_RECORDS_AS_WINDOWS) > MAX_EXPECTED_EVENTS:
-        raise ConfigurationError(
-            f"--parts (n_parts) {n_parts} x {len(cell_types)} cell types x {windows} "
-            f"windows keep more than the budget of {MAX_EXPECTED_EVENTS} window counts, "
-            f"each block's records counting as {_BLOCK_RECORDS_AS_WINDOWS} more")
     lazy.bind(globals())
     model = model if model is not None else VariationModel.default()
     law = law if law is not None else LinearSerLaw()
-    v_dd = v_dd if v_dd is not None else model.v_dd_nominal
+    v_dd = model.supply(v_dd)
+    records = (_BLOCK_RECORDS_AS_WINDOWS
+               + _BIN_AS_WINDOWS * min(rows * cols, sweep_bins(v_dd, delta_v)))
+    if n_parts * len(cell_types) * (windows + records) > MAX_EXPECTED_EVENTS:
+        raise ConfigurationError(
+            f"--parts (n_parts) {n_parts} x {len(cell_types)} cell types x {windows} "
+            f"windows keep more than the budget of {MAX_EXPECTED_EVENTS} window counts, "
+            f"each block's records counting as {records} more")
     root = np.random.SeedSequence(seed)
 
     datasets = []

@@ -31,8 +31,13 @@ over those per-cell midpoints, not over the histogram, because
 The SER test counts observed flips: a cell hit an even number of times
 within one sampling period reads back unchanged and those upsets are
 missed, exactly as on the bench.  Its schedule, ``duration // ts``
-windows, is checked by ``schedule_windows``, which ``simulate_parts``
-calls before it draws a part.
+windows, is checked by ``schedule_windows``, and a sweep's step and its
+histogram's bin bound by ``sweep_bins``; ``simulate_parts`` calls both
+before it draws a part.  An event at time ``t`` falls in window
+``min(int(t / ts), n_windows - 1)``.  The test bins the sorted event
+times by one binary search per window, against the exact first double of
+each window (searched once per schedule and cached), not by a division
+per event; the counts are the same bit for bit.
 
 The records the procedures return, ``SerMeasurement`` and
 ``SweepResult``, live in ``records``, which a measurement file ingests
@@ -41,6 +46,7 @@ into without the simulator.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -72,6 +78,50 @@ def schedule_windows(ts: float, duration: float) -> int:
     return int(n_windows)
 
 
+def sweep_bins(v_dd: int, delta_v: int) -> int:
+    """``v_dd // delta_v + 1``, the most grid voltages a sweep down from
+    ``v_dd`` in ``delta_v`` steps registers cells at, so the most bins of
+    its histogram; a step outside ``(0, v_dd]`` raises
+    ``ConfigurationError``."""
+    if not 0 < delta_v <= v_dd:
+        raise ConfigurationError(
+            f"--delta-v (delta_v) must be within (0, {v_dd}], got {delta_v}")
+    return v_dd // delta_v + 1
+
+
+@functools.lru_cache(maxsize=1)
+def _window_starts(ts: float, n_windows: int) -> np.ndarray:
+    """``-inf``, the first time of each window 1 .. ``n_windows - 1`` and
+    ``+inf``: window ``i`` starts at the smallest double ``b`` with
+    ``fl(b / ts) >= i``.  ``fl(i * ts)`` lies within an ulp or two of it,
+    so it is stepped up until it reaches window ``i`` and then down while
+    the double below it still does."""
+    i = np.arange(1, n_windows, dtype=np.float64)
+    b = i * ts
+    while (low := b / ts < i).any():
+        b[low] = np.nextafter(b[low], np.inf)
+    while (high := (below := np.nextafter(b, -np.inf)) / ts >= i).any():
+        b[high] = below[high]
+    starts = np.concatenate(([-np.inf], b, [np.inf]))
+    starts.flags.writeable = False
+    return starts
+
+
+def _event_windows(times: np.ndarray, ts: float, n_windows: int) -> np.ndarray:
+    """``min(int(t / ts), n_windows - 1)`` for each of the sorted event
+    times ``t >= 0``, as ``int32``; unsorted times raise ``ValueError``.
+
+    Correctly rounded division is monotone in ``t``, so a window's events
+    are the times from its exact start (``_window_starts``) to the next
+    one, found by one binary search per window instead of a division per
+    event.  Times past the last start fall in the last window.
+    """
+    if (times[1:] < times[:-1]).any():
+        raise ValueError("event times must be sorted")
+    edges = np.searchsorted(times, _window_starts(ts, n_windows))
+    return np.repeat(np.arange(n_windows, dtype=np.int32), edges[1:] - edges[:-1])
+
+
 def run_ser_test(array: MemoryArray, source: AlphaSource, ts: float = DEFAULT_TS_S,
                  duration: float = DEFAULT_DURATION_S, seed=0) -> SerMeasurement:
     """Accelerated SER test: irradiate and read every ``ts`` seconds.
@@ -93,10 +143,9 @@ def run_ser_test(array: MemoryArray, source: AlphaSource, ts: float = DEFAULT_TS
             f"{n_bad} cells at v_dd={array.v_dd} mV; the part is not operable at this supply")
 
     events = generate_events(array, source, t_exp, seed)
-    windows = (events.times / ts).astype(np.int64)
-    np.minimum(windows, n_windows - 1, out=windows)
     counts, _ = kernels.window_observed_flips(
-        windows, events.cells, n_windows, array.n_cells)
+        _event_windows(events.times, ts, n_windows), events.cells, n_windows,
+        array.n_cells)
 
     return SerMeasurement.from_windows(array.part_id, array.cell_type, ts, counts,
                                        array.n_cells, DEFAULT_GEOM_UNC)
@@ -112,9 +161,7 @@ def _run_sweep(array: MemoryArray, delta_v: int, quantity: str,
     above it, would be registered at a voltage unrelated to the threshold
     being measured; such a part is rejected instead.
     """
-    if not 0 < delta_v <= array.v_dd:
-        raise ConfigurationError(
-            f"--delta-v (delta_v) must be within (0, {array.v_dd}], got {delta_v}")
+    sweep_bins(array.v_dd, delta_v)  # refuses a bad step
     if n_bad := array.inoperable_cells(thresholds):
         raise ProtocolError(
             f"part {array.part_id} {array.cell_type}: {n_bad} of {array.n_cells} cells "

@@ -40,6 +40,9 @@ from .records import DEFAULT_COLS, DEFAULT_ROWS, DEFAULT_VDD_MV, json_number
 from .refdata import CELL_TYPE_ORDER
 
 _MAX_REDRAWS = 1000
+# Largest nominal supply: a block's supply, up to twice the nominal, plus
+# one sweep step of at most that supply stays within int64 (about 9.2e18).
+_MAX_VDD_NOMINAL_MV = 10**18
 
 
 # glibc raises its mmap and trim thresholds as large blocks are freed, so
@@ -91,6 +94,10 @@ class VariationModel:
         if not (type(v := self.v_dd_nominal) in (int, float) and v > 0 and v % 1 == 0):
             raise ConfigurationError(
                 f"v_dd_nominal_mV must be a positive whole number of mV, got {v!r}")
+        if v > _MAX_VDD_NOMINAL_MV:
+            raise ConfigurationError(
+                f"v_dd_nominal_mV must be at most {_MAX_VDD_NOMINAL_MV:.0e} mV, "
+                f"got {json_number('v_dd_nominal_mV', v):g}")
         self.v_dd_nominal = int(v)
         for name, tv in self.types.items():
             if name not in CELL_TYPE_ORDER:
@@ -102,6 +109,17 @@ class VariationModel:
                     raise ConfigurationError(
                         f"{name}: mu_{label}={mu} outside (0, {self.v_dd_nominal}]"
                     )
+
+    def supply(self, v_dd=None):
+        """``v_dd``, or the nominal supply when it is None; a supply that is
+        not a whole number of mV within (0, twice the nominal] raises
+        ``ConfigurationError``."""
+        v_dd = self.v_dd_nominal if v_dd is None else v_dd
+        if not (0 < v_dd <= 2 * self.v_dd_nominal and v_dd == int(v_dd)):
+            raise ConfigurationError(
+                f"--vdd (v_dd) must be a whole number of mV within "
+                f"(0, {2 * self.v_dd_nominal}], got {v_dd}")
+        return v_dd
 
     def for_type(self, name: str) -> TypeVariation:
         try:
@@ -233,11 +251,7 @@ def sample_array(
     nominal supply) is a whole number of mV up to twice the nominal.
     """
     vnom = model.v_dd_nominal
-    v_dd = vnom if v_dd is None else v_dd
-    if not (0 < v_dd <= 2 * vnom and v_dd == int(v_dd)):
-        raise ConfigurationError(
-            f"--vdd (v_dd) must be a whole number of mV within (0, {2 * vnom}], "
-            f"got {v_dd}")
+    v_dd = model.supply(v_dd)
     if not math.isfinite(part_offset):
         raise ConfigurationError(
             f"--part-offset (part_offset) must be finite, got {part_offset}")

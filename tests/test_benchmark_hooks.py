@@ -8,6 +8,7 @@ find as a metric of 0 rather than failing, so a rename or deletion in
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wlvmser
@@ -39,6 +40,27 @@ def test_kernel_cases_resolve(perfbench_modules):
     run, _ = perfbench_modules
     assert [kernel for kernel, _, _ in run.KERNEL_CASES
             if not callable(getattr(kernels, kernel, None))] == []
+
+
+def test_window_flip_counts_come_first(perfbench_modules):
+    """``spans._COUNTS`` reads a window-flip result's counts as ``r[0]``, and
+    ``run.kernel_cases`` calls the kernel with sorted ``int64`` windows of
+    the sizes in ``KERNEL_CASES``: 240 windows over 4096 cells."""
+    run, spans = perfbench_modules
+    observed = spans._COUNTS["kernels.window_flips"]
+    rng = np.random.default_rng(0)
+    sizes = [size for kernel, _, size in run.KERNEL_CASES
+             if kernel == "window_observed_flips"]
+    assert sizes
+    for size in sizes:
+        windows = np.sort(rng.integers(0, 240, size))
+        assert windows.dtype == np.int64
+        cells = rng.integers(0, 4096, size)
+        result = kernels.window_observed_flips(windows, cells, 240, 4096)
+        keys, hits = np.unique(windows * 4096 + cells, return_counts=True)
+        counts = np.bincount(keys[hits % 2 == 1] // 4096, minlength=240)
+        assert np.array_equal(result[0], counts)
+        assert observed(result) == {"kernels.observed": int(counts.sum())}
 
 
 def test_public_names_resolve():

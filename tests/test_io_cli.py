@@ -530,6 +530,12 @@ def test_cli_inoperable_supply_is_one_error_line(argv, tmp_path, capsys):
      "of 1800 s, got 600"),
     (["sweep", "--delta-v", "0"], "--delta-v (delta_v) must be within (0, 1200], got 0"),
     (["simulate", "--parts", "-1"], "--parts: n_parts must be >= 1, got -1"),
+    (["sweep", "--model", "{tmp}/vdd-10**30.json"],
+     "vdd-10**30.json: v_dd_nominal_mV must be at most 1e+18 mV, got 1e+30"),
+    (["simulate", "--model", "{tmp}/vdd-10**400.json"],
+     "vdd-10**400.json: v_dd_nominal_mV must be at most 1e+18 mV, got inf"),
+    (["simulate", "--vdd", "0"],
+     "--vdd (v_dd) must be a whole number of mV within (0, 2400], got 0"),
 ])
 def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
     fit = calibrate_datasets(load_reference_dataset())
@@ -553,6 +559,9 @@ def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
     for value in (1200.7, "1200", 0.5):
         (tmp_path / f"vdd-{value!r}.json").write_text(json.dumps(
             {**bundled, "v_dd_nominal_mV": value}))
+    for power in (30, 400):
+        (tmp_path / f"vdd-10**{power}.json").write_text(json.dumps(
+            {**bundled, "v_dd_nominal_mV": 10**power}))
     types = bundled["cell_types"]
     for name, payload in [
             ("mu-'791'", {**bundled, "cell_types": {
@@ -586,7 +595,26 @@ def test_cli_simulate_budget_counts_each_blocks_records(tmp_path, capsys, monkey
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: --parts (n_parts) 3000000 x 5 cell types x 1 windows keep more than the "
-        "budget of 16777216 window counts, each block's records counting as 400 more"]
+        "budget of 16777216 window counts, each block's records counting as 1338 more"]
+
+
+def test_cli_simulate_budget_counts_the_sweep_histogram(tmp_path, capsys, monkeypatch):
+    """At a 1 mV step a block's histogram can have 1201 bins, so it is charged
+    10 window counts a bin: a thousand parts, which a flat charge per block
+    admitted, are refused before any draw; a step of 0 mV is refused there
+    too, not after the first block's SER test."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("simulate_parts drew a block of a batch it refuses")
+    monkeypatch.setattr(pipeline, "sample_array", no_draw)
+    for delta_v, message in [
+            ("1", "error: --parts (n_parts) 1000 x 5 cell types x 1 windows keep more "
+                  "than the budget of 16777216 window counts, each block's records "
+                  "counting as 12138 more"),
+            ("0", "error: --delta-v (delta_v) must be within (0, 1200], got 0")]:
+        argv = ["simulate", "--duration", "1800", "--parts", "1000", "--delta-v", delta_v,
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
 
 
 def test_cli_predict_margins_writes_the_rows_of_report(tmp_path, capsys):

@@ -26,7 +26,7 @@ def window_flips_oracle(windows, cells, n_windows, n_cells):
             state[c] ^= 1
         counts[w] = int(np.count_nonzero(state != reference))
         reference = state.copy()
-    return counts, state
+    return counts
 
 
 def window_flips_unique(windows, cells, n_windows, n_cells):
@@ -34,8 +34,19 @@ def window_flips_unique(windows, cells, n_windows, n_cells):
     composite = windows.astype(np.int64) * n_cells + cells
     uniq, multiplicity = np.unique(composite, return_counts=True)
     odd = uniq[(multiplicity & 1) == 1]
-    counts = np.bincount(odd // n_cells, minlength=n_windows)
-    return counts, (np.bincount(cells, minlength=n_cells) & 1).astype(np.uint8)
+    return np.bincount(odd // n_cells, minlength=n_windows)
+
+
+def check_window_flips(windows, cells, n_windows, n_cells, oracle=window_flips_oracle):
+    """The kernel's counts equal the oracle's, and its hits are the events
+    per window, of which an even number, never negative, went unseen."""
+    counts, hits = kernels.window_observed_flips(windows, cells, n_windows, n_cells)
+    assert counts.dtype == hits.dtype == np.int64
+    assert np.array_equal(counts, oracle(windows, cells, n_windows, n_cells))
+    assert np.array_equal(hits, np.bincount(windows, minlength=n_windows))
+    masked = hits - counts
+    assert np.all(masked >= 0) and np.all(masked % 2 == 0)
+    return counts
 
 
 def arrival_times_oracle(rng, lam_total, duration):
@@ -94,10 +105,39 @@ def test_window_flips_matches_oracle(n_events):
     rng = np.random.default_rng(n_events)
     n_windows, n_cells = 12, 64
     windows, cells = _random_events(rng, n_events, n_windows, n_cells)
-    counts, parity = kernels.window_observed_flips(windows, cells, n_windows, n_cells)
-    oracle_counts, oracle_state = window_flips_oracle(windows, cells, n_windows, n_cells)
-    assert np.array_equal(counts, oracle_counts)
-    assert np.array_equal(parity, oracle_state)
+    check_window_flips(windows, cells, n_windows, n_cells)
+
+
+@pytest.mark.parametrize("empty", [(0,), (5,), (11,), (0, 1, 5, 6, 10, 11), tuple(range(12))])
+def test_window_flips_with_empty_windows(empty):
+    """Windows with no event, first, in the middle and last, count and hit
+    nothing and leave their neighbours' counts as the oracle's."""
+    rng = np.random.default_rng(len(empty))
+    n_windows, n_cells = 12, 16
+    windows, cells = _random_events(rng, 3000, n_windows, n_cells)
+    keep = ~np.isin(windows, empty)
+    counts = check_window_flips(windows[keep], cells[keep], n_windows, n_cells)
+    assert not counts[list(empty)].any()
+
+
+@pytest.mark.parametrize("window_dtype", [np.int32, np.int64])
+def test_window_flips_runs_of_two_to_seven_hits(window_dtype):
+    """Cells hit 1 to 7 times within a window, in shuffled order; the
+    highest cell takes 2 to 7 hits in every window, so after the key sort
+    runs end on a window's last event and on the last event of all."""
+    rng = np.random.default_rng(7)
+    n_windows, n_cells = 9, 32
+    windows, cells = [], []
+    for w in range(n_windows):
+        hit = rng.choice(n_cells - 1, 12, replace=False)
+        runs = np.append(np.repeat(hit, rng.integers(1, 8, hit.size)),
+                         np.full(2 + w % 6, n_cells - 1))
+        windows.append(np.full(runs.size, w))
+        cells.append(rng.permutation(runs))
+    windows = np.concatenate(windows).astype(window_dtype)
+    cells = np.concatenate(cells)
+    counts = check_window_flips(windows, cells, n_windows, n_cells)
+    assert np.bincount(windows, minlength=n_windows).sum() - counts.sum() > 0
 
 
 def test_window_flips_int64_keys_match_unique():
@@ -110,11 +150,7 @@ def test_window_flips_int64_keys_match_unique():
     windows = np.sort(rng.integers(0, n_windows, 400_000))
     windows[-50:] = n_windows - 1
     cells = rng.choice(hot, windows.size)
-    counts, parity = kernels.window_observed_flips(windows, cells, n_windows, n_cells)
-    oracle_counts, oracle_parity = window_flips_unique(windows, cells, n_windows, n_cells)
-    assert counts.dtype == np.int64
-    assert np.array_equal(counts, oracle_counts)
-    assert np.array_equal(parity, oracle_parity)
+    counts = check_window_flips(windows, cells, n_windows, n_cells, window_flips_unique)
     assert counts.sum() < windows.size  # some hits were masked
 
 

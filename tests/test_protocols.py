@@ -126,6 +126,32 @@ def test_ser_test_window_budget(ss_model, monkeypatch):
         run_ser_test(_block(ss_model), AlphaSource(), ts=1800, duration=21 * 1800)
 
 
+@pytest.mark.parametrize("ts", [1800.0, 0.1, 1 / 3, 0.7, 7.3, 1e-3])
+def test_event_windows_match_the_division(ts):
+    """Each ``i * ts``, the doubles on either side of it, 0, the horizon
+    ``n * ts`` and times past it fall in ``min(int(t / ts), n - 1)``, and
+    each searched window start is the first double of its window."""
+    n_windows = 5000
+    grid = np.arange(n_windows + 1) * ts
+    times = np.concatenate([grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+                            np.random.default_rng(1).uniform(0, 2 * n_windows * ts, 5000)])
+    times = np.sort(times[times >= 0])
+    assert times[0] == 0.0
+    windows = protocols._event_windows(times, ts, n_windows)
+    assert windows.dtype == np.int32
+    assert np.array_equal(
+        windows, np.minimum((times / ts).astype(np.int64), n_windows - 1))
+    starts, i = protocols._window_starts(ts, n_windows)[1:-1], np.arange(1, n_windows)
+    assert np.all(starts / ts >= i) and np.all(np.nextafter(starts, -np.inf) / ts < i)
+
+
+def test_event_windows_need_sorted_times():
+    assert protocols._event_windows(np.empty(0), 1800.0, 240).size == 0
+    assert protocols._event_windows(np.array([5.0, 5.0]), 1.0, 3).tolist() == [2, 2]
+    with pytest.raises(ValueError, match="event times must be sorted"):
+        protocols._event_windows(np.array([2.0, 1.0]), 1.0, 3)
+
+
 @pytest.mark.parametrize("lam_ts, n_windows", [(0.18, 9600), (0.0026, 48_000),
                                                (0.24, 6000)])
 def test_ser_test_window_counts_follow_the_exact_law(ss_model, lam_ts, n_windows):

@@ -111,20 +111,21 @@ def test_alpha_source_validation():
 # --- window flips -------------------------------------------------------------
 
 def test_double_hit_cancels():
-    counts, parity = kernels.window_observed_flips(
+    counts, hits = kernels.window_observed_flips(
         np.array([0, 0]), np.array([3, 3]), 1, 4)
     assert counts.tolist() == [0]
-    assert parity.tolist() == [0, 0, 0, 0]
+    assert hits.tolist() == [2]
 
 
 def test_disjoint_windows_apply_every_event_once(ss_model):
     array = _uniform_rate_array(ss_model, 2.0, rows=8, cols=8)
     events = generate_events(array, AlphaSource(), 4.0e5, seed=13)
     windows = (events.times // 5.0e4).astype(np.int64)  # 8 windows
-    counts, parity = kernels.window_observed_flips(windows, events.cells, 8,
-                                                   array.n_cells)
-    assert np.array_equal(
-        parity, np.bincount(events.cells, minlength=array.n_cells).astype(np.uint8) & 1)
+    counts, hits = kernels.window_observed_flips(windows, events.cells, 8,
+                                                 array.n_cells)
+    assert np.array_equal(hits, np.bincount(windows, minlength=8))
+    masked = hits - counts
+    assert np.all(masked >= 0) and np.all(masked % 2 == 0)
     assert 0 < counts.sum() <= len(events)
 
 
