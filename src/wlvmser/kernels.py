@@ -4,9 +4,9 @@ The hot paths are small operations over cell arrays: counting observed
 per-window bit flips (a sort of per-event keys, then each window's hits
 minus twice its pairs of repeated hits: one ``reduceat`` sum of the
 repeats per window, less a correction for the rare runs of three or more
-hits), registering sweep failures (a closed form,
-evaluated once per voltage up to the block's top threshold and gathered
-per cell, or per cell when that voltage is not below the cell count)
+hits), registering sweep failures (a closed form evaluated once per
+distinct threshold: per integer voltage up to the block's top threshold
+when that is below the cell count, else per value ``np.unique`` finds)
 and Monte-Carlo sampling of masked upsets.  ``window_observed_flips``
 and ``sweep_registration`` are deterministic; ``masked_upsets_mc`` is
 deterministic for a fixed seed.
@@ -89,35 +89,39 @@ def _step_down(thresholds, v_start, delta_v):
 
 def sweep_registration(thresholds, v_start, delta_v):
     """First grid voltage at which each cell fails, sweeping down from
-    ``v_start`` in ``delta_v`` steps (clamped at 0).
+    ``v_start`` in ``delta_v`` steps (clamped at 0), per distinct threshold.
 
     A cell with threshold ``t`` passes at voltages ``>= t`` and fails
-    below; the returned value per cell is the first visited voltage
-    strictly below its threshold.  The first visited voltage is
-    ``v_start - delta_v``, so a threshold above ``v_start`` registers
-    there.
+    below; it registers at the first visited voltage strictly below its
+    threshold.  The first visited voltage is ``v_start - delta_v``, so a
+    threshold above ``v_start`` registers there.
 
-    A block's thresholds are integers below a supply of a few thousand mV
-    and it has thousands of cells, so the rule is evaluated once per
-    integer voltage from 0 up to ``min(max, v_start)`` and gathered per
-    cell, with no per-cell division; a threshold above ``v_start`` shares
-    ``v_start``'s entry.  When that top voltage is not below the cell
-    count the rule is evaluated per cell instead, so no allocation is
-    larger than the cell count, whatever the thresholds or supply.
+    Returns ``(levels, counts, index)``: ``levels[k]`` is where the
+    ``k``-th threshold value registers and ``counts[k]`` how many cells
+    have that value, and cell ``i`` registers at ``levels[index[i]]``.  ``levels`` never
+    decreases as the threshold rises.  A block's thresholds are integers
+    below a supply of a few thousand mV and it has thousands of cells, so
+    while the top threshold is below the cell count the values are every
+    integer from 0 up to it: ``counts`` is a ``bincount`` and ``index``
+    the thresholds themselves, not a copy.  Otherwise they are the
+    distinct thresholds ``np.unique`` finds, so no allocation is larger
+    than the cell count, whatever the thresholds or supply.
     """
     thresholds = np.ascontiguousarray(thresholds, dtype=np.int64)
     if delta_v <= 0:
         raise ConfigurationError("delta_v must be positive")
     v_start, delta_v = int(v_start), int(delta_v)
     if not thresholds.size:
-        return thresholds.copy()
+        return thresholds.copy(), thresholds.copy(), thresholds
     if thresholds.min() <= 0:
         raise ConfigurationError("sweep requires strictly positive thresholds")
-    top = min(int(thresholds.max()), max(v_start, 0))
+    top = int(thresholds.max())
     if top >= thresholds.size:
-        return _step_down(thresholds, v_start, delta_v)
-    table = _step_down(np.arange(top + 1, dtype=np.int64), v_start, delta_v)
-    return table.take(thresholds, mode="clip")
+        values, index, counts = np.unique(thresholds, return_inverse=True,
+                                          return_counts=True)
+        return _step_down(values, v_start, delta_v), counts, index
+    levels = _step_down(np.arange(top + 1, dtype=np.int64), v_start, delta_v)
+    return levels, np.bincount(thresholds), thresholds
 
 
 def masked_upsets_mc(lam_ts, n_cell_windows, seed):

@@ -108,6 +108,7 @@ def simulate_parts(
     import numpy as np
     from .protocols import schedule_windows, sweep_bins
     from .radiation import MAX_EXPECTED_EVENTS
+    from .sram import seed_sequence
     windows = schedule_windows(ts, duration)
     lazy.bind(globals())
     model = model if model is not None else VariationModel.default()
@@ -120,7 +121,7 @@ def simulate_parts(
             f"--parts (n_parts) {n_parts} x {len(cell_types)} cell types x {windows} "
             f"windows keep more than the budget of {MAX_EXPECTED_EVENTS} window counts, "
             f"each block's records counting as {records} more")
-    root = np.random.SeedSequence(seed)
+    root = seed_sequence(seed)
 
     datasets = []
     for p in range(n_parts):
@@ -158,13 +159,13 @@ def simulate_supply_sweeps(
     cols: int = DEFAULT_COLS,
 ):
     """Control-experiment supply sweeps (hold or read) for one part."""
-    import numpy as np
+    from .sram import seed_sequence
     lazy.bind(globals())
     model = model if model is not None else VariationModel.default()
     runner = {"hold": run_hold_sweep, "read": run_read_sweep}.get(kind)
     if runner is None:
         raise ValueError(f"kind must be 'hold' or 'read', got {kind!r}")
-    seqs = np.random.SeedSequence(seed).spawn(len(cell_types))
+    seqs = seed_sequence(seed).spawn(len(cell_types))
     results = []
     for cell_type, seq in zip(cell_types, seqs):
         array = sample_array(cell_type, model, seed=seq, rows=rows, cols=cols,

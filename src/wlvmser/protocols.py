@@ -17,16 +17,17 @@ read at its supply, and each sweep one whose swept threshold already
 fails there; the block counts those cells itself
 (``MemoryArray.inoperable_cells``).  All three sweeps follow one
 step-down rule on a different per-cell threshold, which
-``kernels.sweep_registration`` evaluates in closed form: once per
-voltage up to the block's top threshold and gathered per cell, or per
-cell when that voltage is not below the cell count, so no allocation is
-larger than the block.  ``SweepResult.from_registration`` counts the
-failure voltages with a ``bincount`` (``np.unique`` under the same size
-rule).  Sweeps estimate each cell's threshold as its first failing
-voltage plus half a step (midpoint correction), which removes the
-quantization bias of the voltage grid; ``mu`` and ``sigma`` are reduced
-over those per-cell midpoints, not over the histogram, because
-``sigma``'s last bits follow numpy's pairwise summation over the cells.
+``kernels.sweep_registration`` evaluates in closed form once per
+distinct threshold: per voltage up to the block's top threshold, with
+the cells counted by a ``bincount``, or per ``np.unique`` value when
+that voltage is not below the cell count, so no allocation is larger
+than the block.  ``SweepResult.from_registration`` sums those counts
+into the histogram.  Sweeps estimate each cell's threshold as its first
+failing voltage plus half a step (midpoint correction), which removes
+the quantization bias of the voltage grid; ``mu`` and ``sigma`` are
+reduced over those per-cell midpoints, gathered from the per-threshold
+ones, not over the histogram, because ``sigma``'s last bits follow
+numpy's pairwise summation over the cells.
 
 The SER test counts observed flips: a cell hit an even number of times
 within one sampling period reads back unchanged and those upsets are
@@ -167,10 +168,9 @@ def _run_sweep(array: MemoryArray, delta_v: int, quantity: str,
             f"part {array.part_id} {array.cell_type}: {n_bad} of {array.n_cells} cells "
             f"cannot be written or already fail the {quantity} sweep at v_dd={array.v_dd} "
             f"mV; the part is not operable at this supply")
-    fail_v = kernels.sweep_registration(thresholds, array.v_dd, delta_v)
     return SweepResult.from_registration(
-        array.part_id, array.cell_type, quantity, delta_v, fail_v,
-        array.v_dd)
+        array.part_id, array.cell_type, quantity, delta_v,
+        kernels.sweep_registration(thresholds, array.v_dd, delta_v), array.v_dd)
 
 
 def run_wlvm_sweep(array: MemoryArray, delta_v: int = DEFAULT_DELTA_V_MV) -> SweepResult:

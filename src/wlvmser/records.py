@@ -111,29 +111,39 @@ class SweepResult:
     histogram: dict[int, int] | None = None
 
     @classmethod
-    def from_registration(cls, part_id, cell_type, quantity, delta_v, fail_v,
+    def from_registration(cls, part_id, cell_type, quantity, delta_v, registration,
                           v_nominal) -> "SweepResult":
-        """Record of a sweep from each cell's first failing voltage.
+        """Record of a sweep from ``kernels.sweep_registration``'s
+        ``(levels, counts, index)``: cell ``i`` first fails at
+        ``levels[index[i]]``, and ``counts`` cells share each level entry.
 
-        ``fail_v`` holds non-negative voltages, as
-        ``kernels.sweep_registration`` returns them.  The histogram is a
-        ``bincount`` of them, or ``np.unique`` when the highest is not below
-        the cell count, so no allocation is larger than the cell count.  ``mu``
-        and ``sigma`` are reduced over the per-cell midpoints, not the
-        histogram: ``sigma``'s last bits follow numpy's pairwise summation
-        order over the cells, and the fixed-seed outputs pin them.
+        ``levels`` never decreases, so the histogram sums ``counts`` over
+        each run of equal levels (one ``np.add.reduceat``).  ``mu`` and
+        ``sigma`` are reduced over the per-cell midpoints and their squared
+        deviations, each gathered from the per-level values into one
+        per-cell buffer: each gathered array is, element for element, the
+        one ``per_cell.mean()`` and ``per_cell.std(ddof=1)`` reduce, so the
+        pairwise sums, and ``sigma``'s last bits, which the fixed-seed
+        outputs pin, stay the same.
         """
         import numpy as np
-        per_cell = fail_v + delta_v / 2.0
-        if fail_v.max() < fail_v.size:
-            counts = np.bincount(fail_v)
-            voltages = np.flatnonzero(counts)
-            counts = counts[voltages]
-        else:
-            voltages, counts = np.unique(fail_v, return_counts=True)
-        hist = dict(zip(voltages.tolist(), counts.tolist()))
+        levels, counts, index = registration
+        seen = np.flatnonzero(counts)
+        seen_levels = levels[seen]
+        starts = np.flatnonzero(np.diff(seen_levels, prepend=-1))
+        hist = dict(zip(seen_levels[starts].tolist(),
+                        np.add.reduceat(counts[seen], starts).tolist()))
+        n_cells = index.size
+        mid = levels + delta_v / 2.0
+        # one per-cell buffer serves both gathers; every index is in range,
+        # and mode "clip" writes into ``out`` without a temporary copy
+        per_cell = mid.take(index, mode="clip")
         mu = float(per_cell.mean())
-        sigma = float(per_cell.std(ddof=1)) if per_cell.size > 1 else 0.0
+        sq = (mid - mu) ** 2
+        sigma = 0.0
+        if n_cells > 1:
+            per_cell = sq.take(index, out=per_cell, mode="clip")
+            sigma = math.sqrt(float(per_cell.sum()) / (n_cells - 1))
         return cls(
             part_id=str(part_id),
             cell_type=str(cell_type),
@@ -141,8 +151,8 @@ class SweepResult:
             delta_v=int(delta_v),
             mu=mu,
             sigma=sigma,
-            se_mean=sigma / math.sqrt(per_cell.size),
-            n_cells=int(per_cell.size),
+            se_mean=sigma / math.sqrt(n_cells),
+            n_cells=int(n_cells),
             v_nominal=int(v_nominal),
             histogram=hist,
         )

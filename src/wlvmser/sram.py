@@ -16,10 +16,12 @@ rather than clamped so the threshold histograms carry no boundary spikes.
 
 ``sample_array`` draws ``v_wl_min`` at once: the SER test at nominal
 supply and the word-line sweep need nothing else.  The hold and read
-thresholds are one pending draw from the block's own generator, run on
-first access of either, in the fixed order hold, read, so a seed gives
-the same values whichever of them is read first.  The block itself
-counts the cells inoperable at its supply (``inoperable_cells``).
+thresholds are pending draws from the block's own generator, each run
+only when it is first read, always in the order hold, read: reading the
+read thresholds first draws the hold ones before them, so a seed gives
+the same values whichever is read first, and a hold sweep never draws
+the read thresholds.  The block itself counts the cells inoperable at
+its supply (``inoperable_cells``).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -160,15 +162,17 @@ class MemoryArray:
     """One memory block: per-cell thresholds and its true upset rate.
 
     ``v_wl_min`` is given; the hold and read thresholds come from
-    ``draw_pending``, a callable returning both that runs once, on first
-    access of either.  ``threshold_ceiling`` bounds every threshold of
-    the block: at or above it no cell is inoperable, and
-    ``inoperable_cells`` draws and compares nothing.
+    ``draw_pending``, a callable returning an iterable of the two, in that
+    order.  It is called on first access of either, and each item is taken
+    only when it is first read, the hold thresholds always before the read
+    ones.  ``threshold_ceiling`` bounds every threshold of the block: at or
+    above it no cell is inoperable, and ``inoperable_cells`` draws and
+    compares nothing.
     """
 
     def __init__(self, part_id: str, cell_type: str, v_wl_min: np.ndarray,
                  true_seu_rate: float, v_dd: int = DEFAULT_VDD_MV, *,
-                 draw_pending: Callable[[], tuple],
+                 draw_pending: Callable[[], Iterable[np.ndarray]],
                  threshold_ceiling: float = math.inf):
         self.part_id = part_id
         self.cell_type = cell_type
@@ -181,20 +185,23 @@ class MemoryArray:
         self._draw_pending = draw_pending
 
     @functools.cached_property
-    def _supply_thresholds(self) -> tuple:
-        drawn = self._draw_pending()
-        for name, values in zip(("v_dd_min_hold", "v_dd_min_read"), drawn):
-            if np.shape(values) != (self.n_cells,):
-                raise ConfigurationError(f"{name} must have {self.n_cells} entries")
-        return drawn
+    def _pending(self):
+        return iter(self._draw_pending())
 
-    @property
+    def _next_pending(self, name: str) -> np.ndarray:
+        values = next(self._pending)
+        if np.shape(values) != (self.n_cells,):
+            raise ConfigurationError(f"{name} must have {self.n_cells} entries")
+        return values
+
+    @functools.cached_property
     def v_dd_min_hold(self) -> np.ndarray:
-        return self._supply_thresholds[0]
+        return self._next_pending("v_dd_min_hold")
 
-    @property
+    @functools.cached_property
     def v_dd_min_read(self) -> np.ndarray:
-        return self._supply_thresholds[1]
+        self.v_dd_min_hold  # drawn first, from the same generator
+        return self._next_pending("v_dd_min_read")
 
     @property
     def n_cells(self) -> int:
@@ -210,13 +217,23 @@ class MemoryArray:
         return int(np.count_nonzero(bad))
 
 
+def seed_sequence(seed) -> np.random.SeedSequence:
+    """``seed``, an int or a ``SeedSequence``, as a ``SeedSequence``; a
+    negative int raises ``ConfigurationError`` naming ``--seed``."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ConfigurationError(f"--seed (seed) must be a non-negative integer, got {seed}")
+    return np.random.SeedSequence(seed)
+
+
 def _sample_thresholds(rng, mu, sigma, n, v_dd_nominal):
     """Integer-mV Gaussian draws, redrawn until inside (0, v_dd_nominal];
     checked as floats, so a draw beyond ``int64`` is redrawn, never cast."""
     out = np.rint(rng.normal(mu, sigma, n))
     for _ in range(_MAX_REDRAWS):
         bad = (out < 1) | (out > v_dd_nominal)
-        n_bad = int(bad.sum())
+        n_bad = np.count_nonzero(bad)
         if n_bad == 0:
             return out.astype(np.int64)
         out[bad] = np.rint(rng.normal(mu, sigma, n_bad))
@@ -243,7 +260,7 @@ def sample_array(
     shifts all three means of this part.  The draw is deterministic for a
     fixed ``seed`` (an int or a ``SeedSequence``): the write thresholds
     are drawn now, the hold and read thresholds later, in that order, from
-    the same generator, when a protocol first reads one of them (see the
+    the same generator, each when a protocol first reads it (see the
     module docstring).  Every threshold lies in
     ``[1, model.v_dd_nominal]``.  ``true_seu_rate`` (µSEU per bit-second)
     is the ground-truth upset rate handed to the radiation simulator, one
@@ -266,13 +283,12 @@ def sample_array(
             f"unknown cell type {cell_type!r}; known: {', '.join(CELL_TYPE_ORDER)}")
     tv = model.for_type(cell_type)
     n = rows * cols
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_sequence(seed))
     v_wl_min = _sample_thresholds(rng, tv.mu_vwlmin + part_offset, tv.sigma_vwlmin, n, vnom)
 
     def draw_pending():
-        v_hold = _sample_thresholds(rng, tv.mu_hold + part_offset, tv.sigma_hold, n, vnom)
-        v_read = _sample_thresholds(rng, tv.mu_read + part_offset, tv.sigma_read, n, vnom)
-        return v_hold, v_read
+        yield _sample_thresholds(rng, tv.mu_hold + part_offset, tv.sigma_hold, n, vnom)
+        yield _sample_thresholds(rng, tv.mu_read + part_offset, tv.sigma_read, n, vnom)
 
     return MemoryArray(
         part_id=str(part_id),

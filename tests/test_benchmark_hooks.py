@@ -63,6 +63,24 @@ def test_window_flip_counts_come_first(perfbench_modules):
         assert observed(result) == {"kernels.observed": int(counts.sum())}
 
 
+def test_sweep_registration_cases_register_every_cell(perfbench_modules):
+    """``run.kernel_cases`` times ``sweep_registration`` on clipped normal
+    thresholds (800 +- 44 mV) of the sizes in ``KERNEL_CASES``, from 1200 mV
+    in 10 mV steps: the call it times gives each cell its registration by
+    the per-cell closed form."""
+    run, _ = perfbench_modules
+    rng = np.random.default_rng(0)
+    sizes = [size for kernel, _, size in run.KERNEL_CASES
+             if kernel == "sweep_registration"]
+    assert sizes
+    for size in sizes:
+        thresholds = np.clip(np.rint(rng.normal(800, 44, size)), 1, 1200).astype(np.int64)
+        levels, counts, index = kernels.sweep_registration(thresholds, 1200, 10)
+        steps = np.maximum((1200 - thresholds) // 10 + 1, 1)
+        assert np.array_equal(levels.take(index), np.maximum(1200 - 10 * steps, 0))
+        assert counts.sum() == size
+
+
 def test_public_names_resolve():
     assert [name for name in wlvmser.__all__ if not hasattr(wlvmser, name)] == []
 

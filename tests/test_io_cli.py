@@ -536,6 +536,12 @@ def test_cli_inoperable_supply_is_one_error_line(argv, tmp_path, capsys):
      "vdd-10**400.json: v_dd_nominal_mV must be at most 1e+18 mV, got inf"),
     (["simulate", "--vdd", "0"],
      "--vdd (v_dd) must be a whole number of mV within (0, 2400], got 0"),
+    (["simulate", "--seed", "-1"], "--seed (seed) must be a non-negative integer, got -1"),
+    (["ser-test", "--seed", "-2"], "--seed (seed) must be a non-negative integer, got -2"),
+    (["sweep", "--kind", "hold", "--seed", "-3"],
+     "--seed (seed) must be a non-negative integer, got -3"),
+    (["report", "--simulate", "--seed", "-4"],
+     "--seed (seed) must be a non-negative integer, got -4"),
 ])
 def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
     fit = calibrate_datasets(load_reference_dataset())

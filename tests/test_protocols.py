@@ -193,8 +193,9 @@ def assert_registration(result, thresholds, fail_v):
     """The closed form registers every cell where the bench oracle's
     ``fail_v`` does, and the sweep's histogram and mean are those of the
     oracle's registrations (midpoint corrected)."""
-    assert np.array_equal(
-        kernels.sweep_registration(thresholds, result.v_nominal, result.delta_v), fail_v)
+    levels, _, index = kernels.sweep_registration(thresholds, result.v_nominal,
+                                                  result.delta_v)
+    assert np.array_equal(levels.take(index), fail_v)
     voltages, counts = np.unique(fail_v, return_counts=True)
     assert result.histogram == dict(zip(voltages.tolist(), counts.tolist()))
     assert result.mu == (fail_v + result.delta_v / 2).mean()

@@ -194,19 +194,83 @@ def test_pending_draw_runs_once_and_is_shared(ss_model, monkeypatch):
     run_ser_test(array, AlphaSource(), ts=1800, duration=1800)
     assert len(calls) == 1
     hold = array.v_dd_min_hold
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert array.v_dd_min_hold is hold
-    array.v_dd_min_read
-    run_read_sweep(array)
+    read = array.v_dd_min_read
     assert len(calls) == 3
+    run_read_sweep(array)
+    run_hold_sweep(array)
+    assert array.v_dd_min_read is read
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("first", ["hold_sweep", "read_sweep"])
+def test_a_sweep_draws_only_the_thresholds_it_reads(ss_model, monkeypatch, first):
+    """The threshold draws are told apart by their means (791 write, 450
+    hold, 650 read mV): a hold sweep never draws the read thresholds, and
+    a read sweep draws the hold ones first."""
+    calls = _count_threshold_draws(monkeypatch)
+    array = sample_array("SS", ss_model, seed=4, rows=8, cols=8)
+    FIRST_ACCESS[first](array)
+    assert calls == [791.0, 450.0] if first == "hold_sweep" else [791.0, 450.0, 650.0]
+    run_read_sweep(array)
+    run_hold_sweep(array)
+    assert calls == [791.0, 450.0, 650.0]
+
+
+def test_read_first_gives_the_values_of_hold_then_read(ss_model):
+    for seed in (0, 1, 7, 12345, np.random.SeedSequence(99)):
+        for part_offset in (0.0, -9.0):
+            a = sample_array("SS", ss_model, part_offset=part_offset, seed=seed,
+                             rows=16, cols=16)
+            b = sample_array("SS", ss_model, part_offset=part_offset, seed=seed,
+                             rows=16, cols=16)
+            hold_a, read_a = a.v_dd_min_hold, a.v_dd_min_read
+            read_b, hold_b = b.v_dd_min_read, b.v_dd_min_hold
+            assert hold_a.tobytes() == hold_b.tobytes()
+            assert read_a.tobytes() == read_b.tobytes()
+            assert not np.array_equal(hold_a, read_a)
+
+
+def test_each_pending_draw_runs_at_most_once():
+    drawn = []
+
+    def draw_pending():
+        drawn.append("called")
+        for name, value in (("hold", 450), ("read", 650)):
+            drawn.append(name)
+            yield np.full(4, value)
+
+    for order in (("v_dd_min_hold", "v_dd_min_read"), ("v_dd_min_read", "v_dd_min_hold")):
+        drawn.clear()
+        array = sram.MemoryArray("x", "SS", v_wl_min=np.full(4, 800), true_seu_rate=0.0,
+                                 draw_pending=draw_pending)
+        assert drawn == []
+        for _ in range(3):
+            for name in order:
+                assert getattr(array, name).tolist() == [450 if "hold" in name else 650] * 4
+        assert drawn == ["called", "hold", "read"]
+    drawn.clear()
+    array = sram.MemoryArray("x", "SS", v_wl_min=np.full(4, 800), true_seu_rate=0.0,
+                             draw_pending=draw_pending)
+    for _ in range(3):
+        array.v_dd_min_hold
+    assert drawn == ["called", "hold"]
 
 
 def test_pending_draw_checks_shapes():
-    array = sram.MemoryArray(
-        "x", "SS", v_wl_min=np.full(4, 800), true_seu_rate=0.0,
-        draw_pending=lambda: (np.full(4, 450), np.full(3, 650)))
-    with pytest.raises(ConfigurationError, match="v_dd_min_read must have 4 entries"):
-        array.v_dd_min_hold
+    def block(hold_size, read_size):
+        return sram.MemoryArray(
+            "x", "SS", v_wl_min=np.full(4, 800), true_seu_rate=0.0,
+            draw_pending=lambda: (np.full(hold_size, 450), np.full(read_size, 650)))
+
+    array = block(4, 3)
+    assert array.v_dd_min_hold.tolist() == [450] * 4
+    with pytest.raises(ConfigurationError, match="^v_dd_min_read must have 4 entries$"):
+        array.v_dd_min_read
+    for first in ("v_dd_min_hold", "v_dd_min_read"):
+        with pytest.raises(ConfigurationError, match="^v_dd_min_hold must have 4 entries$"):
+            getattr(block(5, 4), first)
 
 
 @pytest.mark.parametrize("rate", [np.full(4096, 1.5), [1.0, 3.0], -1.0, float("nan")])
