@@ -251,6 +251,10 @@ def build_weighted_points(
     clamped at zero) no straight line holds the point anyway.  Leaving it
     out biases the fit upwards where a positive rate happened to count
     zero, so such blocks should be rare in the input.
+
+    Any other block must have a weight ``1 / sigma_y**2`` that is finite
+    and positive; one whose ``sigma_y`` is 0, or whose square underflows to
+    0 or overflows, raises ``ValueError`` naming it.
     """
     points = []
     for meas, sweep in pairs:
@@ -258,6 +262,11 @@ def build_weighted_points(
             continue
         margin_mv = word_line_voltage_margin(v_dd_mv, sweep.mu)
         rel = _rel_uncertainty(meas.rel_stat_unc, meas.rel_geom_unc, weight_mode)
-        points.append(WeightedPoint(x=margin_mv / 1000.0, y=meas.ser,
-                                    sigma_y=meas.ser * rel))
+        sigma_y = meas.ser * rel
+        if not 0 < sigma_y * sigma_y < math.inf:
+            raise ValueError(
+                f"part {meas.part_id} {meas.cell_type}: SER {meas.ser:g} with relative "
+                f"uncertainty {rel:g} ({weight_mode} weights) gives sigma {sigma_y:g} and "
+                f"no finite positive fit weight")
+        points.append(WeightedPoint(x=margin_mv / 1000.0, y=meas.ser, sigma_y=sigma_y))
     return points

@@ -85,8 +85,10 @@ def ingest_measurements_csv(path, rel_geom_unc: float = DEFAULT_GEOM_UNC) -> lis
     """Parse a measurement file into per-part datasets.
 
     Malformed rows are rejected with their line number.  Duplicate
-    (part, type, quantity) keys are errors.  Every value must be finite
-    and >= 0, except ``rel_stat_unc``, which may be ``inf`` for a block
+    (part, type, quantity) keys are errors, and so is a part id that holds
+    a tab or line break.  A value is read by ``float`` but must be ASCII
+    and free of ``_``.  Every value must be finite and >= 0, except
+    ``rel_stat_unc``, which may be ``inf`` for a block
     with no observed upset (SER 0) and only there: a counted point of
     infinite sigma would weigh nothing in the fit yet count in its
     ``n_points`` and ``nu``.  ``vdd_mV`` must be a positive whole number and
@@ -115,6 +117,9 @@ def ingest_measurements_csv(path, rel_geom_unc: float = DEFAULT_GEOM_UNC) -> lis
             part_id, cell_type, quantity, value = (f.strip() for f in row)
             if not part_id:
                 raise IngestError(f"{path}:{lineno}: missing part_id")
+            if any(c in part_id for c in "\t\r\n"):
+                raise IngestError(
+                    f"{path}:{lineno}: part_id {part_id!r} holds a tab or line break")
             if quantity not in QUANTITIES:
                 raise IngestError(f"{path}:{lineno}: unknown quantity {quantity!r}")
             if quantity == QUANTITY_VDD:
@@ -124,6 +129,8 @@ def ingest_measurements_csv(path, rel_geom_unc: float = DEFAULT_GEOM_UNC) -> lis
             elif cell_type not in CELL_TYPE_ORDER:
                 raise IngestError(f"{path}:{lineno}: unknown cell type {cell_type!r}")
             try:
+                if "_" in value or not value.isascii():
+                    raise ValueError  # float() reads 1_4 and non-ASCII digits too
                 num = float(value)
             except ValueError:
                 raise IngestError(f"{path}:{lineno}: non-numeric value {value!r}")

@@ -4,15 +4,16 @@ The hot paths are small operations over cell arrays: counting observed
 per-window bit flips (a sort of per-event keys, then each window's hits
 minus twice its pairs of repeated hits: one ``reduceat`` sum of the
 repeats per window, less a correction for the rare runs of three or more
-hits), registering sweep failures (a closed form evaluated once per
-distinct threshold: per integer voltage up to the block's top threshold
-when that is below the cell count, else per value ``np.unique`` finds)
+hits), reducing a voltage sweep to its failure histogram and threshold
+mean and spread (a closed form evaluated once per distinct threshold)
 and Monte-Carlo sampling of masked upsets.  ``window_observed_flips``
 and ``sweep_registration`` are deterministic; ``masked_upsets_mc`` is
 deterministic for a fixed seed.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -81,47 +82,65 @@ def window_observed_flips(windows, cells, n_windows, n_cells):
     return counts, hits
 
 
-def _step_down(thresholds, v_start, delta_v):
-    """The step-down rule in closed form, for an int64 array of thresholds."""
-    steps = np.maximum((v_start - thresholds) // delta_v + 1, 1)
-    return np.maximum(v_start - delta_v * steps, 0)
-
-
 def sweep_registration(thresholds, v_start, delta_v):
-    """First grid voltage at which each cell fails, sweeping down from
-    ``v_start`` in ``delta_v`` steps (clamped at 0), per distinct threshold.
+    """Failure histogram, ``mu`` and ``sigma`` of a sweep down from
+    ``v_start`` in ``delta_v`` steps (clamped at 0) over cells with the
+    given integer thresholds.
 
-    A cell with threshold ``t`` passes at voltages ``>= t`` and fails
-    below; it registers at the first visited voltage strictly below its
-    threshold.  The first visited voltage is ``v_start - delta_v``, so a
-    threshold above ``v_start`` registers there.
+    A cell with threshold ``t`` passes at voltages ``>= t`` and registers
+    at the first visited voltage below it, ``max(v_start - delta_v * k, 0)``
+    with ``k = max((v_start - t) // delta_v + 1, 1)``; a threshold above
+    ``v_start`` registers at the first step.  Its threshold is estimated
+    as that voltage plus half a step (midpoint correction), which removes
+    the quantization bias of the grid.  Returns ``(histogram, mu,
+    sigma)``: cells per registration voltage, ascending, and the mean and
+    sample standard deviation of the per-cell midpoints.
 
-    Returns ``(levels, counts, index)``: ``levels[k]`` is where the
-    ``k``-th threshold value registers and ``counts[k]`` how many cells
-    have that value, and cell ``i`` registers at ``levels[index[i]]``.  ``levels`` never
-    decreases as the threshold rises.  A block's thresholds are integers
-    below a supply of a few thousand mV and it has thousands of cells, so
-    while the top threshold is below the cell count the values are every
-    integer from 0 up to it: ``counts`` is a ``bincount`` and ``index``
-    the thresholds themselves, not a copy.  Otherwise they are the
-    distinct thresholds ``np.unique`` finds, so no allocation is larger
-    than the cell count, whatever the thresholds or supply.
+    The closed form is evaluated once per distinct threshold: while the
+    top threshold is below the cell count (integers below a supply of a
+    few thousand mV, thousands of cells), per integer up to it, counted
+    by one ``bincount``; otherwise per value ``np.unique`` finds, so no
+    allocation is larger than the cell count.  The registration never
+    falls as the threshold rises, so one ``np.add.reduceat`` sums the
+    histogram over runs of equal voltages.  ``mu`` and ``sigma`` are
+    reduced over the per-cell midpoints and squared deviations, gathered
+    into one per-cell buffer, not over the histogram: ``sigma``'s last
+    bits follow numpy's pairwise summation over the cells, and the
+    fixed-seed outputs pin them.  An empty block, or a threshold or step
+    that is not positive, raises ``ConfigurationError``.
     """
     thresholds = np.ascontiguousarray(thresholds, dtype=np.int64)
     if delta_v <= 0:
         raise ConfigurationError("delta_v must be positive")
-    v_start, delta_v = int(v_start), int(delta_v)
     if not thresholds.size:
-        return thresholds.copy(), thresholds.copy(), thresholds
+        raise ConfigurationError("sweep requires at least one cell")
     if thresholds.min() <= 0:
         raise ConfigurationError("sweep requires strictly positive thresholds")
+    v_start, delta_v = int(v_start), int(delta_v)
     top = int(thresholds.max())
     if top >= thresholds.size:
         values, index, counts = np.unique(thresholds, return_inverse=True,
                                           return_counts=True)
-        return _step_down(values, v_start, delta_v), counts, index
-    levels = _step_down(np.arange(top + 1, dtype=np.int64), v_start, delta_v)
-    return levels, np.bincount(thresholds), thresholds
+    else:
+        values, index = np.arange(top + 1, dtype=np.int64), thresholds
+        counts = np.bincount(thresholds)
+    steps = np.maximum((v_start - values) // delta_v + 1, 1)
+    levels = np.maximum(v_start - delta_v * steps, 0)
+    seen = np.flatnonzero(counts)
+    seen_levels = levels[seen]
+    starts = np.flatnonzero(np.diff(seen_levels, prepend=-1))
+    histogram = dict(zip(seen_levels[starts].tolist(),
+                         np.add.reduceat(counts[seen], starts).tolist()))
+    mid = levels + delta_v / 2.0
+    # one per-cell buffer serves both gathers; every index is in range,
+    # and mode "clip" writes into ``out`` without a temporary copy
+    per_cell = mid.take(index, mode="clip")
+    mu = float(per_cell.mean())
+    sigma = 0.0
+    if index.size > 1:
+        per_cell = ((mid - mu) ** 2).take(index, out=per_cell, mode="clip")
+        sigma = math.sqrt(float(per_cell.sum()) / (index.size - 1))
+    return histogram, mu, sigma
 
 
 def masked_upsets_mc(lam_ts, n_cell_windows, seed):

@@ -16,18 +16,10 @@ write/verify step refuses a block with cells that cannot be written or
 read at its supply, and each sweep one whose swept threshold already
 fails there; the block counts those cells itself
 (``MemoryArray.inoperable_cells``).  All three sweeps follow one
-step-down rule on a different per-cell threshold, which
-``kernels.sweep_registration`` evaluates in closed form once per
-distinct threshold: per voltage up to the block's top threshold, with
-the cells counted by a ``bincount``, or per ``np.unique`` value when
-that voltage is not below the cell count, so no allocation is larger
-than the block.  ``SweepResult.from_registration`` sums those counts
-into the histogram.  Sweeps estimate each cell's threshold as its first
-failing voltage plus half a step (midpoint correction), which removes
-the quantization bias of the voltage grid; ``mu`` and ``sigma`` are
-reduced over those per-cell midpoints, gathered from the per-threshold
-ones, not over the histogram, because ``sigma``'s last bits follow
-numpy's pairwise summation over the cells.
+step-down rule on a different per-cell threshold;
+``kernels.sweep_registration`` evaluates it in closed form and returns
+the sweep's failure histogram and the mean and spread of the
+midpoint-corrected thresholds.
 
 The SER test counts observed flips: a cell hit an even number of times
 within one sampling period reads back unchanged and those upsets are
@@ -168,9 +160,10 @@ def _run_sweep(array: MemoryArray, delta_v: int, quantity: str,
             f"part {array.part_id} {array.cell_type}: {n_bad} of {array.n_cells} cells "
             f"cannot be written or already fail the {quantity} sweep at v_dd={array.v_dd} "
             f"mV; the part is not operable at this supply")
-    return SweepResult.from_registration(
-        array.part_id, array.cell_type, quantity, delta_v,
-        kernels.sweep_registration(thresholds, array.v_dd, delta_v), array.v_dd)
+    histogram, mu, sigma = kernels.sweep_registration(thresholds, array.v_dd, delta_v)
+    return SweepResult(part_id=array.part_id, cell_type=array.cell_type,
+                       swept_quantity=quantity, delta_v=delta_v, mu=mu, sigma=sigma,
+                       n_cells=array.n_cells, v_nominal=array.v_dd, histogram=histogram)
 
 
 def run_wlvm_sweep(array: MemoryArray, delta_v: int = DEFAULT_DELTA_V_MV) -> SweepResult:

@@ -3,8 +3,7 @@
 ``SerMeasurement`` and ``SweepResult`` are what the procedures produce and
 what a measurement file ingests into; the fit reads nothing else.  This
 module imports no numpy, so the commands that only ingest, fit and
-predict start without it: the two constructors that take arrays import
-numpy when they are called.
+predict start without it.
 """
 
 from __future__ import annotations
@@ -61,10 +60,10 @@ class SerMeasurement:
     @classmethod
     def from_windows(cls, part_id, cell_type, ts, window_counts, n_bits,
                      rel_geom_unc) -> "SerMeasurement":
-        import numpy as np
-        counts = np.asarray(window_counts, dtype=np.int64)
-        n_windows = counts.size
-        n_tot = int(counts.sum())
+        """Record of a SER test from its per-window counts, an int64
+        array, which the record keeps as given."""
+        n_windows = window_counts.size
+        n_tot = int(window_counts.sum())
         t_exp = n_windows * ts
         ser = 1e6 * n_tot / (t_exp * n_bits)
         rel_stat = 1.0 / math.sqrt(n_tot) if n_tot > 0 else math.inf
@@ -75,7 +74,7 @@ class SerMeasurement:
             rel_stat_unc=rel_stat,
             rel_geom_unc=float(rel_geom_unc),
             ts=float(ts),
-            window_counts=counts,
+            window_counts=window_counts,
             n_windows=n_windows,
             n_tot=n_tot,
             t_exp=float(t_exp),
@@ -105,63 +104,19 @@ class SweepResult:
     delta_v: int
     mu: float
     sigma: float
-    se_mean: float
     n_cells: int
     v_nominal: int
     histogram: dict[int, int] | None = None
 
-    @classmethod
-    def from_registration(cls, part_id, cell_type, quantity, delta_v, registration,
-                          v_nominal) -> "SweepResult":
-        """Record of a sweep from ``kernels.sweep_registration``'s
-        ``(levels, counts, index)``: cell ``i`` first fails at
-        ``levels[index[i]]``, and ``counts`` cells share each level entry.
-
-        ``levels`` never decreases, so the histogram sums ``counts`` over
-        each run of equal levels (one ``np.add.reduceat``).  ``mu`` and
-        ``sigma`` are reduced over the per-cell midpoints and their squared
-        deviations, each gathered from the per-level values into one
-        per-cell buffer: each gathered array is, element for element, the
-        one ``per_cell.mean()`` and ``per_cell.std(ddof=1)`` reduce, so the
-        pairwise sums, and ``sigma``'s last bits, which the fixed-seed
-        outputs pin, stay the same.
-        """
-        import numpy as np
-        levels, counts, index = registration
-        seen = np.flatnonzero(counts)
-        seen_levels = levels[seen]
-        starts = np.flatnonzero(np.diff(seen_levels, prepend=-1))
-        hist = dict(zip(seen_levels[starts].tolist(),
-                        np.add.reduceat(counts[seen], starts).tolist()))
-        n_cells = index.size
-        mid = levels + delta_v / 2.0
-        # one per-cell buffer serves both gathers; every index is in range,
-        # and mode "clip" writes into ``out`` without a temporary copy
-        per_cell = mid.take(index, mode="clip")
-        mu = float(per_cell.mean())
-        sq = (mid - mu) ** 2
-        sigma = 0.0
-        if n_cells > 1:
-            per_cell = sq.take(index, out=per_cell, mode="clip")
-            sigma = math.sqrt(float(per_cell.sum()) / (n_cells - 1))
-        return cls(
-            part_id=str(part_id),
-            cell_type=str(cell_type),
-            swept_quantity=quantity,
-            delta_v=int(delta_v),
-            mu=mu,
-            sigma=sigma,
-            se_mean=sigma / math.sqrt(n_cells),
-            n_cells=int(n_cells),
-            v_nominal=int(v_nominal),
-            histogram=hist,
-        )
+    @property
+    def se_mean(self) -> float:
+        """Standard error of ``mu``."""
+        return self.sigma / math.sqrt(self.n_cells)
 
     @classmethod
     def summary(cls, part_id, cell_type, mu, sigma=float("nan"),
                 v_nominal=DEFAULT_VDD_MV) -> "SweepResult":
         """Summary-only word-line sweep as ingested from a measurement file."""
-        n_cells = DEFAULT_ROWS * DEFAULT_COLS
         return cls(
             part_id=str(part_id),
             cell_type=str(cell_type),
@@ -169,8 +124,7 @@ class SweepResult:
             delta_v=DEFAULT_DELTA_V_MV,
             mu=float(mu),
             sigma=float(sigma),
-            se_mean=float(sigma) / math.sqrt(n_cells),
-            n_cells=n_cells,
+            n_cells=DEFAULT_ROWS * DEFAULT_COLS,
             v_nominal=int(v_nominal),
         )
 

@@ -67,7 +67,8 @@ def test_sweep_registration_cases_register_every_cell(perfbench_modules):
     """``run.kernel_cases`` times ``sweep_registration`` on clipped normal
     thresholds (800 +- 44 mV) of the sizes in ``KERNEL_CASES``, from 1200 mV
     in 10 mV steps: the call it times gives each cell its registration by
-    the per-cell closed form."""
+    the per-cell closed form: its histogram, ``mu`` and ``sigma`` are those
+    of the per-cell registrations, bit for bit."""
     run, _ = perfbench_modules
     rng = np.random.default_rng(0)
     sizes = [size for kernel, _, size in run.KERNEL_CASES
@@ -75,10 +76,15 @@ def test_sweep_registration_cases_register_every_cell(perfbench_modules):
     assert sizes
     for size in sizes:
         thresholds = np.clip(np.rint(rng.normal(800, 44, size)), 1, 1200).astype(np.int64)
-        levels, counts, index = kernels.sweep_registration(thresholds, 1200, 10)
+        histogram, mu, sigma = kernels.sweep_registration(thresholds, 1200, 10)
         steps = np.maximum((1200 - thresholds) // 10 + 1, 1)
-        assert np.array_equal(levels.take(index), np.maximum(1200 - 10 * steps, 0))
-        assert counts.sum() == size
+        fail_v = np.maximum(1200 - 10 * steps, 0)
+        voltages, counts = np.unique(fail_v, return_counts=True)
+        assert histogram == dict(zip(voltages.tolist(), counts.tolist()))
+        assert sum(histogram.values()) == size
+        per_cell = fail_v + 10 / 2
+        assert mu.hex() == float(per_cell.mean()).hex()
+        assert sigma.hex() == float(per_cell.std(ddof=1)).hex()
 
 
 def test_public_names_resolve():

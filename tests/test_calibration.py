@@ -40,7 +40,7 @@ def random_points(rng, n):
 # --- point uncertainties ------------------------------------------------------
 
 def _rel_stat(n_tot):
-    counts = [n_tot // 2, n_tot - n_tot // 2]
+    counts = np.array([n_tot // 2, n_tot - n_tot // 2], dtype=np.int64)
     return SerMeasurement.from_windows("1", "SS", 1800.0, counts, 4096,
                                        rel_geom_unc=0.03).rel_stat_unc
 

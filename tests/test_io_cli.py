@@ -102,7 +102,11 @@ def test_ingest_requires_paired_ser_and_stat(tmp_path):
      ":4: duplicate vdd_mV for part 1"),
     (HEADER + "1,SS,v_mewlvm_mV,800\n1,SM,sigma_wlvm_mV,44\n",
      ": part 1 type SM: sigma_wlvm_mV without v_mewlvm_mV"),
-], ids=["empty", "field-count", "part-id", "vdd-cell-type", "vdd-twice", "sigma-alone"])
+    (HEADER + "x\ty,SS,v_mewlvm_mV,800\n", ":2: part_id 'x\\ty' holds a tab or line break"),
+    (HEADER + '"x\ny",SS,v_mewlvm_mV,800\n', ":2: part_id 'x\\ny' holds a tab or line break"),
+    (HEADER + '"x\ry",SS,v_mewlvm_mV,800\n', ":2: part_id 'x\\ry' holds a tab or line break"),
+], ids=["empty", "field-count", "part-id", "vdd-cell-type", "vdd-twice", "sigma-alone",
+        "part-id-tab", "part-id-lf", "part-id-cr"])
 def test_cli_malformed_measurement_file_is_one_error_line(text, cause, tmp_path, capsys):
     path = tmp_path / "m.csv"
     path.write_text(text)
@@ -121,7 +125,7 @@ def _measurement_file(tmp_path, **values_by_line):
         i = int(key[1:]) - 2
         rows[i] = rows[i].rsplit(",", 1)[0] + "," + value
     path = tmp_path / "m.csv"
-    path.write_text(HEADER + "".join(row + "\n" for row in rows))
+    path.write_text(HEADER + "".join(row + "\n" for row in rows), encoding="utf-8")
     return path
 
 
@@ -140,6 +144,8 @@ def test_ingest_accepts_zero_count_block(tmp_path):
                "(no observed upset), got ser_uSEU_per_bit_s=1.46"),
     (4, "1300", "v_mewlvm_mV=1300 above the supply of part 1 (1200 mV)"),
     (6, "1200.7", "vdd_mV must be a positive whole number of mV, got '1200.7'"),
+    (4, "7_91", "non-numeric value '7_91'"),
+    (4, "\u0667\u0669\u0661", "non-numeric value '\u0667\u0669\u0661'"),
 ])
 def test_cli_bad_measurement_value_is_one_error_line(line, value, cause, tmp_path,
                                                      capsys):
@@ -542,6 +548,17 @@ def test_cli_inoperable_supply_is_one_error_line(argv, tmp_path, capsys):
      "--seed (seed) must be a non-negative integer, got -3"),
     (["report", "--simulate", "--seed", "-4"],
      "--seed (seed) must be a non-negative integer, got -4"),
+    (["calibrate", "--input", "{tmp}/weight-rel-0.csv", "--weight-mode", "stat-only"],
+     "part 1 SS: SER 1.46 with relative uncertainty 0 (stat-only weights) gives sigma 0 "
+     "and no finite positive fit weight"),
+    (["calibrate", "--input", "{tmp}/weight-rel-0.csv", "--geom-unc", "0"],
+     "part 1 SS: SER 1.46 with relative uncertainty 0 (combined weights) gives sigma 0 "),
+    (["report", "--input", "{tmp}/weight-ser-1e-200.csv"],
+     "part 1 SS: SER 1e-200 with relative uncertainty 0.0360555 (combined weights) "
+     "gives sigma 3.60555e-202 "),
+    (["calibrate", "--input", "{tmp}/weight-ser-1e308.csv", "--weight-mode", "linear-sum"],
+     "part 1 SS: SER 1e+308 with relative uncertainty 2.03 (linear-sum weights) "
+     "gives sigma inf "),
 ])
 def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
     fit = calibrate_datasets(load_reference_dataset())
@@ -579,6 +596,12 @@ def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
         f"1,{t},ser_uSEU_per_bit_s,{ser}\n1,{t},rel_stat_unc,{rel}\n1,{t},v_mewlvm_mV,{mu}\n"
         for t, ser, rel, mu in [("SS", 0, "inf", 791), ("SM", 1.2, 0.02, 850),
                                 ("LS", 0, "inf", 730)]))
+    for name, ser, rel in [("rel-0", 1.46, 0), ("ser-1e-200", "1e-200", 0.02),
+                           ("ser-1e308", "1e308", 2)]:
+        (tmp_path / f"weight-{name}.csv").write_text(HEADER + "".join(
+            f"1,{t},ser_uSEU_per_bit_s,{s}\n1,{t},rel_stat_unc,{r}\n1,{t},v_mewlvm_mV,{mu}\n"
+            for t, s, r, mu in [("SS", ser, rel, 791), ("SM", 1.2, 0.02, 850),
+                                ("LS", 1.1, 0.02, 730)]))
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     if "--out" not in argv:
         argv += ["--out", str(tmp_path / "out")]

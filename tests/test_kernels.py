@@ -8,7 +8,6 @@ import pytest
 from wlvmser import kernels
 from wlvmser.errors import ConfigurationError
 from wlvmser.radiation import _arrival_times, undetected_fraction
-from wlvmser.records import SweepResult
 
 
 def _random_events(rng, n_events, n_windows, n_cells):
@@ -188,25 +187,39 @@ def test_arrival_times_continuation_chunks():
         assert np.all(np.diff(got) >= 0) and got[-1] < 100.0
 
 
-def registered(thresholds, v_start, delta_v):
-    """Each cell's registration voltage, gathered from the per-threshold
-    ``(levels, counts, index)``, after checking that ``counts`` counts the
-    cells of each level entry and that ``levels`` never decreases."""
-    levels, counts, index = kernels.sweep_registration(thresholds, v_start, delta_v)
-    assert np.array_equal(counts, np.bincount(index, minlength=levels.size))
-    assert np.all(np.diff(levels) >= 0)
-    return levels.take(index)
+def check_sweep(thresholds, v_start, delta_v, fail_v):
+    """The kernel's histogram, ``mu`` and ``sigma`` are those of the
+    per-cell registrations ``fail_v``, bit for bit: equal bits in a
+    pairwise sum pin the per-cell midpoints in their order."""
+    histogram, mu, sigma = kernels.sweep_registration(thresholds, v_start, delta_v)
+    voltages, counts = np.unique(fail_v, return_counts=True)
+    assert list(histogram.items()) == list(zip(voltages.tolist(), counts.tolist()))
+    per_cell = fail_v + delta_v / 2
+    assert mu.hex() == float(per_cell.mean()).hex()
+    want = float(per_cell.std(ddof=1)) if per_cell.size > 1 else 0.0
+    assert sigma.hex() == want.hex()
 
 
 @pytest.mark.parametrize("delta_v", [1, 7, 10, 50])
 def test_sweep_registration_matches_oracle(delta_v):
     rng = np.random.default_rng(delta_v)
     thresholds = np.clip(np.rint(rng.normal(800, 150, 2000)), 1, 1200).astype(np.int64)
-    fail_v = registered(thresholds, 1200, delta_v)
-    assert np.array_equal(fail_v, sweep_oracle(thresholds, 1200, delta_v))
+    fail_v = sweep_oracle(thresholds, 1200, delta_v)
     # every registered voltage passes at one step above and fails where registered
     assert np.all(fail_v < thresholds)
     assert np.all(fail_v + delta_v >= thresholds)
+    check_sweep(thresholds, 1200, delta_v, fail_v)
+
+
+def check_sweep_statistics(thresholds, v_start, delta_v):
+    """The sweep is that of the per-cell closed form, which is the
+    step-down rule's; returns the per-cell registrations."""
+    steps = np.maximum((v_start - thresholds) // delta_v + 1, 1)
+    fail_v = np.maximum(v_start - delta_v * steps, 0)
+    if v_start <= 1200:
+        assert np.array_equal(fail_v, sweep_oracle(thresholds, v_start, delta_v))
+    check_sweep(thresholds, v_start, delta_v, fail_v)
+    return fail_v
 
 
 @pytest.mark.parametrize("delta_v", [1, 7, 10, 50, 3, 1000])
@@ -218,40 +231,13 @@ def test_sweep_registration_thresholds_above_start(delta_v):
     rng = np.random.default_rng(100 + delta_v)
     thresholds = np.append(rng.integers(1, 1500, 3000), [2**62, 10**15])
     for v_start in (-50, 0, 1, 1000, 1200, 10**12):
-        fail_v = registered(thresholds, v_start, delta_v)
-        steps = np.maximum((v_start - thresholds) // delta_v + 1, 1)
-        assert np.array_equal(fail_v, np.maximum(v_start - delta_v * steps, 0))
-        if v_start <= 1200:
-            assert np.array_equal(fail_v, sweep_oracle(thresholds, v_start, delta_v))
+        fail_v = check_sweep_statistics(thresholds, v_start, delta_v)
         # cells already failing at the start register at the first visited step
         assert np.all(fail_v[thresholds > v_start] == max(v_start - delta_v, 0))
 
 
-def check_sweep_statistics(thresholds, v_start, delta_v):
-    """The record built from ``(levels, counts, index)`` has the histogram,
-    ``mu`` and ``sigma`` of the per-cell registrations, bit for bit, and
-    those registrations are the step-down rule's."""
-    registration = kernels.sweep_registration(thresholds, v_start, delta_v)
-    levels, _, index = registration
-    fail_v = levels.take(index)
-    steps = np.maximum((v_start - thresholds) // delta_v + 1, 1)
-    assert np.array_equal(fail_v, np.maximum(v_start - delta_v * steps, 0))
-    if v_start <= 1200:
-        assert np.array_equal(fail_v, sweep_oracle(thresholds, v_start, delta_v))
-    result = SweepResult.from_registration("1", "SS", "word_line", delta_v,
-                                           registration, 1200)
-    voltages, counts = np.unique(fail_v, return_counts=True)
-    assert list(result.histogram.items()) == list(zip(voltages.tolist(), counts.tolist()))
-    per_cell = fail_v + delta_v / 2
-    assert result.mu.hex() == float(per_cell.mean()).hex()
-    sigma = float(per_cell.std(ddof=1)) if per_cell.size > 1 else 0.0
-    assert result.sigma.hex() == sigma.hex()
-    assert result.n_cells == thresholds.size
-    assert result.se_mean == sigma / math.sqrt(thresholds.size)
-
-
 @pytest.mark.parametrize("delta_v", [1, 3, 7, 10, 50, 1000])
-def test_sweep_statistics_are_those_of_the_cells(delta_v):
+def test_sweep_statistics_are_those_of_the_cells(delta_v, monkeypatch):
     """3000 thresholds up to 1499 take the per-voltage table; a block of
     40 cells, or the same 3000 with 2**62 and 10**15 among them, takes
     ``np.unique``; so does a block of one cell."""
@@ -259,11 +245,12 @@ def test_sweep_statistics_are_those_of_the_cells(delta_v):
     table = rng.integers(1, 1500, 3000)
     blocks = {"table": table, "unique": np.append(table, [2**62, 10**15]),
               "small": rng.integers(1, 1500, 40), "one": np.array([791])}
+    unique, calls = np.unique, []
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
     for name, thresholds in blocks.items():
-        top = int(thresholds.max())
-        levels, _, index = kernels.sweep_registration(thresholds, 1200, delta_v)
-        assert (index is thresholds) == (name == "table")
-        assert levels.size == (top + 1 if name == "table" else np.unique(thresholds).size)
+        calls.clear()
+        kernels.sweep_registration(thresholds, 1200, delta_v)
+        assert len(calls) == (name != "table")
         for v_start in (-50, 0, 1, 1200, 10**12):
             check_sweep_statistics(thresholds, v_start, delta_v)
 
@@ -273,6 +260,8 @@ def test_sweep_registration_rejects_bad_input():
         kernels.sweep_registration(np.array([0, 100]), 1200, 10)
     with pytest.raises(ConfigurationError):
         kernels.sweep_registration(np.array([100]), 1200, 0)
+    with pytest.raises(ConfigurationError, match="at least one cell"):
+        kernels.sweep_registration(np.array([], dtype=np.int64), 1200, 10)
 
 
 def test_masked_mc_agrees_with_analytic():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import manual_array, single_type_model
-from wlvmser import kernels, protocols
+from wlvmser import protocols
 from wlvmser.errors import ConfigurationError, ProtocolError
 from wlvmser.io import write_ser_log, write_sweep_log
 from wlvmser.protocols import (run_hold_sweep, run_read_sweep, run_ser_test,
@@ -189,16 +189,18 @@ def test_ser_log_csv(ss_model, tmp_path):
 
 # --- word-line margin sweep ---------------------------------------------------
 
-def assert_registration(result, thresholds, fail_v):
-    """The closed form registers every cell where the bench oracle's
-    ``fail_v`` does, and the sweep's histogram and mean are those of the
-    oracle's registrations (midpoint corrected)."""
-    levels, _, index = kernels.sweep_registration(thresholds, result.v_nominal,
-                                                  result.delta_v)
-    assert np.array_equal(levels.take(index), fail_v)
+def assert_registration(result, fail_v):
+    """The sweep's histogram, ``mu`` and ``sigma`` are those of the bench
+    oracle's registrations ``fail_v`` (midpoint corrected), bit for bit,
+    and ``se_mean`` is ``sigma`` over the root of the cell count."""
     voltages, counts = np.unique(fail_v, return_counts=True)
     assert result.histogram == dict(zip(voltages.tolist(), counts.tolist()))
-    assert result.mu == (fail_v + result.delta_v / 2).mean()
+    per_cell = fail_v + result.delta_v / 2
+    assert result.mu.hex() == float(per_cell.mean()).hex()
+    sigma = float(per_cell.std(ddof=1)) if per_cell.size > 1 else 0.0
+    assert result.sigma.hex() == sigma.hex()
+    assert result.n_cells == fail_v.size
+    assert result.se_mean == sigma / math.sqrt(fail_v.size)
 
 
 def wlvm_sweep_oracle(array, delta_v):
@@ -222,7 +224,7 @@ def test_wlvm_sweep_recovers_distribution(ss_model):
         assert abs(result.sigma - 44.0) <= 0.08 * 44.0
         assert result.se_mean < 1.0
         assert sum(result.histogram.values()) == array.n_cells
-        assert_registration(result, array.v_wl_min, wlvm_sweep_oracle(array, 10))
+        assert_registration(result, wlvm_sweep_oracle(array, 10))
 
 
 def test_wlvm_sweep_degenerate_distribution():
@@ -362,7 +364,6 @@ def read_sweep_oracle(array, delta_v):
 @pytest.mark.parametrize("runner, oracle", [(run_hold_sweep, hold_sweep_oracle),
                                             (run_read_sweep, read_sweep_oracle)])
 def test_supply_sweeps_match_bench_procedure(runner, oracle):
-    field = {run_hold_sweep: "v_dd_min_hold", run_read_sweep: "v_dd_min_read"}[runner]
     rng = np.random.default_rng(2024)
     blocks = []
     for _ in range(60):
@@ -378,7 +379,7 @@ def test_supply_sweeps_match_bench_procedure(runner, oracle):
     for v_dd, delta_v, v_wl_min, hold, read in blocks:
         array = manual_array(v_wl_min, v_dd_min_hold=hold, v_dd_min_read=read, v_dd=v_dd)
         result = runner(array, delta_v=delta_v)
-        assert_registration(result, getattr(array, field), oracle(array, delta_v))
+        assert_registration(result, oracle(array, delta_v))
 
 
 def test_hold_sweep_registers_every_cell(ss_model):
@@ -395,7 +396,7 @@ def test_hold_sweep_two_threshold_order():
     fail_v = hold_sweep_oracle(array, 10)
     # the weaker-hold cell (500 mV) must register first, i.e. at higher v_dd
     assert fail_v.tolist() == [290, 490]
-    assert_registration(result, array.v_dd_min_hold, fail_v)
+    assert_registration(result, fail_v)
     assert result.mu == pytest.approx(395.0)
 
 
@@ -404,7 +405,7 @@ def test_hold_sweep_polarity_merge_covers_both_preferred_states():
     result = run_hold_sweep(array, delta_v=10)
     fail_v = hold_sweep_oracle(array, 10, preferred=[0, 1, 0, 1])
     assert fail_v.tolist() == [390, 390, 590, 590]
-    assert_registration(result, array.v_dd_min_hold, fail_v)
+    assert_registration(result, fail_v)
     assert result.histogram == {390: 2, 590: 2}
 
 
