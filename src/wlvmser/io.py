@@ -39,7 +39,7 @@ from pathlib import Path
 from .calibration import CalibrationFit, build_weighted_points, predict_ser
 from .errors import ConfigurationError, IngestError
 from .records import (DEFAULT_GEOM_UNC, DEFAULT_VDD_MV, SerMeasurement,
-                      SweepResult, word_line_voltage_margin)
+                      SweepResult, read_json, word_line_voltage_margin)
 from .refdata import CELL_TYPE_ORDER
 
 QUANTITY_SER = "ser_uSEU_per_bit_s"
@@ -84,7 +84,9 @@ class PartDataset:
 def ingest_measurements_csv(path, rel_geom_unc: float = DEFAULT_GEOM_UNC) -> list[PartDataset]:
     """Parse a measurement file into per-part datasets.
 
-    Malformed rows are rejected with their line number.  Duplicate
+    The file is UTF-8 and may open with a byte-order mark.  Malformed rows
+    are rejected with the first file line of their record, and so is a
+    record that spans lines: no field may hold a line break.  Duplicate
     (part, type, quantity) keys are errors, and so is a part id that holds
     a tab or line break.  A value is read by ``float`` but must be ASCII
     and free of ``_``.  Every value must be finite and >= 0, except
@@ -100,96 +102,88 @@ def ingest_measurements_csv(path, rel_geom_unc: float = DEFAULT_GEOM_UNC) -> lis
         raise ConfigurationError(
             f"--geom-unc (rel_geom_unc) must be finite and >= 0, got {rel_geom_unc:g}")
     path = Path(path)
-    raw: dict[str, dict] = {}  # by part id, in file order
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh.readlines())
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: {exc}") from None
+    header = next(reader, None)
+    if header is None:
+        raise IngestError(f"{path}: empty file, expected header {_HEADER}")
+    if [h.strip() for h in header] != _HEADER or reader.line_num > 1:
+        raise IngestError(f"{path}: header {header} does not match {_HEADER}")
+    # by part id in file order: (cell_type, quantity) -> (value, line), the
+    # supply under ("", "vdd_mV")
+    tables: dict[str, dict[tuple[str, str], tuple[float, int]]] = {}
+    end = reader.line_num
+    for row in reader:
+        line, end = end + 1, reader.line_num  # the record's first and last file line
+        if not row or all(not f.strip() for f in row):
+            continue
+        if len(row) != 4:
+            raise IngestError(f"{path}:{line}: expected 4 fields, got {len(row)}")
+        part_id, cell_type, quantity, value = (f.strip() for f in row)
+        if not part_id:
+            raise IngestError(f"{path}:{line}: missing part_id")
+        if any(c in part_id for c in "\t\r\n"):
+            raise IngestError(
+                f"{path}:{line}: part_id {part_id!r} holds a tab or line break")
+        if end != line:
+            raise IngestError(f"{path}:{line}: a quoted field holds a line break")
+        if quantity not in QUANTITIES:
+            raise IngestError(f"{path}:{line}: unknown quantity {quantity!r}")
+        if quantity == QUANTITY_VDD:
+            if cell_type:
+                raise IngestError(f"{path}:{line}: vdd_mV rows must leave cell_type empty")
+        elif cell_type not in CELL_TYPE_ORDER:
+            raise IngestError(f"{path}:{line}: unknown cell type {cell_type!r}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file, expected header {_HEADER}")
-        if [h.strip() for h in header] != _HEADER:
-            raise IngestError(f"{path}: header {header} does not match {_HEADER}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not f.strip() for f in row):
-                continue
-            if len(row) != 4:
-                raise IngestError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            part_id, cell_type, quantity, value = (f.strip() for f in row)
-            if not part_id:
-                raise IngestError(f"{path}:{lineno}: missing part_id")
-            if any(c in part_id for c in "\t\r\n"):
-                raise IngestError(
-                    f"{path}:{lineno}: part_id {part_id!r} holds a tab or line break")
-            if quantity not in QUANTITIES:
-                raise IngestError(f"{path}:{lineno}: unknown quantity {quantity!r}")
-            if quantity == QUANTITY_VDD:
-                if cell_type:
-                    raise IngestError(
-                        f"{path}:{lineno}: vdd_mV rows must leave cell_type empty")
-            elif cell_type not in CELL_TYPE_ORDER:
-                raise IngestError(f"{path}:{lineno}: unknown cell type {cell_type!r}")
-            try:
-                if "_" in value or not value.isascii():
-                    raise ValueError  # float() reads 1_4 and non-ASCII digits too
-                num = float(value)
-            except ValueError:
-                raise IngestError(f"{path}:{lineno}: non-numeric value {value!r}")
-            if not (num >= 0 and (math.isfinite(num) or quantity == QUANTITY_REL_STAT)):
-                kind = "a value" if quantity == QUANTITY_REL_STAT else "a finite value"
-                raise IngestError(
-                    f"{path}:{lineno}: {quantity} must be {kind} >= 0, got {value!r}")
-            if quantity == QUANTITY_VDD and not (num > 0 and num.is_integer()):
-                raise IngestError(
-                    f"{path}:{lineno}: vdd_mV must be a positive whole number of mV, "
-                    f"got {value!r}")
-            if part_id not in raw:
-                raw[part_id] = {"vdd": None, "types": {}}
-            bucket = raw[part_id]
-            if quantity == QUANTITY_VDD:
-                if bucket["vdd"] is not None:
-                    raise IngestError(f"{path}:{lineno}: duplicate vdd_mV for part {part_id}")
-                bucket["vdd"] = num
-            else:
-                per_type = bucket["types"].setdefault(cell_type, {})
-                if quantity in per_type:
-                    raise IngestError(
-                        f"{path}:{lineno}: duplicate {quantity} for part "
-                        f"{part_id} type {cell_type}")
-                per_type[quantity] = (num, lineno)
+            if "_" in value or not value.isascii():
+                raise ValueError  # float() reads 1_4 and non-ASCII digits too
+            num = float(value)
+        except ValueError:
+            raise IngestError(f"{path}:{line}: non-numeric value {value!r}")
+        if not (num >= 0 and (math.isfinite(num) or quantity == QUANTITY_REL_STAT)):
+            kind = "a value" if quantity == QUANTITY_REL_STAT else "a finite value"
+            raise IngestError(f"{path}:{line}: {quantity} must be {kind} >= 0, got {value!r}")
+        if quantity == QUANTITY_VDD and not (num > 0 and num.is_integer()):
+            raise IngestError(
+                f"{path}:{line}: vdd_mV must be a positive whole number of mV, got {value!r}")
+        table = tables.setdefault(part_id, {})
+        if (cell_type, quantity) in table:
+            of_type = f" type {cell_type}" if cell_type else ""
+            raise IngestError(
+                f"{path}:{line}: duplicate {quantity} for part {part_id}{of_type}")
+        table[cell_type, quantity] = (num, line)
 
     datasets = []
-    for part_id, bucket in raw.items():
-        v_dd = int(bucket["vdd"]) if bucket["vdd"] is not None else DEFAULT_VDD_MV
+    for part_id, table in tables.items():
+        v_dd = int(table.get(("", QUANTITY_VDD), (DEFAULT_VDD_MV,))[0])
         ds = PartDataset(part_id=part_id, v_dd=v_dd)
-        for cell_type, rows in bucket["types"].items():
-            vals = {quantity: num for quantity, (num, _) in rows.items()}
-            has_ser = QUANTITY_SER in vals
-            has_rel = QUANTITY_REL_STAT in vals
-            if has_ser != has_rel:
+        for cell_type in dict.fromkeys(t for t, _ in table if t):
+            ser, rel, mu, sigma = (table.get((cell_type, q)) for q in QUANTITIES
+                                   if q != QUANTITY_VDD)
+            if (ser is None) != (rel is None):
                 raise IngestError(
                     f"{path}: part {part_id} type {cell_type}: "
                     f"{QUANTITY_SER} and {QUANTITY_REL_STAT} must come together")
-            if has_ser:
-                rel_stat, rel_lineno = rows[QUANTITY_REL_STAT]
-                if rel_stat == math.inf and vals[QUANTITY_SER] > 0:
+            if ser is not None:
+                if rel[0] == math.inf and ser[0] > 0:
                     raise IngestError(
-                        f"{path}:{rel_lineno}: {QUANTITY_REL_STAT} may be inf only "
+                        f"{path}:{rel[1]}: {QUANTITY_REL_STAT} may be inf only "
                         f"with {QUANTITY_SER} 0 (no observed upset), got "
-                        f"{QUANTITY_SER}={_fmt(vals[QUANTITY_SER])}")
-                ds.ser[cell_type] = SerMeasurement.summary(
-                    part_id, cell_type, vals[QUANTITY_SER],
-                    vals[QUANTITY_REL_STAT], rel_geom_unc)
-            if QUANTITY_MARGIN_MU in vals:
-                mu, lineno = rows[QUANTITY_MARGIN_MU]
-                if mu > v_dd:
+                        f"{QUANTITY_SER}={_fmt(ser[0])}")
+                ds.ser[cell_type] = SerMeasurement(part_id, cell_type, ser[0], rel[0],
+                                                   rel_geom_unc)
+            if mu is not None:
+                if mu[0] > v_dd:
                     raise IngestError(
-                        f"{path}:{lineno}: {QUANTITY_MARGIN_MU}={_fmt(mu)} above "
+                        f"{path}:{mu[1]}: {QUANTITY_MARGIN_MU}={_fmt(mu[0])} above "
                         f"the supply of part {part_id} ({v_dd} mV)")
                 ds.sweeps[cell_type] = SweepResult.summary(
-                    part_id, cell_type, mu,
-                    vals.get(QUANTITY_MARGIN_SIGMA, math.nan),
+                    part_id, cell_type, mu[0], sigma[0] if sigma else math.nan,
                     v_nominal=v_dd)
-            elif QUANTITY_MARGIN_SIGMA in vals:
+            elif sigma is not None:
                 raise IngestError(
                     f"{path}: part {part_id} type {cell_type}: "
                     f"{QUANTITY_MARGIN_SIGMA} without {QUANTITY_MARGIN_MU}")
@@ -261,13 +255,7 @@ def write_fit_json(fit: CalibrationFit, path) -> Path:
 
 def read_fit_json(path) -> CalibrationFit:
     """Load a fit file; a malformed one raises ``IngestError`` naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return CalibrationFit.from_dict(json.load(fh))
-        except KeyError as exc:
-            raise IngestError(f"{path}: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise IngestError(f"{path}: {exc}") from None
+    return read_json(path, CalibrationFit.from_dict, IngestError)
 
 
 def write_ser_log(meas: SerMeasurement, path) -> Path:

@@ -47,8 +47,8 @@ import numpy as np
 from . import kernels
 from .errors import ConfigurationError, ProtocolError
 from .radiation import MAX_EXPECTED_EVENTS, AlphaSource, generate_events
-from .records import (DEFAULT_DELTA_V_MV, DEFAULT_DURATION_S, DEFAULT_GEOM_UNC,
-                      DEFAULT_TS_S, SerMeasurement, SweepResult)
+from .records import (DEFAULT_DELTA_V_MV, DEFAULT_DURATION_S, DEFAULT_TS_S,
+                      SerMeasurement, SweepResult)
 from .sram import MemoryArray
 
 
@@ -140,8 +140,7 @@ def run_ser_test(array: MemoryArray, source: AlphaSource, ts: float = DEFAULT_TS
         _event_windows(events.times, ts, n_windows), events.cells, n_windows,
         array.n_cells)
 
-    return SerMeasurement.from_windows(array.part_id, array.cell_type, ts, counts,
-                                       array.n_cells, DEFAULT_GEOM_UNC)
+    return SerMeasurement.from_windows(array.part_id, array.cell_type, ts, counts, array.n_cells)
 
 
 def _run_sweep(array: MemoryArray, delta_v: int, quantity: str,

@@ -1,13 +1,15 @@
 """Measurement records and the chip constants they default to.
 
 ``SerMeasurement`` and ``SweepResult`` are what the procedures produce and
-what a measurement file ingests into; the fit reads nothing else.  This
-module imports no numpy, so the commands that only ingest, fit and
-predict start without it.
+what a measurement file ingests into; the fit reads nothing else.  Fit
+and model files are read by ``read_json``, whose numbers follow
+``json_number``.  This module imports no numpy, so the commands that only
+ingest, fit and predict start without it.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from dataclasses import dataclass
@@ -44,7 +46,7 @@ class SerMeasurement:
     cell_type: str
     ser: float
     rel_stat_unc: float
-    rel_geom_unc: float
+    rel_geom_unc: float = DEFAULT_GEOM_UNC
     ts: float | None = None
     window_counts: np.ndarray | None = None
     n_windows: int = 0
@@ -58,8 +60,7 @@ class SerMeasurement:
         return self.ser == 0
 
     @classmethod
-    def from_windows(cls, part_id, cell_type, ts, window_counts, n_bits,
-                     rel_geom_unc) -> "SerMeasurement":
+    def from_windows(cls, part_id, cell_type, ts, window_counts, n_bits) -> "SerMeasurement":
         """Record of a SER test from its per-window counts, an int64
         array, which the record keeps as given."""
         n_windows = window_counts.size
@@ -72,25 +73,12 @@ class SerMeasurement:
             cell_type=str(cell_type),
             ser=ser,
             rel_stat_unc=rel_stat,
-            rel_geom_unc=float(rel_geom_unc),
             ts=float(ts),
             window_counts=window_counts,
             n_windows=n_windows,
             n_tot=n_tot,
             t_exp=float(t_exp),
             n_bits=int(n_bits),
-        )
-
-    @classmethod
-    def summary(cls, part_id, cell_type, ser, rel_stat_unc,
-                rel_geom_unc=DEFAULT_GEOM_UNC) -> "SerMeasurement":
-        """Summary-only record as ingested from a measurement file."""
-        return cls(
-            part_id=str(part_id),
-            cell_type=str(cell_type),
-            ser=float(ser),
-            rel_stat_unc=float(rel_stat_unc),
-            rel_geom_unc=float(rel_geom_unc),
         )
 
 
@@ -138,6 +126,19 @@ def json_number(key: str, value) -> float:
     if abs(value) > sys.float_info.max:
         return math.inf if value > 0 else -math.inf
     return float(value)
+
+
+def read_json(path, parse, error):
+    """``parse`` of the JSON in the UTF-8 file ``path``.  A key it misses
+    raises ``error`` as ``path: missing key 'k'``, and a malformed file or
+    value (``AttributeError``, ``TypeError``, ``ValueError``) as ``path: …``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse(json.load(fh))
+        except KeyError as exc:
+            raise error(f"{path}: missing key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise error(f"{path}: {exc}") from None
 
 
 def word_line_voltage_margin(v_dd, v_mewlvm):

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import json
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -38,7 +37,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import ConfigurationError
-from .records import DEFAULT_COLS, DEFAULT_ROWS, DEFAULT_VDD_MV, json_number
+from .records import (DEFAULT_COLS, DEFAULT_ROWS, DEFAULT_VDD_MV, json_number,
+                      read_json)
 from .refdata import CELL_TYPE_ORDER
 
 _MAX_REDRAWS = 1000
@@ -143,13 +143,7 @@ class VariationModel:
     def from_json(cls, path) -> "VariationModel":
         """Load a model file; a malformed one raises ``ConfigurationError``
         naming the file."""
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                return cls.from_dict(json.load(fh))
-            except KeyError as exc:
-                raise ConfigurationError(f"{path}: missing key {exc}") from None
-            except (AttributeError, TypeError, ValueError) as exc:
-                raise ConfigurationError(f"{path}: {exc}") from None
+        return read_json(path, cls.from_dict, ConfigurationError)
 
     @classmethod
     def default(cls) -> "VariationModel":

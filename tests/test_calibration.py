@@ -41,8 +41,7 @@ def random_points(rng, n):
 
 def _rel_stat(n_tot):
     counts = np.array([n_tot // 2, n_tot - n_tot // 2], dtype=np.int64)
-    return SerMeasurement.from_windows("1", "SS", 1800.0, counts, 4096,
-                                       rel_geom_unc=0.03).rel_stat_unc
+    return SerMeasurement.from_windows("1", "SS", 1800.0, counts, 4096).rel_stat_unc
 
 
 def test_poisson_rel_uncertainty_values():
@@ -53,7 +52,7 @@ def test_poisson_rel_uncertainty_values():
 
 
 def _sigma_rel(stat, geom, weight_mode):
-    meas = SerMeasurement.summary("1", "SS", 2.0, stat, geom)
+    meas = SerMeasurement("1", "SS", 2.0, stat, geom)
     sweep = SweepResult.summary("1", "SS", 800.0)
     [point] = build_weighted_points([(meas, sweep)], 1200, weight_mode)
     return point.sigma_y / meas.ser
@@ -272,8 +271,8 @@ def test_unknown_weight_mode_rejected():
 
 def test_zero_count_points_are_left_out():
     sweep = SweepResult.summary("1", "SS", 800.0)
-    counted = SerMeasurement.summary("1", "SS", 2.0, 0.02)
-    zero = SerMeasurement.summary("1", "SS", 0.0, math.inf)
+    counted = SerMeasurement("1", "SS", 2.0, 0.02)
+    zero = SerMeasurement("1", "SS", 0.0, math.inf)
     assert zero.zero_count and not counted.zero_count
     for mode in ("combined", "stat-only", "linear-sum"):
         assert build_weighted_points([(zero, sweep)], 1200, mode) == []
@@ -285,15 +284,15 @@ def test_calibrate_datasets_counts_left_out_points():
     datasets = load_reference_dataset()
     ds = datasets[0]
     for cell_type in ("SM", "SL"):
-        ds.ser[cell_type] = SerMeasurement.summary("1", cell_type, 0.0, math.inf)
+        ds.ser[cell_type] = SerMeasurement("1", cell_type, 0.0, math.inf)
     assert zero_count_blocks(datasets) == ["part 1 SM", "part 1 SL"]
     assert calibrate_datasets(datasets).n_points == 23
     for cell_type in ("MM", "LS"):
-        ds.ser[cell_type] = SerMeasurement.summary("1", cell_type, 0.0, math.inf)
+        ds.ser[cell_type] = SerMeasurement("1", cell_type, 0.0, math.inf)
     with pytest.raises(DegenerateFitError, match=r"need at least 2 points, got 1 "
                                                   r"after leaving out 4 zero-count"):
         calibrate_datasets([ds])
-    empty = PartDataset("9", ser={"SS": SerMeasurement.summary("9", "SS", 0.0, math.inf)},
+    empty = PartDataset("9", ser={"SS": SerMeasurement("9", "SS", 0.0, math.inf)},
                         sweeps={"SS": SweepResult.summary("9", "SS", 800.0)})
     with pytest.raises(DegenerateFitError, match="got 0 after leaving out 1 "):
         calibrate_datasets([empty])

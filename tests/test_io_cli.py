@@ -105,8 +105,15 @@ def test_ingest_requires_paired_ser_and_stat(tmp_path):
     (HEADER + "x\ty,SS,v_mewlvm_mV,800\n", ":2: part_id 'x\\ty' holds a tab or line break"),
     (HEADER + '"x\ny",SS,v_mewlvm_mV,800\n', ":2: part_id 'x\\ny' holds a tab or line break"),
     (HEADER + '"x\ry",SS,v_mewlvm_mV,800\n', ":2: part_id 'x\\ry' holds a tab or line break"),
+    (HEADER + '1,SS,sigma_wlvm_mV,44\n1,SS,v_mewlvm_mV,"\n791"\n',
+     ":3: a quoted field holds a line break"),
+    (HEADER + '1,"SS\r\n",v_mewlvm_mV,791\n', ":2: a quoted field holds a line break"),
+    (HEADER + '"\n",,,\n1,QQ,v_mewlvm_mV,800\n', ":4: unknown cell type 'QQ'"),
+    ('"part_id\n",cell_type,quantity,value\n', ": header ['part_id\\n', 'cell_type', "
+     "'quantity', 'value'] does not match ['part_id', 'cell_type', 'quantity', 'value']"),
 ], ids=["empty", "field-count", "part-id", "vdd-cell-type", "vdd-twice", "sigma-alone",
-        "part-id-tab", "part-id-lf", "part-id-cr"])
+        "part-id-tab", "part-id-lf", "part-id-cr", "value-lf", "cell-type-crlf",
+        "blank-record-lf", "header-lf"])
 def test_cli_malformed_measurement_file_is_one_error_line(text, cause, tmp_path, capsys):
     path = tmp_path / "m.csv"
     path.write_text(text)
@@ -212,7 +219,7 @@ def _part_datasets(draw):
         for cell_type in CELL_TYPE_ORDER:
             if draw(st.booleans()):
                 zero = draw(st.booleans())
-                ds.ser[cell_type] = SerMeasurement.summary(
+                ds.ser[cell_type] = SerMeasurement(
                     part_id, cell_type, 0.0 if zero else draw(_values),
                     math.inf if zero else draw(_values))
             if draw(st.booleans()):
@@ -240,6 +247,9 @@ def test_emit_ingest_emit_is_byte_identical(tmp_path_factory, datasets):
     assert _summary(ingested) == _summary(datasets)
     second = emit_measurements_csv(ingested, tmp / "second.csv")
     assert second.read_bytes() == first.read_bytes()
+    with_bom = tmp / "bom.csv"
+    with_bom.write_bytes(b"\xef\xbb\xbf" + first.read_bytes())
+    assert _summary(ingest_measurements_csv(with_bom)) == _summary(ingested)
 
 
 def test_partial_dataset_supported(tmp_path):
@@ -559,6 +569,12 @@ def test_cli_inoperable_supply_is_one_error_line(argv, tmp_path, capsys):
     (["calibrate", "--input", "{tmp}/weight-ser-1e308.csv", "--weight-mode", "linear-sum"],
      "part 1 SS: SER 1e+308 with relative uncertainty 2.03 (linear-sum weights) "
      "gives sigma inf "),
+    (["calibrate", "--input", "{tmp}/utf-16.csv"],
+     "/utf-16.csv: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (["predict", "--fit", "{tmp}/utf-16.json", "--v-wlvm", "0.4"],
+     "/utf-16.json: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (["simulate", "--model", "{tmp}/utf-16.json"],
+     "/utf-16.json: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
 ])
 def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
     fit = calibrate_datasets(load_reference_dataset())
@@ -577,6 +593,8 @@ def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
     model["sigma_part_mV"] = math.nan
     (tmp_path / "nan-sigma-part.json").write_text(json.dumps(model))
     (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "utf-16.csv").write_text(HEADER, encoding="utf-16")
+    (tmp_path / "utf-16.json").write_text("{}", encoding="utf-16")
     bundled = json.loads((Path(wlvmser.__file__).parent / "data" /
                           "variation_model.json").read_text())
     for value in (1200.7, "1200", 0.5):
