@@ -7,8 +7,11 @@ repeats per window, less a correction for the rare runs of three or more
 hits), reducing a voltage sweep to its failure histogram and threshold
 mean and spread (a closed form evaluated once per distinct threshold)
 and Monte-Carlo sampling of masked upsets.  ``window_observed_flips``
-and ``sweep_registration`` are deterministic; ``masked_upsets_mc`` is
-deterministic for a fixed seed.
+and ``sweep_registration`` are deterministic and refuse indices or
+thresholds that are not integers rather than truncate them; the flip
+count adds the event cells in its key's dtype, so the ``int32`` cells
+that ``generate_events`` draws for blocks of up to ``2**31`` cells are
+never widened.  ``masked_upsets_mc`` is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -20,29 +23,36 @@ import numpy as np
 from .errors import ConfigurationError
 
 _MC_CHUNK = 4_000_000  # bounds the Monte-Carlo working set
+_NOT_POSITIVE = "sweep requires strictly positive thresholds"
 
 
 def window_observed_flips(windows, cells, n_windows, n_cells):
     """Per-window observed flip counts plus the events hitting each window.
 
-    ``windows`` must be non-decreasing (events sorted by time), every
-    entry must lie in ``[0, n_windows)`` and every cell in ``[0, n_cells)``.
+    ``windows`` and ``cells`` must be integer arrays (any other dtype
+    raises ``ValueError`` naming the argument), ``windows`` non-decreasing
+    (events sorted by time), every entry in ``[0, n_windows)`` and every
+    cell in ``[0, n_cells)``.
     Returns ``(counts, hits)`` where ``counts[i]`` is the number of cells
     whose read-back changed in window ``i`` and ``hits[i]`` the number of
     events in it; ``hits - counts`` is the even number of upsets masked.
 
     Each event becomes the key ``window * n_cells + cell``, as ``int32``
     when every key fits and ``int64`` otherwise, and the keys are sorted in
-    place.  A cell hit ``L`` times within one window forms a run of ``L``
-    equal keys and reads back changed iff ``L`` is odd, so ``L // 2`` pairs
-    of hits go unseen.  Sorting keeps each window's events at the positions
+    place.  The cells are added in the key's dtype, so ``int32`` cells (as
+    ``generate_events`` draws them) take a one-dtype loop and no copy.  A
+    cell hit ``L`` times within one window forms a run of ``L`` equal keys
+    and reads back changed iff ``L`` is odd, so ``L // 2`` pairs of hits go
+    unseen.  Sorting keeps each window's events at the positions
     they had, so one ``np.add.reduceat`` of the repeat flags over the
     window starts gives each window's ``sum(L - 1)``; the pairs are that
     less ``sum((L - 1) // 2)``, which only the rare runs of three or more
     keys add to, found among the positions that repeat twice in a row.
     """
-    windows = np.asarray(windows)
-    cells = np.asarray(cells, dtype=np.int64)
+    windows, cells = np.asarray(windows), np.asarray(cells)
+    for name, values in (("windows", windows), ("cells", cells)):
+        if values.dtype.kind not in "iu":
+            raise ValueError(f"{name} must be integer indices, got dtype {values.dtype}")
     if windows.size != cells.size:
         raise ValueError("windows and cells must have the same length")
     n_windows, n_cells = int(n_windows), int(n_cells)
@@ -58,7 +68,7 @@ def window_observed_flips(windows, cells, n_windows, n_cells):
     starts = np.searchsorted(key, np.arange(n_windows + 1, dtype=key.dtype))
     hits = starts[1:] - starts[:-1]
     key *= n_cells
-    np.add(key, cells, out=key)
+    np.add(key, cells, out=key, dtype=key.dtype)
     key.sort()
     # repeat[j]: event j has the key of event j - 1; False at both ends, so
     # an empty window's reduceat term, repeat at the next window's start, is
@@ -106,24 +116,34 @@ def sweep_registration(thresholds, v_start, delta_v):
     reduced over the per-cell midpoints and squared deviations, gathered
     into one per-cell buffer, not over the histogram: ``sigma``'s last
     bits follow numpy's pairwise summation over the cells, and the
-    fixed-seed outputs pin them.  An empty block, or a threshold or step
-    that is not positive, raises ``ConfigurationError``.
+    fixed-seed outputs pin them.  An empty block, thresholds that are not
+    integers, or a threshold or step that is not positive, raises
+    ``ConfigurationError``; the thresholds' sign is checked on the distinct
+    values, with no pass of its own.
     """
+    thresholds = np.asarray(thresholds)
+    if thresholds.dtype.kind not in "iu":
+        raise ConfigurationError(
+            f"sweep thresholds must be integers, got dtype {thresholds.dtype}")
     thresholds = np.ascontiguousarray(thresholds, dtype=np.int64)
     if delta_v <= 0:
         raise ConfigurationError("delta_v must be positive")
     if not thresholds.size:
         raise ConfigurationError("sweep requires at least one cell")
-    if thresholds.min() <= 0:
-        raise ConfigurationError("sweep requires strictly positive thresholds")
     v_start, delta_v = int(v_start), int(delta_v)
-    top = int(thresholds.max())
-    if top >= thresholds.size:
+    if thresholds.max() >= thresholds.size:
         values, index, counts = np.unique(thresholds, return_inverse=True,
                                           return_counts=True)
+        if values[0] <= 0:
+            raise ConfigurationError(_NOT_POSITIVE)
     else:
-        values, index = np.arange(top + 1, dtype=np.int64), thresholds
-        counts = np.bincount(thresholds)
+        try:
+            counts = np.bincount(thresholds)
+        except ValueError:  # bincount refuses a negative value
+            raise ConfigurationError(_NOT_POSITIVE) from None
+        if counts[0]:
+            raise ConfigurationError(_NOT_POSITIVE)
+        values, index = np.arange(counts.size, dtype=np.int64), thresholds
     steps = np.maximum((v_start - values) // delta_v + 1, 1)
     levels = np.maximum(v_start - delta_v * steps, 0)
     seen = np.flatnonzero(counts)

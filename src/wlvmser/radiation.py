@@ -3,10 +3,13 @@
 Upset instants form a Poisson process.  Events are generated with
 exponential inter-arrival times at the aggregate array rate and assigned
 to cells uniformly: every cell of a block has the same rate, so each is
-equally likely to take the next event.  Arrival times are
-running sums of the gaps, cut at the horizon by a binary search, and a
-draw whose expected count exceeds ``MAX_EXPECTED_EVENTS`` is refused
-before anything is allocated.  The per-cell rate is
+equally likely to take the next event.  The gaps are drawn by numpy's
+``standard_exponential`` fill and scaled in place, which gives the
+doubles of ``Generator.exponential``, and the cells as ``int32`` up to
+``2**31`` cells.  Arrival times are running sums of the gaps, cut at the
+horizon by a binary search, and a draw whose expected count exceeds
+``MAX_EXPECTED_EVENTS`` is refused before anything is allocated.  The
+per-cell rate is
 
     lambda_c = true_seu_rate * geom_factor * 1e-6   [per second]
 
@@ -66,9 +69,12 @@ class EventLog:
 def _arrival_times(rng, lam_total, duration):
     """Exponential inter-arrival draw until the horizon is crossed.
 
-    Each chunk's running sum is taken in place and cut at the first
-    arrival at or past ``duration``; arrival times increase, so that cut
-    keeps exactly the arrivals inside the horizon.
+    Each chunk's gaps are ``rng.exponential(mean_gap, chunk)``, the same
+    doubles drawn as ``standard_exponential`` scaled in place (numpy
+    computes each as ``mean_gap * z``).  Their running sum is taken in
+    place and cut at the first arrival at or past ``duration``; arrival
+    times increase, so that cut keeps exactly the arrivals inside the
+    horizon.  The chunk sizes fix where the cell draw starts in the stream.
     """
     mean_gap = 1.0 / lam_total
     expect = lam_total * duration
@@ -76,7 +82,8 @@ def _arrival_times(rng, lam_total, duration):
     pieces = []
     t = 0.0
     while True:
-        gaps = rng.exponential(mean_gap, chunk)
+        gaps = rng.standard_exponential(chunk)
+        gaps *= mean_gap
         times = np.cumsum(gaps, out=gaps)
         if pieces:
             times += t
@@ -92,7 +99,9 @@ def _arrival_times(rng, lam_total, duration):
 def generate_events(array: MemoryArray, source: AlphaSource, duration: float, seed=0) -> EventLog:
     """Draw the upset events hitting ``array`` over ``duration`` seconds.
 
-    Deterministic for a fixed seed.  Events come out sorted by time.
+    Deterministic for a fixed seed.  Events come out sorted by time.  Cells
+    are ``int32`` up to ``2**31`` cells, ``int64`` above: below ``2**32``
+    values ``Generator.integers`` draws the same numbers for either dtype.
     Raises ``ConfigurationError`` before drawing anything when the expected
     event count exceeds ``MAX_EXPECTED_EVENTS``.
     """
@@ -100,9 +109,9 @@ def generate_events(array: MemoryArray, source: AlphaSource, duration: float, se
         raise ConfigurationError("duration must be positive")
     lam_total = array.true_seu_rate * (source.geom_factor * 1e-6) * array.n_cells
     rng = np.random.default_rng(seed)
+    cell_dtype = np.int32 if array.n_cells <= 2**31 else np.int64
     if lam_total <= 0.0:
-        empty = np.empty(0)
-        return EventLog(empty, empty.astype(np.int64))
+        return EventLog(np.empty(0), np.empty(0, dtype=cell_dtype))
     expected = lam_total * duration
     if not expected <= MAX_EXPECTED_EVENTS:
         raise ConfigurationError(
@@ -110,7 +119,7 @@ def generate_events(array: MemoryArray, source: AlphaSource, duration: float, se
             f"budget of {MAX_EXPECTED_EVENTS} events; lower the rate, the block "
             f"size or the duration")
     times = _arrival_times(rng, lam_total, duration)
-    cells = rng.integers(0, array.n_cells, times.size, dtype=np.int64)
+    cells = rng.integers(0, array.n_cells, times.size, dtype=cell_dtype)
     return EventLog(times, cells)
 
 

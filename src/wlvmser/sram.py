@@ -13,6 +13,8 @@ Thresholds are drawn per cell from Gaussian distributions whose means and
 spreads depend on the cell type; a common per-part offset shifts all
 means of one die together.  Out-of-range draws are rejected and redrawn
 rather than clamped so the threshold histograms carry no boundary spikes.
+Each draw is numpy's ``standard_normal`` fill scaled and shifted in
+place, which gives the doubles of ``Generator.normal`` for less work.
 
 ``sample_array`` draws ``v_wl_min`` at once: the SER test at nominal
 supply and the word-line sweep need nothing else.  The hold and read
@@ -221,16 +223,28 @@ def seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+def _normal(rng, mu, sigma, n):
+    """``rng.normal(mu, sigma, n)``, the same doubles: numpy computes each as
+    ``mu + sigma * z`` from the ``standard_normal`` stream, and the fill loop
+    plus an in-place scale and shift costs less than the per-element call.
+    A huge ``sigma`` overflows to infinity, which the caller redraws."""
+    z = rng.standard_normal(n)
+    with np.errstate(over="ignore"):
+        z *= sigma
+        z += mu
+    return z
+
+
 def _sample_thresholds(rng, mu, sigma, n, v_dd_nominal):
     """Integer-mV Gaussian draws, redrawn until inside (0, v_dd_nominal];
     checked as floats, so a draw beyond ``int64`` is redrawn, never cast."""
-    out = np.rint(rng.normal(mu, sigma, n))
+    out = np.rint(_normal(rng, mu, sigma, n))
     for _ in range(_MAX_REDRAWS):
         bad = (out < 1) | (out > v_dd_nominal)
         n_bad = np.count_nonzero(bad)
         if n_bad == 0:
             return out.astype(np.int64)
-        out[bad] = np.rint(rng.normal(mu, sigma, n_bad))
+        out[bad] = np.rint(_normal(rng, mu, sigma, n_bad))
     raise ConfigurationError(
         f"threshold sampling did not converge for mu={mu}, sigma={sigma}"
     )

@@ -70,17 +70,22 @@ def arrival_times_oracle(rng, lam_total, duration):
 
 class ShortGapRng:
     """Generator stand-in whose gaps are 1e-3 of the requested mean, so the
-    first chunk ends long before the horizon and continuation chunks run."""
+    first chunk ends long before the horizon and continuation chunks run.
+    ``exponential`` is ``scale * standard_exponential``, numpy's own
+    identity, so ``_arrival_times`` and its oracle see the same gaps."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
         self.calls = 0
 
-    def exponential(self, scale, size):
+    def standard_exponential(self, size):
         self.calls += 1
         if self.calls > 10_000:
             raise RuntimeError("arrival times do not advance")
-        return self.rng.exponential(scale * 1e-3, size)
+        return self.rng.standard_exponential(size) * 1e-3
+
+    def exponential(self, scale, size):
+        return scale * self.standard_exponential(size)
 
 
 def sweep_oracle(thresholds, v_start, delta_v):
@@ -154,6 +159,35 @@ def test_window_flips_int64_keys_match_unique():
     assert counts.sum() < windows.size  # some hits were masked
 
 
+@pytest.mark.parametrize("windows, cells", [
+    ([0.0, 0.5], [0, 1]),  # read as window 0
+    ([0.0, 0.0, 0.0], [2, 2, 2]),  # a run of three: an IndexError
+    ([False, True], [0, 1]),
+], ids=["fractional", "float-run-of-three", "bool"])
+def test_window_flips_refuse_windows_that_are_not_integers(windows, cells):
+    with pytest.raises(ValueError, match="^windows must be integer indices"):
+        kernels.window_observed_flips(np.array(windows), np.array(cells), 2, 4)
+
+
+@pytest.mark.parametrize("cells", [[3.7, 3.2], [True, False]], ids=["fractional", "bool"])
+def test_window_flips_refuse_cells_that_are_not_integers(cells):
+    with pytest.raises(ValueError, match="^cells must be integer indices"):
+        kernels.window_observed_flips(np.array([0, 1]), np.array(cells), 2, 4)
+
+
+@pytest.mark.parametrize("cell_dtype", [np.int32, np.uint16])
+@pytest.mark.parametrize("n_cells", [64, 2**28])
+def test_window_flips_take_cells_of_any_integer_dtype(cell_dtype, n_cells):
+    """``int32`` cells, as ``generate_events`` draws them, and narrower ones
+    give the counts of ``int64`` cells, with an ``int32`` key (12 windows
+    of 64 cells) and an ``int64`` one (12 windows of 2**28 cells)."""
+    windows, cells = _random_events(np.random.default_rng(3), 20_000, 12, 64)
+    want = kernels.window_observed_flips(windows, cells, 12, n_cells)
+    got = kernels.window_observed_flips(windows, cells.astype(cell_dtype), 12, n_cells)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert np.array_equal(want[0], window_flips_unique(windows, cells, 12, n_cells))
+
+
 def test_window_flips_validation():
     with pytest.raises(ValueError):
         kernels.window_observed_flips(np.array([1, 0]), np.array([0, 0]), 2, 4)
@@ -175,6 +209,23 @@ def test_arrival_times_match_mask_and_copy():
         got = _arrival_times(np.random.default_rng(seed), lam_total, duration)
         want = arrival_times_oracle(np.random.default_rng(seed), lam_total, duration)
         assert got.tobytes() == want.tobytes(), seed
+
+
+@pytest.mark.parametrize("lam_total, duration", [
+    (1e-3, 5e4),  # about 50 arrivals: the 64-gap floor of the chunk
+    (0.41, 432_000.0),  # a 4096-cell block at 100 uSEU/(bit*s): 177k
+    (3.7, 1e4),
+    (250.0, 7.5),
+])
+def test_arrival_times_equal_generator_exponential_draws(lam_total, duration):
+    """The ``standard_exponential`` fill scaled in place gives the doubles
+    of ``Generator.exponential``, and the cell draw starts where it did."""
+    for seed in range(3):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _arrival_times(rng, lam_total, duration)
+        want = arrival_times_oracle(ref, lam_total, duration)
+        assert got.tobytes() == want.tobytes(), seed
+        assert rng.integers(2**62) == ref.integers(2**62)
 
 
 def test_arrival_times_continuation_chunks():
@@ -253,6 +304,24 @@ def test_sweep_statistics_are_those_of_the_cells(delta_v, monkeypatch):
         assert len(calls) == (name != "table")
         for v_start in (-50, 0, 1, 1200, 10**12):
             check_sweep_statistics(thresholds, v_start, delta_v)
+
+
+@pytest.mark.parametrize("thresholds", [
+    [0, 1, 2, 3],  # the table branch: top below the cell count
+    [-1, 1, 2, 3],
+    [-5, -4],
+    [0, 100],  # the np.unique branch
+    [-5, 100],
+])
+def test_sweep_registration_refuses_thresholds_not_positive(thresholds):
+    with pytest.raises(ConfigurationError, match="^sweep requires strictly positive thresholds$"):
+        kernels.sweep_registration(np.array(thresholds), 1200, 10)
+
+
+@pytest.mark.parametrize("thresholds", [[5.9, 7.2], [True, True]], ids=["fractional", "bool"])
+def test_sweep_registration_refuses_thresholds_that_are_not_integers(thresholds):
+    with pytest.raises(ConfigurationError, match="^sweep thresholds must be integers"):
+        kernels.sweep_registration(np.array(thresholds), 1200, 10)
 
 
 def test_sweep_registration_rejects_bad_input():

@@ -24,6 +24,21 @@ def test_zero_rate_generates_nothing(ss_model):
     assert len(events) == 0
 
 
+@pytest.mark.parametrize("rate", [0.0, 1.46, 100.0])
+def test_event_cells_are_int32_and_the_int64_draw(ss_model, rate):
+    """Below 2**32 values ``Generator.integers`` draws the same cells as
+    ``int32`` as it does as ``int64``."""
+    array = _uniform_rate_array(ss_model, rate)
+    events = generate_events(array, AlphaSource(), 3600.0, seed=11)
+    assert events.cells.dtype == np.int32
+    rng = np.random.default_rng(11)
+    if rate:
+        times = radiation._arrival_times(rng, rate * 1e-6 * array.n_cells, 3600.0)
+        assert times.tobytes() == events.times.tobytes()
+    want = rng.integers(0, array.n_cells, len(events), dtype=np.int64)
+    assert np.array_equal(events.cells, want)
+
+
 def test_event_count_near_reference_conditions(ss_model):
     # 1.46 uSEU/(bit*s) over 4096 bits for 120 h -> about 2583 events
     array = _uniform_rate_array(ss_model, 1.46)

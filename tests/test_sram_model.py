@@ -91,6 +91,26 @@ def test_sigmas_must_be_finite_and_non_negative(sigma):
         single_type_model(sigma_part=sigma)
 
 
+@pytest.mark.parametrize("mu, sigma, redraws_expected", [
+    (791.0, 44.0, False), (2.0, 40.0, True), (1195.0, 30.0, True), (600.0, 0.0, False),
+], ids=["nominal", "near-1-mV", "near-nominal", "zero-sigma"])
+def test_sample_thresholds_equal_rounded_generator_normal(mu, sigma, redraws_expected):
+    """The ``standard_normal`` fill scaled and shifted in place gives the
+    doubles of ``Generator.normal``: the draw, every redraw and the stream
+    position after it are those of ``np.rint(rng.normal(mu, sigma, n))``."""
+    for seed in range(4):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sram._sample_thresholds(rng, mu, sigma, 4096, 1200)
+        want = np.rint(ref.normal(mu, sigma, 4096))
+        redraws = 0
+        while (bad := (want < 1) | (want > 1200)).any():
+            redraws += 1
+            want[bad] = np.rint(ref.normal(mu, sigma, np.count_nonzero(bad)))
+        assert got.tobytes() == want.astype(np.int64).tobytes(), seed
+        assert (redraws > 0) == redraws_expected
+        assert rng.random() == ref.random()
+
+
 def test_draws_far_outside_int64_are_redrawn_not_cast():
     """A finite but huge sigma ends in one error, with no numpy warning
     about casting a draw beyond ``int64`` (warnings fail this suite)."""
