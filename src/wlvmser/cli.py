@@ -109,7 +109,7 @@ def _cmd_ser_test(args) -> int:
     model = _load_model(args)
     array = sample_array(args.cell_type, model, seed=args.seed,
                          true_seu_rate=args.rate, **_given(args, "v_dd"))
-    meas = run_ser_test(array, AlphaSource(rate_per_bit=args.rate), seed=args.seed + 1,
+    meas = run_ser_test(array, AlphaSource(), seed=args.seed + 1,
                         **_given(args, "ts", "duration"))
     print(f"part {meas.part_id} {meas.cell_type}: "
           f"ser = {meas.ser:.4f} uSEU/(bit*s), n_tot = {meas.n_tot}, "

@@ -180,9 +180,8 @@ def ingest_measurements_csv(path, rel_geom_unc: float = DEFAULT_GEOM_UNC) -> lis
                     raise IngestError(
                         f"{path}:{mu[1]}: {QUANTITY_MARGIN_MU}={_fmt(mu[0])} above "
                         f"the supply of part {part_id} ({v_dd} mV)")
-                ds.sweeps[cell_type] = SweepResult.summary(
-                    part_id, cell_type, mu[0], sigma[0] if sigma else math.nan,
-                    v_nominal=v_dd)
+                ds.sweeps[cell_type] = SweepResult(
+                    part_id, cell_type, mu[0], sigma[0] if sigma else math.nan, v_dd)
             elif sigma is not None:
                 raise IngestError(
                     f"{path}: part {part_id} type {cell_type}: "

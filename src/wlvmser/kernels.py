@@ -7,8 +7,8 @@ repeats per window, less a correction for the rare runs of three or more
 hits), reducing a voltage sweep to its failure histogram and threshold
 mean and spread (a closed form evaluated once per distinct threshold)
 and Monte-Carlo sampling of masked upsets.  ``window_observed_flips``
-and ``sweep_registration`` are deterministic and refuse indices or
-thresholds that are not integers rather than truncate them; the flip
+and ``sweep_registration`` are deterministic and refuse indices,
+thresholds, start voltages or steps that are not integers; the flip
 count adds the event cells in its key's dtype, so the ``int32`` cells
 that ``generate_events`` draws for blocks of up to ``2**31`` cells are
 never widened.  ``masked_upsets_mc`` is deterministic for a fixed seed.
@@ -17,6 +17,7 @@ never widened.  ``masked_upsets_mc`` is deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -116,21 +117,25 @@ def sweep_registration(thresholds, v_start, delta_v):
     reduced over the per-cell midpoints and squared deviations, gathered
     into one per-cell buffer, not over the histogram: ``sigma``'s last
     bits follow numpy's pairwise summation over the cells, and the
-    fixed-seed outputs pin them.  An empty block, thresholds that are not
-    integers, or a threshold or step that is not positive, raises
-    ``ConfigurationError``; the thresholds' sign is checked on the distinct
-    values, with no pass of its own.
+    fixed-seed outputs pin them.  An empty block, a threshold, ``v_start``
+    or ``delta_v`` that is not an integer (a bool is not), or a threshold or
+    step that is not positive, raises ``ConfigurationError``; the thresholds'
+    sign is checked on the distinct values, with no pass of its own.
     """
     thresholds = np.asarray(thresholds)
     if thresholds.dtype.kind not in "iu":
         raise ConfigurationError(
             f"sweep thresholds must be integers, got dtype {thresholds.dtype}")
     thresholds = np.ascontiguousarray(thresholds, dtype=np.int64)
+    for name, value in (("v_start", v_start), ("delta_v", delta_v)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigurationError(f"sweep {name} must be an integer, got {value!r}")
+    # by value: a numpy uint64 would turn the int64 grid arithmetic into floats
+    v_start, delta_v = operator.index(v_start), operator.index(delta_v)
     if delta_v <= 0:
         raise ConfigurationError("delta_v must be positive")
     if not thresholds.size:
         raise ConfigurationError("sweep requires at least one cell")
-    v_start, delta_v = int(v_start), int(delta_v)
     if thresholds.max() >= thresholds.size:
         values, index, counts = np.unique(thresholds, return_inverse=True,
                                           return_counts=True)

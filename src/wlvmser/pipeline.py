@@ -130,18 +130,16 @@ def simulate_parts(
         part_seq = root.spawn(1)[0]
         prng = np.random.default_rng(part_seq)
         offset = prng.normal(0.0, model.sigma_part)
-        geom = 1.0 + prng.uniform(-geom_spread, geom_spread)
+        source = AlphaSource(geom_factor=1.0 + prng.uniform(-geom_spread, geom_spread))
         ds = PartDataset(part_id=part_id, v_dd=v_dd)
         block_seqs = part_seq.spawn(2 * len(cell_types))
         for i, cell_type in enumerate(cell_types):
-            tv = model.for_type(cell_type)
-            margin_v = (v_dd - (tv.mu_vwlmin + offset)) / 1000.0
+            margin_v = (v_dd - (model.for_type(cell_type).mu_vwlmin + offset)) / 1000.0
             rate = law.rate(margin_v)
             array = sample_array(
                 cell_type, model, part_offset=offset, seed=block_seqs[2 * i],
                 rows=rows, cols=cols, true_seu_rate=rate, part_id=part_id,
                 v_dd=v_dd)
-            source = AlphaSource(rate_per_bit=rate, geom_factor=geom)
             ds.ser[cell_type] = run_ser_test(
                 array, source, ts, duration, seed=block_seqs[2 * i + 1])
             ds.sweeps[cell_type] = run_wlvm_sweep(array, delta_v)

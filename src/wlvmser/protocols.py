@@ -24,9 +24,10 @@ midpoint-corrected thresholds.
 The SER test counts observed flips: a cell hit an even number of times
 within one sampling period reads back unchanged and those upsets are
 missed, exactly as on the bench.  Its schedule, ``duration // ts``
-windows, is checked by ``schedule_windows``, and a sweep's step and its
-histogram's bin bound by ``sweep_bins``; ``simulate_parts`` calls both
-before it draws a part.  An event at time ``t`` falls in window
+windows, is checked by ``schedule_windows``, and a sweep's step (a whole
+number of mV) and its histogram's bin bound by ``sweep_bins``, before a
+sweep reads its thresholds; ``simulate_parts`` calls both before it draws
+a part.  An event at time ``t`` falls in window
 ``min(int(t / ts), n_windows - 1)``.  The test bins the sorted event
 times by one binary search per window, against the exact first double of
 each window (searched once per schedule and cached), not by a division
@@ -74,8 +75,12 @@ def schedule_windows(ts: float, duration: float) -> int:
 def sweep_bins(v_dd: int, delta_v: int) -> int:
     """``v_dd // delta_v + 1``, the most grid voltages a sweep down from
     ``v_dd`` in ``delta_v`` steps registers cells at, so the most bins of
-    its histogram; a step outside ``(0, v_dd]`` raises
-    ``ConfigurationError``."""
+    its histogram; a step that is not a whole number of mV (a Python or
+    numpy integer, not a bool) or lies outside ``(0, v_dd]`` raises
+    ``ConfigurationError``.  It is the one check of every sweep's step."""
+    if isinstance(delta_v, bool) or not isinstance(delta_v, (int, np.integer)):
+        raise ConfigurationError(
+            f"--delta-v (delta_v) must be a whole number of mV, got {delta_v!r}")
     if not 0 < delta_v <= v_dd:
         raise ConfigurationError(
             f"--delta-v (delta_v) must be within (0, {v_dd}], got {delta_v}")
@@ -143,17 +148,22 @@ def run_ser_test(array: MemoryArray, source: AlphaSource, ts: float = DEFAULT_TS
     return SerMeasurement.from_windows(array.part_id, array.cell_type, ts, counts, array.n_cells)
 
 
-def _run_sweep(array: MemoryArray, delta_v: int, quantity: str,
-               thresholds: np.ndarray) -> SweepResult:
+# the block's per-cell thresholds that each sweep steps past
+_SWEPT = {"word_line": "v_wl_min", "vdd_hold": "v_dd_min_hold", "vdd_read": "v_dd_min_read"}
+
+
+def _run_sweep(array: MemoryArray, delta_v: int, quantity: str) -> SweepResult:
     """Step the swept voltage down from ``array.v_dd`` by ``delta_v`` and
     register each cell at the first grid voltage below its threshold.
 
     Every step rewrites the background at nominal supply, so a cell that
     cannot be written at ``v_dd``, or whose swept threshold already lies
     above it, would be registered at a voltage unrelated to the threshold
-    being measured; such a part is rejected instead.
+    being measured; such a part is rejected instead.  A refused step reads
+    no threshold, so it draws none.
     """
-    sweep_bins(array.v_dd, delta_v)  # refuses a bad step
+    sweep_bins(array.v_dd, delta_v)
+    thresholds = getattr(array, _SWEPT[quantity])
     if n_bad := array.inoperable_cells(thresholds):
         raise ProtocolError(
             f"part {array.part_id} {array.cell_type}: {n_bad} of {array.n_cells} cells "
@@ -174,7 +184,7 @@ def run_wlvm_sweep(array: MemoryArray, delta_v: int = DEFAULT_DELTA_V_MV) -> Swe
     The modeled write threshold is polarity-independent, so the outcome is
     computed in closed form from ``v_wl_min``.
     """
-    return _run_sweep(array, delta_v, "word_line", array.v_wl_min)
+    return _run_sweep(array, delta_v, "word_line")
 
 
 def run_hold_sweep(array: MemoryArray, delta_v: int = DEFAULT_DELTA_V_MV) -> SweepResult:
@@ -185,7 +195,7 @@ def run_hold_sweep(array: MemoryArray, delta_v: int = DEFAULT_DELTA_V_MV) -> Swe
     grid voltage below its hold threshold.  The outcome is computed in
     closed form from ``v_dd_min_hold``.
     """
-    return _run_sweep(array, delta_v, "vdd_hold", array.v_dd_min_hold)
+    return _run_sweep(array, delta_v, "vdd_hold")
 
 
 def run_read_sweep(array: MemoryArray, delta_v: int = DEFAULT_DELTA_V_MV) -> SweepResult:
@@ -196,4 +206,4 @@ def run_read_sweep(array: MemoryArray, delta_v: int = DEFAULT_DELTA_V_MV) -> Swe
     a single polarity covers every cell.  The outcome is computed in
     closed form from ``v_dd_min_read``.
     """
-    return _run_sweep(array, delta_v, "vdd_read", array.v_dd_min_read)
+    return _run_sweep(array, delta_v, "vdd_read")

@@ -39,9 +39,8 @@ MAX_EXPECTED_EVENTS = 2**24
 class AlphaSource:
     """Alpha source seen by one part.
 
-    ``rate_per_bit`` is a baseline upset rate (µSEU per bit-second) that
-    is only validated: nothing reads it, since event generation reads the
-    block's rate stored in the array.
+    ``rate_per_bit`` (µSEU per bit-second) is only validated: event
+    generation reads the block's own rate, and only perfbench sets it.
     ``geom_factor`` scales the flux for source-to-sample positioning.
     """
 

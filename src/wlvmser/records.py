@@ -84,37 +84,26 @@ class SerMeasurement:
 
 @dataclass
 class SweepResult:
-    """Threshold mean, spread and failure histogram of one voltage sweep."""
+    """Threshold mean, spread and failure histogram of one voltage sweep.
+
+    A record ingested from a measurement file gives ``mu``, perhaps
+    ``sigma``, and its part's supply; the rest default to a word-line
+    sweep of the chip's step over one block, with no histogram."""
 
     part_id: str
     cell_type: str
-    swept_quantity: str
-    delta_v: int
     mu: float
-    sigma: float
-    n_cells: int
-    v_nominal: int
+    sigma: float = math.nan
+    v_nominal: int = DEFAULT_VDD_MV
+    swept_quantity: str = "word_line"
+    delta_v: int = DEFAULT_DELTA_V_MV
+    n_cells: int = DEFAULT_ROWS * DEFAULT_COLS
     histogram: dict[int, int] | None = None
 
     @property
     def se_mean(self) -> float:
         """Standard error of ``mu``."""
         return self.sigma / math.sqrt(self.n_cells)
-
-    @classmethod
-    def summary(cls, part_id, cell_type, mu, sigma=float("nan"),
-                v_nominal=DEFAULT_VDD_MV) -> "SweepResult":
-        """Summary-only word-line sweep as ingested from a measurement file."""
-        return cls(
-            part_id=str(part_id),
-            cell_type=str(cell_type),
-            swept_quantity="word_line",
-            delta_v=DEFAULT_DELTA_V_MV,
-            mu=float(mu),
-            sigma=float(sigma),
-            n_cells=DEFAULT_ROWS * DEFAULT_COLS,
-            v_nominal=int(v_nominal),
-        )
 
 
 def json_number(key: str, value) -> float:

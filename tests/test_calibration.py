@@ -53,7 +53,7 @@ def test_poisson_rel_uncertainty_values():
 
 def _sigma_rel(stat, geom, weight_mode):
     meas = SerMeasurement("1", "SS", 2.0, stat, geom)
-    sweep = SweepResult.summary("1", "SS", 800.0)
+    sweep = SweepResult("1", "SS", 800.0)
     [point] = build_weighted_points([(meas, sweep)], 1200, weight_mode)
     return point.sigma_y / meas.ser
 
@@ -270,7 +270,7 @@ def test_unknown_weight_mode_rejected():
 
 
 def test_zero_count_points_are_left_out():
-    sweep = SweepResult.summary("1", "SS", 800.0)
+    sweep = SweepResult("1", "SS", 800.0)
     counted = SerMeasurement("1", "SS", 2.0, 0.02)
     zero = SerMeasurement("1", "SS", 0.0, math.inf)
     assert zero.zero_count and not counted.zero_count
@@ -293,7 +293,7 @@ def test_calibrate_datasets_counts_left_out_points():
                                                   r"after leaving out 4 zero-count"):
         calibrate_datasets([ds])
     empty = PartDataset("9", ser={"SS": SerMeasurement("9", "SS", 0.0, math.inf)},
-                        sweeps={"SS": SweepResult.summary("9", "SS", 800.0)})
+                        sweeps={"SS": SweepResult("9", "SS", 800.0)})
     with pytest.raises(DegenerateFitError, match="got 0 after leaving out 1 "):
         calibrate_datasets([empty])
 

@@ -224,7 +224,7 @@ def _part_datasets(draw):
                     math.inf if zero else draw(_values))
             if draw(st.booleans()):
                 sigma = draw(_values | st.just(math.nan))
-                ds.sweeps[cell_type] = SweepResult.summary(
+                ds.sweeps[cell_type] = SweepResult(
                     part_id, cell_type, draw(st.floats(0, v_dd)), sigma)
         datasets.append(ds)
     return datasets
@@ -261,6 +261,25 @@ def test_partial_dataset_supported(tmp_path):
     assert ds.pairs() == []
     assert ds.sweeps["SS"].mu == 805
     assert math.isnan(ds.sweeps["SS"].sigma) is False
+
+
+def test_an_ingested_sweep_takes_the_chip_defaults(tmp_path):
+    """A sweep record given only its part, type and mean is a word-line
+    sweep in 10 mV steps over one 64 x 64 block at 1200 mV, with no spread
+    and no histogram; ingest gives it its part's supply."""
+    sweep = SweepResult("1", "SS", 800.0)
+    assert math.isnan(sweep.sigma)
+    assert (sweep.part_id, sweep.cell_type, sweep.mu, sweep.v_nominal,
+            sweep.swept_quantity, sweep.delta_v, sweep.n_cells, sweep.histogram) == (
+        "1", "SS", 800.0, 1200, "word_line", 10, 4096, None)
+    path = tmp_path / "m.csv"
+    path.write_text(HEADER + "9,SS,v_mewlvm_mV,805\n9,,vdd_mV,1100\n")
+    [ds] = ingest_measurements_csv(path)
+    ingested = ds.sweeps["SS"]
+    assert math.isnan(ingested.sigma)
+    assert (ingested.part_id, ingested.cell_type, ingested.mu, ingested.v_nominal,
+            ingested.swept_quantity, ingested.delta_v, ingested.n_cells,
+            ingested.histogram) == ("9", "SS", 805.0, 1100, "word_line", 10, 4096, None)
 
 
 # --- fit serialization -----------------------------------------------------------

@@ -324,6 +324,27 @@ def test_sweep_registration_refuses_thresholds_that_are_not_integers(thresholds)
         kernels.sweep_registration(np.array(thresholds), 1200, 10)
 
 
+@pytest.mark.parametrize("v_start, delta_v, name", [
+    (1200.0, 10, "v_start"), (True, 10, "v_start"), (1200, 2.5, "delta_v"),
+    (1200, True, "delta_v"), (1200, np.float64(10.0), "delta_v")],
+    ids=["float-start", "bool-start", "fractional-step", "bool-step", "numpy-float-step"])
+def test_sweep_registration_refuses_a_start_or_step_that_is_not_an_integer(
+        v_start, delta_v, name):
+    with pytest.raises(ConfigurationError, match=f"^sweep {name} must be an integer"):
+        kernels.sweep_registration(np.array([700, 800]), v_start, delta_v)
+
+
+def test_sweep_registration_takes_numpy_integers_by_value():
+    """A numpy ``uint64`` start or step keeps the grid in integers."""
+    thresholds = np.array([700, 800, 900])
+    expected = kernels.sweep_registration(thresholds, 1200, 10)
+    for v_start, delta_v in [(np.uint64(1200), 10), (1200, np.uint64(10)),
+                             (np.int32(1200), np.int8(10))]:
+        histogram, mu, sigma = kernels.sweep_registration(thresholds, v_start, delta_v)
+        assert (histogram, mu, sigma) == expected
+        assert all(type(v) is int for v in histogram)
+
+
 def test_sweep_registration_rejects_bad_input():
     with pytest.raises(ConfigurationError):
         kernels.sweep_registration(np.array([0, 100]), 1200, 10)

@@ -14,7 +14,8 @@ from conftest import manual_array, single_type_model
 from wlvmser import sram
 from wlvmser.errors import ConfigurationError, ProtocolError
 from wlvmser.pipeline import simulate_parts
-from wlvmser.protocols import run_hold_sweep, run_read_sweep, run_ser_test
+from wlvmser.protocols import (run_hold_sweep, run_read_sweep, run_ser_test,
+                               run_wlvm_sweep)
 from wlvmser.radiation import AlphaSource
 from wlvmser.refdata import CELL_TYPE_ORDER
 from wlvmser.sram import TypeVariation, VariationModel, sample_array
@@ -238,6 +239,30 @@ def test_a_sweep_draws_only_the_thresholds_it_reads(ss_model, monkeypatch, first
     assert calls == [791.0, 450.0, 650.0]
 
 
+BAD_STEPS = [0, -10, 1300, 2.5, True, np.float64(10.0)]
+
+
+def _step_refusal(delta_v):
+    if isinstance(delta_v, (int, np.integer)) and not isinstance(delta_v, bool):
+        return f"--delta-v (delta_v) must be within (0, 1200], got {delta_v}"
+    return f"--delta-v (delta_v) must be a whole number of mV, got {delta_v!r}"
+
+
+@pytest.mark.parametrize("delta_v", BAD_STEPS, ids=repr)
+@pytest.mark.parametrize("sweep", [run_wlvm_sweep, run_hold_sweep, run_read_sweep],
+                         ids=lambda f: f.__name__)
+def test_a_refused_step_draws_no_pending_threshold(ss_model, monkeypatch, sweep, delta_v):
+    """Every sweep checks its step before it reads the thresholds it
+    sweeps, so a refused request draws only the write thresholds that
+    ``sample_array`` draws."""
+    calls = _count_threshold_draws(monkeypatch)
+    array = sample_array("SS", ss_model, seed=4, rows=8, cols=8)
+    with pytest.raises(ConfigurationError) as info:
+        sweep(array, delta_v)
+    assert str(info.value) == _step_refusal(delta_v)
+    assert calls == [791.0]
+
+
 def test_read_first_gives_the_values_of_hold_then_read(ss_model):
     for seed in (0, 1, 7, 12345, np.random.SeedSequence(99)):
         for part_offset in (0.0, -9.0):
@@ -311,6 +336,15 @@ def test_simulate_parts_at_nominal_draws_write_thresholds_only(monkeypatch):
     calls = _count_threshold_draws(monkeypatch)
     datasets = simulate_parts(n_parts=2, duration=3600, rows=16, cols=16, seed=5)
     assert len(calls) == 2 * 5 == sum(len(ds.ser) for ds in datasets)
+
+
+@pytest.mark.parametrize("delta_v", BAD_STEPS, ids=repr)
+def test_simulate_parts_refuses_a_bad_step_before_any_draw(monkeypatch, delta_v):
+    calls = _count_threshold_draws(monkeypatch)
+    with pytest.raises(ConfigurationError) as info:
+        simulate_parts(n_parts=1, cell_types=("SS",), duration=3600, delta_v=delta_v)
+    assert str(info.value) == _step_refusal(delta_v)
+    assert calls == []
 
 
 def test_simulate_parts_below_nominal_draws_all_thresholds(monkeypatch):
