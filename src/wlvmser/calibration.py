@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from .errors import DegenerateFitError
-from .records import SerMeasurement, SweepResult, json_number, word_line_voltage_margin
+from .records import SerMeasurement, SweepResult, json_number
 
 WEIGHT_MODES = ("combined", "stat-only", "linear-sum")
 DEFAULT_WEIGHT_MODE = "combined"
@@ -237,12 +237,12 @@ def predict_ser(fit: CalibrationFit, v_wlvm: float) -> Prediction:
 
 def build_weighted_points(
     pairs: Iterable[tuple[SerMeasurement, SweepResult]],
-    v_dd_mv: float,
     weight_mode: str = DEFAULT_WEIGHT_MODE,
 ) -> list[WeightedPoint]:
     """Turn (SER measurement, margin sweep) pairs into fit points.
 
-    x is the word-line voltage margin in volts, y the SER in µSEU per
+    x is the word-line voltage margin in volts, each sweep's
+    ``SweepResult.margin`` at its own supply, y the SER in µSEU per
     bit-second, sigma_y the SER scaled by the selected relative
     uncertainty recipe.  Margin uncertainty is neglected.
 
@@ -260,7 +260,6 @@ def build_weighted_points(
     for meas, sweep in pairs:
         if meas.zero_count:
             continue
-        margin_mv = word_line_voltage_margin(v_dd_mv, sweep.mu)
         rel = _rel_uncertainty(meas.rel_stat_unc, meas.rel_geom_unc, weight_mode)
         sigma_y = meas.ser * rel
         if not 0 < sigma_y * sigma_y < math.inf:
@@ -268,5 +267,5 @@ def build_weighted_points(
                 f"part {meas.part_id} {meas.cell_type}: SER {meas.ser:g} with relative "
                 f"uncertainty {rel:g} ({weight_mode} weights) gives sigma {sigma_y:g} and "
                 f"no finite positive fit weight")
-        points.append(WeightedPoint(x=margin_mv / 1000.0, y=meas.ser, sigma_y=sigma_y))
+        points.append(WeightedPoint(x=sweep.margin / 1000.0, y=meas.ser, sigma_y=sigma_y))
     return points

@@ -15,7 +15,8 @@ Subcommands:
 
 All randomized subcommands accept ``--seed`` and are reproducible.  An
 option left out takes the library default: handlers forward only the
-options given (``_given``).  ``-1e-3`` is read as a number.
+options given (``_given``).  ``-1e-3`` is read as a number.  An option
+that several commands share is defined once, in a parent parser.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .calibration import WEIGHT_MODES, predict_ser
 from .errors import ConfigurationError, ProtocolError
 from .pipeline import (LinearSerLaw, build_report_bundle, calibrate_datasets,
                        simulate_parts, zero_count_blocks)
-from .records import word_line_voltage_margin
 from .refdata import (CELL_TYPE_ORDER, PAPER_MATCHING_WEIGHT_MODE,
                       PUBLISHED_FIT, REFERENCE_CSV, REPRO_WINDOWS,
                       SIMULATED_VWL_MIN_MV, load_reference_dataset)
@@ -66,6 +66,13 @@ def _note_left_out(datasets):
               f"points: {', '.join(left_out)}", file=sys.stderr)
 
 
+def _write_out(args, write, record):
+    """``write`` ``record`` to the ``--out`` file, if one was given, and name it."""
+    if "out" in args:
+        write(record, args.out)
+        print(f"wrote {args.out}")
+
+
 def _print_fit(fit, indent: str = "  "):
     print(f"{indent}m        = {fit.m:.4f} +- {fit.sigma_m:.4f}  uSEU/(bit*s*V)")
     print(f"{indent}b        = {fit.b:+.4f} +- {fit.sigma_b:.4f}  uSEU/(bit*s)")
@@ -89,35 +96,29 @@ def _cmd_simulate(args) -> int:
     print(f"simulated {len(datasets)} parts x {len(datasets[0].cell_types())} blocks")
     for ds in datasets:
         for cell_type in ds.cell_types():
-            meas = ds.ser[cell_type]
-            sweep = ds.sweeps[cell_type]
+            meas, sweep = ds.ser[cell_type], ds.sweeps[cell_type]
             print(f"  part {ds.part_id} {cell_type}: ser = {meas.ser:.3f} "
                   f"(n_tot = {meas.n_tot}), mu = {sweep.mu:.1f} mV, "
                   f"sigma = {sweep.sigma:.1f} mV")
-    if "emit_logs" in args:
-        for ds in datasets:
-            for cell_type in ds.cell_types():
-                wio.write_ser_log(ds.ser[cell_type],
-                                  out_dir / f"ser_log_{ds.part_id}_{cell_type}.csv")
-                wio.write_sweep_log(ds.sweeps[cell_type],
-                                    out_dir / f"sweep_log_{ds.part_id}_{cell_type}.csv")
+            if "emit_logs" in args:
+                wio.write_ser_log(meas, out_dir / f"ser_log_{ds.part_id}_{cell_type}.csv")
+                wio.write_sweep_log(sweep, out_dir / f"sweep_log_{ds.part_id}_{cell_type}.csv")
     print(f"wrote {csv_path}")
     return 0
 
 
 def _cmd_ser_test(args) -> int:
     model = _load_model(args)
-    array = sample_array(args.cell_type, model, seed=args.seed,
+    seed = getattr(args, "seed", 0)  # set_defaults would reach the --seed others share
+    array = sample_array(args.cell_type, model, seed=seed,
                          true_seu_rate=args.rate, **_given(args, "v_dd"))
-    meas = run_ser_test(array, AlphaSource(), seed=args.seed + 1,
+    meas = run_ser_test(array, AlphaSource(), seed=seed + 1,
                         **_given(args, "ts", "duration"))
     print(f"part {meas.part_id} {meas.cell_type}: "
           f"ser = {meas.ser:.4f} uSEU/(bit*s), n_tot = {meas.n_tot}, "
           f"windows = {meas.n_windows} x {meas.ts:.0f} s, "
           f"rel_stat = {meas.rel_stat_unc:.4f}")
-    if "out" in args:
-        wio.write_ser_log(meas, args.out)
-        print(f"wrote {args.out}")
+    _write_out(args, wio.write_ser_log, meas)
     return 0
 
 
@@ -132,11 +133,8 @@ def _cmd_sweep(args) -> int:
     print(f"  mu = {result.mu:.2f} mV, sigma = {result.sigma:.2f} mV, "
           f"se_mean = {result.se_mean:.3f} mV")
     if args.kind == "wlvm":
-        margin = word_line_voltage_margin(array.v_dd, result.mu)
-        print(f"  margin = {margin:.2f} mV at v_dd = {array.v_dd} mV")
-    if "out" in args:
-        wio.write_sweep_log(result, args.out)
-        print(f"wrote {args.out}")
+        print(f"  margin = {result.margin:.2f} mV at v_dd = {result.v_nominal} mV")
+    _write_out(args, wio.write_sweep_log, result)
     return 0
 
 
@@ -147,9 +145,7 @@ def _cmd_calibrate(args) -> int:
     n_pairs = sum(len(ds.pairs()) for ds in datasets)
     print(f"calibrated {n_pairs} (margin, SER) pairs from {len(datasets)} parts:")
     _print_fit(fit)
-    if "out" in args:
-        wio.write_fit_json(fit, args.out)
-        print(f"wrote {args.out}")
+    _write_out(args, wio.write_fit_json, fit)
     return 0
 
 
@@ -182,7 +178,7 @@ def _cmd_paper_repro(args) -> int:
     print("  type   simulated (mV)   measured (mV)")
     for cell_type in CELL_TYPE_ORDER:
         simulated = part1.v_dd - SIMULATED_VWL_MIN_MV[cell_type]
-        measured = word_line_voltage_margin(part1.v_dd, part1.sweeps[cell_type].mu)
+        measured = part1.sweeps[cell_type].margin
         print(f"  {cell_type:<4} {simulated:>11} {measured:>15.0f}")
     print()
     print("weighted line fits of the bundled reference dataset "
@@ -204,25 +200,17 @@ def _cmd_paper_repro(args) -> int:
     mode = args.weight_mode
     fit = fits[mode]
     print(f"\nchecks ({mode} weights):")
-    checks = [
-        ("m", fit.m, REPRO_WINDOWS["m"]),
-        ("b", fit.b, REPRO_WINDOWS["b"]),
-        ("nu", fit.nu, REPRO_WINDOWS["nu"]),
-        ("chi2_red", fit.chi2_red, REPRO_WINDOWS["chi2_red"]),
-        ("R2", fit.r2, REPRO_WINDOWS["r2"]),
-    ]
     all_ok = True
-    for name, value, (lo, hi) in checks:
+    for key, (lo, hi) in REPRO_WINDOWS.items():
+        value = getattr(fit, key)
         ok = lo <= value <= hi
         all_ok &= ok
         target = f"[{lo:g}, {hi:g}]" if hi != float("inf") else f">= {lo:g}"
-        delta = value - pub[name.lower()]
-        print(f"  {name:<8} = {value:8.4f}  target {target:<16} "
-              f"delta vs published = {delta:+.4f}  {'PASS' if ok else 'FAIL'}")
+        label = key.upper() if key[-1].isdigit() else key  # R2, as _print_fit has it
+        print(f"  {label:<8} = {value:8.4f}  target {target:<16} "
+              f"delta vs published = {value - pub[key]:+.4f}  {'PASS' if ok else 'FAIL'}")
     print(f"\noverall: {'PASS' if all_ok else 'FAIL'}")
-    if "out" in args:
-        wio.write_fit_json(fit, args.out)
-        print(f"wrote {args.out}")
+    _write_out(args, wio.write_fit_json, fit)
     return 0 if all_ok else 1
 
 
@@ -284,53 +272,46 @@ def build_parser() -> argparse.ArgumentParser:
                     "word-line voltage-margin measurements.")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add_model(p):
-        p.add_argument("--model", help="variation-model JSON (default: bundled)")
+    # the options several commands share, one parent parser per group
+    seeded, supply, schedule, step, cell, measured = (
+        _Parser(add_help=False) for _ in range(6))
+    seeded.add_argument("--model", help="variation-model JSON (default: bundled)")
+    seeded.add_argument("--seed", type=int)
+    supply.add_argument("--vdd", dest="v_dd", type=int, help="supply, mV")
+    schedule.add_argument("--ts", type=float, help="sampling period, s")
+    schedule.add_argument("--duration", type=float, help="irradiation time per block, s")
+    step.add_argument("--delta-v", type=int, help="sweep step, mV")
+    cell.add_argument("--cell-type", default="SS", choices=list(CELL_TYPE_ORDER))
+    measured.add_argument("--input", help="measurement CSV path, or 'bundled' (default)")
+    measured.add_argument("--weight-mode", choices=list(WEIGHT_MODES))
+    measured.add_argument("--geom-unc", dest="rel_geom_unc", type=float)
 
-    p = sub.add_parser("simulate", help="simulate parts and measure them")
-    add_model(p)
+    p = sub.add_parser("simulate", parents=[seeded, supply, schedule, step],
+                       help="simulate parts and measure them")
     p.add_argument("--parts", dest="n_parts", type=int)
     p.add_argument("--types", dest="cell_types", type=lambda text: text.split(","),
                    help="comma-separated cell types")
     p.add_argument("--law-m", dest="m", type=float, help="ground-truth slope, uSEU/(bit*s*V)")
     p.add_argument("--law-b", dest="b", type=float, help="ground-truth intercept, uSEU/(bit*s)")
-    p.add_argument("--duration", type=float, help="irradiation time per block, s")
-    p.add_argument("--ts", type=float, help="sampling period, s")
-    p.add_argument("--delta-v", type=int, help="sweep step, mV")
-    p.add_argument("--vdd", dest="v_dd", type=int, help="supply, mV")
     p.add_argument("--geom-spread", type=float,
                    help="half-width of the per-part flux factor spread")
-    p.add_argument("--seed", type=int)
     p.add_argument("--emit-logs", action="store_true")
     p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("ser-test", help="one accelerated SER test")
-    add_model(p)
-    p.add_argument("--cell-type", default="SS", choices=list(CELL_TYPE_ORDER))
+    p = sub.add_parser("ser-test", parents=[seeded, supply, schedule, cell],
+                       help="one accelerated SER test")
     p.add_argument("--rate", type=float, default=1.46, help="true upset rate, uSEU/(bit*s)")
-    p.add_argument("--ts", type=float, help="sampling period, s")
-    p.add_argument("--duration", type=float, help="irradiation time, s")
-    p.add_argument("--vdd", dest="v_dd", type=int, help="supply, mV")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="window log CSV")
     p.set_defaults(func=_cmd_ser_test)
 
-    p = sub.add_parser("sweep", help="one voltage sweep")
-    add_model(p)
+    p = sub.add_parser("sweep", parents=[seeded, supply, step, cell], help="one voltage sweep")
     p.add_argument("--kind", default="wlvm", choices=["wlvm", "hold", "read"])
-    p.add_argument("--cell-type", default="SS", choices=list(CELL_TYPE_ORDER))
-    p.add_argument("--delta-v", type=int, help="sweep step, mV")
     p.add_argument("--part-offset", type=float, help="part-level mean shift, mV")
-    p.add_argument("--vdd", dest="v_dd", type=int, help="supply, mV")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="sweep log CSV")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("calibrate", help="fit a measurement CSV")
-    p.add_argument("--input", help="measurement CSV path, or 'bundled' (default)")
-    p.add_argument("--weight-mode", choices=list(WEIGHT_MODES))
-    p.add_argument("--geom-unc", dest="rel_geom_unc", type=float)
+    p = sub.add_parser("calibrate", parents=[measured], help="fit a measurement CSV")
     p.add_argument("--out", help="fit JSON path")
     p.set_defaults(func=_cmd_calibrate)
 
@@ -349,14 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     # --input and --geom-unc serve only a measurement file, --model and
     # --seed only --simulate
-    p = sub.add_parser("report", help="emit fit + predictions + plot data")
-    add_model(p)
-    p.add_argument("--input", help="measurement CSV path, or 'bundled' (default)")
+    p = sub.add_parser("report", parents=[seeded, measured],
+                       help="emit fit + predictions + plot data")
     p.add_argument("--simulate", action="store_true",
                    help="build the report from a fresh simulation instead")
-    p.add_argument("--weight-mode", choices=list(WEIGHT_MODES))
-    p.add_argument("--geom-unc", dest="rel_geom_unc", type=float)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", default="report")
     p.set_defaults(func=_cmd_report)
 

@@ -38,8 +38,8 @@ from pathlib import Path
 
 from .calibration import CalibrationFit, build_weighted_points, predict_ser
 from .errors import ConfigurationError, IngestError
-from .records import (DEFAULT_GEOM_UNC, DEFAULT_VDD_MV, SerMeasurement,
-                      SweepResult, read_json, word_line_voltage_margin)
+from .records import (DEFAULT_GEOM_UNC, DEFAULT_VDD_MV, MAX_EXPECTED_EVENTS,
+                      SerMeasurement, SweepResult, read_json)
 from .refdata import CELL_TYPE_ORDER
 
 QUANTITY_SER = "ser_uSEU_per_bit_s"
@@ -269,12 +269,19 @@ def write_ser_log(meas: SerMeasurement, path) -> Path:
 
 
 def write_sweep_log(result: SweepResult, path) -> Path:
-    """Step-by-step failure log of one voltage sweep."""
+    """Step-by-step failure log of one voltage sweep.  A log of more than
+    ``MAX_EXPECTED_EVENTS`` rows raises ``ConfigurationError`` before any
+    row is built."""
     if result.histogram is None:
         raise ValueError("summary-only sweep has no step history")
     # steps of delta_v down from v_nominal, clamped at 0 V, until the
     # lowest failure: a ceiling division
     n_steps = -(-(result.v_nominal - min(result.histogram)) // result.delta_v)
+    if n_steps > MAX_EXPECTED_EVENTS:
+        raise ConfigurationError(
+            f"a sweep log of {n_steps} steps of {result.delta_v} mV down from a supply "
+            f"of {result.v_nominal} mV is more than the budget of {MAX_EXPECTED_EVENTS} "
+            f"rows; raise --delta-v or lower the supply")
     steps = range(1, n_steps + 1)
     volts = [max(result.v_nominal - result.delta_v * step, 0) for step in steps]
     new = [result.histogram.get(v, 0) for v in volts]
@@ -298,7 +305,7 @@ class ReportBundle:
 def prediction_rows(fit: CalibrationFit, datasets) -> list[tuple]:
     """``(part_id, cell_type, v_wlvm_V, Prediction)`` of every swept block,
     in the parts' order and, within a part, ``CELL_TYPE_ORDER``."""
-    margins = [(ds.part_id, t, word_line_voltage_margin(ds.v_dd, ds.sweeps[t].mu) / 1000.0)
+    margins = [(ds.part_id, t, ds.sweeps[t].margin / 1000.0)
                for ds in datasets for t in ds.cell_types() if t in ds.sweeps]
     return [(*row, predict_ser(fit, row[2])) for row in margins]
 
@@ -344,8 +351,7 @@ def emit_report(bundle: ReportBundle, out_dir) -> list[str]:
                     scatter.extend(
                         f"{ds.part_id}\t{cell_type}\t{_fmt(p.x)}\t{_fmt(p.y)}"
                         f"\t{_fmt(p.sigma_y)}\t{_fmt(fit.m * p.x + fit.b)}\n"
-                        for p in build_weighted_points([(meas, sweep)], ds.v_dd,
-                                                       fit.weight_mode))
+                        for p in build_weighted_points([(meas, sweep)], fit.weight_mode))
             if meas is not None and meas.window_counts is not None:
                 key = (meas.ts, len(meas.window_counts))
                 if key not in templates:

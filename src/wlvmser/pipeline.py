@@ -24,7 +24,7 @@ from .calibration import (DEFAULT_WEIGHT_MODE, CalibrationFit, build_weighted_po
 from .errors import ConfigurationError, DegenerateFitError
 from .io import PartDataset, ReportBundle
 from .records import (DEFAULT_COLS, DEFAULT_DELTA_V_MV, DEFAULT_DURATION_S,
-                      DEFAULT_ROWS, DEFAULT_TS_S)
+                      DEFAULT_ROWS, DEFAULT_TS_S, MAX_EXPECTED_EVENTS)
 from .refdata import CELL_TYPE_ORDER
 
 # bound on first use, so that calibrating and reporting need no numpy
@@ -107,7 +107,6 @@ def simulate_parts(
             f"got {geom_spread:g}")
     import numpy as np
     from .protocols import schedule_windows, sweep_bins
-    from .radiation import MAX_EXPECTED_EVENTS
     from .sram import seed_sequence
     windows = schedule_windows(ts, duration)
     lazy.bind(globals())
@@ -180,14 +179,15 @@ def zero_count_blocks(datasets) -> list[str]:
 
 
 def calibrate_datasets(datasets, weight_mode: str = DEFAULT_WEIGHT_MODE) -> CalibrationFit:
-    """Fit over all parts, honoring each dataset's own supply voltage.
+    """Fit over all parts, each margin taken at its sweep's own supply
+    (``SweepResult.margin``).
 
     Zero-count SER points are left out; when fewer than two points
     remain, the ``DegenerateFitError`` says how many were left out.
     """
     points = []
     for ds in datasets:
-        points.extend(build_weighted_points(ds.pairs(), ds.v_dd, weight_mode))
+        points.extend(build_weighted_points(ds.pairs(), weight_mode))
     left_out = zero_count_blocks(datasets) if len(points) < 2 else []
     if left_out:
         raise DegenerateFitError(

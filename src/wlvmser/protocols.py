@@ -42,14 +42,15 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
 from . import kernels
 from .errors import ConfigurationError, ProtocolError
-from .radiation import MAX_EXPECTED_EVENTS, AlphaSource, generate_events
+from .radiation import AlphaSource, generate_events
 from .records import (DEFAULT_DELTA_V_MV, DEFAULT_DURATION_S, DEFAULT_TS_S,
-                      SerMeasurement, SweepResult)
+                      MAX_EXPECTED_EVENTS, SerMeasurement, SweepResult)
 from .sram import MemoryArray
 
 
@@ -160,7 +161,8 @@ def _run_sweep(array: MemoryArray, delta_v: int, quantity: str) -> SweepResult:
     cannot be written at ``v_dd``, or whose swept threshold already lies
     above it, would be registered at a voltage unrelated to the threshold
     being measured; such a part is rejected instead.  A refused step reads
-    no threshold, so it draws none.
+    no threshold, so it draws none; an accepted one is recorded as an
+    ``int``, a numpy integer step too.
     """
     sweep_bins(array.v_dd, delta_v)
     thresholds = getattr(array, _SWEPT[quantity])
@@ -171,8 +173,9 @@ def _run_sweep(array: MemoryArray, delta_v: int, quantity: str) -> SweepResult:
             f"mV; the part is not operable at this supply")
     histogram, mu, sigma = kernels.sweep_registration(thresholds, array.v_dd, delta_v)
     return SweepResult(part_id=array.part_id, cell_type=array.cell_type,
-                       swept_quantity=quantity, delta_v=delta_v, mu=mu, sigma=sigma,
-                       n_cells=array.n_cells, v_nominal=array.v_dd, histogram=histogram)
+                       swept_quantity=quantity, delta_v=operator.index(delta_v), mu=mu,
+                       sigma=sigma, n_cells=array.n_cells, v_nominal=array.v_dd,
+                       histogram=histogram)
 
 
 def run_wlvm_sweep(array: MemoryArray, delta_v: int = DEFAULT_DELTA_V_MV) -> SweepResult:

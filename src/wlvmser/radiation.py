@@ -28,11 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+from .records import MAX_EXPECTED_EVENTS
 from .sram import MemoryArray
-
-# Largest expected event count one draw may ask for.  A SER test holds
-# about 40 bytes per event at its peak, so this caps it near 0.7 GB.
-MAX_EXPECTED_EVENTS = 2**24
 
 
 @dataclass(frozen=True)

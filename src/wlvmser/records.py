@@ -1,7 +1,9 @@
 """Measurement records and the chip constants they default to.
 
 ``SerMeasurement`` and ``SweepResult`` are what the procedures produce and
-what a measurement file ingests into; the fit reads nothing else.  Fit
+what a measurement file ingests into; the fit reads nothing else.  A
+sweep holds its supply, so ``SweepResult.margin``, V_WLVM, is read off
+the record (``word_line_voltage_margin``, the one margin rule).  Fit
 and model files are read by ``read_json``, whose numbers follow
 ``json_number``.  This module imports no numpy, so the commands that only
 ingest, fit and predict start without it.
@@ -31,6 +33,12 @@ DEFAULT_GEOM_UNC = 0.03
 DEFAULT_TS_S = 1800.0
 DEFAULT_DURATION_S = 432_000.0
 DEFAULT_DELTA_V_MV = 10
+
+# Largest expected event count one draw may ask for.  A SER test holds
+# about 40 bytes per event at its peak, so this caps it near 0.7 GB.  It
+# also bounds the windows of a schedule, a batch's kept window counts and
+# the rows of a sweep log.
+MAX_EXPECTED_EVENTS = 2**24
 
 
 @dataclass
@@ -104,6 +112,12 @@ class SweepResult:
     def se_mean(self) -> float:
         """Standard error of ``mu``."""
         return self.sigma / math.sqrt(self.n_cells)
+
+    @property
+    def margin(self) -> float:
+        """The sweep's supply less ``mu``, in mV (``word_line_voltage_margin``):
+        V_WLVM for a word-line sweep."""
+        return word_line_voltage_margin(self.v_nominal, self.mu)
 
 
 def json_number(key: str, value) -> float:

@@ -50,9 +50,11 @@ _MAX_VDD_NOMINAL_MV = 10**18
 
 
 # glibc raises its mmap and trim thresholds as large blocks are freed, so
-# whether a SER test reuses the memory of the one before or faults it in
-# afresh depends on all the process allocated earlier (3.6k or 60k faults
-# per high-flux pass); at the dynamic rule's ceiling freed blocks are kept
+# whether a block's arrays reuse the memory of the one before or are
+# faulted in afresh depends on all the process allocated earlier; at the
+# dynamic rule's ceiling freed blocks are kept.  Without it perfbench's
+# large-block wall_s read about 9 % more (4 of 4 pairs on a 2-core host);
+# high-flux was unchanged.
 if sys.platform.startswith("linux") and hasattr(_libc := ctypes.CDLL(None), "mallopt"):
     _libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
     _libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from wlvmser import cli, kernels
-from wlvmser.calibration import WeightedPoint, weighted_linfit
+from wlvmser.calibration import WEIGHT_MODES, WeightedPoint, predict_ser, weighted_linfit
 from wlvmser.io import PartDataset
 from wlvmser.pipeline import LinearSerLaw, calibrate_datasets, simulate_parts
 from wlvmser.protocols import (run_hold_sweep, run_read_sweep, run_ser_test,
@@ -325,4 +325,81 @@ def test_criterion_9_control_margins_do_not_predict_ser(model_name, capsys):
                 f"{control_r2_max[run_read_sweep]:.3f}", elapsed, 60.0)
     assert r2_min >= 0.95
     assert hold >= 90 and read >= 90
+    assert elapsed < 60.0
+
+
+# irradiated parts of criterion 10's campaigns: the rest are predicted
+HELD_IN_PARTS = (1, 2, 3, 5)
+# two-sided 2-sigma coverage of a unit normal, and the median of its |value|
+NORMAL_2SIGMA = math.erf(2 / math.sqrt(2))
+NORMAL_MEDIAN_ABS = 0.6745
+
+
+def _held_out_errors(fit_parts, held_out, weight_mode):
+    """``(relative error, pull)`` of each block of ``held_out``, its SER
+    predicted from its own margin by the line fitted to ``fit_parts``; the
+    pull charges the prediction's sigma and the measurement's own
+    ``combined`` sigma."""
+    fit = calibrate_datasets(fit_parts, weight_mode)
+    errors = []
+    for ds in held_out:
+        for meas, sweep in ds.pairs():
+            pred = predict_ser(fit, sweep.margin / 1000.0)
+            sigma = math.hypot(pred.sigma, meas.ser * math.hypot(meas.rel_stat_unc,
+                                                                 meas.rel_geom_unc))
+            errors.append(((pred.ser - meas.ser) / meas.ser, (meas.ser - pred.ser) / sigma))
+    return errors
+
+
+def test_criterion_10_predicts_the_ser_of_parts_left_out_of_the_fit(capsys):
+    """The paper's method: fit the line on the first k of 10 parts and take
+    every other block's SER from its margin alone.  Over 200 default
+    campaigns (seeds 70000-70199), for each k, the measured SER lies within
+    2 sigma of the prediction as often as a normal pull would, and the
+    median |pull| is no larger than a normal's.  Both gates allow 3 standard
+    errors with the campaign, whose blocks share one fit, as the sample
+    unit: binomial for the coverage, the sample median's for the median."""
+    n_campaigns = 200
+    cover_gate = NORMAL_2SIGMA - 3 * math.sqrt(
+        NORMAL_2SIGMA * (1 - NORMAL_2SIGMA) / n_campaigns)
+    # the density of |Z| at its median is 2 phi(0.6745)
+    median_se = 0.5 / math.sqrt(n_campaigns) / (
+        2 * math.exp(-NORMAL_MEDIAN_ABS ** 2 / 2) / math.sqrt(2 * math.pi))
+    median_gate = NORMAL_MEDIAN_ABS + 3 * median_se
+    t0 = time.perf_counter()
+    errors = {k: [] for k in HELD_IN_PARTS}
+    for seed in range(70000, 70000 + n_campaigns):
+        datasets = simulate_parts(n_parts=10, seed=seed)
+        for k in HELD_IN_PARTS:
+            errors[k] += _held_out_errors(datasets[:k], datasets[k:], "combined")
+    elapsed = time.perf_counter() - t0
+
+    rel = {k: np.abs([r for r, _ in errors[k]]) for k in HELD_IN_PARTS}
+    pulls = {k: np.array([p for _, p in errors[k]]) for k in HELD_IN_PARTS}
+    coverage = {k: float(np.mean(np.abs(pulls[k]) < 2)) for k in HELD_IN_PARTS}
+    median_pull = {k: float(np.median(np.abs(pulls[k]))) for k in HELD_IN_PARTS}
+    ok = (min(coverage.values()) >= cover_gate
+          and max(median_pull.values()) <= median_gate and elapsed < 60.0)
+
+    # the bundled reference data, each part left out in turn: not gated
+    reference = load_reference_dataset()
+    lopo = {}
+    for mode in WEIGHT_MODES:
+        lopo[mode] = np.abs([r for i in range(len(reference))
+                             for r, _ in _held_out_errors(reference[:i] + reference[i + 1:],
+                                                          [reference[i]], mode)])
+    with capsys.disabled():
+        _report("10 held-out-parts", ok,
+                "k = " + ", ".join(
+                    f"{k}: median |rel err| {100 * np.median(rel[k]):.1f} %, "
+                    f"p95 {100 * np.percentile(rel[k], 95):.1f} %, "
+                    f"2-sigma coverage {coverage[k]:.3f} >= {cover_gate:.3f}, "
+                    f"median |pull| {median_pull[k]:.3f} <= {median_gate:.3f}"
+                    for k in HELD_IN_PARTS)
+                + "; reference data, each part left out: " + ", ".join(
+                    f"{mode} median {100 * np.median(lopo[mode]):.1f} % "
+                    f"max {100 * lopo[mode].max():.1f} %" for mode in WEIGHT_MODES),
+                elapsed, 60.0)
+    assert all(coverage[k] >= cover_gate for k in HELD_IN_PARTS), coverage
+    assert all(median_pull[k] <= median_gate for k in HELD_IN_PARTS), median_pull
     assert elapsed < 60.0

@@ -54,7 +54,7 @@ def test_poisson_rel_uncertainty_values():
 def _sigma_rel(stat, geom, weight_mode):
     meas = SerMeasurement("1", "SS", 2.0, stat, geom)
     sweep = SweepResult("1", "SS", 800.0)
-    [point] = build_weighted_points([(meas, sweep)], 1200, weight_mode)
+    [point] = build_weighted_points([(meas, sweep)], weight_mode)
     return point.sigma_y / meas.ser
 
 
@@ -234,7 +234,7 @@ def test_calibrate_datasets_matches_direct_fit():
     datasets = load_reference_dataset()
     pairs = [pair for ds in datasets for pair in ds.pairs()]
     fit = calibrate_datasets(datasets, weight_mode="combined")
-    direct = weighted_linfit(build_weighted_points(pairs, 1200, "combined"))
+    direct = weighted_linfit(build_weighted_points(pairs, "combined"))
     assert fit.m == direct.m and fit.b == direct.b and fit.chi2 == direct.chi2
     assert fit.weight_mode == "combined"
     assert fit.n_points == 25
@@ -275,9 +275,9 @@ def test_zero_count_points_are_left_out():
     zero = SerMeasurement("1", "SS", 0.0, math.inf)
     assert zero.zero_count and not counted.zero_count
     for mode in ("combined", "stat-only", "linear-sum"):
-        assert build_weighted_points([(zero, sweep)], 1200, mode) == []
+        assert build_weighted_points([(zero, sweep)], mode) == []
         assert len(build_weighted_points([(counted, sweep), (zero, sweep)],
-                                         1200, mode)) == 1
+                                         mode)) == 1
 
 
 def test_calibrate_datasets_counts_left_out_points():
@@ -420,6 +420,6 @@ def test_fit_bits_match_array_oracle_on_any_points(triples):
 def test_reference_fit_bits_match_array_oracle(weight_mode):
     datasets = load_reference_dataset()
     points = [pt for ds in datasets
-              for pt in build_weighted_points(ds.pairs(), ds.v_dd, weight_mode)]
+              for pt in build_weighted_points(ds.pairs(), weight_mode)]
     assert field_reprs(calibrate_datasets(datasets, weight_mode)) == field_reprs(
         dataclasses.replace(numpy_weighted_linfit(points), weight_mode=weight_mode))

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -356,6 +357,22 @@ def test_cli_paper_repro_passes(capsys):
     assert "408" in ss_row and "409" in ss_row
 
 
+@pytest.mark.parametrize("argv, mode, code", [
+    ([], "linear-sum", 0),
+    (["--weight-mode", "combined"], "combined", 1),
+])
+def test_cli_paper_repro_out_writes_the_fit_it_checks(argv, mode, code, tmp_path, capsys):
+    """``paper-repro --out`` writes the fit of the mode it checks, the bytes
+    ``calibrate`` writes for the bundled data, and writes it also when the
+    checks fail."""
+    repro, fit = tmp_path / "repro.json", tmp_path / "fit.json"
+    assert cli.main(["paper-repro", *argv, "--out", str(repro)]) == code
+    assert capsys.readouterr().out.endswith(f"wrote {repro}\n")
+    assert cli.main(["calibrate", "--input", "bundled", "--weight-mode", mode,
+                     "--out", str(fit)]) == 0
+    assert repro.read_bytes() == fit.read_bytes()
+
+
 def test_cli_calibrate_matches_library(tmp_path, capsys):
     fit_path = tmp_path / "fit.json"
     assert cli.main(["calibrate", "--input", str(REFERENCE_CSV),
@@ -363,7 +380,7 @@ def test_cli_calibrate_matches_library(tmp_path, capsys):
                      "--out", str(fit_path)]) == 0
     from wlvmser.calibration import build_weighted_points
     pairs = [p for ds in load_reference_dataset() for p in ds.pairs()]
-    direct = weighted_linfit(build_weighted_points(pairs, 1200, "linear-sum"))
+    direct = weighted_linfit(build_weighted_points(pairs, "linear-sum"))
     stored = read_fit_json(fit_path)
     assert stored.m == direct.m
     assert stored.b == direct.b
@@ -436,6 +453,18 @@ def test_cli_sweep_and_ser_test_smoke(tmp_path, capsys):
     assert cli.main(["ser-test", "--rate", "1.46", "--duration", "7200",
                      "--seed", "2", "--out", str(tmp_path / "ser.csv")]) == 0
     assert (tmp_path / "ser.csv").exists()
+
+
+def test_cli_shared_seed_keeps_each_commands_default(capsys):
+    """``--seed`` is one option shared by four commands: ser-test's default of
+    0 stays its own, and the others still forward only a seed given."""
+    parser = cli.build_parser()
+    for command in ("simulate", "sweep", "report"):
+        assert "seed" not in parser.parse_args([command])
+    assert cli.main(["ser-test", "--duration", "7200"]) == 0
+    left_out = capsys.readouterr().out
+    assert cli.main(["ser-test", "--duration", "7200", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == left_out
 
 
 def test_cli_sweep_of_a_supply_far_above_its_cells(tmp_path, capsys):
@@ -741,6 +770,31 @@ def _run_cli_process(argv, **kw):
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "wlvmser", *argv], text=True,
                           env=env, check=False, **kw)
+
+
+def test_cli_sweep_log_over_budget_is_one_error_line(tmp_path, monkeypatch):
+    """A hold sweep down from a supply of 10**18 mV in 10 mV steps would log
+    about 10**17 rows.  The log is refused before a row is built: a child
+    capped at 3 GB of address space ends in one error line and no file."""
+    model = json.loads((Path(wlvmser.__file__).parent / "data" /
+                        "variation_model.json").read_text())
+    (tmp_path / "model.json").write_text(json.dumps({**model, "v_dd_nominal_mV": 1e18}))
+    out = tmp_path / "sweep.csv"
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    proc = _run_cli_process(["sweep", "--kind", "hold", "--model", str(tmp_path / "model.json"),
+                             "--out", str(out)], capture_output=True,
+                            preexec_fn=cap_address_space)
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: a sweep log of ")
+    assert err[0].endswith(" steps of 10 mV down from a supply of 1000000000000000000 mV "
+                           "is more than the budget of 16777216 rows; raise --delta-v or "
+                           "lower the supply")
+    assert not out.exists()
 
 
 def test_cli_calibrate_out_dev_stdout_through_a_pipe():

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import manual_array, single_type_model
-from wlvmser import protocols
+from wlvmser import io, protocols
 from wlvmser.errors import ConfigurationError, ProtocolError
 from wlvmser.io import write_ser_log, write_sweep_log
 from wlvmser.protocols import (run_hold_sweep, run_read_sweep, run_ser_test,
                                run_wlvm_sweep)
 from wlvmser.radiation import AlphaSource, generate_events, undetected_fraction
 from wlvmser.records import word_line_voltage_margin
-from wlvmser.sram import sample_array
+from wlvmser.sram import VariationModel, sample_array
 
 
 def _block(model, rate=0.0, seed=0, **kw):
@@ -309,6 +309,34 @@ def test_sweep_log_matches_step_loop(tmp_path):
         result = run_wlvm_sweep(array, delta_v=int(rng.integers(1, 40)))
         lines = write_sweep_log(result, tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[1:] == _sweep_log_rows_by_loop(result)
+
+
+@pytest.mark.parametrize("step", [np.uint64(10), np.int64(10)])
+def test_a_numpy_step_is_recorded_as_an_int(step, tmp_path):
+    """A numpy step is recorded by value, so the sweep log of a uint64 step
+    is that of ``delta_v=10`` instead of an overflow in its step count."""
+    array = sample_array("SS", VariationModel.default(), seed=1, rows=8, cols=8)
+    result = run_wlvm_sweep(array, step)
+    assert type(result.delta_v) is int and result.delta_v == 10
+    log = write_sweep_log(result, tmp_path / "numpy.csv").read_bytes()
+    assert log == write_sweep_log(run_wlvm_sweep(array, 10), tmp_path / "int.csv").read_bytes()
+
+
+def test_a_sweep_log_over_budget_is_refused_before_any_row(ss_model, tmp_path, monkeypatch):
+    """The log's row count is checked against ``MAX_EXPECTED_EVENTS`` before
+    a row is built, and a refused log leaves no file."""
+    result = run_hold_sweep(_block(ss_model, seed=7))
+    n_steps = -(-(result.v_nominal - min(result.histogram)) // result.delta_v)
+    assert 80 <= n_steps <= 100
+    monkeypatch.setattr(io, "MAX_EXPECTED_EVENTS", 20)
+    path = tmp_path / "sweep.csv"
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"a sweep log of {n_steps} steps of 10 mV down from a supply of 1200 mV is "
+            f"more than the budget of 20 rows; raise --delta-v or lower the supply")):
+        write_sweep_log(result, path)
+    assert not path.exists()
+    monkeypatch.setattr(io, "MAX_EXPECTED_EVENTS", n_steps)
+    assert len(write_sweep_log(result, path).read_text().splitlines()) == 1 + n_steps
 
 
 # --- margin arithmetic --------------------------------------------------------
