@@ -17,10 +17,12 @@ row from them, formats every file and then writes them.  Its prediction
 rows come from ``prediction_rows``, which ``predict --margins`` uses too.
 Serialization is deterministic so reruns over identical inputs are
 byte-identical.  Both emitters raise ``ValueError`` on datasets that
-repeat a part id.  Each file is formatted into one string and written
-whole by ``_write_text`` (the CSV files through ``_write_csv``), which
-replaces an existing file's contents, so a rerun into the same
-directory leaves the same bytes as a fresh one.
+repeat a part id.  The JSON and TSV files are formatted into one string
+and written whole by ``_write_text``; the CSV files (measurements,
+predictions and the protocol logs) are streamed row by row into the
+open file by ``_write_csv``, so a log's text is never held whole.  Both
+replace an existing file's contents, so a rerun into the same directory
+leaves the same bytes as a fresh one.
 
 Ingested rows become the summary records of ``records``; this module
 imports neither the simulator nor numpy.
@@ -32,7 +34,6 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from io import StringIO
 from itertools import accumulate
 from pathlib import Path
 
@@ -206,12 +207,15 @@ def _write_text(path, text: str) -> Path:
 
 
 def _write_csv(path, header, rows) -> Path:
-    """Write ``header`` and ``rows`` to ``path`` as one CSV file."""
-    buf = StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return _write_text(path, buf.getvalue())
+    """Write ``header`` and ``rows`` to ``path`` as one UTF-8 CSV file,
+    streaming each row into the open file: ``rows`` may be a generator,
+    and the text is never held whole."""
+    path = Path(path)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def _check_unique_part_ids(datasets):
@@ -282,11 +286,16 @@ def write_sweep_log(result: SweepResult, path) -> Path:
             f"a sweep log of {n_steps} steps of {result.delta_v} mV down from a supply "
             f"of {result.v_nominal} mV is more than the budget of {MAX_EXPECTED_EVENTS} "
             f"rows; raise --delta-v or lower the supply")
-    steps = range(1, n_steps + 1)
-    volts = [max(result.v_nominal - result.delta_v * step, 0) for step in steps]
-    new = [result.histogram.get(v, 0) for v in volts]
-    return _write_csv(path, ["step", "v_mV", "new_failures", "cumulative_failures"],
-                      zip(steps, volts, new, accumulate(new)))
+
+    def rows():
+        cumulative = 0
+        for step in range(1, n_steps + 1):
+            v = max(result.v_nominal - result.delta_v * step, 0)
+            new = result.histogram.get(v, 0)
+            cumulative += new
+            yield step, v, new, cumulative
+
+    return _write_csv(path, ["step", "v_mV", "new_failures", "cumulative_failures"], rows())
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +333,10 @@ def emit_report(bundle: ReportBundle, out_dir) -> list[str]:
     """Write the report files; returns the manifest (sorted file names).
 
     Scatter rows leave out the zero-count SER points the fit left out.
-    Every file is formatted before the first is written, so the writes
-    run back to back: on ext4 that took less time, and varied less from
-    one call to the next, than formatting each file between two writes.
+    Every TSV file is formatted before the first is written, so those
+    writes run back to back: on ext4 that took less time, and varied less
+    from one call to the next, than formatting each file between two
+    writes.  The fit JSON and the predictions CSV are written after them.
     """
     _check_unique_part_ids(bundle.datasets)
     out = Path(out_dir)

@@ -5,13 +5,14 @@ per-window bit flips (a sort of per-event keys, then each window's hits
 minus twice its pairs of repeated hits: one ``reduceat`` sum of the
 repeats per window, less a correction for the rare runs of three or more
 hits), reducing a voltage sweep to its failure histogram and threshold
-mean and spread (a closed form evaluated once per distinct threshold)
-and Monte-Carlo sampling of masked upsets.  ``window_observed_flips``
-and ``sweep_registration`` are deterministic and refuse indices,
-thresholds, start voltages or steps that are not integers; the flip
-count adds the event cells in its key's dtype, so the ``int32`` cells
-that ``generate_events`` draws for blocks of up to ``2**31`` cells are
-never widened.  ``masked_upsets_mc`` is deterministic for a fixed seed.
+mean and spread (a closed form evaluated once per distinct threshold;
+the mean exact from the per-threshold counts, one per-cell gather for
+the spread) and Monte-Carlo sampling of masked upsets.
+``window_observed_flips`` and ``sweep_registration`` are deterministic
+and refuse indices, thresholds, start voltages or steps that are not
+integers; the flip count adds the event cells in its key's dtype, so the
+``int32`` cells that ``generate_events`` draws for blocks of up to
+``2**31`` cells are never widened.  ``masked_upsets_mc`` is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -113,14 +114,21 @@ def sweep_registration(thresholds, v_start, delta_v):
     by one ``bincount``; otherwise per value ``np.unique`` finds, so no
     allocation is larger than the cell count.  The registration never
     falls as the threshold rises, so one ``np.add.reduceat`` sums the
-    histogram over runs of equal voltages.  ``mu`` and ``sigma`` are
-    reduced over the per-cell midpoints and squared deviations, gathered
-    into one per-cell buffer, not over the histogram: ``sigma``'s last
-    bits follow numpy's pairwise summation over the cells, and the
-    fixed-seed outputs pin them.  An empty block, a threshold, ``v_start``
-    or ``delta_v`` that is not an integer (a bool is not), or a threshold or
-    step that is not positive, raises ``ConfigurationError``; the thresholds'
-    sign is checked on the distinct values, with no pass of its own.
+    histogram over runs of equal voltages.  Every midpoint is a multiple
+    of 0.5, so while ``n_cells * (max(v_start, 0) + delta_v) < 2**52``
+    every partial sum of the midpoints, in any order and with any
+    multiplicity, is exact in a double, and the per-cell mean is the
+    correctly rounded exact mean: ``mu`` is the dot product of the
+    per-threshold counts and midpoints over the cell count, with no pass
+    over the cells.  Above that bound (a start above about 1.7e10 mV at
+    262 144 cells) ``mu`` is the mean of the midpoints gathered per cell.
+    ``sigma`` is reduced over the squared deviations gathered per cell, one
+    gather, not over the histogram: its last bits follow numpy's pairwise
+    summation over the cells, and the fixed-seed outputs pin them.  An
+    empty block, a threshold, ``v_start`` or ``delta_v`` that is not an
+    integer (a bool is not), or a threshold or step that is not positive,
+    raises ``ConfigurationError``; the thresholds' sign is checked on the
+    distinct values, with no pass of its own.
     """
     thresholds = np.asarray(thresholds)
     if thresholds.dtype.kind not in "iu":
@@ -157,14 +165,15 @@ def sweep_registration(thresholds, v_start, delta_v):
     histogram = dict(zip(seen_levels[starts].tolist(),
                          np.add.reduceat(counts[seen], starts).tolist()))
     mid = levels + delta_v / 2.0
-    # one per-cell buffer serves both gathers; every index is in range,
-    # and mode "clip" writes into ``out`` without a temporary copy
-    per_cell = mid.take(index, mode="clip")
-    mu = float(per_cell.mean())
+    n = index.size
+    # every index is in range: mode "clip" gathers without a bounds pass
+    if n * (max(v_start, 0) + delta_v) < 2**52:
+        mu = float(counts @ mid) / n
+    else:
+        mu = float(mid.take(index, mode="clip").mean())
     sigma = 0.0
-    if index.size > 1:
-        per_cell = ((mid - mu) ** 2).take(index, out=per_cell, mode="clip")
-        sigma = math.sqrt(float(per_cell.sum()) / (index.size - 1))
+    if n > 1:
+        sigma = math.sqrt(float(((mid - mu) ** 2).take(index, mode="clip").sum()) / (n - 1))
     return histogram, mu, sigma
 
 

@@ -14,7 +14,9 @@ spreads depend on the cell type; a common per-part offset shifts all
 means of one die together.  Out-of-range draws are rejected and redrawn
 rather than clamped so the threshold histograms carry no boundary spikes.
 Each draw is numpy's ``standard_normal`` fill scaled and shifted in
-place, which gives the doubles of ``Generator.normal`` for less work.
+place, which gives the doubles of ``Generator.normal`` for less work,
+then rounded in the same buffer and, once in range, cast to ``int64`` in
+place: a draw of ``n`` cells allocates one buffer of ``n`` doubles.
 
 ``sample_array`` draws ``v_wl_min`` at once: the SER test at nominal
 supply and the word-line sweep need nothing else.  The hold and read
@@ -238,15 +240,25 @@ def _normal(rng, mu, sigma, n):
 
 
 def _sample_thresholds(rng, mu, sigma, n, v_dd_nominal):
-    """Integer-mV Gaussian draws, redrawn until inside (0, v_dd_nominal];
-    checked as floats, so a draw beyond ``int64`` is redrawn, never cast."""
-    out = np.rint(_normal(rng, mu, sigma, n))
+    """Integer-mV Gaussian draws, redrawn until inside [1, v_dd_nominal].
+
+    The draw is filled, scaled, shifted and rounded in one float64 buffer,
+    and its range is checked by ``min`` and ``max`` (a NaN fails both);
+    only a draw with a value out of range builds the mask of the values to
+    redraw.  The range is checked as floats, so a draw beyond ``int64`` is
+    redrawn, never cast.  The accepted buffer is cast to ``int64`` in
+    place, each element at its own address, so the draw allocates one
+    buffer of ``n`` doubles and no copy of it."""
+    out = _normal(rng, mu, sigma, n)
+    np.rint(out, out=out)
     for _ in range(_MAX_REDRAWS):
-        bad = (out < 1) | (out > v_dd_nominal)
-        n_bad = np.count_nonzero(bad)
-        if n_bad == 0:
-            return out.astype(np.int64)
-        out[bad] = np.rint(_normal(rng, mu, sigma, n_bad))
+        if out.min() >= 1 and out.max() <= v_dd_nominal:
+            ints = out.view(np.int64)
+            np.copyto(ints, out, casting="unsafe")
+            return ints
+        bad = ~((out >= 1) & (out <= v_dd_nominal))
+        redraw = _normal(rng, mu, sigma, np.count_nonzero(bad))
+        out[bad] = np.rint(redraw, out=redraw)
     raise ConfigurationError(
         f"threshold sampling did not converge for mu={mu}, sigma={sigma}"
     )

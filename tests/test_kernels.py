@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wlvmser import kernels
 from wlvmser.errors import ConfigurationError
@@ -304,6 +306,56 @@ def test_sweep_statistics_are_those_of_the_cells(delta_v, monkeypatch):
         assert len(calls) == (name != "table")
         for v_start in (-50, 0, 1, 1200, 10**12):
             check_sweep_statistics(thresholds, v_start, delta_v)
+
+
+def per_cell_mean(thresholds, v_start, delta_v):
+    """The mean of the per-cell midpoints, gathered and summed pairwise."""
+    steps = np.maximum((v_start - thresholds) // delta_v + 1, 1)
+    return float((np.maximum(v_start - delta_v * steps, 0) + delta_v / 2.0).mean())
+
+
+@st.composite
+def sweeps(draw):
+    """Odd and even steps, start voltages on either side of the ``2**52``
+    bound of the exact mean, and thresholds either below the cell count
+    (the per-voltage table) or near the start (``np.unique``)."""
+    delta_v = draw(st.integers(1, 20) | st.integers(1, 2**20))
+    n = draw(st.integers(1, 80))
+    edge = 2**52 // n - delta_v  # within a step of the bound
+    v_start = draw(st.integers(-50, 1500) | st.integers(edge - 3, edge + 3)
+                   | st.integers(1, 2**62))
+    if draw(st.booleans()):
+        values = st.integers(1, max(n - 1, 1))
+    else:
+        values = st.integers(-3 * delta_v, 40 * delta_v).map(lambda o: max(v_start - o, 1))
+    thresholds = draw(st.lists(values, min_size=n, max_size=n))
+    return np.array(thresholds, dtype=np.int64), v_start, delta_v
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(sweeps())
+@example((np.arange(1, 41), 1200, 10))
+@example((np.array([2**51 - 9, 5]), 2**51 - 2, 1))  # the top start of the exact mean
+@example((np.array([2**51 - 9, 5]), 2**51 - 1, 1))  # one above: the per-cell mean
+@example((126657711563980698 - np.array([8, 13, 1, 23, -5, 8]), 126657711563980698, 8))
+def test_sweep_mean_is_the_per_cell_mean(sweep):
+    """``mu`` from the counts is the per-cell mean, bit for bit, below the
+    bound; above it the kernel takes the per-cell mean itself."""
+    thresholds, v_start, delta_v = sweep
+    _, mu, _ = kernels.sweep_registration(thresholds, v_start, delta_v)
+    assert mu.hex() == per_cell_mean(thresholds, v_start, delta_v).hex()
+
+
+def test_sweep_mean_above_the_bound_is_the_per_cell_mean():
+    """Above the bound the midpoints and their sums round, and the per-cell
+    mean, whose bits the fixed-seed outputs pin, differs from the dot
+    product of the per-threshold counts and midpoints."""
+    v_start, delta_v = 126657711563980698, 8
+    thresholds = v_start - np.array([8, 13, 1, 23, -5, 8])
+    _, mu, _ = kernels.sweep_registration(thresholds, v_start, delta_v)
+    values, counts = np.unique(thresholds, return_counts=True)
+    mid = v_start - delta_v * ((v_start - values) // delta_v + 1) + delta_v / 2.0
+    assert mu == per_cell_mean(thresholds, v_start, delta_v) != float(counts @ mid) / 6
 
 
 @pytest.mark.parametrize("thresholds", [

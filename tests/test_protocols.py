@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from wlvmser.io import write_ser_log, write_sweep_log
 from wlvmser.protocols import (run_hold_sweep, run_read_sweep, run_ser_test,
                                run_wlvm_sweep)
 from wlvmser.radiation import AlphaSource, generate_events, undetected_fraction
-from wlvmser.records import word_line_voltage_margin
+from wlvmser.records import SweepResult, word_line_voltage_margin
 from wlvmser.sram import VariationModel, sample_array
 
 
@@ -337,6 +338,22 @@ def test_a_sweep_log_over_budget_is_refused_before_any_row(ss_model, tmp_path, m
     assert not path.exists()
     monkeypatch.setattr(io, "MAX_EXPECTED_EVENTS", n_steps)
     assert len(write_sweep_log(result, path).read_text().splitlines()) == 1 + n_steps
+
+
+def test_a_long_sweep_log_is_streamed(tmp_path):
+    """A log of 2**18 rows peaks below 1 MB of traced memory (holding its
+    rows and text whole took 23 MB) and has the bytes of the step loop."""
+    result = SweepResult("0", "SS", 0.5, v_nominal=2**18, delta_v=1, histogram={0: 1})
+    tracemalloc.start()
+    try:
+        path = write_sweep_log(result, tmp_path / "sweep.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    rows = ["step,v_mV,new_failures,cumulative_failures", *_sweep_log_rows_by_loop(result)]
+    assert len(rows) == 1 + 2**18
+    assert path.read_bytes() == "".join(row + "\r\n" for row in rows).encode()
 
 
 # --- margin arithmetic --------------------------------------------------------

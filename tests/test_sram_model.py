@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -92,24 +93,46 @@ def test_sigmas_must_be_finite_and_non_negative(sigma):
         single_type_model(sigma_part=sigma)
 
 
-@pytest.mark.parametrize("mu, sigma, redraws_expected", [
-    (791.0, 44.0, False), (2.0, 40.0, True), (1195.0, 30.0, True), (600.0, 0.0, False),
-], ids=["nominal", "near-1-mV", "near-nominal", "zero-sigma"])
-def test_sample_thresholds_equal_rounded_generator_normal(mu, sigma, redraws_expected):
+@pytest.mark.parametrize("mu, sigma, n, redraws_expected", [
+    (791.0, 44.0, 4096, False), (2.0, 40.0, 4096, True), (1195.0, 30.0, 4096, True),
+    (600.0, 0.0, 4096, False), (791.0, 44.0, 512 * 512, False),
+], ids=["nominal", "near-1-mV", "near-nominal", "zero-sigma", "256-kbit"])
+def test_sample_thresholds_equal_rounded_generator_normal(mu, sigma, n, redraws_expected):
     """The ``standard_normal`` fill scaled and shifted in place gives the
     doubles of ``Generator.normal``: the draw, every redraw and the stream
-    position after it are those of ``np.rint(rng.normal(mu, sigma, n))``."""
+    position after it are those of ``np.rint(rng.normal(mu, sigma, n))``,
+    and the in-place cast gives its ``int64`` values."""
     for seed in range(4):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sram._sample_thresholds(rng, mu, sigma, 4096, 1200)
-        want = np.rint(ref.normal(mu, sigma, 4096))
+        got = sram._sample_thresholds(rng, mu, sigma, n, 1200)
+        want = np.rint(ref.normal(mu, sigma, n))
         redraws = 0
         while (bad := (want < 1) | (want > 1200)).any():
             redraws += 1
             want[bad] = np.rint(ref.normal(mu, sigma, np.count_nonzero(bad)))
+        assert got.dtype == np.int64
         assert got.tobytes() == want.astype(np.int64).tobytes(), seed
         assert (redraws > 0) == redraws_expected
         assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("mu, sigma, mask_bytes", [(791.0, 44.0, 0), (1100.0, 30.0, 2)],
+                         ids=["nominal", "redrawn"])
+def test_a_threshold_draw_allocates_one_buffer(mu, sigma, mask_bytes):
+    """One draw of n cells peaks at its one buffer of n doubles plus small
+    change: rounding, the range check and the ``int64`` cast make no copy
+    of it.  Only a draw with values to redraw (here about 0.04 %) adds
+    their mask, two comparisons of n bools."""
+    n = 512 * 512
+    rng = np.random.default_rng(1)
+    sram._sample_thresholds(rng, mu, sigma, 4096, 1200)  # numpy's first-call setup
+    tracemalloc.start()
+    try:
+        sram._sample_thresholds(rng, mu, sigma, n, 1200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n * 8 <= peak < n * (8 + mask_bytes) + 2**16
 
 
 def test_draws_far_outside_int64_are_redrawn_not_cast():
