@@ -56,10 +56,14 @@ _MAX_VDD_NOMINAL_MV = 10**18
 # faulted in afresh depends on all the process allocated earlier; at the
 # dynamic rule's ceiling freed blocks are kept.  Without it perfbench's
 # large-block wall_s read about 9 % more (4 of 4 pairs on a 2-core host);
-# high-flux was unchanged.
+# high-flux was unchanged.  One arena: the thread that draws large blocks
+# ahead (``pipeline._sampled``) would otherwise get an arena of its own,
+# whose freed blocks the main thread cannot reuse; large-block peak RSS
+# read 56.6 and 58.8 MB that way against 52.8 MB with one arena.
 if sys.platform.startswith("linux") and hasattr(_libc := ctypes.CDLL(None), "mallopt"):
     _libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
     _libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    _libc.mallopt(-8, 1)  # M_ARENA_MAX
 
 
 def _check_sigma(key: str, sigma: float):

@@ -1,16 +1,23 @@
 """End-to-end pipeline behavior beyond the acceptance gates."""
 
+import dataclasses
+import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from wlvmser import pipeline
 from wlvmser.errors import ConfigurationError, ProtocolError
 from wlvmser.io import emit_report
 from wlvmser.pipeline import (LinearSerLaw, build_report_bundle,
                               calibrate_datasets, simulate_parts,
                               simulate_supply_sweeps)
-from wlvmser.sram import VariationModel
+from wlvmser.protocols import (run_hold_sweep, run_read_sweep, run_ser_test,
+                               run_wlvm_sweep)
+from wlvmser.radiation import AlphaSource
+from wlvmser.sram import VariationModel, sample_array, seed_sequence
 
 
 def test_linear_law_clamps_at_zero():
@@ -140,3 +147,122 @@ def test_report_bundle_traceability(tmp_path):
     for r in scatter:
         ds = next(d for d in datasets if d.part_id == r["part_id"])
         assert float(r["y"]) == ds.ser[r["cell_type"]].ser
+
+
+# --- large blocks are drawn one ahead on a helper thread
+
+PREFETCHED = dict(rows=256, cols=256)  # 2^16 cells, the smallest block drawn ahead
+SCHEDULE = dict(duration=7200.0, ts=1800.0)
+
+
+def _fields(record):
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(record).items()}
+
+
+def _serial_parts(model, n_parts, cell_types, seed, v_dd=None):
+    """``simulate_parts`` as one loop over the blocks, each drawn when due:
+    ``(part_id, cell_type, SER record, sweep record)`` per block, in order,
+    or the ``ProtocolError`` of the first inoperable block."""
+    law, v_dd = LinearSerLaw(), model.supply(v_dd)
+    out = []
+    for p, part_seq in enumerate(seed_sequence(seed).spawn(n_parts)):
+        prng = np.random.default_rng(part_seq)
+        offset = prng.normal(0.0, model.sigma_part)
+        source = AlphaSource(geom_factor=1.0 + prng.uniform(-0.03, 0.03))
+        seqs = part_seq.spawn(2 * len(cell_types))
+        for i, cell_type in enumerate(cell_types):
+            rate = law.rate((v_dd - (model.for_type(cell_type).mu_vwlmin + offset)) / 1000.0)
+            array = sample_array(cell_type, model, part_offset=offset, seed=seqs[2 * i],
+                                 true_seu_rate=rate, part_id=str(p + 1), v_dd=v_dd,
+                                 **PREFETCHED)
+            try:
+                ser = run_ser_test(array, source, seed=seqs[2 * i + 1], **SCHEDULE)
+            except ProtocolError as exc:
+                return exc
+            out.append((str(p + 1), cell_type, _fields(ser), _fields(run_wlvm_sweep(array))))
+    return out
+
+
+@pytest.fixture
+def helper_draws(monkeypatch):
+    """Run ``_sampled``'s helper branch whatever this host's CPU count, and
+    list each block ``pipeline.sample_array`` draws as ``(part, type,
+    drawn on a helper thread)``."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    draws = []
+    real = pipeline.sample_array
+
+    def wrapper(cell_type, model, **kwargs):
+        draws.append((kwargs["part_id"], cell_type,
+                      threading.current_thread() is not threading.main_thread()))
+        return real(cell_type, model, **kwargs)
+
+    monkeypatch.setattr(pipeline, "sample_array", wrapper)
+    return draws
+
+
+def test_prefetched_parts_equal_the_serial_loop(helper_draws):
+    model = VariationModel.default()
+    threads = threading.active_count()
+    datasets = simulate_parts(model=model, n_parts=2, cell_types=("SS", "LS"), seed=23,
+                              **PREFETCHED, **SCHEDULE)
+    assert threading.active_count() == threads
+    assert [(ds.part_id, t, _fields(ds.ser[t]), _fields(ds.sweeps[t]))
+            for ds in datasets for t in ds.cell_types()] == _serial_parts(
+        model, 2, ("SS", "LS"), seed=23)
+    assert helper_draws == [(p, t, True) for p in "12" for t in ("SS", "LS")]
+
+
+@pytest.mark.parametrize("kind,runner", [("hold", run_hold_sweep), ("read", run_read_sweep)])
+def test_prefetched_supply_sweeps_equal_the_serial_loop(helper_draws, kind, runner):
+    model = VariationModel.default()
+    threads = threading.active_count()
+    results = simulate_supply_sweeps(model=model, kind=kind, seed=7, **PREFETCHED)
+    assert threading.active_count() == threads
+    serial = [runner(sample_array(t, model, seed=seq, part_id="1", **PREFETCHED))
+              for t, seq in zip(model.types, seed_sequence(7).spawn(len(model.types)))]
+    assert list(map(_fields, results)) == list(map(_fields, serial))
+    assert all(on_helper for _, _, on_helper in helper_draws)
+
+
+def test_prefetched_inoperable_block_raises_the_serial_error(helper_draws):
+    """Only the LS blocks are unwritable at 1190 mV, so the first error
+    comes from part 1's second block while part 2's first is drawn ahead."""
+    default = VariationModel.default()
+    model = dataclasses.replace(default, types={
+        "SS": default.types["SS"],
+        "LS": dataclasses.replace(default.types["LS"], mu_vwlmin=1150.0)})
+    expected = _serial_parts(model, 2, ("SS", "LS"), seed=3, v_dd=1190)
+    assert isinstance(expected, ProtocolError)
+    assert str(expected).startswith("part 1 LS: ")
+    threads = threading.active_count()
+    with pytest.raises(ProtocolError) as info:
+        simulate_parts(model=model, n_parts=2, cell_types=("SS", "LS"), seed=3, v_dd=1190,
+                       **PREFETCHED, **SCHEDULE)
+    assert str(info.value) == str(expected)
+    assert threading.active_count() == threads
+    assert helper_draws == [("1", "SS", True), ("1", "LS", True), ("2", "SS", True)]
+
+
+def test_a_failed_draw_ahead_is_raised_when_its_block_is_due(helper_draws, monkeypatch):
+    """A draw that fails on the helper thread is raised after the blocks
+    before it are measured, as in the serial loop, and none after it is."""
+    measured = []
+    draw = pipeline.sample_array
+
+    def failing(cell_type, model, **kwargs):
+        if (kwargs["part_id"], cell_type) == ("2", "SS"):
+            raise ConfigurationError("no draw for part 2 SS")
+        return draw(cell_type, model, **kwargs)
+
+    def ser_test(array, *args, **kwargs):
+        measured.append((array.part_id, array.cell_type))
+        return run_ser_test(array, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "sample_array", failing)
+    monkeypatch.setattr(pipeline, "run_ser_test", ser_test)
+    threads = threading.active_count()
+    with pytest.raises(ConfigurationError, match="^no draw for part 2 SS$"):
+        simulate_parts(n_parts=3, cell_types=("SS", "LS"), seed=3, **PREFETCHED, **SCHEDULE)
+    assert threading.active_count() == threads
+    assert measured == [("1", "SS"), ("1", "LS")]

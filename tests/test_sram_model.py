@@ -14,7 +14,7 @@ import pytest
 from conftest import manual_array, single_type_model
 from wlvmser import sram
 from wlvmser.errors import ConfigurationError, ProtocolError
-from wlvmser.pipeline import simulate_parts
+from wlvmser.pipeline import simulate_parts, simulate_supply_sweeps
 from wlvmser.protocols import (run_hold_sweep, run_read_sweep, run_ser_test,
                                run_wlvm_sweep)
 from wlvmser.radiation import AlphaSource
@@ -367,6 +367,44 @@ def test_simulate_parts_refuses_a_bad_step_before_any_draw(monkeypatch, delta_v)
     with pytest.raises(ConfigurationError) as info:
         simulate_parts(n_parts=1, cell_types=("SS",), duration=3600, delta_v=delta_v)
     assert str(info.value) == _step_refusal(delta_v)
+    assert calls == []
+
+
+@pytest.mark.parametrize("delta_v", BAD_STEPS, ids=repr)
+@pytest.mark.parametrize("kind", ["hold", "read"])
+def test_supply_sweeps_refuse_a_bad_step_before_any_draw(monkeypatch, kind, delta_v):
+    calls = _count_threshold_draws(monkeypatch)
+    with pytest.raises(ConfigurationError) as info:
+        simulate_supply_sweeps(kind=kind, delta_v=delta_v, rows=256, cols=256)
+    assert str(info.value) == _step_refusal(delta_v)
+    assert calls == []
+
+
+TWICE = "--types (cell_types) names 'SS' twice"
+UNKNOWN = "--types (cell_types) names unknown cell type 'XX'; known: SS, SM, SL, MM, LS"
+
+
+@pytest.mark.parametrize("simulate,kwargs,error,message", [
+    (simulate_parts, dict(cell_types=("SS", "SS")), ConfigurationError, TWICE),
+    (simulate_supply_sweeps, dict(cell_types=("SS", "SS")), ConfigurationError, TWICE),
+    (simulate_parts, dict(cell_types=("SS", "XX")), ConfigurationError, UNKNOWN),
+    (simulate_supply_sweeps, dict(cell_types=("SS", "XX")), ConfigurationError, UNKNOWN),
+    (simulate_parts, dict(model=single_type_model(), cell_types=("SS", "SM")),
+     ConfigurationError, "no variation parameters for cell type 'SM'"),
+    (simulate_supply_sweeps, dict(model=single_type_model(), cell_types=("SS", "SM")),
+     ConfigurationError, "no variation parameters for cell type 'SM'"),
+    (simulate_supply_sweeps, dict(kind="write"), ValueError,
+     "kind must be 'hold' or 'read', got 'write'"),
+], ids=["parts-type-twice", "sweeps-type-twice", "parts-unknown-type",
+        "sweeps-unknown-type", "parts-type-not-in-model", "sweeps-type-not-in-model",
+        "sweeps-bad-kind"])
+def test_a_refused_batch_draws_no_block(monkeypatch, simulate, kwargs, error, message):
+    """Each refusal comes before the first block is drawn, for the large
+    blocks that are drawn one ahead too."""
+    calls = _count_threshold_draws(monkeypatch)
+    with pytest.raises(error) as info:
+        simulate(rows=256, cols=256, **kwargs)
+    assert str(info.value) == message
     assert calls == []
 
 
