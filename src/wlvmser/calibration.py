@@ -10,7 +10,9 @@ variances and covariance) follow the standard least-squares sums; the
 goodness of fit is reported as chi-squared per degree of freedom together
 with a weighted R².  The fit runs on Python floats and imports no numpy:
 a fit has some 25 points, and numpy's import would cost a command more
-than the fit.  Its sums follow numpy's pairwise order (``pairwise_sum``),
+than the fit.  Its records are plain classes: generating them with a
+decorator would import ``inspect`` and cost such a command about a fifth
+of its time.  Its sums follow numpy's pairwise order (``pairwise_sum``),
 so every figure has the bits a float64 array computation gives.
 
 Point uncertainties combine a statistical term (Poisson counting,
@@ -31,7 +33,6 @@ that counted no upset is left out of it (``build_weighted_points``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from .errors import DegenerateFitError
@@ -44,69 +45,79 @@ DEFAULT_WEIGHT_MODE = "combined"
 _DEGENERATE_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
+# the figures of a fit file, in the order ``CalibrationFit.from_dict`` checks
+# them: nu comes before chi2_red
+_FIT_FIGURES = ("m", "b", "sigma_m", "sigma_b", "cov_mb", "chi2", "nu", "chi2_red", "r2",
+                "n_points")
+
+
 class WeightedPoint:
     """One calibration point: margin (V), SER and its absolute 1-sigma."""
 
-    x: float
-    y: float
-    sigma_y: float
+    def __init__(self, x: float, y: float, sigma_y: float):
+        if not sigma_y > 0:
+            raise ValueError(f"sigma_y must be > 0, got {sigma_y}")
+        self.x = x
+        self.y = y
+        self.sigma_y = sigma_y
 
-    def __post_init__(self):
-        if not self.sigma_y > 0:
-            raise ValueError(f"sigma_y must be > 0, got {self.sigma_y}")
 
-
-@dataclass
 class CalibrationFit:
     """Weighted straight-line fit with goodness-of-fit figures.
 
     Units follow the calibration inputs: slope in µSEU/(bit·s·V),
-    intercept in µSEU/(bit·s).
+    intercept in µSEU/(bit·s).  Two fits are equal when all their
+    attributes are.
     """
 
-    m: float
-    b: float
-    sigma_m: float
-    sigma_b: float
-    cov_mb: float
-    chi2: float
-    nu: int
-    chi2_red: float
-    r2: float
-    n_points: int
-    weight_mode: str | None = None
+    def __init__(self, m: float, b: float, sigma_m: float, sigma_b: float, cov_mb: float,
+                 chi2: float, nu: int, chi2_red: float, r2: float, n_points: int,
+                 weight_mode: str | None = None):
+        self.m = m
+        self.b = b
+        self.sigma_m = sigma_m
+        self.sigma_b = sigma_b
+        self.cov_mb = cov_mb
+        self.chi2 = chi2
+        self.nu = nu
+        self.chi2_red = chi2_red
+        self.r2 = r2
+        self.n_points = n_points
+        self.weight_mode = weight_mode
+
+    def __eq__(self, other):
+        return type(other) is CalibrationFit and vars(other) == vars(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CalibrationFit":
-        """Inverse of ``dataclasses.asdict``.  Each figure must be a number
-        of its field's type (not a bool or string), finite, the sigmas >= 0;
-        ``chi2_red`` may be NaN where ``nu`` is 0, as for two points.  A
-        bad figure raises ``ValueError`` naming its key."""
+        """Fit of a parsed fit file, the attribute dict ``write_fit_json``
+        dumps.  Each figure must be a number of its attribute's type (not a
+        bool or string), finite, the sigmas >= 0; ``chi2_red`` may be NaN
+        where ``nu`` is 0, as for two points.  A bad figure raises
+        ``ValueError`` naming its key."""
         values = {}
-        for f in fields(cls):  # nu comes before chi2_red
-            if f.type == "int":
-                values[f.name] = value = raw[f.name]
+        for name in _FIT_FIGURES:
+            values[name] = value = raw[name]
+            if name in ("nu", "n_points"):
                 if type(value) is not int:
-                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            elif f.type == "float":
-                value = raw[f.name]
-                values[f.name] = number = json_number(f.name, value)
-                if f.name == "chi2_red" and values["nu"] == 0 and number != number:
-                    pass  # NaN: two points leave no degree of freedom
-                elif not math.isfinite(number):
-                    raise ValueError(f"{f.name} must be finite, got {value!r}")
-                elif f.name in ("sigma_m", "sigma_b") and number < 0:
-                    raise ValueError(f"{f.name} must be >= 0, got {value!r}")
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
+                continue
+            values[name] = number = json_number(name, value)
+            if name == "chi2_red" and values["nu"] == 0 and number != number:
+                pass  # NaN: two points leave no degree of freedom
+            elif not math.isfinite(number):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            elif name in ("sigma_m", "sigma_b") and number < 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
         return cls(**values, weight_mode=raw.get("weight_mode"))
 
 
-@dataclass(frozen=True)
 class Prediction:
     """Predicted SER with the fit-parameter uncertainty propagated."""
 
-    ser: float
-    sigma: float
+    def __init__(self, ser: float, sigma: float):
+        self.ser = ser
+        self.sigma = sigma
 
     @property
     def below_physical_floor(self) -> bool:
@@ -183,7 +194,11 @@ def weighted_linfit(points: Sequence[WeightedPoint]) -> CalibrationFit:
     sxx = pairwise_sum([wi * xi * xi for wi, xi in zip(w, x)])
     sxy = pairwise_sum([wi * xi * yi for wi, xi, yi in zip(w, x, y)])
     det = s * sxx - sx * sx
-    if det <= _DEGENERATE_RTOL * s * sxx or not math.isfinite(det):
+    if not math.isfinite(det):
+        raise DegenerateFitError(
+            f"the fit's weighted sums overflow (largest |margin| {max(map(abs, x)):g} V, "
+            f"largest weight {max(w):g}); slope is undetermined")
+    if det <= _DEGENERATE_RTOL * s * sxx:
         raise DegenerateFitError("all x values coincide; slope is undetermined")
 
     m = (s * sxy - sx * sy) / det

@@ -25,7 +25,7 @@ replace an existing file's contents, so a rerun into the same directory
 leaves the same bytes as a fresh one.
 
 Ingested rows become the summary records of ``records``; this module
-imports neither the simulator nor numpy.
+imports neither the simulator, numpy nor ``inspect``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 from pathlib import Path
 
@@ -55,18 +54,22 @@ QUANTITIES = (QUANTITY_SER, QUANTITY_REL_STAT, QUANTITY_MARGIN_MU,
 _HEADER = ["part_id", "cell_type", "quantity", "value"]
 
 
-@dataclass
 class PartDataset:
     """Measurements of one part, keyed by cell type.
 
     Either record may be missing for a type; calibration uses only the
-    types carrying both the SER measurement and the margin sweep.
+    types carrying both the SER measurement and the margin sweep.  A
+    dataset made without ``ser`` or ``sweeps`` starts with an empty dict
+    of its own.
     """
 
-    part_id: str
-    v_dd: int = DEFAULT_VDD_MV
-    ser: dict[str, SerMeasurement] = field(default_factory=dict)
-    sweeps: dict[str, SweepResult] = field(default_factory=dict)
+    def __init__(self, part_id: str, v_dd: int = DEFAULT_VDD_MV,
+                 ser: dict[str, SerMeasurement] | None = None,
+                 sweeps: dict[str, SweepResult] | None = None):
+        self.part_id = part_id
+        self.v_dd = v_dd
+        self.ser = {} if ser is None else ser
+        self.sweeps = {} if sweeps is None else sweeps
 
     def cell_types(self) -> list[str]:
         """Types present in either record, in canonical order."""
@@ -253,7 +256,7 @@ def emit_measurements_csv(datasets, path) -> Path:
 # ---------------------------------------------------------------------------
 
 def write_fit_json(fit: CalibrationFit, path) -> Path:
-    return _write_text(path, json.dumps(asdict(fit), indent=2, sort_keys=True) + "\n")
+    return _write_text(path, json.dumps(vars(fit), indent=2, sort_keys=True) + "\n")
 
 
 def read_fit_json(path) -> CalibrationFit:
@@ -302,13 +305,14 @@ def write_sweep_log(result: SweepResult, path) -> Path:
 # report
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ReportBundle:
     """The fit and the datasets it reports on, from which ``emit_report``
-    derives every row."""
+    derives every row; made without ``datasets``, a bundle starts with an
+    empty list of its own."""
 
-    fit: CalibrationFit
-    datasets: list[PartDataset] = field(default_factory=list)
+    def __init__(self, fit: CalibrationFit, datasets: list[PartDataset] | None = None):
+        self.fit = fit
+        self.datasets = [] if datasets is None else datasets
 
 
 def prediction_rows(fit: CalibrationFit, datasets) -> list[tuple]:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
 
 from . import lazy
 from .calibration import (DEFAULT_WEIGHT_MODE, CalibrationFit, build_weighted_points,
@@ -53,7 +52,6 @@ _BIN_AS_WINDOWS = 10
 _PREFETCH_CELLS = 1 << 16
 
 
-@dataclass(frozen=True)
 class LinearSerLaw:
     """Ground-truth upset-rate law: rate = m * margin + b, clamped at 0.
 
@@ -61,14 +59,12 @@ class LinearSerLaw:
     published regression of the bundled reference dataset.
     """
 
-    m: float = 4.32
-    b: float = -0.25
-
-    def __post_init__(self):
-        for option, name in (("--law-m", "m"), ("--law-b", "b")):
-            value = getattr(self, name)
+    def __init__(self, m: float = 4.32, b: float = -0.25):
+        for option, name, value in (("--law-m", "m", m), ("--law-b", "b", b)):
             if not math.isfinite(value):
                 raise ConfigurationError(f"{option} ({name}) must be finite, got {value}")
+        self.m = m
+        self.b = b
 
     def rate(self, margin_v: float) -> float:
         return max(self.m * margin_v + self.b, 0.0)
@@ -263,7 +259,8 @@ def calibrate_datasets(datasets, weight_mode: str = DEFAULT_WEIGHT_MODE) -> Cali
             f"need at least 2 points, got {len(points)} after leaving out "
             f"{len(left_out)} zero-count SER points")
     fit = weighted_linfit(points)
-    return replace(fit, weight_mode=weight_mode)
+    fit.weight_mode = weight_mode
+    return fit
 
 
 def build_report_bundle(datasets, weight_mode: str = DEFAULT_WEIGHT_MODE) -> ReportBundle:

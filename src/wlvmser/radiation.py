@@ -23,7 +23,6 @@ dependence, charge collection and multi-cell upsets are out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .records import MAX_EXPECTED_EVENTS
 from .sram import MemoryArray
 
 
-@dataclass(frozen=True)
 class AlphaSource:
     """Alpha source seen by one part.
 
@@ -41,22 +39,21 @@ class AlphaSource:
     ``geom_factor`` scales the flux for source-to-sample positioning.
     """
 
-    rate_per_bit: float = 0.0
-    geom_factor: float = 1.0
-
-    def __post_init__(self):
-        if not self.rate_per_bit >= 0:  # also rejects nan
+    def __init__(self, rate_per_bit: float = 0.0, geom_factor: float = 1.0):
+        if not rate_per_bit >= 0:  # also rejects nan
             raise ConfigurationError("rate_per_bit must be >= 0")
-        if not 0.9 <= self.geom_factor <= 1.1:
+        if not 0.9 <= geom_factor <= 1.1:
             raise ConfigurationError("geom_factor must lie in [0.9, 1.1]")
+        self.rate_per_bit = rate_per_bit
+        self.geom_factor = geom_factor
 
 
-@dataclass
 class EventLog:
     """Time-ordered upset events for one array."""
 
-    times: np.ndarray
-    cells: np.ndarray
+    def __init__(self, times: np.ndarray, cells: np.ndarray):
+        self.times = times
+        self.cells = cells
 
     def __len__(self) -> int:
         return self.times.size

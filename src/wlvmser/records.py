@@ -5,8 +5,9 @@ what a measurement file ingests into; the fit reads nothing else.  A
 sweep holds its supply, so ``SweepResult.margin``, V_WLVM, is read off
 the record (``word_line_voltage_margin``, the one margin rule).  Fit
 and model files are read by ``read_json``, whose numbers follow
-``json_number``.  This module imports no numpy, so the commands that only
-ingest, fit and predict start without it.
+``json_number``.  This module imports no numpy, and its records are
+plain classes, which need no ``inspect``, so the commands that only
+ingest, fit and predict start without either.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -41,7 +41,6 @@ DEFAULT_DELTA_V_MV = 10
 MAX_EXPECTED_EVENTS = 2**24
 
 
-@dataclass
 class SerMeasurement:
     """Outcome of one accelerated SER test (or an ingested summary).
 
@@ -50,17 +49,21 @@ class SerMeasurement:
     summary-only (``window_counts`` is None).
     """
 
-    part_id: str
-    cell_type: str
-    ser: float
-    rel_stat_unc: float
-    rel_geom_unc: float = DEFAULT_GEOM_UNC
-    ts: float | None = None
-    window_counts: np.ndarray | None = None
-    n_windows: int = 0
-    n_tot: int = 0
-    t_exp: float = 0.0
-    n_bits: int = 0
+    def __init__(self, part_id: str, cell_type: str, ser: float, rel_stat_unc: float,
+                 rel_geom_unc: float = DEFAULT_GEOM_UNC, ts: float | None = None,
+                 window_counts: np.ndarray | None = None, n_windows: int = 0,
+                 n_tot: int = 0, t_exp: float = 0.0, n_bits: int = 0):
+        self.part_id = part_id
+        self.cell_type = cell_type
+        self.ser = ser
+        self.rel_stat_unc = rel_stat_unc
+        self.rel_geom_unc = rel_geom_unc
+        self.ts = ts
+        self.window_counts = window_counts
+        self.n_windows = n_windows
+        self.n_tot = n_tot
+        self.t_exp = t_exp
+        self.n_bits = n_bits
 
     @property
     def zero_count(self) -> bool:
@@ -90,7 +93,6 @@ class SerMeasurement:
         )
 
 
-@dataclass
 class SweepResult:
     """Threshold mean, spread and failure histogram of one voltage sweep.
 
@@ -98,15 +100,19 @@ class SweepResult:
     ``sigma``, and its part's supply; the rest default to a word-line
     sweep of the chip's step over one block, with no histogram."""
 
-    part_id: str
-    cell_type: str
-    mu: float
-    sigma: float = math.nan
-    v_nominal: int = DEFAULT_VDD_MV
-    swept_quantity: str = "word_line"
-    delta_v: int = DEFAULT_DELTA_V_MV
-    n_cells: int = DEFAULT_ROWS * DEFAULT_COLS
-    histogram: dict[int, int] | None = None
+    def __init__(self, part_id: str, cell_type: str, mu: float, sigma: float = math.nan,
+                 v_nominal: int = DEFAULT_VDD_MV, swept_quantity: str = "word_line",
+                 delta_v: int = DEFAULT_DELTA_V_MV, n_cells: int = DEFAULT_ROWS * DEFAULT_COLS,
+                 histogram: dict[int, int] | None = None):
+        self.part_id = part_id
+        self.cell_type = cell_type
+        self.mu = mu
+        self.sigma = sigma
+        self.v_nominal = v_nominal
+        self.swept_quantity = swept_quantity
+        self.delta_v = delta_v
+        self.n_cells = n_cells
+        self.histogram = histogram
 
     @property
     def se_mean(self) -> float:

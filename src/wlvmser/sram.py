@@ -34,7 +34,6 @@ import ctypes
 import functools
 import math
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -71,39 +70,45 @@ def _check_sigma(key: str, sigma: float):
         raise ConfigurationError(f"{key} must be finite and >= 0, got {sigma:g}")
 
 
-@dataclass(frozen=True)
+# the parameters of ``TypeVariation`` in declaration order, each keyed by
+# its name plus ``_mV`` in a model file
+_TYPE_PARAMETERS = ("mu_vwlmin", "sigma_vwlmin", "mu_hold", "sigma_hold", "mu_read",
+                    "sigma_read")
+
+
 class TypeVariation:
-    """Threshold distribution parameters for one cell type (all in mV)."""
+    """Threshold distribution parameters for one cell type (all in mV).
+    Two are equal when every parameter is."""
 
-    mu_vwlmin: float
-    sigma_vwlmin: float
-    mu_hold: float
-    sigma_hold: float
-    mu_read: float
-    sigma_read: float
-
-    def __post_init__(self):
+    def __init__(self, mu_vwlmin: float, sigma_vwlmin: float, mu_hold: float,
+                 sigma_hold: float, mu_read: float, sigma_read: float):
+        self.mu_vwlmin = mu_vwlmin
+        self.sigma_vwlmin = sigma_vwlmin
+        self.mu_hold = mu_hold
+        self.sigma_hold = sigma_hold
+        self.mu_read = mu_read
+        self.sigma_read = sigma_read
         for label in ("vwlmin", "hold", "read"):
             _check_sigma(f"sigma_{label}_mV", getattr(self, f"sigma_{label}"))
 
+    def __eq__(self, other):
+        return type(other) is TypeVariation and vars(other) == vars(self)
 
-@dataclass
+
 class VariationModel:
     """Per-type threshold distributions plus the part-level common offset.
 
     ``sigma_part`` is the standard deviation of a Gaussian offset added to
     every mean of one part: the distributions of a die shift together while
-    their spreads stay put.
+    their spreads stay put.  Two models are equal when their parameters are.
     """
 
-    types: dict[str, TypeVariation]
-    sigma_part: float = 8.0
-    v_dd_nominal: int = DEFAULT_VDD_MV
-
-    def __post_init__(self):
-        self.sigma_part = json_number("sigma_part_mV", self.sigma_part)
+    def __init__(self, types: dict[str, TypeVariation], sigma_part: float = 8.0,
+                 v_dd_nominal: int = DEFAULT_VDD_MV):
+        self.types = types
+        self.sigma_part = json_number("sigma_part_mV", sigma_part)
         _check_sigma("sigma_part_mV", self.sigma_part)
-        if not (type(v := self.v_dd_nominal) in (int, float) and v > 0 and v % 1 == 0):
+        if not (type(v := v_dd_nominal) in (int, float) and v > 0 and v % 1 == 0):
             raise ConfigurationError(
                 f"v_dd_nominal_mV must be a positive whole number of mV, got {v!r}")
         if v > _MAX_VDD_NOMINAL_MV:
@@ -121,6 +126,9 @@ class VariationModel:
                     raise ConfigurationError(
                         f"{name}: mu_{label}={mu} outside (0, {self.v_dd_nominal}]"
                     )
+
+    def __eq__(self, other):
+        return type(other) is VariationModel and vars(other) == vars(self)
 
     def supply(self, v_dd=None):
         """``v_dd``, or the nominal supply when it is None; a supply that is
@@ -142,9 +150,9 @@ class VariationModel:
     @classmethod
     def from_dict(cls, raw: dict) -> "VariationModel":
         """Model of a parsed model file; each number (``json_number``) is keyed
-        by its field's name plus ``_mV``, and a key left out takes the default."""
-        types = {name: TypeVariation(**{f.name: json_number(f"{f.name}_mV", p[f"{f.name}_mV"])
-                                        for f in fields(TypeVariation)})
+        by its parameter's name plus ``_mV``, and a key left out takes the default."""
+        types = {name: TypeVariation(*[json_number(f"{key}_mV", p[f"{key}_mV"])
+                                       for key in _TYPE_PARAMETERS])
                  for name, p in raw["cell_types"].items()}
         return cls(types=types, **{f: raw[f"{f}_mV"] for f in ("sigma_part", "v_dd_nominal")
                                    if f"{f}_mV" in raw})

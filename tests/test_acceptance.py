@@ -6,7 +6,6 @@ the measured values; a failing criterion fails its test.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from wlvmser.radiation import AlphaSource, undetected_fraction
 from wlvmser.records import word_line_voltage_margin
 from wlvmser.refdata import (CELL_TYPE_ORDER, PAPER_MATCHING_WEIGHT_MODE, REPRO_WINDOWS,
                              load_reference_dataset)
-from wlvmser.sram import VariationModel, sample_array, seed_sequence
+from wlvmser.sram import TypeVariation, VariationModel, sample_array, seed_sequence
 
 from conftest import single_type_model
 
@@ -278,8 +277,10 @@ def _flat_control_means():
     """The bundled model with hold and read means of 450 and 650 mV for
     every type, so they carry no trace of the write strength."""
     bundled = VariationModel.default()
-    return replace(bundled, types={name: replace(tv, mu_hold=450.0, mu_read=650.0)
-                                   for name, tv in bundled.types.items()})
+    return VariationModel(
+        {name: TypeVariation(**{**vars(tv), "mu_hold": 450.0, "mu_read": 650.0})
+         for name, tv in bundled.types.items()},
+        bundled.sigma_part, bundled.v_dd_nominal)
 
 
 @pytest.mark.parametrize("model_name", [

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import wlvmser
 from wlvmser import cli, pipeline
-from wlvmser.calibration import CalibrationFit, predict_ser, weighted_linfit
+from wlvmser.calibration import WEIGHT_MODES, CalibrationFit, predict_ser, weighted_linfit
 from wlvmser.errors import IngestError
 from wlvmser.io import (PartDataset, ReportBundle, emit_measurements_csv,
                         emit_report, ingest_measurements_csv, read_fit_json,
@@ -264,6 +264,19 @@ def test_partial_dataset_supported(tmp_path):
     assert math.isnan(ds.sweeps["SS"].sigma) is False
 
 
+def test_records_made_without_containers_do_not_share_them():
+    """Each ``PartDataset`` and ``ReportBundle`` made without its dicts or
+    list starts with empty ones of its own."""
+    first, second = PartDataset("1"), PartDataset("1")
+    first.ser["SS"] = SerMeasurement("1", "SS", 1.46, 0.02)
+    first.sweeps["SS"] = SweepResult("1", "SS", 791.0)
+    assert (second.ser, second.sweeps) == ({}, {})
+    fit = calibrate_datasets(load_reference_dataset())
+    bundle, other = ReportBundle(fit), ReportBundle(fit)
+    bundle.datasets.append(first)
+    assert other.datasets == []
+
+
 def test_an_ingested_sweep_takes_the_chip_defaults(tmp_path):
     """A sweep record given only its part, type and mean is a word-line
     sweep in 10 mV steps over one 64 x 64 block at 1200 mV, with no spread
@@ -286,10 +299,12 @@ def test_an_ingested_sweep_takes_the_chip_defaults(tmp_path):
 # --- fit serialization -----------------------------------------------------------
 
 def test_fit_json_roundtrip(tmp_path):
-    fit = calibrate_datasets(load_reference_dataset(), "linear-sum")
-    path = write_fit_json(fit, tmp_path / "fit.json")
-    reloaded = read_fit_json(path)
-    assert reloaded == fit
+    for weight_mode in WEIGHT_MODES:
+        fit = calibrate_datasets(load_reference_dataset(), weight_mode)
+        path = write_fit_json(fit, tmp_path / f"fit-{weight_mode}.json")
+        reloaded = read_fit_json(path)
+        assert reloaded == fit
+        assert reloaded != CalibrationFit(**{**vars(fit), "nu": fit.nu + 1})
     payload = json.loads(path.read_text())
     assert set(payload) == {"m", "b", "sigma_m", "sigma_b", "cov_mb", "chi2",
                             "nu", "chi2_red", "r2", "n_points", "weight_mode"}
@@ -623,6 +638,8 @@ def test_cli_inoperable_supply_is_one_error_line(argv, tmp_path, capsys):
      "/utf-16.json: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
     (["simulate", "--model", "{tmp}/utf-16.json"],
      "/utf-16.json: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (["calibrate", "--input", "{tmp}/vdd-1e308.csv"],
+     "the fit's weighted sums overflow (largest |margin| 1e+305 V, "),
 ])
 def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
     fit = calibrate_datasets(load_reference_dataset())
@@ -668,6 +685,8 @@ def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
             f"1,{t},ser_uSEU_per_bit_s,{s}\n1,{t},rel_stat_unc,{r}\n1,{t},v_mewlvm_mV,{mu}\n"
             for t, s, r, mu in [("SS", ser, rel, 791), ("SM", 1.2, 0.02, 850),
                                 ("LS", 1.1, 0.02, 730)]))
+    (tmp_path / "vdd-1e308.csv").write_text(
+        REFERENCE_CSV.read_text().replace("\n1,,vdd_mV,1200\n", "\n1,,vdd_mV,1e308\n"))
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     if "--out" not in argv:
         argv += ["--out", str(tmp_path / "out")]

@@ -1,6 +1,5 @@
 """End-to-end pipeline behavior beyond the acceptance gates."""
 
-import dataclasses
 import os
 import threading
 import tracemalloc
@@ -17,7 +16,7 @@ from wlvmser.pipeline import (LinearSerLaw, build_report_bundle,
 from wlvmser.protocols import (run_hold_sweep, run_read_sweep, run_ser_test,
                                run_wlvm_sweep)
 from wlvmser.radiation import AlphaSource
-from wlvmser.sram import VariationModel, sample_array, seed_sequence
+from wlvmser.sram import TypeVariation, VariationModel, sample_array, seed_sequence
 
 
 def test_linear_law_clamps_at_zero():
@@ -229,9 +228,10 @@ def test_prefetched_inoperable_block_raises_the_serial_error(helper_draws):
     """Only the LS blocks are unwritable at 1190 mV, so the first error
     comes from part 1's second block while part 2's first is drawn ahead."""
     default = VariationModel.default()
-    model = dataclasses.replace(default, types={
+    model = VariationModel({
         "SS": default.types["SS"],
-        "LS": dataclasses.replace(default.types["LS"], mu_vwlmin=1150.0)})
+        "LS": TypeVariation(**{**vars(default.types["LS"]), "mu_vwlmin": 1150.0})},
+        default.sigma_part, default.v_dd_nominal)
     expected = _serial_parts(model, 2, ("SS", "LS"), seed=3, v_dd=1190)
     assert isinstance(expected, ProtocolError)
     assert str(expected).startswith("part 1 LS: ")

@@ -24,6 +24,17 @@ def test_zero_rate_generates_nothing(ss_model):
     assert len(events) == 0
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"rate_per_bit": -1e-3}, "rate_per_bit must be >= 0"),
+    ({"rate_per_bit": math.nan}, "rate_per_bit must be >= 0"),
+    ({"geom_factor": 1.2}, r"geom_factor must lie in \[0.9, 1.1\]"),
+    ({"geom_factor": math.nan}, r"geom_factor must lie in \[0.9, 1.1\]"),
+])
+def test_alpha_source_refuses_bad_parameters(kwargs, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        AlphaSource(**kwargs)
+
+
 @pytest.mark.parametrize("rate", [0.0, 1.46, 100.0])
 def test_event_cells_are_int32_and_the_int64_draw(ss_model, rate):
     """Below 2**32 values ``Generator.integers`` draws the same cells as

@@ -73,9 +73,10 @@ def test_sample_mean_convergence_across_seeds(ss_model):
 
 
 def test_invalid_model_parameters_rejected():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError,
+                       match="^sigma_vwlmin_mV must be finite and >= 0, got -1$"):
         TypeVariation(791, -1.0, 450, 30, 650, 30)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=r"^SS: mu_vwlmin=1500 outside \(0, 1200\]$"):
         VariationModel(types={"SS": TypeVariation(1500, 44, 450, 30, 650, 30)})
     with pytest.raises(ConfigurationError, match="unknown cell type 'XX'"):
         sample_array("XX", single_type_model(name="XX"))
@@ -520,6 +521,7 @@ def test_model_json_roundtrip(tmp_path):
     path.write_text(json.dumps(payload))
     reloaded = VariationModel.from_json(path)
     assert reloaded == model
+    assert VariationModel.from_dict({**payload, "sigma_part_mV": 9.0}) != model
 
 
 def test_model_keys_left_out_take_the_field_defaults():
