@@ -15,7 +15,8 @@ from .io import (PartDataset, ReportBundle, emit_measurements_csv, emit_report,
                  ingest_measurements_csv, read_fit_json, write_fit_json)
 from .pipeline import (LinearSerLaw, build_report_bundle, calibrate_datasets,
                        simulate_parts)
-from .records import SerMeasurement, SweepResult, word_line_voltage_margin
+from .records import (SerMeasurement, SweepResult, TypeVariation, VariationModel,
+                      word_line_voltage_margin)
 from .refdata import (CELL_TYPE_ORDER, PUBLISHED_FIT, SIMULATED_VWL_MIN_MV,
                       load_reference_dataset)
 

@@ -16,7 +16,10 @@ Subcommands:
 All randomized subcommands accept ``--seed`` and are reproducible.  An
 option left out takes the library default: handlers forward only the
 options given (``_given``).  ``-1e-3`` is read as a number.  An option
-that several commands share is defined once, in a parent parser.
+that several commands share is defined once, in a parent parser, and a
+command line builds only its own subcommand's parser (``build_parser``).
+A simulating command reads and checks its model before it binds the
+simulator, so a bad ``--model`` file is refused without importing numpy.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .calibration import WEIGHT_MODES, predict_ser
 from .errors import ConfigurationError, ProtocolError
 from .pipeline import (LinearSerLaw, build_report_bundle, calibrate_datasets,
                        simulate_parts, zero_count_blocks)
+from .records import VariationModel
 from .refdata import (CELL_TYPE_ORDER, PAPER_MATCHING_WEIGHT_MODE,
                       PUBLISHED_FIT, REFERENCE_CSV, REPRO_WINDOWS,
                       SIMULATED_VWL_MIN_MV, load_reference_dataset)
@@ -48,8 +52,11 @@ def _given(args, *names) -> dict:
 
 
 def _load_model(args) -> VariationModel:
+    """The ``--model`` file, or the bundled model, read and checked before
+    the simulator's names, and numpy with them, are bound."""
+    model = VariationModel.from_json(args.model) if "model" in args else VariationModel.default()
     lazy.bind(globals())
-    return VariationModel.from_json(args.model) if "model" in args else VariationModel.default()
+    return model
 
 
 def _load_datasets(args):
@@ -265,83 +272,94 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the options several commands share, one parent parser per group:
+# group -> (flag, keyword arguments) of each option
+_SHARED_OPTIONS = {
+    "seeded": [("--model", dict(help="variation-model JSON (default: bundled)")),
+               ("--seed", dict(type=int))],
+    "supply": [("--vdd", dict(dest="v_dd", type=int, help="supply, mV"))],
+    "schedule": [("--ts", dict(type=float, help="sampling period, s")),
+                 ("--duration", dict(type=float, help="irradiation time per block, s"))],
+    "step": [("--delta-v", dict(type=int, help="sweep step, mV"))],
+    "cell": [("--cell-type", dict(default="SS", choices=list(CELL_TYPE_ORDER)))],
+    "measured": [("--input", dict(help="measurement CSV path, or 'bundled' (default)")),
+                 ("--weight-mode", dict(choices=list(WEIGHT_MODES))),
+                 ("--geom-unc", dict(dest="rel_geom_unc", type=float))],
+}
+
+# subcommand -> (handler, help, shared option groups, its own options)
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "simulate parts and measure them",
+                 ("seeded", "supply", "schedule", "step"), [
+        ("--parts", dict(dest="n_parts", type=int)),
+        ("--types", dict(dest="cell_types", type=lambda text: text.split(","),
+                         help="comma-separated cell types")),
+        ("--law-m", dict(dest="m", type=float, help="ground-truth slope, uSEU/(bit*s*V)")),
+        ("--law-b", dict(dest="b", type=float, help="ground-truth intercept, uSEU/(bit*s)")),
+        ("--geom-spread", dict(type=float,
+                               help="half-width of the per-part flux factor spread")),
+        ("--emit-logs", dict(action="store_true")),
+        ("--out", dict(default="out"))]),
+    "ser-test": (_cmd_ser_test, "one accelerated SER test",
+                 ("seeded", "supply", "schedule", "cell"), [
+        ("--rate", dict(type=float, default=1.46, help="true upset rate, uSEU/(bit*s)")),
+        ("--out", dict(help="window log CSV"))]),
+    "sweep": (_cmd_sweep, "one voltage sweep", ("seeded", "supply", "step", "cell"), [
+        ("--kind", dict(default="wlvm", choices=["wlvm", "hold", "read"])),
+        ("--part-offset", dict(type=float, help="part-level mean shift, mV")),
+        ("--out", dict(help="sweep log CSV"))]),
+    "calibrate": (_cmd_calibrate, "fit a measurement CSV", ("measured",), [
+        ("--out", dict(help="fit JSON path"))]),
+    "predict": (_cmd_predict, "predict SER from margins", (), [
+        ("--fit", dict(required=True, help="fit JSON path")),
+        ("--v-wlvm", dict(type=float, help="single margin value, volts")),
+        ("--margins", dict(help="measurement CSV with margin rows")),
+        ("--out", dict(help="directory for predictions.csv"))]),
+    "paper-repro": (_cmd_paper_repro, "reproduce the published reference regression", (), [
+        ("--weight-mode", dict(choices=list(WEIGHT_MODES), default=PAPER_MATCHING_WEIGHT_MODE,
+                               help="mode to check")),
+        ("--out", dict(help="fit JSON path"))]),
+    # --input and --geom-unc serve only a measurement file, --model and
+    # --seed only --simulate
+    "report": (_cmd_report, "emit fit + predictions + plot data", ("seeded", "measured"), [
+        ("--simulate", dict(action="store_true",
+                            help="build the report from a fresh simulation instead")),
+        ("--out", dict(default="report"))]),
+}
+
+
+def _with_options(parser: argparse.ArgumentParser, options) -> argparse.ArgumentParser:
+    for flag, kwargs in options:
+        parser.add_argument(flag, **kwargs)
+    return parser
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command line's parser, with every subcommand, or with only
+    ``command`` and the parents it takes, which parses that subcommand's
+    lines alike.  The main help and the invalid-choice error name every
+    subcommand, so ``main`` passes a name only for a line that starts
+    with one."""
     parser = _Parser(
         prog="wlvmser",
         description="Virtual SRAM test chip: estimate alpha-SER from "
                     "word-line voltage-margin measurements.")
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    # the options several commands share, one parent parser per group
-    seeded, supply, schedule, step, cell, measured = (
-        _Parser(add_help=False) for _ in range(6))
-    seeded.add_argument("--model", help="variation-model JSON (default: bundled)")
-    seeded.add_argument("--seed", type=int)
-    supply.add_argument("--vdd", dest="v_dd", type=int, help="supply, mV")
-    schedule.add_argument("--ts", type=float, help="sampling period, s")
-    schedule.add_argument("--duration", type=float, help="irradiation time per block, s")
-    step.add_argument("--delta-v", type=int, help="sweep step, mV")
-    cell.add_argument("--cell-type", default="SS", choices=list(CELL_TYPE_ORDER))
-    measured.add_argument("--input", help="measurement CSV path, or 'bundled' (default)")
-    measured.add_argument("--weight-mode", choices=list(WEIGHT_MODES))
-    measured.add_argument("--geom-unc", dest="rel_geom_unc", type=float)
-
-    p = sub.add_parser("simulate", parents=[seeded, supply, schedule, step],
-                       help="simulate parts and measure them")
-    p.add_argument("--parts", dest="n_parts", type=int)
-    p.add_argument("--types", dest="cell_types", type=lambda text: text.split(","),
-                   help="comma-separated cell types")
-    p.add_argument("--law-m", dest="m", type=float, help="ground-truth slope, uSEU/(bit*s*V)")
-    p.add_argument("--law-b", dest="b", type=float, help="ground-truth intercept, uSEU/(bit*s)")
-    p.add_argument("--geom-spread", type=float,
-                   help="half-width of the per-part flux factor spread")
-    p.add_argument("--emit-logs", action="store_true")
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("ser-test", parents=[seeded, supply, schedule, cell],
-                       help="one accelerated SER test")
-    p.add_argument("--rate", type=float, default=1.46, help="true upset rate, uSEU/(bit*s)")
-    p.add_argument("--out", help="window log CSV")
-    p.set_defaults(func=_cmd_ser_test)
-
-    p = sub.add_parser("sweep", parents=[seeded, supply, step, cell], help="one voltage sweep")
-    p.add_argument("--kind", default="wlvm", choices=["wlvm", "hold", "read"])
-    p.add_argument("--part-offset", type=float, help="part-level mean shift, mV")
-    p.add_argument("--out", help="sweep log CSV")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("calibrate", parents=[measured], help="fit a measurement CSV")
-    p.add_argument("--out", help="fit JSON path")
-    p.set_defaults(func=_cmd_calibrate)
-
-    p = sub.add_parser("predict", help="predict SER from margins")
-    p.add_argument("--fit", required=True, help="fit JSON path")
-    p.add_argument("--v-wlvm", type=float, help="single margin value, volts")
-    p.add_argument("--margins", help="measurement CSV with margin rows")
-    p.add_argument("--out", help="directory for predictions.csv")
-    p.set_defaults(func=_cmd_predict)
-
-    p = sub.add_parser("paper-repro", help="reproduce the published reference regression")
-    p.add_argument("--weight-mode", choices=list(WEIGHT_MODES), default=PAPER_MATCHING_WEIGHT_MODE,
-                   help="mode to check")
-    p.add_argument("--out", help="fit JSON path")
-    p.set_defaults(func=_cmd_paper_repro)
-
-    # --input and --geom-unc serve only a measurement file, --model and
-    # --seed only --simulate
-    p = sub.add_parser("report", parents=[seeded, measured],
-                       help="emit fit + predictions + plot data")
-    p.add_argument("--simulate", action="store_true",
-                   help="build the report from a fresh simulation instead")
-    p.add_argument("--out", default="report")
-    p.set_defaults(func=_cmd_report)
-
+    shared = {}
+    for name, (handler, help_text, groups, options) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        for group in groups:
+            if group not in shared:
+                shared[group] = _with_options(_Parser(add_help=False), _SHARED_OPTIONS[group])
+        p = sub.add_parser(name, parents=[shared[g] for g in groups], help=help_text)
+        _with_options(p, options).set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)

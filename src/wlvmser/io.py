@@ -85,12 +85,27 @@ class PartDataset:
 # measurement CSV
 # ---------------------------------------------------------------------------
 
+def _rows(path, reader):
+    """The records of the ``csv`` ``reader``; one it cannot split, such as
+    a field over ``csv``'s size limit, raises ``IngestError`` at the
+    record's first file line."""
+    while True:
+        line = reader.line_num + 1
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise IngestError(f"{path}:{line}: {exc}") from None
+
+
 def ingest_measurements_csv(path, rel_geom_unc: float = DEFAULT_GEOM_UNC) -> list[PartDataset]:
     """Parse a measurement file into per-part datasets.
 
     The file is UTF-8 and may open with a byte-order mark.  Malformed rows
     are rejected with the first file line of their record, and so is a
-    record that spans lines: no field may hold a line break.  Duplicate
+    record that spans lines, since no field may hold a line break, or
+    that holds a field over ``csv``'s limit of 131 072 characters.  Duplicate
     (part, type, quantity) keys are errors, and so is a part id that holds
     a tab or line break.  A value is read by ``float`` but must be ASCII
     and free of ``_``.  Every value must be finite and >= 0, except
@@ -111,7 +126,8 @@ def ingest_measurements_csv(path, rel_geom_unc: float = DEFAULT_GEOM_UNC) -> lis
             reader = csv.reader(fh.readlines())
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: {exc}") from None
-    header = next(reader, None)
+    rows = _rows(path, reader)
+    header = next(rows, None)
     if header is None:
         raise IngestError(f"{path}: empty file, expected header {_HEADER}")
     if [h.strip() for h in header] != _HEADER or reader.line_num > 1:
@@ -120,7 +136,7 @@ def ingest_measurements_csv(path, rel_geom_unc: float = DEFAULT_GEOM_UNC) -> lis
     # supply under ("", "vdd_mV")
     tables: dict[str, dict[tuple[str, str], tuple[float, int]]] = {}
     end = reader.line_num
-    for row in reader:
+    for row in rows:
         line, end = end + 1, reader.line_num  # the record's first and last file line
         if not row or all(not f.strip() for f in row):
             continue

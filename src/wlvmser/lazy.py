@@ -1,7 +1,8 @@
 """Late binding of the simulator's names.
 
 The simulator (``sram``, ``radiation``, ``protocols``) needs numpy; the
-commands that only ingest, fit and predict do not.  A module that uses
+commands that only ingest, fit and predict do not, nor does loading the
+variation model, which ``records`` holds.  A module that uses
 simulator names binds them on first use: through ``module_getattr`` for
 an attribute lookup from outside (PEP 562) and through ``bind`` at the
 top of the functions that simulate.  A name that is already bound is
@@ -15,8 +16,7 @@ import importlib
 
 # simulator name -> module of the package that defines it
 SIMULATOR = {
-    "MemoryArray": "sram", "TypeVariation": "sram", "VariationModel": "sram",
-    "sample_array": "sram",
+    "MemoryArray": "sram", "sample_array": "sram",
     "AlphaSource": "radiation", "EventLog": "radiation",
     "generate_events": "radiation", "undetected_fraction": "radiation",
     "run_hold_sweep": "protocols", "run_read_sweep": "protocols",

@@ -13,8 +13,8 @@ draws block k + 1 while the caller measures block k (``_sampled``).
 Every block draws from its own ``SeedSequence`` child, so the results
 are the same bit for bit whatever the CPU count.
 
-Calibration and report assembly need no numpy; the simulator's names
-(``sample_array``, ``run_*``, ``AlphaSource``, ``VariationModel``) are
+Calibration, report assembly and the variation model need no numpy; the
+simulator's names (``sample_array``, ``run_*``, ``AlphaSource``) are
 bound from ``sram``, ``radiation`` and ``protocols`` when a simulation
 starts, or when looked up on this module (see ``lazy``).
 """
@@ -30,7 +30,7 @@ from .calibration import (DEFAULT_WEIGHT_MODE, CalibrationFit, build_weighted_po
 from .errors import ConfigurationError, DegenerateFitError
 from .io import PartDataset, ReportBundle
 from .records import (DEFAULT_COLS, DEFAULT_DELTA_V_MV, DEFAULT_DURATION_S,
-                      DEFAULT_ROWS, DEFAULT_TS_S, MAX_EXPECTED_EVENTS)
+                      DEFAULT_ROWS, DEFAULT_TS_S, MAX_EXPECTED_EVENTS, VariationModel)
 from .refdata import CELL_TYPE_ORDER
 
 # bound on first use, so that calibrating and reporting need no numpy

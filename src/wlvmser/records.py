@@ -1,13 +1,18 @@
-"""Measurement records and the chip constants they default to.
+"""Measurement records, the variation model and the chip constants they
+default to.
 
 ``SerMeasurement`` and ``SweepResult`` are what the procedures produce and
 what a measurement file ingests into; the fit reads nothing else.  A
 sweep holds its supply, so ``SweepResult.margin``, V_WLVM, is read off
-the record (``word_line_voltage_margin``, the one margin rule).  Fit
-and model files are read by ``read_json``, whose numbers follow
-``json_number``.  This module imports no numpy, and its records are
-plain classes, which need no ``inspect``, so the commands that only
-ingest, fit and predict start without either.
+the record (``word_line_voltage_margin``, the one margin rule).
+``VariationModel`` and its per-type ``TypeVariation`` are the threshold
+distributions the simulator draws from, read from a model file and
+checked as they are built.  Fit and model files are read by
+``read_json``, whose numbers follow ``json_number``.  This module imports
+no numpy, and its records are plain classes, which need no ``inspect``,
+so the commands that only ingest, fit and predict start without either,
+and a simulating command reads and checks its model before it imports
+numpy.
 """
 
 from __future__ import annotations
@@ -16,6 +21,9 @@ import json
 import math
 import sys
 from typing import TYPE_CHECKING
+
+from .errors import ConfigurationError
+from .refdata import CELL_TYPE_ORDER, DATA_DIR
 
 if TYPE_CHECKING:
     import numpy as np
@@ -39,6 +47,10 @@ DEFAULT_DELTA_V_MV = 10
 # also bounds the windows of a schedule, a batch's kept window counts and
 # the rows of a sweep log.
 MAX_EXPECTED_EVENTS = 2**24
+
+# Largest nominal supply: a block's supply, up to twice the nominal, plus
+# one sweep step of at most that supply stays within int64 (about 9.2e18).
+_MAX_VDD_NOMINAL_MV = 10**18
 
 
 class SerMeasurement:
@@ -140,13 +152,14 @@ def json_number(key: str, value) -> float:
 def read_json(path, parse, error):
     """``parse`` of the JSON in the UTF-8 file ``path``.  A key it misses
     raises ``error`` as ``path: missing key 'k'``, and a malformed file or
-    value (``AttributeError``, ``TypeError``, ``ValueError``) as ``path: …``."""
+    value (``AttributeError``, ``TypeError``, ``ValueError``, or a
+    ``RecursionError`` from nesting too deep to decode) as ``path: …``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return parse(json.load(fh))
         except KeyError as exc:
             raise error(f"{path}: missing key {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, RecursionError) as exc:
             raise error(f"{path}: {exc}") from None
 
 
@@ -159,3 +172,107 @@ def word_line_voltage_margin(v_dd, v_mewlvm):
     if not 0 <= v_mewlvm <= v_dd:
         raise ValueError(f"v_mewlvm={v_mewlvm} outside [0, {v_dd}]")
     return v_dd - v_mewlvm
+
+
+def _check_sigma(key: str, sigma: float):
+    if not 0 <= sigma < math.inf:  # also rejects nan
+        raise ConfigurationError(f"{key} must be finite and >= 0, got {sigma:g}")
+
+
+# the parameters of ``TypeVariation`` in declaration order, each keyed by
+# its name plus ``_mV`` in a model file
+_TYPE_PARAMETERS = ("mu_vwlmin", "sigma_vwlmin", "mu_hold", "sigma_hold", "mu_read",
+                    "sigma_read")
+
+
+class TypeVariation:
+    """Threshold distribution parameters for one cell type (all in mV).
+    Two are equal when every parameter is."""
+
+    def __init__(self, mu_vwlmin: float, sigma_vwlmin: float, mu_hold: float,
+                 sigma_hold: float, mu_read: float, sigma_read: float):
+        self.mu_vwlmin = mu_vwlmin
+        self.sigma_vwlmin = sigma_vwlmin
+        self.mu_hold = mu_hold
+        self.sigma_hold = sigma_hold
+        self.mu_read = mu_read
+        self.sigma_read = sigma_read
+        for label in ("vwlmin", "hold", "read"):
+            _check_sigma(f"sigma_{label}_mV", getattr(self, f"sigma_{label}"))
+
+    def __eq__(self, other):
+        return type(other) is TypeVariation and vars(other) == vars(self)
+
+
+class VariationModel:
+    """Per-type threshold distributions plus the part-level common offset.
+
+    ``sigma_part`` is the standard deviation of a Gaussian offset added to
+    every mean of one part: the distributions of a die shift together while
+    their spreads stay put.  Two models are equal when their parameters are.
+    """
+
+    def __init__(self, types: dict[str, TypeVariation], sigma_part: float = 8.0,
+                 v_dd_nominal: int = DEFAULT_VDD_MV):
+        self.types = types
+        self.sigma_part = json_number("sigma_part_mV", sigma_part)
+        _check_sigma("sigma_part_mV", self.sigma_part)
+        if not (type(v := v_dd_nominal) in (int, float) and v > 0 and v % 1 == 0):
+            raise ConfigurationError(
+                f"v_dd_nominal_mV must be a positive whole number of mV, got {v!r}")
+        if v > _MAX_VDD_NOMINAL_MV:
+            raise ConfigurationError(
+                f"v_dd_nominal_mV must be at most {_MAX_VDD_NOMINAL_MV:.0e} mV, "
+                f"got {json_number('v_dd_nominal_mV', v):g}")
+        self.v_dd_nominal = int(v)
+        for name, tv in self.types.items():
+            if name not in CELL_TYPE_ORDER:
+                raise ConfigurationError(
+                    f"unknown cell type {name!r}; known: {', '.join(CELL_TYPE_ORDER)}")
+            for label in ("vwlmin", "hold", "read"):
+                mu = getattr(tv, f"mu_{label}")
+                if not 0 < mu <= self.v_dd_nominal:
+                    raise ConfigurationError(
+                        f"{name}: mu_{label}={mu} outside (0, {self.v_dd_nominal}]"
+                    )
+
+    def __eq__(self, other):
+        return type(other) is VariationModel and vars(other) == vars(self)
+
+    def supply(self, v_dd=None):
+        """``v_dd``, or the nominal supply when it is None; a supply that is
+        not a whole number of mV within (0, twice the nominal] raises
+        ``ConfigurationError``."""
+        v_dd = self.v_dd_nominal if v_dd is None else v_dd
+        if not (0 < v_dd <= 2 * self.v_dd_nominal and v_dd == int(v_dd)):
+            raise ConfigurationError(
+                f"--vdd (v_dd) must be a whole number of mV within "
+                f"(0, {2 * self.v_dd_nominal}], got {v_dd}")
+        return v_dd
+
+    def for_type(self, name: str) -> TypeVariation:
+        try:
+            return self.types[name]
+        except KeyError:
+            raise ConfigurationError(f"no variation parameters for cell type {name!r}")
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "VariationModel":
+        """Model of a parsed model file; each number (``json_number``) is keyed
+        by its parameter's name plus ``_mV``, and a key left out takes the default."""
+        types = {name: TypeVariation(*[json_number(f"{key}_mV", p[f"{key}_mV"])
+                                       for key in _TYPE_PARAMETERS])
+                 for name, p in raw["cell_types"].items()}
+        return cls(types=types, **{f: raw[f"{f}_mV"] for f in ("sigma_part", "v_dd_nominal")
+                                   if f"{f}_mV" in raw})
+
+    @classmethod
+    def from_json(cls, path) -> "VariationModel":
+        """Load a model file; a malformed one raises ``ConfigurationError``
+        naming the file."""
+        return read_json(path, cls.from_dict, ConfigurationError)
+
+    @classmethod
+    def default(cls) -> "VariationModel":
+        """Bundled model transcribed from the reference measurements."""
+        return cls.from_json(DATA_DIR / "variation_model.json")

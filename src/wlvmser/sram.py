@@ -11,7 +11,9 @@ The stored bits themselves are not modeled: no output depends on them.
 
 Thresholds are drawn per cell from Gaussian distributions whose means and
 spreads depend on the cell type; a common per-part offset shifts all
-means of one die together.  Out-of-range draws are rejected and redrawn
+means of one die together.  Those parameters are a ``VariationModel``,
+a record that ``records`` reads from a model file without numpy; this
+module names it too, as ``sram.VariationModel``.  Out-of-range draws are rejected and redrawn
 rather than clamped so the threshold histograms carry no boundary spikes.
 Each draw is numpy's ``standard_normal`` fill scaled and shifted in
 place, which gives the doubles of ``Generator.normal`` for less work,
@@ -34,20 +36,17 @@ import ctypes
 import functools
 import math
 import sys
-from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .records import (DEFAULT_COLS, DEFAULT_ROWS, DEFAULT_VDD_MV, json_number,
-                      read_json)
+# the model classes live in ``records`` and stay names of this module too
+from .records import (DEFAULT_COLS, DEFAULT_ROWS, DEFAULT_VDD_MV,  # noqa: F401
+                      TypeVariation, VariationModel)
 from .refdata import CELL_TYPE_ORDER
 
 _MAX_REDRAWS = 1000
-# Largest nominal supply: a block's supply, up to twice the nominal, plus
-# one sweep step of at most that supply stays within int64 (about 9.2e18).
-_MAX_VDD_NOMINAL_MV = 10**18
 
 
 # glibc raises its mmap and trim thresholds as large blocks are freed, so
@@ -63,111 +62,6 @@ if sys.platform.startswith("linux") and hasattr(_libc := ctypes.CDLL(None), "mal
     _libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
     _libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
     _libc.mallopt(-8, 1)  # M_ARENA_MAX
-
-
-def _check_sigma(key: str, sigma: float):
-    if not 0 <= sigma < math.inf:  # also rejects nan
-        raise ConfigurationError(f"{key} must be finite and >= 0, got {sigma:g}")
-
-
-# the parameters of ``TypeVariation`` in declaration order, each keyed by
-# its name plus ``_mV`` in a model file
-_TYPE_PARAMETERS = ("mu_vwlmin", "sigma_vwlmin", "mu_hold", "sigma_hold", "mu_read",
-                    "sigma_read")
-
-
-class TypeVariation:
-    """Threshold distribution parameters for one cell type (all in mV).
-    Two are equal when every parameter is."""
-
-    def __init__(self, mu_vwlmin: float, sigma_vwlmin: float, mu_hold: float,
-                 sigma_hold: float, mu_read: float, sigma_read: float):
-        self.mu_vwlmin = mu_vwlmin
-        self.sigma_vwlmin = sigma_vwlmin
-        self.mu_hold = mu_hold
-        self.sigma_hold = sigma_hold
-        self.mu_read = mu_read
-        self.sigma_read = sigma_read
-        for label in ("vwlmin", "hold", "read"):
-            _check_sigma(f"sigma_{label}_mV", getattr(self, f"sigma_{label}"))
-
-    def __eq__(self, other):
-        return type(other) is TypeVariation and vars(other) == vars(self)
-
-
-class VariationModel:
-    """Per-type threshold distributions plus the part-level common offset.
-
-    ``sigma_part`` is the standard deviation of a Gaussian offset added to
-    every mean of one part: the distributions of a die shift together while
-    their spreads stay put.  Two models are equal when their parameters are.
-    """
-
-    def __init__(self, types: dict[str, TypeVariation], sigma_part: float = 8.0,
-                 v_dd_nominal: int = DEFAULT_VDD_MV):
-        self.types = types
-        self.sigma_part = json_number("sigma_part_mV", sigma_part)
-        _check_sigma("sigma_part_mV", self.sigma_part)
-        if not (type(v := v_dd_nominal) in (int, float) and v > 0 and v % 1 == 0):
-            raise ConfigurationError(
-                f"v_dd_nominal_mV must be a positive whole number of mV, got {v!r}")
-        if v > _MAX_VDD_NOMINAL_MV:
-            raise ConfigurationError(
-                f"v_dd_nominal_mV must be at most {_MAX_VDD_NOMINAL_MV:.0e} mV, "
-                f"got {json_number('v_dd_nominal_mV', v):g}")
-        self.v_dd_nominal = int(v)
-        for name, tv in self.types.items():
-            if name not in CELL_TYPE_ORDER:
-                raise ConfigurationError(
-                    f"unknown cell type {name!r}; known: {', '.join(CELL_TYPE_ORDER)}")
-            for label in ("vwlmin", "hold", "read"):
-                mu = getattr(tv, f"mu_{label}")
-                if not 0 < mu <= self.v_dd_nominal:
-                    raise ConfigurationError(
-                        f"{name}: mu_{label}={mu} outside (0, {self.v_dd_nominal}]"
-                    )
-
-    def __eq__(self, other):
-        return type(other) is VariationModel and vars(other) == vars(self)
-
-    def supply(self, v_dd=None):
-        """``v_dd``, or the nominal supply when it is None; a supply that is
-        not a whole number of mV within (0, twice the nominal] raises
-        ``ConfigurationError``."""
-        v_dd = self.v_dd_nominal if v_dd is None else v_dd
-        if not (0 < v_dd <= 2 * self.v_dd_nominal and v_dd == int(v_dd)):
-            raise ConfigurationError(
-                f"--vdd (v_dd) must be a whole number of mV within "
-                f"(0, {2 * self.v_dd_nominal}], got {v_dd}")
-        return v_dd
-
-    def for_type(self, name: str) -> TypeVariation:
-        try:
-            return self.types[name]
-        except KeyError:
-            raise ConfigurationError(f"no variation parameters for cell type {name!r}")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "VariationModel":
-        """Model of a parsed model file; each number (``json_number``) is keyed
-        by its parameter's name plus ``_mV``, and a key left out takes the default."""
-        types = {name: TypeVariation(*[json_number(f"{key}_mV", p[f"{key}_mV"])
-                                       for key in _TYPE_PARAMETERS])
-                 for name, p in raw["cell_types"].items()}
-        return cls(types=types, **{f: raw[f"{f}_mV"] for f in ("sigma_part", "v_dd_nominal")
-                                   if f"{f}_mV" in raw})
-
-    @classmethod
-    def from_json(cls, path) -> "VariationModel":
-        """Load a model file; a malformed one raises ``ConfigurationError``
-        naming the file."""
-        return read_json(path, cls.from_dict, ConfigurationError)
-
-    @classmethod
-    def default(cls) -> "VariationModel":
-        """Bundled model transcribed from the reference measurements."""
-        bundled = Path(__file__).parent / "data" / "variation_model.json"
-        return cls.from_json(bundled)
 
 
 class MemoryArray:

@@ -1,5 +1,6 @@
 """Measurement file ingestion, report emission, and the CLI surface."""
 
+import argparse
 import json
 import math
 import os
@@ -482,6 +483,94 @@ def test_cli_shared_seed_keeps_each_commands_default(capsys):
     assert capsys.readouterr().out == left_out
 
 
+MAIN_HELP = """\
+usage: wlvmser [-h] command ...
+
+Virtual SRAM test chip: estimate alpha-SER from word-line voltage-margin
+measurements.
+
+positional arguments:
+  command
+    simulate   simulate parts and measure them
+    ser-test   one accelerated SER test
+    sweep      one voltage sweep
+    calibrate  fit a measurement CSV
+    predict    predict SER from margins
+    paper-repro
+               reproduce the published reference regression
+    report     emit fit + predictions + plot data
+
+options:
+  -h, --help   show this help message and exit
+"""
+
+SIMULATE_HELP = """\
+usage: wlvmser simulate [-h] [--model MODEL] [--seed SEED] [--vdd V_DD]
+                        [--ts TS] [--duration DURATION] [--delta-v DELTA_V]
+                        [--parts N_PARTS] [--types CELL_TYPES] [--law-m M]
+                        [--law-b B] [--geom-spread GEOM_SPREAD] [--emit-logs]
+                        [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --model MODEL         variation-model JSON (default: bundled)
+  --seed SEED
+  --vdd V_DD            supply, mV
+  --ts TS               sampling period, s
+  --duration DURATION   irradiation time per block, s
+  --delta-v DELTA_V     sweep step, mV
+  --parts N_PARTS
+  --types CELL_TYPES    comma-separated cell types
+  --law-m M             ground-truth slope, uSEU/(bit*s*V)
+  --law-b B             ground-truth intercept, uSEU/(bit*s)
+  --geom-spread GEOM_SPREAD
+                        half-width of the per-part flux factor spread
+  --emit-logs
+  --out OUT
+"""
+
+INVALID_CHOICE = """\
+usage: wlvmser [-h] command ...
+wlvmser: error: argument command: invalid choice: 'bogus' (choose from 'simulate', \
+'ser-test', 'sweep', 'calibrate', 'predict', 'paper-repro', 'report')
+"""
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["-h"], 0, MAIN_HELP, ""),
+    (["simulate", "-h"], 0, SIMULATE_HELP, ""),
+    (["bogus"], 2, "", INVALID_CHOICE),
+    ([], 2, "", "usage: wlvmser [-h] command ...\n"),
+], ids=["help", "simulate-help", "invalid-choice", "no-command"])
+def test_cli_parser_text(argv, code, out, err, capsys, monkeypatch):
+    """The help and usage text, whichever subcommands the parser holds."""
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert (got, *capsys.readouterr()) == (code, out, err)
+
+
+def test_cli_builds_only_the_subcommand_that_runs(monkeypatch, capsys):
+    """A line that starts with a subcommand builds that one alone; any other
+    line builds them all, since its help or error names them all."""
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: built.append(command) or build_parser(command))
+    for argv in (["paper-repro"], [], ["--", "paper-repro"], ["bogus"]):
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+    capsys.readouterr()
+    assert built == ["paper-repro", None, None, None]
+    subcommands, = (action for action in build_parser("sweep")._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert list(subcommands.choices) == ["sweep"]
+
+
 def test_cli_sweep_of_a_supply_far_above_its_cells(tmp_path, capsys):
     """A supply of 10**12 mV and thresholds spread over about 10**12 mV
     are swept per cell: nothing is sized by a voltage."""
@@ -640,6 +729,16 @@ def test_cli_inoperable_supply_is_one_error_line(argv, tmp_path, capsys):
      "/utf-16.json: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
     (["calibrate", "--input", "{tmp}/vdd-1e308.csv"],
      "the fit's weighted sums overflow (largest |margin| 1e+305 V, "),
+    (["predict", "--fit", "{tmp}/deep.json", "--v-wlvm", "0.4"],
+     "/deep.json: maximum recursion depth exceeded while decoding a JSON array"),
+    (["sweep", "--model", "{tmp}/deep.json"],
+     "/deep.json: maximum recursion depth exceeded while decoding a JSON array"),
+    (["calibrate", "--input", "{tmp}/long-field.csv"],
+     "/long-field.csv:3: field larger than field limit (131072)"),
+    (["report", "--input", "{tmp}/long-field.csv"],
+     "/long-field.csv:3: field larger than field limit (131072)"),
+    (["predict", "--fit", "{tmp}/fit.json", "--margins", "{tmp}/long-field.csv"],
+     "/long-field.csv:3: field larger than field limit (131072)"),
 ])
 def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
     fit = calibrate_datasets(load_reference_dataset())
@@ -687,6 +786,9 @@ def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
                                 ("LS", 1.1, 0.02, 730)]))
     (tmp_path / "vdd-1e308.csv").write_text(
         REFERENCE_CSV.read_text().replace("\n1,,vdd_mV,1200\n", "\n1,,vdd_mV,1e308\n"))
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    (tmp_path / "long-field.csv").write_text(
+        HEADER + "1,SS,v_mewlvm_mV,800\n1,SS,ser_uSEU_per_bit_s,1" + "0" * 131_072 + "\n")
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     if "--out" not in argv:
         argv += ["--out", str(tmp_path / "out")]

@@ -1,4 +1,5 @@
-"""The commands that ingest, fit and predict start without numpy.
+"""The commands that ingest, fit and predict start without numpy, and so
+does loading a variation model.
 
 numpy's import is most of a cold command's time, and these commands need
 no array.  Nor do they import ``dataclasses``, whose import pulls in
@@ -8,9 +9,12 @@ these modules ended up in ``sys.modules``.  The simulator's names, bound
 late for this, must keep a wrapper set on them before their first use.
 The simulating commands import numpy, and numpy ``inspect``, but not
 ``dataclasses``; at the default block size they draw in line and never
-import ``concurrent.futures``, which only large blocks need.
+import ``concurrent.futures``, which only large blocks need.  They read
+and check their model first, so a bad model file is refused before numpy
+is imported.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -58,13 +62,34 @@ print(*calls)
 """
 
 
-def run_child(code, argv, cwd) -> str:
+# loads the bundled model and the file it is given, which must be equal
+MODEL_CHILD = """\
+import sys
+import wlvmser
+assert wlvmser.VariationModel.default() == wlvmser.VariationModel.from_json(sys.argv[1])
+print("numpy" in sys.modules)
+"""
+
+# runs a command that must fail, and reports its exit code and whether
+# numpy was imported
+FAILING_CHILD = """\
+import sys
+from wlvmser import cli
+print(cli.main(sys.argv[1:]), "numpy" in sys.modules)
+"""
+
+
+def child(code, argv, cwd) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]
+    return proc
+
+
+def run_child(code, argv, cwd) -> str:
+    return child(code, argv, cwd).stdout.splitlines()[-1]
 
 
 def imported(argv, cwd) -> tuple[bool, bool, bool, bool]:
@@ -84,6 +109,22 @@ def imported(argv, cwd) -> tuple[bool, bool, bool, bool]:
 def test_fit_commands_do_not_import_numpy(argv, tmp_path):
     write_fit_json(calibrate_datasets(load_reference_dataset()), tmp_path / "fit.json")
     assert imported(argv, tmp_path) == (False, False, False, False)
+
+
+def test_loading_a_model_does_not_import_numpy(tmp_path):
+    bundled = Path(wlvmser.__file__).parent / "data" / "variation_model.json"
+    (tmp_path / "model.json").write_bytes(bundled.read_bytes())
+    assert run_child(MODEL_CHILD, ["model.json"], tmp_path) == "False"
+
+
+def test_a_bad_model_is_refused_before_numpy(tmp_path):
+    bundled = Path(wlvmser.__file__).parent / "data" / "variation_model.json"
+    payload = json.loads(bundled.read_text())
+    (tmp_path / "bad.json").write_text(json.dumps({**payload, "sigma_part_mV": -1}))
+    proc = child(FAILING_CHILD, ["simulate", "--model", "bad.json"], tmp_path)
+    assert proc.stdout.splitlines() == ["1 False"]
+    assert proc.stderr.splitlines() == [
+        "error: bad.json: sigma_part_mV must be finite and >= 0, got -1"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 """Cell/array model: sampling statistics, voltage semantics, determinism."""
 
+import json
 import math
 import os
 import re
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import manual_array, single_type_model
 from wlvmser import sram
@@ -18,8 +21,9 @@ from wlvmser.pipeline import simulate_parts, simulate_supply_sweeps
 from wlvmser.protocols import (run_hold_sweep, run_read_sweep, run_ser_test,
                                run_wlvm_sweep)
 from wlvmser.radiation import AlphaSource
-from wlvmser.refdata import CELL_TYPE_ORDER
-from wlvmser.sram import TypeVariation, VariationModel, sample_array
+from wlvmser.records import TypeVariation, VariationModel
+from wlvmser.refdata import CELL_TYPE_ORDER, DATA_DIR
+from wlvmser.sram import sample_array
 
 SRC = str(Path(sram.__file__).resolve().parents[1])
 
@@ -506,7 +510,6 @@ def test_default_model_covers_all_types():
 def test_model_json_roundtrip(tmp_path):
     model = VariationModel.default()
     path = tmp_path / "model.json"
-    import json
     payload = {
         "v_dd_nominal_mV": model.v_dd_nominal,
         "sigma_part_mV": model.sigma_part,
@@ -541,6 +544,47 @@ def test_model_file_with_an_infinite_nominal_supply_is_refused(tmp_path):
     with pytest.raises(ConfigurationError, match="model.json: v_dd_nominal_mV must be "
                                                  "a positive whole number of mV, got inf"):
         VariationModel.from_json(path)
+
+
+def test_the_simulator_names_the_model_classes():
+    """``sram`` names the model classes of ``records``, its callers' way to
+    build what ``sample_array`` takes."""
+    assert (sram.VariationModel, sram.TypeVariation) == (VariationModel, TypeVariation)
+
+
+BUNDLED_MODEL = json.loads((DATA_DIR / "variation_model.json").read_text())
+# each key of the bundled model file, as its path of keys
+MODEL_KEYS = [(key,) for key in BUNDLED_MODEL] + [
+    ("cell_types", name, *param) for name, params in BUNDLED_MODEL["cell_types"].items()
+    for param in [(), *((key,) for key in params)]]
+ODD_VALUES = [math.nan, math.inf, -math.inf, 1e308, 10**30, -1, 0, 0.5, "791", None,
+              True, False, [791], {"mu_vwlmin_mV": 791}]
+
+
+@settings(derandomize=True, max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.dictionaries(st.sampled_from(MODEL_KEYS), st.sampled_from(ODD_VALUES),
+                       min_size=1, max_size=3))
+def test_model_file_loads_or_is_one_configuration_error(tmp_path, edits):
+    """A model file with odd values at some of its keys loads into a model
+    of finite parameters or raises one ``ConfigurationError`` line naming
+    the file; no other exception escapes."""
+    payload = json.loads(json.dumps(BUNDLED_MODEL))
+    for keys in sorted(edits, key=len, reverse=True):  # a key before its parent
+        node = payload
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = edits[keys]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    try:
+        model = VariationModel.from_json(path)
+    except ConfigurationError as exc:
+        message = str(exc)
+        assert message.startswith(f"{path}: ") and "\n" not in message
+        return
+    assert math.isfinite(model.sigma_part) and model.v_dd_nominal > 0
+    assert all(math.isfinite(value) for tv in model.types.values() for value in vars(tv).values())
 
 
 # --- heap reuse ----------------------------------------------------------------
