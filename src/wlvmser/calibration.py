@@ -92,9 +92,10 @@ class CalibrationFit:
     def from_dict(cls, raw: dict) -> "CalibrationFit":
         """Fit of a parsed fit file, the attribute dict ``write_fit_json``
         dumps.  Each figure must be a number of its attribute's type (not a
-        bool or string), finite, the sigmas >= 0; ``chi2_red`` may be NaN
-        where ``nu`` is 0, as for two points.  A bad figure raises
-        ``ValueError`` naming its key."""
+        bool or string) and finite, the sigmas >= 0 and of a finite square,
+        which ``predict_ser`` takes; ``chi2_red`` may be NaN where ``nu`` is
+        0, as for two points.  A bad figure raises ``ValueError`` naming its
+        key."""
         values = {}
         for name in _FIT_FIGURES:
             values[name] = value = raw[name]
@@ -109,6 +110,8 @@ class CalibrationFit:
                 raise ValueError(f"{name} must be finite, got {value!r}")
             elif name in ("sigma_m", "sigma_b") and number < 0:
                 raise ValueError(f"{name} must be >= 0, got {value!r}")
+            elif name in ("sigma_m", "sigma_b") and number * number == math.inf:
+                raise ValueError(f"{name} must have a finite square, got {value!r}")
         return cls(**values, weight_mode=raw.get("weight_mode"))
 
 

@@ -18,11 +18,12 @@ rows come from ``prediction_rows``, which ``predict --margins`` uses too.
 Serialization is deterministic so reruns over identical inputs are
 byte-identical.  Both emitters raise ``ValueError`` on datasets that
 repeat a part id.  The JSON and TSV files are formatted into one string
-and written whole by ``_write_text``; the CSV files (measurements,
-predictions and the protocol logs) are streamed row by row into the
-open file by ``_write_csv``, so a log's text is never held whole.  Both
-replace an existing file's contents, so a rerun into the same directory
-leaves the same bytes as a fresh one.
+and written whole by ``_write_text``, encoded once and written as bytes;
+the CSV files (measurements, predictions and the protocol logs) are
+streamed row by row into the open text file by ``_write_csv``, so a
+log's text is never held whole.  Both truncate an existing file as they
+open it, so a rerun into the same directory leaves the same bytes as a
+fresh one.
 
 Ingested rows become the summary records of ``records``; this module
 imports neither the simulator, numpy nor ``inspect``.
@@ -218,10 +219,14 @@ def _fmt(value: float) -> str:
 
 
 def _write_text(path, text: str) -> Path:
-    """Write ``text``, one whole file built in memory, to ``path`` as UTF-8."""
+    """Write ``text``, one whole file built in memory, to ``path`` as UTF-8.
+
+    The text is encoded once and written through a binary file, which
+    truncates an existing file as text mode does: the same bytes, without
+    a text wrapper per file."""
     path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    with open(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
     return path
 
 

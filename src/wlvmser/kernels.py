@@ -3,16 +3,21 @@
 The hot paths are small operations over cell arrays: counting observed
 per-window bit flips (a sort of per-event keys, then each window's hits
 minus twice its pairs of repeated hits: one ``reduceat`` sum of the
-repeats per window, less a correction for the rare runs of three or more
-hits), reducing a voltage sweep to its failure histogram and threshold
-mean and spread (a closed form evaluated once per distinct threshold;
-the mean exact from the per-threshold counts, one per-cell gather for
-the spread) and Monte-Carlo sampling of masked upsets.
-``window_observed_flips`` and ``sweep_registration`` are deterministic
-and refuse indices, thresholds, start voltages or steps that are not
-integers; the flip count adds the event cells in its key's dtype, so the
-``int32`` cells that ``generate_events`` draws for blocks of up to
-``2**31`` cells are never widened.  ``masked_upsets_mc`` is deterministic for a fixed seed.
+repeats over the window offsets, less a correction for the rare runs of
+three or more hits), reducing a voltage sweep to its failure histogram
+and threshold mean and spread (a closed form evaluated once per distinct
+threshold, its level table built in place; the mean exact from the
+per-threshold counts, one per-cell gather for the spread) and
+Monte-Carlo sampling of masked upsets.  ``observed_flips`` counts from
+each window's offset among the events, as the SER test finds them;
+``window_observed_flips`` takes each event's window index, checks the
+indices and counts through the same offsets.  ``window_observed_flips``
+and ``sweep_registration`` are deterministic and refuse indices,
+thresholds, start voltages or steps that are not integers; the flip count
+refuses a cell out of range and adds the event cells in its key's dtype,
+so the ``int32`` cells that ``generate_events`` draws for blocks of up to
+``2**31`` cells are never widened.  ``masked_upsets_mc`` is deterministic
+for a fixed seed.
 """
 
 from __future__ import annotations
@@ -39,17 +44,8 @@ def window_observed_flips(windows, cells, n_windows, n_cells):
     whose read-back changed in window ``i`` and ``hits[i]`` the number of
     events in it; ``hits - counts`` is the even number of upsets masked.
 
-    Each event becomes the key ``window * n_cells + cell``, as ``int32``
-    when every key fits and ``int64`` otherwise, and the keys are sorted in
-    place.  The cells are added in the key's dtype, so ``int32`` cells (as
-    ``generate_events`` draws them) take a one-dtype loop and no copy.  A
-    cell hit ``L`` times within one window forms a run of ``L`` equal keys
-    and reads back changed iff ``L`` is odd, so ``L // 2`` pairs of hits go
-    unseen.  Sorting keeps each window's events at the positions
-    they had, so one ``np.add.reduceat`` of the repeat flags over the
-    window starts gives each window's ``sum(L - 1)``; the pairs are that
-    less ``sum((L - 1) // 2)``, which only the rare runs of three or more
-    keys add to, found among the positions that repeat twice in a row.
+    The window indices are checked and turned into each window's offset,
+    one binary search per window, and ``observed_flips`` counts from those.
     """
     windows, cells = np.asarray(windows), np.asarray(cells)
     for name, values in (("windows", windows), ("cells", cells)):
@@ -64,13 +60,37 @@ def window_observed_flips(windows, cells, n_windows, n_cells):
         raise ValueError("window index out of range")
     if (windows[1:] < windows[:-1]).any():
         raise ValueError("windows must be sorted")
-    if cells.min() < 0 or cells.max() >= n_cells:
+    return observed_flips(np.searchsorted(windows, np.arange(n_windows + 1)), cells, n_cells)
+
+
+def observed_flips(offsets, cells, n_cells):
+    """``(counts, hits)`` of ``window_observed_flips`` for events sorted by
+    window, window ``i`` holding events ``offsets[i]`` to ``offsets[i + 1]``.
+
+    ``offsets`` is a non-decreasing ``int64`` array from 0 to ``cells.size``,
+    one entry more than there are windows, and ``cells`` an integer array;
+    a cell outside ``[0, n_cells)`` raises ``ValueError``.
+
+    Each event becomes the key ``window * n_cells + cell``, as ``int32``
+    when every key fits and ``int64`` otherwise: each window's base
+    repeated over its events, plus the cells, added in the key's dtype, so
+    ``int32`` cells (as ``generate_events`` draws them) take a one-dtype
+    loop and no copy.  The keys are sorted in place.  A cell hit ``L``
+    times within one window forms a run of ``L`` equal keys and reads back
+    changed iff ``L`` is odd, so ``L // 2`` pairs of hits go unseen.
+    Sorting keeps each window's events at the offsets they had, so one
+    ``np.add.reduceat`` of the repeat flags over the offsets gives each
+    window's ``sum(L - 1)``; the pairs are that less ``sum((L - 1) // 2)``,
+    which only the rare runs of three or more keys add to, found among the
+    positions that repeat twice in a row.
+    """
+    hits = offsets[1:] - offsets[:-1]
+    if cells.size and (cells.min() < 0 or cells.max() >= n_cells):
         raise ValueError("cell index out of range")
-    key = windows.astype(np.int32 if n_windows * n_cells < 2**31 else np.int64)
-    starts = np.searchsorted(key, np.arange(n_windows + 1, dtype=key.dtype))
-    hits = starts[1:] - starts[:-1]
-    key *= n_cells
-    np.add(key, cells, out=key, dtype=key.dtype)
+    n_windows = hits.size
+    dtype = np.int32 if n_windows * n_cells < 2**31 else np.int64
+    key = np.repeat(np.arange(0, n_windows * n_cells, n_cells, dtype=dtype), hits)
+    np.add(key, cells, out=key, dtype=dtype)
     key.sort()
     # repeat[j]: event j has the key of event j - 1; False at both ends, so
     # an empty window's reduceat term, repeat at the next window's start, is
@@ -79,17 +99,18 @@ def window_observed_flips(windows, cells, n_windows, n_cells):
     repeat = np.empty(key.size + 1, dtype=bool)
     repeat[0] = repeat[-1] = False
     np.equal(key[1:], key[:-1], out=repeat[1:-1])
-    pairs = np.add.reduceat(repeat, starts[:-1],
+    pairs = np.add.reduceat(repeat, offsets[:-1],
                             dtype=np.int32 if key.size < 2**31 else np.int64)
     # a run of L >= 3 keys repeats twice in a row at L - 2 consecutive
     # positions; runs are at least three positions apart
-    twice = np.flatnonzero(repeat[1:-2] & repeat[2:-1])
+    twice = (repeat[1:-2] & repeat[2:-1]).nonzero()[0]
     if twice.size:
         edge = np.empty(twice.size + 1, dtype=bool)
         edge[0] = edge[-1] = True
         np.not_equal(twice[1:], twice[:-1] + 1, out=edge[1:-1])
         heads = np.flatnonzero(edge)  # first position of each run, then twice.size
-        np.subtract.at(pairs, windows[twice[heads[:-1]]], (np.diff(heads) + 1) // 2)
+        np.subtract.at(pairs, key[twice[heads[:-1]]] // n_cells,
+                       (np.diff(heads) + 1) // 2)
     counts = hits - 2 * pairs
     return counts, hits
 
@@ -157,11 +178,19 @@ def sweep_registration(thresholds, v_start, delta_v):
         if counts[0]:
             raise ConfigurationError(_NOT_POSITIVE)
         values, index = np.arange(counts.size, dtype=np.int64), thresholds
-    steps = np.maximum((v_start - values) // delta_v + 1, 1)
-    levels = np.maximum(v_start - delta_v * steps, 0)
-    seen = np.flatnonzero(counts)
+    # levels = max(v_start - delta_v * k, 0) with k - 1 = max((v_start - t) // delta_v, 0)
+    levels = v_start - values
+    levels //= delta_v
+    np.maximum(levels, 0, out=levels)
+    levels *= -delta_v
+    levels += v_start - delta_v
+    np.maximum(levels, 0, out=levels)
+    seen = counts.nonzero()[0]
     seen_levels = levels[seen]
-    starts = np.flatnonzero(np.diff(seen_levels, prepend=-1))
+    change = np.empty(seen_levels.size, dtype=bool)
+    change[0] = True
+    np.not_equal(seen_levels[1:], seen_levels[:-1], out=change[1:])
+    starts = change.nonzero()[0]
     histogram = dict(zip(seen_levels[starts].tolist(),
                          np.add.reduceat(counts[seen], starts).tolist()))
     mid = levels + delta_v / 2.0
@@ -173,7 +202,9 @@ def sweep_registration(thresholds, v_start, delta_v):
         mu = float(mid.take(index, mode="clip").mean())
     sigma = 0.0
     if n > 1:
-        sigma = math.sqrt(float(((mid - mu) ** 2).take(index, mode="clip").sum()) / (n - 1))
+        mid -= mu
+        mid *= mid
+        sigma = math.sqrt(float(mid.take(index, mode="clip").sum()) / (n - 1))
     return histogram, mu, sigma
 
 

@@ -28,9 +28,11 @@ windows, is checked by ``schedule_windows``, and a sweep's step (a whole
 number of mV) and its histogram's bin bound by ``sweep_bins``, before a
 sweep reads its thresholds; ``simulate_parts`` calls both before it draws
 a part.  An event at time ``t`` falls in window
-``min(int(t / ts), n_windows - 1)``.  The test bins the sorted event
-times by one binary search per window, against the exact first double of
-each window (searched once per schedule and cached), not by a division
+``min(int(t / ts), n_windows - 1)``.  The test finds each window's first
+event among the sorted event times by one binary search per window,
+against the exact first double of each window (searched once per
+schedule and cached), not by a division per event, and counts the flips
+from those offsets (``kernels.observed_flips``) without a window index
 per event; the counts are the same bit for bit.
 
 The records the procedures return, ``SerMeasurement`` and
@@ -106,9 +108,11 @@ def _window_starts(ts: float, n_windows: int) -> np.ndarray:
     return starts
 
 
-def _event_windows(times: np.ndarray, ts: float, n_windows: int) -> np.ndarray:
-    """``min(int(t / ts), n_windows - 1)`` for each of the sorted event
-    times ``t >= 0``, as ``int32``; unsorted times raise ``ValueError``.
+def _window_offsets(times: np.ndarray, ts: float, n_windows: int) -> np.ndarray:
+    """Offset of each window's first event among the sorted event times
+    ``t >= 0``, then ``times.size``: window ``i`` holds the events
+    ``offsets[i]`` to ``offsets[i + 1]``, those with ``min(int(t / ts),
+    n_windows - 1) == i``.  Unsorted times raise ``ValueError``.
 
     Correctly rounded division is monotone in ``t``, so a window's events
     are the times from its exact start (``_window_starts``) to the next
@@ -117,8 +121,7 @@ def _event_windows(times: np.ndarray, ts: float, n_windows: int) -> np.ndarray:
     """
     if (times[1:] < times[:-1]).any():
         raise ValueError("event times must be sorted")
-    edges = np.searchsorted(times, _window_starts(ts, n_windows))
-    return np.repeat(np.arange(n_windows, dtype=np.int32), edges[1:] - edges[:-1])
+    return np.searchsorted(times, _window_starts(ts, n_windows))
 
 
 def run_ser_test(array: MemoryArray, source: AlphaSource, ts: float = DEFAULT_TS_S,
@@ -142,9 +145,8 @@ def run_ser_test(array: MemoryArray, source: AlphaSource, ts: float = DEFAULT_TS
             f"{n_bad} cells at v_dd={array.v_dd} mV; the part is not operable at this supply")
 
     events = generate_events(array, source, t_exp, seed)
-    counts, _ = kernels.window_observed_flips(
-        _event_windows(events.times, ts, n_windows), events.cells, n_windows,
-        array.n_cells)
+    counts, _ = kernels.observed_flips(_window_offsets(events.times, ts, n_windows),
+                                       events.cells, array.n_cells)
 
     return SerMeasurement.from_windows(array.part_id, array.cell_type, ts, counts, array.n_cells)
 

@@ -7,7 +7,8 @@ sweep holds its supply, so ``SweepResult.margin``, V_WLVM, is read off
 the record (``word_line_voltage_margin``, the one margin rule).
 ``VariationModel`` and its per-type ``TypeVariation`` are the threshold
 distributions the simulator draws from, read from a model file and
-checked as they are built.  Fit and model files are read by
+checked as they are built, down to a spread too wide for any draw to
+finish (``MAX_REDRAWS``).  Fit and model files are read by
 ``read_json``, whose numbers follow ``json_number``.  This module imports
 no numpy, and its records are plain classes, which need no ``inspect``,
 so the commands that only ingest, fit and predict start without either,
@@ -47,6 +48,10 @@ DEFAULT_DELTA_V_MV = 10
 # also bounds the windows of a schedule, a batch's kept window counts and
 # the rows of a sweep log.
 MAX_EXPECTED_EVENTS = 2**24
+
+# Rounds in which a block's threshold draw may redraw its values outside
+# [1, v_dd_nominal] before the draw is refused.
+MAX_REDRAWS = 1000
 
 # Largest nominal supply: a block's supply, up to twice the nominal, plus
 # one sweep step of at most that supply stays within int64 (about 9.2e18).
@@ -179,6 +184,27 @@ def _check_sigma(key: str, sigma: float):
         raise ConfigurationError(f"{key} must be finite and >= 0, got {sigma:g}")
 
 
+def _check_convergence(name: str, key: str, sigma: float, v_dd_nominal: int):
+    """Refuse a threshold spread ``sigma`` under which even a 1-cell block
+    would fill its draw within ``MAX_REDRAWS`` redraws with a probability
+    below 1e-9, whatever its mean.
+
+    A draw rounds ``mu + sigma * z`` and keeps it in [1, ``v_dd_nominal``],
+    so it lands with probability Φ((v_nom + ½ − μ)/σ) − Φ((½ − μ)/σ).
+    A part offset can move ``mu`` anywhere, and that probability is largest
+    at the middle of the range, erf(v_nom / (2√2 σ)).  A cell gets
+    ``MAX_REDRAWS + 1`` draws, which land at least once with a probability
+    of at most that many times it."""
+    if sigma == 0:
+        return
+    accept = math.erf(0.5 * v_dd_nominal / sigma / math.sqrt(2.0))  # 2 sigma may overflow
+    if (MAX_REDRAWS + 1) * accept < 1e-9:
+        raise ConfigurationError(
+            f"type {name}: {key} {sigma:g} lands a draw in [1, {v_dd_nominal}] mV with "
+            f"a chance of at most {accept:.2g}; the thresholds could not be drawn "
+            f"within {MAX_REDRAWS} redraws")
+
+
 # the parameters of ``TypeVariation`` in declaration order, each keyed by
 # its name plus ``_mV`` in a model file
 _TYPE_PARAMETERS = ("mu_vwlmin", "sigma_vwlmin", "mu_hold", "sigma_hold", "mu_read",
@@ -235,6 +261,8 @@ class VariationModel:
                     raise ConfigurationError(
                         f"{name}: mu_{label}={mu} outside (0, {self.v_dd_nominal}]"
                     )
+                _check_convergence(name, f"sigma_{label}_mV", getattr(tv, f"sigma_{label}"),
+                                   self.v_dd_nominal)
 
     def __eq__(self, other):
         return type(other) is VariationModel and vars(other) == vars(self)

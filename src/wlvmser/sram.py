@@ -43,10 +43,8 @@ import numpy as np
 from .errors import ConfigurationError
 # the model classes live in ``records`` and stay names of this module too
 from .records import (DEFAULT_COLS, DEFAULT_ROWS, DEFAULT_VDD_MV,  # noqa: F401
-                      TypeVariation, VariationModel)
+                      MAX_REDRAWS, TypeVariation, VariationModel)
 from .refdata import CELL_TYPE_ORDER
-
-_MAX_REDRAWS = 1000
 
 
 # glibc raises its mmap and trim thresholds as large blocks are freed, so
@@ -157,7 +155,7 @@ def _sample_thresholds(rng, mu, sigma, n, v_dd_nominal):
     buffer of ``n`` doubles and no copy of it."""
     out = _normal(rng, mu, sigma, n)
     np.rint(out, out=out)
-    for _ in range(_MAX_REDRAWS):
+    for _ in range(MAX_REDRAWS):
         if out.min() >= 1 and out.max() <= v_dd_nominal:
             ints = out.view(np.int64)
             np.copyto(ints, out, casting="unsafe")

@@ -739,13 +739,26 @@ def test_cli_inoperable_supply_is_one_error_line(argv, tmp_path, capsys):
      "/long-field.csv:3: field larger than field limit (131072)"),
     (["predict", "--fit", "{tmp}/fit.json", "--margins", "{tmp}/long-field.csv"],
      "/long-field.csv:3: field larger than field limit (131072)"),
+    (["predict", "--fit", "{tmp}/bad-sigma_b-1e+308.json", "--v-wlvm", "0.3"],
+     "/bad-sigma_b-1e+308.json: sigma_b must have a finite square, got 1e+308"),
+    (["predict", "--fit", "{tmp}/bad-sigma_b-1e+308.json", "--margins", str(REFERENCE_CSV)],
+     "/bad-sigma_b-1e+308.json: sigma_b must have a finite square, got 1e+308"),
+    (["predict", "--fit", "{tmp}/bad-sigma_m-1e+308.json", "--v-wlvm", "0.3"],
+     "/bad-sigma_m-1e+308.json: sigma_m must have a finite square, got 1e+308"),
+    (["predict", "--fit", "{tmp}/bad-sigma_m-1e+308.json", "--margins", str(REFERENCE_CSV)],
+     "/bad-sigma_m-1e+308.json: sigma_m must have a finite square, got 1e+308"),
+    (["sweep", "--model", "{tmp}/sigma-vwlmin-1e308.json"],
+     "/sigma-vwlmin-1e308.json: type SS: sigma_vwlmin_mV 1e+308 lands a draw in "
+     "[1, 1200] mV with a chance of at most 4.8e-306; the thresholds could not be "
+     "drawn within 1000 redraws"),
 ])
 def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
     fit = calibrate_datasets(load_reference_dataset())
     write_fit_json(fit, tmp_path / "fit.json")
     payload = json.loads((tmp_path / "fit.json").read_text())
     for key, value in [("m", math.nan), ("cov_mb", math.inf), ("chi2_red", math.nan),
-                       ("sigma_m", -1), ("m", True), ("b", "0.25"), ("n_points", 2.7)]:
+                       ("sigma_m", -1), ("m", True), ("b", "0.25"), ("n_points", 2.7),
+                       ("sigma_b", 1e308), ("sigma_m", 1e308)]:
         (tmp_path / f"bad-{key}-{value}.json").write_text(json.dumps({**payload, key: value}))
     del payload["b"]
     (tmp_path / "no-b.json").write_text(json.dumps(payload))
@@ -772,6 +785,8 @@ def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
             ("mu-'791'", {**bundled, "cell_types": {
                 **types, "SS": {**types["SS"], "mu_vwlmin_mV": "791"}}}),
             ("sigma-part-True", {**bundled, "sigma_part_mV": True}),
+            ("sigma-vwlmin-1e308", {**bundled, "cell_types": {
+                **types, "SS": {**types["SS"], "sigma_vwlmin_mV": 1e308}}}),
             ("type-XX", {**bundled, "cell_types": {**types, "XX": types["SS"]}})]:
         (tmp_path / f"{name}.json").write_text(json.dumps(payload))
     (tmp_path / "zero.csv").write_text(HEADER + "".join(

@@ -127,6 +127,21 @@ def test_a_bad_model_is_refused_before_numpy(tmp_path):
         "error: bad.json: sigma_part_mV must be finite and >= 0, got -1"]
 
 
+def test_a_model_that_cannot_be_drawn_is_refused_before_numpy(tmp_path):
+    """A spread too wide for any threshold draw to finish is refused with
+    the file, type and key before numpy is imported, so before any draw."""
+    bundled = Path(wlvmser.__file__).parent / "data" / "variation_model.json"
+    payload = json.loads(bundled.read_text())
+    payload["cell_types"]["SS"]["sigma_vwlmin_mV"] = 1e308
+    (tmp_path / "wide.json").write_text(json.dumps(payload))
+    proc = child(FAILING_CHILD, ["simulate", "--model", "wide.json"], tmp_path)
+    assert proc.stdout.splitlines() == ["1 False"]
+    assert proc.stderr.splitlines() == [
+        "error: wide.json: type SS: sigma_vwlmin_mV 1e+308 lands a draw in [1, 1200] mV "
+        "with a chance of at most 4.8e-306; the thresholds could not be drawn within "
+        "1000 redraws"]
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--parts", "1", "--types", "SS", "--duration", "3600", "--out", "sim"],
     ["ser-test", "--duration", "3600"],

@@ -6,14 +6,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import manual_array, single_type_model
-from wlvmser import io, protocols
+from wlvmser import io, kernels, protocols
 from wlvmser.errors import ConfigurationError, ProtocolError
 from wlvmser.io import write_ser_log, write_sweep_log
 from wlvmser.protocols import (run_hold_sweep, run_read_sweep, run_ser_test,
                                run_wlvm_sweep)
-from wlvmser.radiation import AlphaSource, generate_events, undetected_fraction
+from wlvmser.radiation import AlphaSource, EventLog, generate_events, undetected_fraction
 from wlvmser.records import SweepResult, word_line_voltage_margin
 from wlvmser.sram import VariationModel, sample_array
 
@@ -138,8 +140,9 @@ def test_event_windows_match_the_division(ts):
                             np.random.default_rng(1).uniform(0, 2 * n_windows * ts, 5000)])
     times = np.sort(times[times >= 0])
     assert times[0] == 0.0
-    windows = protocols._event_windows(times, ts, n_windows)
-    assert windows.dtype == np.int32
+    offsets = protocols._window_offsets(times, ts, n_windows)
+    assert offsets[0] == 0 and offsets[-1] == times.size
+    windows = np.repeat(np.arange(n_windows), np.diff(offsets))
     assert np.array_equal(
         windows, np.minimum((times / ts).astype(np.int64), n_windows - 1))
     starts, i = protocols._window_starts(ts, n_windows)[1:-1], np.arange(1, n_windows)
@@ -147,10 +150,63 @@ def test_event_windows_match_the_division(ts):
 
 
 def test_event_windows_need_sorted_times():
-    assert protocols._event_windows(np.empty(0), 1800.0, 240).size == 0
-    assert protocols._event_windows(np.array([5.0, 5.0]), 1.0, 3).tolist() == [2, 2]
+    assert protocols._window_offsets(np.empty(0), 1800.0, 240).tolist() == [0] * 241
+    assert protocols._window_offsets(np.array([5.0, 5.0]), 1.0, 3).tolist() == [0, 0, 0, 2]
     with pytest.raises(ValueError, match="event times must be sorted"):
-        protocols._event_windows(np.array([2.0, 1.0]), 1.0, 3)
+        protocols._window_offsets(np.array([2.0, 1.0]), 1.0, 3)
+
+
+@st.composite
+def _event_logs(draw):
+    """An ``EventLog`` over ``n_windows`` windows of ``ts`` and ``n_cells``
+    cells: groups of 1 to 7 events on one cell, each at a window's exact
+    start, the double below it or inside the window, so runs of 3 to 7
+    equal keys, windows left empty and no event at all all come up.  A
+    cell count of ``2**28`` or more with 8 or more windows takes the
+    ``int64`` key."""
+    ts = draw(st.sampled_from([1800.0, 0.7, 1 / 3]))
+    n_windows = draw(st.integers(1, 12))
+    n_cells = draw(st.sampled_from([1, 2, 5, 64, 2**28, 2**31]))
+    starts = protocols._window_starts(ts, n_windows)
+    times, cells = [], []
+    for _ in range(draw(st.integers(0, 12))):
+        w = draw(st.integers(0, n_windows - 1))
+        place = draw(st.sampled_from(["start", "below", "inside"]))
+        t = 0.0 if w == 0 else starts[w]
+        if place == "below" and w:
+            t = np.nextafter(t, -np.inf)
+        elif place == "inside":
+            t = (w + draw(st.floats(0, 1.5))) * ts
+        cell = draw(st.integers(0, n_cells - 1))
+        repeat = draw(st.integers(1, 7))
+        times += [t] * repeat
+        cells += [cell] * repeat
+    order = np.argsort(times, kind="stable")
+    dtype = np.int32 if n_cells <= 2**31 else np.int64
+    log = EventLog(np.array(times, dtype=np.float64)[order],
+                   np.array(cells, dtype=dtype)[order])
+    return log, ts, n_windows, n_cells
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_event_logs())
+def test_ser_window_offsets_count_the_flips_of_the_event_windows(case):
+    """The SER test's offsets path (``_window_offsets`` and
+    ``kernels.observed_flips``) counts the flips that the public
+    ``window_observed_flips`` counts from each event's window,
+    ``min(int(t / ts), n - 1)``, and that an ``np.unique`` count of the odd
+    multiplicities of ``window * n_cells + cell`` gives."""
+    log, ts, n_windows, n_cells = case
+    counts, hits = kernels.observed_flips(protocols._window_offsets(log.times, ts, n_windows),
+                                          log.cells, n_cells)
+    windows = np.minimum((log.times / ts).astype(np.int64), n_windows - 1)
+    want = kernels.window_observed_flips(windows, log.cells, n_windows, n_cells)
+    assert counts.dtype == hits.dtype == np.int64
+    assert np.array_equal(counts, want[0]) and np.array_equal(hits, want[1])
+    keys, multiplicity = np.unique(windows * n_cells + log.cells, return_counts=True)
+    odd = keys[multiplicity % 2 == 1] // n_cells
+    assert np.array_equal(counts, np.bincount(odd, minlength=n_windows))
+    assert np.array_equal(hits, np.bincount(windows, minlength=n_windows))
 
 
 @pytest.mark.parametrize("lam_ts, n_windows", [(0.18, 9600), (0.0026, 48_000),

@@ -142,10 +142,30 @@ def test_a_threshold_draw_allocates_one_buffer(mu, sigma, mask_bytes):
 
 def test_draws_far_outside_int64_are_redrawn_not_cast():
     """A finite but huge sigma ends in one error, with no numpy warning
-    about casting a draw beyond ``int64`` (warnings fail this suite)."""
-    model = single_type_model(sigma_vwlmin=1e308)
+    about casting a draw beyond ``int64`` (warnings fail this suite).  A
+    model of that sigma is refused as it is built (next test), so the
+    draw is made directly."""
     with pytest.raises(ConfigurationError, match="did not converge"):
-        sample_array("SS", model, seed=1, rows=2, cols=2)
+        sram._sample_thresholds(np.random.default_rng(1), 791.0, 1e308, 4, 1200)
+
+
+@pytest.mark.parametrize("label", ["vwlmin", "hold", "read"])
+def test_a_spread_that_cannot_be_drawn_is_refused_as_the_model_is_built(label):
+    """A sigma under which even one cell would land in [1, v_dd_nominal]
+    within ``MAX_REDRAWS`` redraws with a chance below 1e-9, whatever the
+    part offset, is refused as the model is built, naming the type and
+    key; a sigma just inside that bound still loads."""
+    params = dict(mu_vwlmin=791.0, sigma_vwlmin=44.0, mu_hold=450.0, sigma_hold=30.0,
+                  mu_read=650.0, sigma_read=30.0)
+    with pytest.raises(ConfigurationError) as refused:
+        VariationModel({"SM": TypeVariation(**{**params, f"sigma_{label}": 1e308})})
+    assert str(refused.value) == (
+        f"type SM: sigma_{label}_mV 1e+308 lands a draw in [1, 1200] mV with a chance "
+        f"of at most 4.8e-306; the thresholds could not be drawn within 1000 redraws")
+    # erf(600 / (sqrt(2) sigma)) * 1001 = 1e-9 at sigma = 4.79e14 mV
+    VariationModel({"SM": TypeVariation(**{**params, f"sigma_{label}": 4.7e14})})
+    with pytest.raises(ConfigurationError, match=f"^type SM: sigma_{label}_mV 4.9e"):
+        VariationModel({"SM": TypeVariation(**{**params, f"sigma_{label}": 4.9e14})})
 
 
 @pytest.mark.parametrize("v_dd", [0, -5, 2401, 10**20, 1199.5, math.nan, math.inf])
