@@ -238,14 +238,18 @@ def predict_ser(fit: CalibrationFit, v_wlvm: float) -> Prediction:
     A negative predicted SER is physically impossible; the value is still
     returned and flagged via ``Prediction.below_physical_floor``.  A margin
     that is not finite, or one so large that the prediction or its sigma
-    overflows, raises ``ValueError``.
+    overflows, raises ``ValueError``, and so does a fit built in code
+    whose sigma squares past the float range.
     """
     if not math.isfinite(v_wlvm):
         raise ValueError(f"v_wlvm must be a finite margin in volts, got {v_wlvm}")
     ser = float(fit.m * v_wlvm + fit.b)
-    var = (v_wlvm * v_wlvm * fit.sigma_m ** 2
-           + fit.sigma_b ** 2
-           + 2.0 * v_wlvm * fit.cov_mb)
+    try:
+        var = (v_wlvm * v_wlvm * fit.sigma_m ** 2
+               + fit.sigma_b ** 2
+               + 2.0 * v_wlvm * fit.cov_mb)
+    except OverflowError:  # a sigma squared past the float range
+        var = math.inf
     sigma = math.sqrt(max(var, 0.0))
     if not (math.isfinite(ser) and math.isfinite(sigma)):
         raise ValueError(f"the prediction at v_wlvm = {v_wlvm} V is not finite: "

@@ -338,10 +338,17 @@ class ReportBundle:
 
 def prediction_rows(fit: CalibrationFit, datasets) -> list[tuple]:
     """``(part_id, cell_type, v_wlvm_V, Prediction)`` of every swept block,
-    in the parts' order and, within a part, ``CELL_TYPE_ORDER``."""
-    margins = [(ds.part_id, t, ds.sweeps[t].margin / 1000.0)
-               for ds in datasets for t in ds.cell_types() if t in ds.sweeps]
-    return [(*row, predict_ser(fit, row[2])) for row in margins]
+    in the parts' order and, within a part, ``CELL_TYPE_ORDER``.  A block
+    ``predict_ser`` refuses raises its ``ValueError`` as ``part <id>
+    <type>: …``."""
+    def row(part_id, cell_type, v_wlvm):
+        try:
+            return part_id, cell_type, v_wlvm, predict_ser(fit, v_wlvm)
+        except ValueError as exc:
+            raise ValueError(f"part {part_id} {cell_type}: {exc}") from None
+
+    return [row(ds.part_id, t, ds.sweeps[t].margin / 1000.0)
+            for ds in datasets for t in ds.cell_types() if t in ds.sweeps]
 
 
 def write_predictions_csv(predictions, path) -> Path:

@@ -7,11 +7,14 @@ measurement file would produce.  The ground-truth law maps each block's
 true mean margin to its upset rate, which makes the whole chain testable:
 calibrating the simulated measurements must recover the law.
 
-Blocks of at least ``_PREFETCH_CELLS`` cells are drawn one ahead: on a
-host that lets the process run on more than one CPU, one helper thread
-draws block k + 1 while the caller measures block k (``_sampled``).
-Every block draws from its own ``SeedSequence`` child, so the results
-are the same bit for bit whatever the CPU count.
+Both batches, ``simulate_parts`` and the control experiment's
+``simulate_supply_sweeps``, make their shared refusals in one check
+before any draw (``_checked``), and draw and measure their blocks in one
+loop (``_measured``).  Blocks of at least ``_PREFETCH_CELLS`` cells are
+drawn one ahead there: on a host that lets the process run on more than
+one CPU, one helper thread draws block k + 1 while the caller measures
+block k.  Every block draws from its own ``SeedSequence`` child, so the
+results are the same bit for bit whatever the CPU count.
 
 Calibration, report assembly and the variation model need no numpy; the
 simulator's names (``sample_array``, ``run_*``, ``AlphaSource``) are
@@ -21,6 +24,7 @@ starts, or when looked up on this module (see ``lazy``).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 
@@ -70,9 +74,16 @@ class LinearSerLaw:
         return max(self.m * margin_v + self.b, 0.0)
 
 
-def _check_cell_types(cell_types):
-    """Refuse ``cell_types`` unless it names each type of ``CELL_TYPE_ORDER``
-    at most once."""
+def _checked(model, cell_types, v_dd, delta_v):
+    """The pre-draw refusals both batches share; binds the simulator's names.
+
+    Refuses ``cell_types`` unless it names each type of ``CELL_TYPE_ORDER``
+    at most once, each in ``model`` (None: the bundled model), a bad supply
+    ``v_dd`` (``model.supply``) and a bad sweep step ``delta_v``
+    (``sweep_bins``).  Returns the model, the supply and the most bins a
+    sweep's histogram can have.
+    """
+    model = model if model is not None else VariationModel.default()
     for i, cell_type in enumerate(cell_types):
         if cell_type not in CELL_TYPE_ORDER:
             raise ConfigurationError(
@@ -81,37 +92,42 @@ def _check_cell_types(cell_types):
         if cell_type in cell_types[:i]:
             raise ConfigurationError(
                 f"--types (cell_types) names {cell_type!r} twice")
+        model.for_type(cell_type)
+    v_dd = model.supply(v_dd)
+    from .protocols import sweep_bins
+    lazy.bind(globals())
+    return model, v_dd, sweep_bins(v_dd, delta_v)
 
 
-def _sampled(requests, n_cells: int):
-    """Yield ``(tag, sample_array(**kwargs))`` for each ``(tag, kwargs)`` of
-    ``requests``, in order.
+def _measured(blocks, n_cells: int) -> list:
+    """``measure(sample_array(**kwargs))`` for each ``(measure, kwargs)`` of
+    ``blocks``, in order.
 
     When each block has ``n_cells`` of at least ``_PREFETCH_CELLS`` and the
-    host lets this process run on more than one CPU, the blocks are drawn
-    one ahead on one helper thread: block k + 1 is submitted before block
-    k is yielded.  ``requests`` is always advanced on the caller's thread,
-    in order, and a draw's error is raised when its block is due, so the
-    blocks and the first error are those of the serial loop.  The caller
-    closes the generator when it is done or raises, which joins the
-    helper.
+    host lets this process run on more than one CPU, one helper thread
+    draws block k + 1 while the caller measures block k.  ``blocks`` is
+    always advanced on the caller's thread, in order; a draw's error is
+    raised when its block is due, before the next block is drawn; and the
+    helper is joined before this returns or raises, so the results and the
+    first error are those of the serial loop.
     """
     if (n_cells < _PREFETCH_CELLS or not hasattr(os, "sched_getaffinity")
             or len(os.sched_getaffinity(0)) < 2):
-        for tag, kwargs in requests:
-            yield tag, sample_array(**kwargs)
-        return
+        return [measure(sample_array(**kwargs)) for measure, kwargs in blocks]
     from concurrent.futures import ThreadPoolExecutor
+    blocks, results = iter(blocks), []
     with ThreadPoolExecutor(max_workers=1) as helper:
-        due = None
-        for tag, kwargs in requests:
-            # looked up now, so that a wrapper put on this module's name runs
-            ahead = tag, helper.submit(sample_array, **kwargs)
-            if due is not None:
-                yield due[0], due[1].result()
-            due = ahead
-        if due is not None:
-            yield due[0], due[1].result()
+        def draw_next():  # submit the next block's draw; None past the last
+            for measure, kwargs in blocks:
+                # looked up now, so that a wrapper put on this module's name runs
+                return measure, helper.submit(sample_array, **kwargs)
+
+        due = draw_next()
+        while due is not None:
+            measure, array = due[0], due[1].result()
+            due = draw_next()
+            results.append(measure(array))
+    return results
 
 
 def simulate_parts(
@@ -135,7 +151,7 @@ def simulate_parts(
     ``+-geom_spread``.  Per block the ground-truth rate is the law applied
     to the part's true mean margin at ``v_dd``.  Deterministic under a
     fixed seed, whatever the CPU count: large blocks are drawn one ahead
-    on a helper thread (``_sampled``), each from its own seed.
+    on a helper thread (``_measured``), each from its own seed.
     ``cell_types`` names each type of ``CELL_TYPE_ORDER`` at most once,
     and ``geom_spread`` lies in [0, 0.1] so every flux factor stays within
     the source's range.  A bad schedule (``schedule_windows``) or a batch
@@ -143,36 +159,35 @@ def simulate_parts(
     records counted as ``_BLOCK_RECORDS_AS_WINDOWS`` more and its sweep
     histogram as ``_BIN_AS_WINDOWS`` per bin it can have, is refused
     before any draw, and so is a bad supply or sweep step or a cell type
-    the model lacks.  An inoperable block aborts the batch with a
-    ``ProtocolError`` that names its part and cell type.
+    the model lacks (``_checked``).  An inoperable block aborts the batch
+    with a ``ProtocolError`` that names its part and cell type.
     """
     if n_parts < 1:
         raise ConfigurationError(f"--parts: n_parts must be >= 1, got {n_parts}")
-    _check_cell_types(cell_types)
     if not 0 <= geom_spread <= 0.1:
         raise ConfigurationError(
             f"--geom-spread (geom_spread) must be finite and within [0, 0.1], "
             f"got {geom_spread:g}")
+    model, v_dd, bins = _checked(model, cell_types, v_dd, delta_v)
     import numpy as np
-    from .protocols import schedule_windows, sweep_bins
+    from .protocols import schedule_windows
     from .sram import seed_sequence
     windows = schedule_windows(ts, duration)
-    lazy.bind(globals())
-    model = model if model is not None else VariationModel.default()
     law = law if law is not None else LinearSerLaw()
-    v_dd = model.supply(v_dd)
-    records = (_BLOCK_RECORDS_AS_WINDOWS
-               + _BIN_AS_WINDOWS * min(rows * cols, sweep_bins(v_dd, delta_v)))
+    records = _BLOCK_RECORDS_AS_WINDOWS + _BIN_AS_WINDOWS * min(rows * cols, bins)
     if n_parts * len(cell_types) * (windows + records) > MAX_EXPECTED_EVENTS:
         raise ConfigurationError(
             f"--parts (n_parts) {n_parts} x {len(cell_types)} cell types x {windows} "
             f"windows keep more than the budget of {MAX_EXPECTED_EVENTS} window counts, "
             f"each block's records counting as {records} more")
-    mu_vwlmin = {t: model.for_type(t).mu_vwlmin for t in cell_types}
     root = seed_sequence(seed)
     datasets = []
 
-    def requests():
+    def measure(ds, source, ser_seed, array):
+        ds.ser[array.cell_type] = run_ser_test(array, source, ts, duration, seed=ser_seed)
+        ds.sweeps[array.cell_type] = run_wlvm_sweep(array, delta_v)
+
+    def blocks():
         for p in range(n_parts):
             part_id = str(p + 1)
             # one child at a time, the same children as root.spawn(n_parts)
@@ -184,19 +199,13 @@ def simulate_parts(
             datasets.append(ds)
             block_seqs = part_seq.spawn(2 * len(cell_types))
             for i, cell_type in enumerate(cell_types):
-                rate = law.rate((v_dd - (mu_vwlmin[cell_type] + offset)) / 1000.0)
-                yield (ds, source, block_seqs[2 * i + 1]), dict(
+                rate = law.rate((v_dd - (model.for_type(cell_type).mu_vwlmin + offset)) / 1000.0)
+                yield functools.partial(measure, ds, source, block_seqs[2 * i + 1]), dict(
                     cell_type=cell_type, model=model, part_offset=offset,
                     seed=block_seqs[2 * i], rows=rows, cols=cols, true_seu_rate=rate,
                     part_id=part_id, v_dd=v_dd)
 
-    blocks = _sampled(requests(), rows * cols)
-    try:
-        for (ds, source, ser_seed), array in blocks:
-            ds.ser[array.cell_type] = run_ser_test(array, source, ts, duration, seed=ser_seed)
-            ds.sweeps[array.cell_type] = run_wlvm_sweep(array, delta_v)
-    finally:
-        blocks.close()
+    _measured(blocks(), rows * cols)
     return datasets
 
 
@@ -213,27 +222,18 @@ def simulate_supply_sweeps(
 
     The kind, ``cell_types`` (as ``simulate_parts`` takes them, each in
     the model) and the step are refused before any draw.  Deterministic
-    under a fixed seed, whatever the CPU count (see ``_sampled``).
+    under a fixed seed, whatever the CPU count (see ``_measured``).
     """
-    _check_cell_types(cell_types)
-    from .protocols import sweep_bins
-    from .sram import seed_sequence
-    lazy.bind(globals())
-    model = model if model is not None else VariationModel.default()
+    model = _checked(model, cell_types, None, delta_v)[0]
     runner = {"hold": run_hold_sweep, "read": run_read_sweep}.get(kind)
     if runner is None:
         raise ValueError(f"kind must be 'hold' or 'read', got {kind!r}")
-    sweep_bins(model.supply(), delta_v)
-    for cell_type in cell_types:
-        model.for_type(cell_type)
+    from .sram import seed_sequence
+    measure = functools.partial(runner, delta_v=delta_v)
     seqs = seed_sequence(seed).spawn(len(cell_types))
-    blocks = _sampled(((None, dict(cell_type=cell_type, model=model, seed=seq, rows=rows,
-                                   cols=cols, part_id="1"))
-                       for cell_type, seq in zip(cell_types, seqs)), rows * cols)
-    try:
-        return [runner(array, delta_v) for _, array in blocks]
-    finally:
-        blocks.close()
+    return _measured(((measure, dict(cell_type=cell_type, model=model, seed=seq, rows=rows,
+                                     cols=cols, part_id="1"))
+                      for cell_type, seq in zip(cell_types, seqs)), rows * cols)
 
 
 def zero_count_blocks(datasets) -> list[str]:

@@ -8,7 +8,9 @@ the record (``word_line_voltage_margin``, the one margin rule).
 ``VariationModel`` and its per-type ``TypeVariation`` are the threshold
 distributions the simulator draws from, read from a model file and
 checked as they are built, down to a spread too wide for any draw to
-finish (``MAX_REDRAWS``).  Fit and model files are read by
+finish (``MAX_REDRAWS``); ``sram`` applies the same closed form
+(``_check_convergence``) to each threshold set a part offset moves.
+Fit and model files are read by
 ``read_json``, whose numbers follow ``json_number``.  This module imports
 no numpy, and its records are plain classes, which need no ``inspect``,
 so the commands that only ingest, fit and predict start without either,
@@ -184,25 +186,29 @@ def _check_sigma(key: str, sigma: float):
         raise ConfigurationError(f"{key} must be finite and >= 0, got {sigma:g}")
 
 
-def _check_convergence(name: str, key: str, sigma: float, v_dd_nominal: int):
-    """Refuse a threshold spread ``sigma`` under which even a 1-cell block
-    would fill its draw within ``MAX_REDRAWS`` redraws with a probability
-    below 1e-9, whatever its mean.
+def _check_convergence(what: str, mu: float, sigma: float, v_dd_nominal: int, n: int = 1):
+    """Refuse a draw of ``n`` thresholds of mean ``mu`` and spread ``sigma``
+    when the chance that all of them land in [1, ``v_dd_nominal``] within
+    ``MAX_REDRAWS`` redraws is below 1e-9; ``what`` begins the message.
 
     A draw rounds ``mu + sigma * z`` and keeps it in [1, ``v_dd_nominal``],
-    so it lands with probability Φ((v_nom + ½ − μ)/σ) − Φ((½ − μ)/σ).
-    A part offset can move ``mu`` anywhere, and that probability is largest
-    at the middle of the range, erf(v_nom / (2√2 σ)).  A cell gets
-    ``MAX_REDRAWS + 1`` draws, which land at least once with a probability
-    of at most that many times it."""
+    so it lands with probability Φ((v_nom + ½ − μ)/σ) − Φ((½ − μ)/σ),
+    taken from ``erf`` or, in a tail, from ``erfc``, so that a small chance
+    keeps its digits.  A cell gets ``MAX_REDRAWS + 1`` draws, and all ``n``
+    land with the chance (1 − (1 − p)^(MAX_REDRAWS + 1))^n."""
     if sigma == 0:
-        return
-    accept = math.erf(0.5 * v_dd_nominal / sigma / math.sqrt(2.0))  # 2 sigma may overflow
-    if (MAX_REDRAWS + 1) * accept < 1e-9:
+        p = float(1 <= round(mu) <= v_dd_nominal)
+    else:
+        a = (v_dd_nominal + 0.5 - mu) / sigma / math.sqrt(2.0)
+        b = (0.5 - mu) / sigma / math.sqrt(2.0)
+        if a < 0:  # the range lies left of the mean: take its mirror image
+            a, b = -b, -a
+        p = (math.erfc(b) - math.erfc(a)) / 2 if b > 0 else (math.erf(a) - math.erf(b)) / 2
+    lands = -math.expm1((MAX_REDRAWS + 1) * math.log1p(-p)) if p < 1 else 1.0
+    if lands ** n < 1e-9:
         raise ConfigurationError(
-            f"type {name}: {key} {sigma:g} lands a draw in [1, {v_dd_nominal}] mV with "
-            f"a chance of at most {accept:.2g}; the thresholds could not be drawn "
-            f"within {MAX_REDRAWS} redraws")
+            f"{what} lands a draw in [1, {v_dd_nominal}] mV with a chance of at most "
+            f"{p:.2g}; the thresholds could not be drawn within {MAX_REDRAWS} redraws")
 
 
 # the parameters of ``TypeVariation`` in declaration order, each keyed by
@@ -261,8 +267,11 @@ class VariationModel:
                     raise ConfigurationError(
                         f"{name}: mu_{label}={mu} outside (0, {self.v_dd_nominal}]"
                     )
-                _check_convergence(name, f"sigma_{label}_mV", getattr(tv, f"sigma_{label}"),
-                                   self.v_dd_nominal)
+                # a part offset can move the mean anywhere, and one cell
+                # lands most often with the mean in the middle of the range
+                sigma = getattr(tv, f"sigma_{label}")
+                _check_convergence(f"type {name}: sigma_{label}_mV {sigma:g}",
+                                   (self.v_dd_nominal + 1) / 2, sigma, self.v_dd_nominal)
 
     def __eq__(self, other):
         return type(other) is VariationModel and vars(other) == vars(self)

@@ -13,8 +13,13 @@ Thresholds are drawn per cell from Gaussian distributions whose means and
 spreads depend on the cell type; a common per-part offset shifts all
 means of one die together.  Those parameters are a ``VariationModel``,
 a record that ``records`` reads from a model file without numpy; this
-module names it too, as ``sram.VariationModel``.  Out-of-range draws are rejected and redrawn
-rather than clamped so the threshold histograms carry no boundary spikes.
+module names it too, as ``sram.VariationModel`` (its per-type
+``TypeVariation`` only ``records`` names).  Out-of-range draws are
+rejected and redrawn rather than clamped so the threshold histograms
+carry no boundary spikes; a set that could not be drawn within
+``MAX_REDRAWS`` redraws, because a part offset moved its mean out of
+reach, is refused before it is drawn.  A block has at most
+``MAX_EXPECTED_EVENTS`` (4096 x 4096) cells.
 Each draw is numpy's ``standard_normal`` fill scaled and shifted in
 place, which gives the doubles of ``Generator.normal`` for less work,
 then rounded in the same buffer and, once in range, cast to ``int64`` in
@@ -41,9 +46,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import ConfigurationError
-# the model classes live in ``records`` and stay names of this module too
+# ``VariationModel`` lives in ``records`` and stays a name of this module too
 from .records import (DEFAULT_COLS, DEFAULT_ROWS, DEFAULT_VDD_MV,  # noqa: F401
-                      MAX_REDRAWS, TypeVariation, VariationModel)
+                      MAX_EXPECTED_EVENTS, MAX_REDRAWS, VariationModel, _check_convergence)
 from .refdata import CELL_TYPE_ORDER
 
 
@@ -53,7 +58,7 @@ from .refdata import CELL_TYPE_ORDER
 # dynamic rule's ceiling freed blocks are kept.  Without it perfbench's
 # large-block wall_s read about 9 % more (4 of 4 pairs on a 2-core host);
 # high-flux was unchanged.  One arena: the thread that draws large blocks
-# ahead (``pipeline._sampled``) would otherwise get an arena of its own,
+# ahead (``pipeline._measured``) would otherwise get an arena of its own,
 # whose freed blocks the main thread cannot reuse; large-block peak RSS
 # read 56.6 and 58.8 MB that way against 52.8 MB with one arena.
 if sys.platform.startswith("linux") and hasattr(_libc := ctypes.CDLL(None), "mallopt"):
@@ -192,14 +197,22 @@ def sample_array(
     is the ground-truth upset rate handed to the radiation simulator, one
     scalar shared by every cell of the block.  ``v_dd`` (default: the
     nominal supply) is a whole number of mV up to twice the nominal.
+    ``rows`` and ``cols`` are positive integers, not bools, whose product
+    is at most ``MAX_EXPECTED_EVENTS``.  A threshold set whose cells the
+    ``part_offset`` leaves a chance below 1e-9 to all land within
+    ``MAX_REDRAWS`` redraws is refused before it is drawn, naming the
+    option, the type and the key (``records._check_convergence``).
     """
     vnom = model.v_dd_nominal
     v_dd = model.supply(v_dd)
     if not math.isfinite(part_offset):
         raise ConfigurationError(
             f"--part-offset (part_offset) must be finite, got {part_offset}")
-    if rows <= 0 or cols <= 0:
-        raise ConfigurationError("geometry must be positive")
+    if not (all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k > 0
+                for k in (rows, cols)) and int(rows) * int(cols) <= MAX_EXPECTED_EVENTS):
+        raise ConfigurationError(
+            f"rows and cols must be positive integers whose product is at most "
+            f"{MAX_EXPECTED_EVENTS} (4096 x 4096), got {rows!r} x {cols!r}")
     if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
         raise ConfigurationError(
             "seed must be an int or a SeedSequence: the pending draw needs a "
@@ -208,13 +221,22 @@ def sample_array(
         raise ConfigurationError(
             f"unknown cell type {cell_type!r}; known: {', '.join(CELL_TYPE_ORDER)}")
     tv = model.for_type(cell_type)
-    n = rows * cols
+    n = int(rows) * int(cols)
     rng = np.random.default_rng(seed_sequence(seed))
-    v_wl_min = _sample_thresholds(rng, tv.mu_vwlmin + part_offset, tv.sigma_vwlmin, n, vnom)
+
+    def draw(label):
+        mu, sigma = getattr(tv, f"mu_{label}"), getattr(tv, f"sigma_{label}")
+        _check_convergence(
+            f"--part-offset (part_offset) {part_offset:g} moves type {cell_type}'s "
+            f"mu_{label}_mV {mu:g} to {mu + part_offset:g} mV, where sigma_{label}_mV "
+            f"{sigma:g}", mu + part_offset, sigma, vnom, n)
+        return _sample_thresholds(rng, mu + part_offset, sigma, n, vnom)
+
+    v_wl_min = draw("vwlmin")
 
     def draw_pending():
-        yield _sample_thresholds(rng, tv.mu_hold + part_offset, tv.sigma_hold, n, vnom)
-        yield _sample_thresholds(rng, tv.mu_read + part_offset, tv.sigma_read, n, vnom)
+        yield draw("hold")
+        yield draw("read")
 
     return MemoryArray(
         part_id=str(part_id),

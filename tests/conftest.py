@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from wlvmser.sram import MemoryArray, TypeVariation, VariationModel
+from wlvmser.records import TypeVariation, VariationModel
+from wlvmser.sram import MemoryArray
 
 
 def single_type_model(name="SS", mu_vwlmin=791.0, sigma_vwlmin=44.0,

@@ -17,10 +17,10 @@ from wlvmser.pipeline import LinearSerLaw, calibrate_datasets, simulate_parts
 from wlvmser.protocols import (run_hold_sweep, run_read_sweep, run_ser_test,
                                run_wlvm_sweep)
 from wlvmser.radiation import AlphaSource, undetected_fraction
-from wlvmser.records import word_line_voltage_margin
+from wlvmser.records import TypeVariation, VariationModel, word_line_voltage_margin
 from wlvmser.refdata import (CELL_TYPE_ORDER, PAPER_MATCHING_WEIGHT_MODE, REPRO_WINDOWS,
                              load_reference_dataset)
-from wlvmser.sram import TypeVariation, VariationModel, sample_array, seed_sequence
+from wlvmser.sram import sample_array, seed_sequence
 
 from conftest import single_type_model
 

@@ -220,6 +220,18 @@ def test_predict_at_zero_and_root():
     assert predict_ser(fit, root - 0.05).below_physical_floor
 
 
+@pytest.mark.parametrize("sigmas", [dict(sigma_m=0.2, sigma_b=1e308),
+                                    dict(sigma_m=1e308, sigma_b=0.05)], ids=repr)
+def test_a_sigma_squared_past_the_float_range_is_a_value_error(sigmas):
+    """A fit built in code, which no fit file's check has seen, whose sigma
+    squares past the float range gives the promised ``ValueError``."""
+    fit = CalibrationFit(m=4.3, b=-0.25, **sigmas, cov_mb=0.0, chi2=1.0, nu=1,
+                         chi2_red=1.0, r2=0.9, n_points=3)
+    with pytest.raises(ValueError, match=r"^the prediction at v_wlvm = 0.3 V is not finite: "
+                                         r"ser = 1.03\d*, sigma = inf$"):
+        predict_ser(fit, 0.3)
+
+
 def test_prediction_sigma_minimized_at_weighted_centroid():
     rng = np.random.default_rng(5)
     pts = random_points(rng, 20)

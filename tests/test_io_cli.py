@@ -465,6 +465,9 @@ def test_cli_sweep_and_ser_test_smoke(tmp_path, capsys):
     assert "word_line sweep" in out
     assert cli.main(["sweep", "--part-offset", "-1e-3"]) == 0
     assert "margin = 399.46 mV" in capsys.readouterr().out
+    # a word-line sweep draws no hold threshold, whose mean this offset moves below 1 mV
+    assert cli.main(["sweep", "--part-offset", "-650"]) == 0
+    assert "margin = 1049.38 mV" in capsys.readouterr().out
     assert (tmp_path / "sweep.csv").exists()
     assert cli.main(["ser-test", "--rate", "1.46", "--duration", "7200",
                      "--seed", "2", "--out", str(tmp_path / "ser.csv")]) == 0
@@ -751,6 +754,18 @@ def test_cli_inoperable_supply_is_one_error_line(argv, tmp_path, capsys):
      "/sigma-vwlmin-1e308.json: type SS: sigma_vwlmin_mV 1e+308 lands a draw in "
      "[1, 1200] mV with a chance of at most 4.8e-306; the thresholds could not be "
      "drawn within 1000 redraws"),
+    (["report", "--input", "{tmp}/margin-1e297-V.csv"],
+     "error: part 9 SS: the prediction at v_wlvm = 1e+297 V is not finite: "),
+    (["predict", "--fit", "{tmp}/fit.json", "--margins", "{tmp}/margin-1e297-V.csv"],
+     "error: part 9 SS: the prediction at v_wlvm = 1e+297 V is not finite: "),
+    (["sweep", "--part-offset", "1e6"],
+     "error: --part-offset (part_offset) 1e+06 moves type SS's mu_vwlmin_mV 801.8 to "
+     "1.0008e+06 mV, where sigma_vwlmin_mV 43 lands a draw in [1, 1200] mV with a "
+     "chance of at most 0; the thresholds could not be drawn within 1000 redraws"),
+    (["sweep", "--kind", "hold", "--part-offset", "-650"],
+     "error: --part-offset (part_offset) -650 moves type SS's mu_hold_mV 450 to -200 mV, "
+     "where sigma_hold_mV 30 lands a draw in [1, 1200] mV with a chance of at most "
+     "1.2e-11; the thresholds could not be drawn within 1000 redraws"),
 ])
 def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
     fit = calibrate_datasets(load_reference_dataset())
@@ -801,6 +816,8 @@ def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
                                 ("LS", 1.1, 0.02, 730)]))
     (tmp_path / "vdd-1e308.csv").write_text(
         REFERENCE_CSV.read_text().replace("\n1,,vdd_mV,1200\n", "\n1,,vdd_mV,1e308\n"))
+    (tmp_path / "margin-1e297-V.csv").write_text(
+        REFERENCE_CSV.read_text() + "9,SS,v_mewlvm_mV,800\n9,,vdd_mV,1e300\n")
     (tmp_path / "deep.json").write_text("[" * 100_000)
     (tmp_path / "long-field.csv").write_text(
         HEADER + "1,SS,v_mewlvm_mV,800\n1,SS,ser_uSEU_per_bit_s,1" + "0" * 131_072 + "\n")

@@ -16,7 +16,8 @@ from wlvmser.pipeline import (LinearSerLaw, build_report_bundle,
 from wlvmser.protocols import (run_hold_sweep, run_read_sweep, run_ser_test,
                                run_wlvm_sweep)
 from wlvmser.radiation import AlphaSource
-from wlvmser.sram import TypeVariation, VariationModel, sample_array, seed_sequence
+from wlvmser.records import TypeVariation, VariationModel
+from wlvmser.sram import sample_array, seed_sequence
 
 
 def test_linear_law_clamps_at_zero():
@@ -184,7 +185,7 @@ def _serial_parts(model, n_parts, cell_types, seed, v_dd=None):
 
 @pytest.fixture
 def helper_draws(monkeypatch):
-    """Run ``_sampled``'s helper branch whatever this host's CPU count, and
+    """Run ``_measured``'s helper branch whatever this host's CPU count, and
     list each block ``pipeline.sample_array`` draws as ``(part, type,
     drawn on a helper thread)``."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

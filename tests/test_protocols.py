@@ -16,8 +16,8 @@ from wlvmser.io import write_ser_log, write_sweep_log
 from wlvmser.protocols import (run_hold_sweep, run_read_sweep, run_ser_test,
                                run_wlvm_sweep)
 from wlvmser.radiation import AlphaSource, EventLog, generate_events, undetected_fraction
-from wlvmser.records import SweepResult, word_line_voltage_margin
-from wlvmser.sram import VariationModel, sample_array
+from wlvmser.records import SweepResult, VariationModel, word_line_voltage_margin
+from wlvmser.sram import sample_array
 
 
 def _block(model, rate=0.0, seed=0, **kw):

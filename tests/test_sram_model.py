@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import manual_array, single_type_model
-from wlvmser import sram
+from wlvmser import records, sram
 from wlvmser.errors import ConfigurationError, ProtocolError
 from wlvmser.pipeline import simulate_parts, simulate_supply_sweeps
 from wlvmser.protocols import (run_hold_sweep, run_read_sweep, run_ser_test,
@@ -168,6 +168,54 @@ def test_a_spread_that_cannot_be_drawn_is_refused_as_the_model_is_built(label):
         VariationModel({"SM": TypeVariation(**{**params, f"sigma_{label}": 4.9e14})})
 
 
+@pytest.mark.parametrize("mu", [1313.8, -112.8])
+def test_a_draw_is_refused_where_its_cells_could_not_all_land(mu):
+    """All ``n`` cells land within ``MAX_REDRAWS`` redraws with the chance
+    (1 - (1 - p)^1001)^n, ``p`` the chance that one draw lands (here from
+    scipy, with the mean above and below the range); the draw is refused
+    just where that chance falls below 1e-9, at 3158 cells for p = 0.005."""
+    from scipy.stats import norm
+    p = norm.cdf((1200.5 - mu) / 44.0) - norm.cdf((0.5 - mu) / 44.0)
+    n = math.floor(math.log(1e-9) / math.log(1 - (1 - p) ** 1001))
+    assert n == 3157
+    records._check_convergence("a mean", mu, 44.0, 1200, n)
+    with pytest.raises(ConfigurationError) as refused:
+        records._check_convergence("a mean", mu, 44.0, 1200, n + 1)
+    assert str(refused.value) == (
+        "a mean lands a draw in [1, 1200] mV with a chance of at most 0.005; the "
+        "thresholds could not be drawn within 1000 redraws")
+
+
+def test_a_part_offset_no_set_can_reach_is_refused_before_its_draw(ss_model, monkeypatch):
+    """A part offset that moves a threshold set out of reach is refused
+    before that set is drawn, naming the option, the type and the key: the
+    write thresholds before any draw, the hold ones when a sweep first
+    reads them."""
+    calls = _count_threshold_draws(monkeypatch)
+    with pytest.raises(ConfigurationError) as refused:
+        sample_array("SS", ss_model, seed=1, part_offset=1e6)
+    assert str(refused.value) == (
+        "--part-offset (part_offset) 1e+06 moves type SS's mu_vwlmin_mV 791 to "
+        "1.00079e+06 mV, where sigma_vwlmin_mV 44 lands a draw in [1, 1200] mV with a "
+        "chance of at most 0; the thresholds could not be drawn within 1000 redraws")
+    assert calls == []
+    array = sample_array("SS", ss_model, seed=1, part_offset=-650.0)
+    assert calls == [141.0]
+    with pytest.raises(ConfigurationError, match=(
+            r"^--part-offset \(part_offset\) -650 moves type SS's mu_hold_mV 450 to "
+            r"-200 mV, where sigma_hold_mV 30 lands a draw in \[1, 1200\] mV with a "
+            r"chance of at most 1.2e-11; ")):
+        run_hold_sweep(array)
+    assert calls == [141.0]
+    # with no spread a set lands wherever its mean rounds to, or never
+    fixed = single_type_model(sigma_vwlmin=0.0)
+    assert set(sample_array("SS", fixed, seed=1, part_offset=409.4).v_wl_min) == {1200}
+    with pytest.raises(ConfigurationError, match=r"^--part-offset \(part_offset\) 409.6 moves "
+                                                 r".* with a chance of at most 0; "):
+        sample_array("SS", fixed, seed=1, part_offset=409.6)
+    assert calls == [141.0, 1200.4]
+
+
 @pytest.mark.parametrize("v_dd", [0, -5, 2401, 10**20, 1199.5, math.nan, math.inf])
 def test_sample_array_bounds_the_supply(ss_model, v_dd):
     with pytest.raises(ConfigurationError,
@@ -184,6 +232,34 @@ def test_sample_array_refuses_a_non_finite_part_offset(ss_model, part_offset):
 def test_geometry_must_be_positive(ss_model):
     with pytest.raises(ConfigurationError):
         sample_array("SS", ss_model, rows=0, cols=64)
+
+
+def test_a_block_geometry_is_bounded_before_any_draw(ss_model, monkeypatch):
+    """``rows`` and ``cols`` are positive integers, not bools, whose product
+    is at most ``MAX_EXPECTED_EVENTS``; a bad pair is refused before any
+    draw.  No case allocates: 2^64 cells are past what numpy can allocate
+    at all, and the largest block allowed is stopped as its draw starts."""
+    calls = _count_threshold_draws(monkeypatch)
+    for rows, cols in [(2.5, 64), (64, 0), (-1, 64), (True, 64), (64, np.float64(64.0)),
+                       (2**32, 2**32)]:
+        with pytest.raises(ConfigurationError) as refused:
+            sample_array("SS", ss_model, seed=1, rows=rows, cols=cols)
+        assert str(refused.value) == (
+            "rows and cols must be positive integers whose product is at most 16777216 "
+            f"(4096 x 4096), got {rows!r} x {cols!r}")
+    assert calls == []
+
+    class Drawn(Exception):
+        pass
+
+    def stop(rng, mu, sigma, n, v_dd_nominal):
+        raise Drawn(n)
+
+    monkeypatch.setattr(sram, "_sample_thresholds", stop)
+    for rows, cols in [(4096, 4096), (np.int64(1), np.int64(2**24))]:
+        with pytest.raises(Drawn) as drawn:
+            sample_array("SS", ss_model, seed=1, rows=rows, cols=cols)
+        assert drawn.value.args == (2**24,)
 
 
 # --- pending hold/read draw ---------------------------------------------------
@@ -567,9 +643,9 @@ def test_model_file_with_an_infinite_nominal_supply_is_refused(tmp_path):
 
 
 def test_the_simulator_names_the_model_classes():
-    """``sram`` names the model classes of ``records``, its callers' way to
+    """``sram`` names the model class of ``records``, its callers' way to
     build what ``sample_array`` takes."""
-    assert (sram.VariationModel, sram.TypeVariation) == (VariationModel, TypeVariation)
+    assert sram.VariationModel is VariationModel
 
 
 BUNDLED_MODEL = json.loads((DATA_DIR / "variation_model.json").read_text())
