@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``simulate``    build virtual parts, run SER tests + margin sweeps,
-                  write a measurement CSV
+                  write a measurement CSV that ``calibrate`` can fit
 * ``ser-test``    one accelerated SER test on one block
 * ``sweep``       one margin/hold/read sweep on one block
 * ``calibrate``   measurement CSV -> weighted line fit (JSON)
@@ -33,7 +33,7 @@ from pathlib import Path
 from . import io as wio
 from . import lazy
 from .calibration import WEIGHT_MODES, predict_ser
-from .errors import ConfigurationError, ProtocolError
+from .errors import ConfigurationError, DegenerateFitError, ProtocolError
 from .pipeline import (LinearSerLaw, build_report_bundle, calibrate_datasets,
                        simulate_parts, zero_count_blocks)
 from .records import VariationModel
@@ -97,6 +97,11 @@ def _cmd_simulate(args) -> int:
         model=_load_model(args), law=LinearSerLaw(**_given(args, "m", "b")),
         **_given(args, "n_parts", "cell_types", "duration", "ts", "delta_v", "seed",
                  "v_dd", "geom_spread"))
+    try:  # write no batch that calibrate refuses, bar one short of points it left out
+        calibrate_datasets(datasets)
+    except DegenerateFitError as exc:
+        if "zero-count SER points" not in str(exc):
+            raise
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = wio.emit_measurements_csv(datasets, out_dir / "measurements.csv")

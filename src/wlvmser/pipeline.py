@@ -152,16 +152,20 @@ def simulate_parts(
     to the part's true mean margin at ``v_dd``.  Deterministic under a
     fixed seed, whatever the CPU count: large blocks are drawn one ahead
     on a helper thread (``_measured``), each from its own seed.
-    ``cell_types`` names each type of ``CELL_TYPE_ORDER`` at most once,
-    and ``geom_spread`` lies in [0, 0.1] so every flux factor stays within
-    the source's range.  A bad schedule (``schedule_windows``) or a batch
-    keeping more than ``MAX_EXPECTED_EVENTS`` window counts, a block's
+    ``n_parts`` is a positive integer, not a bool, ``cell_types`` names
+    each type of ``CELL_TYPE_ORDER`` at most once, and ``geom_spread``
+    lies in [0, 0.1] so every flux factor stays within the source's range.
+    A bad schedule (``schedule_windows``) or a batch keeping more than
+    ``MAX_EXPECTED_EVENTS`` window counts, a block's
     records counted as ``_BLOCK_RECORDS_AS_WINDOWS`` more and its sweep
     histogram as ``_BIN_AS_WINDOWS`` per bin it can have, is refused
     before any draw, and so is a bad supply or sweep step or a cell type
     the model lacks (``_checked``).  An inoperable block aborts the batch
     with a ``ProtocolError`` that names its part and cell type.
     """
+    import numpy as np
+    if isinstance(n_parts, bool) or not isinstance(n_parts, (int, np.integer)):
+        raise ConfigurationError(f"--parts (n_parts) must be an integer, got {n_parts!r}")
     if n_parts < 1:
         raise ConfigurationError(f"--parts: n_parts must be >= 1, got {n_parts}")
     if not 0 <= geom_spread <= 0.1:
@@ -169,7 +173,6 @@ def simulate_parts(
             f"--geom-spread (geom_spread) must be finite and within [0, 0.1], "
             f"got {geom_spread:g}")
     model, v_dd, bins = _checked(model, cell_types, v_dd, delta_v)
-    import numpy as np
     from .protocols import schedule_windows
     from .sram import seed_sequence
     windows = schedule_windows(ts, duration)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .records import MAX_EXPECTED_EVENTS
-from .sram import MemoryArray
+from .sram import MemoryArray, seed_sequence
 
 
 class AlphaSource:
@@ -92,16 +92,17 @@ def _arrival_times(rng, lam_total, duration):
 def generate_events(array: MemoryArray, source: AlphaSource, duration: float, seed=0) -> EventLog:
     """Draw the upset events hitting ``array`` over ``duration`` seconds.
 
-    Deterministic for a fixed seed.  Events come out sorted by time.  Cells
-    are ``int32`` up to ``2**31`` cells, ``int64`` above: below ``2**32``
-    values ``Generator.integers`` draws the same numbers for either dtype.
+    Deterministic for a fixed ``seed``, which ``sram.seed_sequence``
+    checks.  Events come out sorted by time.  Cells are ``int32`` up to
+    ``2**31`` cells, ``int64`` above: below ``2**32`` values
+    ``Generator.integers`` draws the same numbers for either dtype.
     Raises ``ConfigurationError`` before drawing anything when the expected
     event count exceeds ``MAX_EXPECTED_EVENTS``.
     """
     if duration <= 0:
         raise ConfigurationError("duration must be positive")
     lam_total = array.true_seu_rate * (source.geom_factor * 1e-6) * array.n_cells
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_sequence(seed))
     cell_dtype = np.int32 if array.n_cells <= 2**31 else np.int64
     if lam_total <= 0.0:
         return EventLog(np.empty(0), np.empty(0, dtype=cell_dtype))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .errors import ConfigurationError
 from .refdata import CELL_TYPE_ORDER, DATA_DIR
@@ -186,10 +186,12 @@ def _check_sigma(key: str, sigma: float):
         raise ConfigurationError(f"{key} must be finite and >= 0, got {sigma:g}")
 
 
-def _check_convergence(what: str, mu: float, sigma: float, v_dd_nominal: int, n: int = 1):
+def _check_convergence(what: Callable[[], str], mu: float, sigma: float, v_dd_nominal: int,
+                       n: int = 1):
     """Refuse a draw of ``n`` thresholds of mean ``mu`` and spread ``sigma``
     when the chance that all of them land in [1, ``v_dd_nominal``] within
-    ``MAX_REDRAWS`` redraws is below 1e-9; ``what`` begins the message.
+    ``MAX_REDRAWS`` redraws is below 1e-9; ``what()``, called only then,
+    begins the message.
 
     A draw rounds ``mu + sigma * z`` and keeps it in [1, ``v_dd_nominal``],
     so it lands with probability Φ((v_nom + ½ − μ)/σ) − Φ((½ − μ)/σ),
@@ -207,7 +209,7 @@ def _check_convergence(what: str, mu: float, sigma: float, v_dd_nominal: int, n:
     lands = -math.expm1((MAX_REDRAWS + 1) * math.log1p(-p)) if p < 1 else 1.0
     if lands ** n < 1e-9:
         raise ConfigurationError(
-            f"{what} lands a draw in [1, {v_dd_nominal}] mV with a chance of at most "
+            f"{what()} lands a draw in [1, {v_dd_nominal}] mV with a chance of at most "
             f"{p:.2g}; the thresholds could not be drawn within {MAX_REDRAWS} redraws")
 
 
@@ -270,7 +272,7 @@ class VariationModel:
                 # a part offset can move the mean anywhere, and one cell
                 # lands most often with the mean in the middle of the range
                 sigma = getattr(tv, f"sigma_{label}")
-                _check_convergence(f"type {name}: sigma_{label}_mV {sigma:g}",
+                _check_convergence(lambda: f"type {name}: sigma_{label}_mV {sigma:g}",
                                    (self.v_dd_nominal + 1) / 2, sigma, self.v_dd_nominal)
 
     def __eq__(self, other):

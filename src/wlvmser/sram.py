@@ -26,13 +26,13 @@ then rounded in the same buffer and, once in range, cast to ``int64`` in
 place: a draw of ``n`` cells allocates one buffer of ``n`` doubles.
 
 ``sample_array`` draws ``v_wl_min`` at once: the SER test at nominal
-supply and the word-line sweep need nothing else.  The hold and read
-thresholds are pending draws from the block's own generator, each run
-only when it is first read, always in the order hold, read: reading the
-read thresholds first draws the hold ones before them, so a seed gives
-the same values whichever is read first, and a hold sweep never draws
-the read thresholds.  The block itself counts the cells inoperable at
-its supply (``inoperable_cells``).
+supply and the word-line sweep need nothing else.  The block keeps the
+callable that draws the hold and read thresholds from its own generator
+and calls it for each set only when the set is first read, always in the
+order hold, read: reading the read thresholds first draws the hold ones
+before them, so a seed gives the same values whichever is read first,
+and a hold sweep never draws the read thresholds.  The block itself
+counts the cells inoperable at its supply (``inoperable_cells``).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import ctypes
 import functools
 import math
 import sys
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -71,50 +71,42 @@ class MemoryArray:
     """One memory block: per-cell thresholds and its true upset rate.
 
     ``v_wl_min`` is given; the hold and read thresholds come from
-    ``draw_pending``, a callable returning an iterable of the two, in that
-    order.  It is called on first access of either, and each item is taken
-    only when it is first read, the hold thresholds always before the read
-    ones.  ``threshold_ceiling`` bounds every threshold of the block: at or
+    ``draw``, called with ``"hold"`` or ``"read"`` when that set is first
+    read, each at most once and the hold set always first.
+    ``threshold_ceiling`` bounds every threshold of the block: at or
     above it no cell is inoperable, and ``inoperable_cells`` draws and
     compares nothing.
     """
 
     def __init__(self, part_id: str, cell_type: str, v_wl_min: np.ndarray,
                  true_seu_rate: float, v_dd: int = DEFAULT_VDD_MV, *,
-                 draw_pending: Callable[[], Iterable[np.ndarray]],
+                 draw: Callable[[str], np.ndarray],
                  threshold_ceiling: float = math.inf):
         self.part_id = part_id
         self.cell_type = cell_type
         self.v_wl_min = v_wl_min
+        self.n_cells = np.size(v_wl_min)
         if np.ndim(true_seu_rate) != 0 or not true_seu_rate >= 0:  # also rejects nan
             raise ConfigurationError("--rate (true_seu_rate) must be one number >= 0")
         self.true_seu_rate = float(true_seu_rate)
         self.v_dd = v_dd
         self.threshold_ceiling = threshold_ceiling
-        self._draw_pending = draw_pending
+        self._draw = draw
 
-    @functools.cached_property
-    def _pending(self):
-        return iter(self._draw_pending())
-
-    def _next_pending(self, name: str) -> np.ndarray:
-        values = next(self._pending)
+    def _drawn(self, label: str) -> np.ndarray:
+        values = self._draw(label)
         if np.shape(values) != (self.n_cells,):
-            raise ConfigurationError(f"{name} must have {self.n_cells} entries")
+            raise ConfigurationError(f"v_dd_min_{label} must have {self.n_cells} entries")
         return values
 
     @functools.cached_property
     def v_dd_min_hold(self) -> np.ndarray:
-        return self._next_pending("v_dd_min_hold")
+        return self._drawn("hold")
 
     @functools.cached_property
     def v_dd_min_read(self) -> np.ndarray:
         self.v_dd_min_hold  # drawn first, from the same generator
-        return self._next_pending("v_dd_min_read")
-
-    @property
-    def n_cells(self) -> int:
-        return np.size(self.v_wl_min)
+        return self._drawn("read")
 
     def inoperable_cells(self, thresholds: np.ndarray | None = None) -> int:
         """Cells that cannot be written at ``v_dd`` or whose ``thresholds``
@@ -127,11 +119,16 @@ class MemoryArray:
 
 
 def seed_sequence(seed) -> np.random.SeedSequence:
-    """``seed``, an int or a ``SeedSequence``, as a ``SeedSequence``; a
-    negative int raises ``ConfigurationError`` naming ``--seed``."""
+    """``seed``, a non-negative int (a numpy integer, not a bool) or a
+    ``SeedSequence``, as a ``SeedSequence``; any other seed, a generator
+    among them, raises ``ConfigurationError`` naming ``--seed``.  Every
+    seeded draw of the simulator takes its seed through here."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    if isinstance(seed, (int, np.integer)) and seed < 0:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise ConfigurationError(
+            f"--seed (seed) must be a non-negative integer or a SeedSequence, got {seed!r}")
+    if seed < 0:
         raise ConfigurationError(f"--seed (seed) must be a non-negative integer, got {seed}")
     return np.random.SeedSequence(seed)
 
@@ -189,7 +186,7 @@ def sample_array(
 
     ``cell_type`` is one of ``CELL_TYPE_ORDER``.  ``part_offset`` (mV)
     shifts all three means of this part.  The draw is deterministic for a
-    fixed ``seed`` (an int or a ``SeedSequence``): the write thresholds
+    fixed ``seed`` (see ``seed_sequence``): the write thresholds
     are drawn now, the hold and read thresholds later, in that order, from
     the same generator, each when a protocol first reads it (see the
     module docstring).  Every threshold lies in
@@ -208,15 +205,12 @@ def sample_array(
     if not math.isfinite(part_offset):
         raise ConfigurationError(
             f"--part-offset (part_offset) must be finite, got {part_offset}")
-    if not (all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k > 0
-                for k in (rows, cols)) and int(rows) * int(cols) <= MAX_EXPECTED_EVENTS):
+    if (isinstance(rows, bool) or not isinstance(rows, (int, np.integer)) or rows < 1
+            or isinstance(cols, bool) or not isinstance(cols, (int, np.integer)) or cols < 1
+            or int(rows) * int(cols) > MAX_EXPECTED_EVENTS):
         raise ConfigurationError(
             f"rows and cols must be positive integers whose product is at most "
             f"{MAX_EXPECTED_EVENTS} (4096 x 4096), got {rows!r} x {cols!r}")
-    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
-        raise ConfigurationError(
-            "seed must be an int or a SeedSequence: the pending draw needs a "
-            "generator of the block's own")
     if cell_type not in CELL_TYPE_ORDER:
         raise ConfigurationError(
             f"unknown cell type {cell_type!r}; known: {', '.join(CELL_TYPE_ORDER)}")
@@ -227,23 +221,17 @@ def sample_array(
     def draw(label):
         mu, sigma = getattr(tv, f"mu_{label}"), getattr(tv, f"sigma_{label}")
         _check_convergence(
-            f"--part-offset (part_offset) {part_offset:g} moves type {cell_type}'s "
-            f"mu_{label}_mV {mu:g} to {mu + part_offset:g} mV, where sigma_{label}_mV "
-            f"{sigma:g}", mu + part_offset, sigma, vnom, n)
+            lambda: f"--part-offset (part_offset) {part_offset:g} moves type {cell_type}'s "
+                    f"mu_{label}_mV {mu:g} to {mu + part_offset:g} mV, where sigma_{label}_mV "
+                    f"{sigma:g}", mu + part_offset, sigma, vnom, n)
         return _sample_thresholds(rng, mu + part_offset, sigma, n, vnom)
-
-    v_wl_min = draw("vwlmin")
-
-    def draw_pending():
-        yield draw("hold")
-        yield draw("read")
 
     return MemoryArray(
         part_id=str(part_id),
         cell_type=cell_type,
-        v_wl_min=v_wl_min,
+        v_wl_min=draw("vwlmin"),
         true_seu_rate=true_seu_rate,
         v_dd=int(v_dd),
-        draw_pending=draw_pending,
+        draw=draw,
         threshold_ceiling=vnom,
     )

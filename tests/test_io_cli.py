@@ -447,7 +447,7 @@ def test_cli_predict_from_margins_csv(tmp_path, capsys):
 
 
 def test_cli_simulate_reproducible(tmp_path, capsys):
-    args = ["simulate", "--parts", "1", "--types", "SS", "--duration", "7200",
+    args = ["simulate", "--parts", "2", "--types", "SS", "--duration", "7200",
             "--ts", "1800", "--seed", "11"]
     assert cli.main(args + ["--out", str(tmp_path / "a")]) == 0
     # -2.5e-1 is the default intercept, read as a number and not as an option
@@ -906,6 +906,26 @@ def test_cli_fits_what_simulate_writes_with_zero_counts(tmp_path, capsys):
         ["1", "SS"], ["1", "LS"], ["2", "SS"], ["2", "LS"]]
     predictions = (tmp_path / "r" / "predictions.csv").read_text().splitlines()
     assert len(predictions) == 1 + 10
+
+
+def test_cli_simulate_writes_nothing_its_calibrator_refuses(tmp_path, capsys):
+    """A batch that ``calibrate`` would refuse, with one point or with every
+    margin equal, is the calibrator's one error line, and no ``--out``
+    directory is made."""
+    bundled = json.loads((Path(wlvmser.__file__).parent / "data" /
+                          "variation_model.json").read_text())
+    flat = {**bundled, "sigma_part_mV": 0, "cell_types": {
+        name: {**t, "sigma_vwlmin_mV": 0} for name, t in bundled["cell_types"].items()}}
+    (tmp_path / "flat.json").write_text(json.dumps(flat))
+    out = tmp_path / "out"
+    for argv, cause in [
+            (["--parts", "1", "--types", "SS"], "need at least 2 points, got 1"),
+            (["--parts", "3", "--types", "SS", "--model", str(tmp_path / "flat.json")],
+             "all x values coincide; slope is undetermined")]:
+        assert cli.main(["simulate", *argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.splitlines()) == ("", [f"error: {cause}"])
+        assert not out.exists()
 
 
 def test_cli_report_bundled(tmp_path, capsys):

@@ -143,7 +143,7 @@ def test_a_model_that_cannot_be_drawn_is_refused_before_numpy(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--parts", "1", "--types", "SS", "--duration", "3600", "--out", "sim"],
+    ["simulate", "--parts", "2", "--types", "SS", "--duration", "3600", "--out", "sim"],
     ["ser-test", "--duration", "3600"],
     ["sweep", "--kind", "hold"],
     ["report", "--simulate", "--out", "report"],

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import manual_array, single_type_model
-from wlvmser import records, sram
+from wlvmser import radiation, records, sram
 from wlvmser.errors import ConfigurationError, ProtocolError
 from wlvmser.pipeline import simulate_parts, simulate_supply_sweeps
 from wlvmser.protocols import (run_hold_sweep, run_read_sweep, run_ser_test,
@@ -178,9 +178,9 @@ def test_a_draw_is_refused_where_its_cells_could_not_all_land(mu):
     p = norm.cdf((1200.5 - mu) / 44.0) - norm.cdf((0.5 - mu) / 44.0)
     n = math.floor(math.log(1e-9) / math.log(1 - (1 - p) ** 1001))
     assert n == 3157
-    records._check_convergence("a mean", mu, 44.0, 1200, n)
+    records._check_convergence(lambda: "a mean", mu, 44.0, 1200, n)
     with pytest.raises(ConfigurationError) as refused:
-        records._check_convergence("a mean", mu, 44.0, 1200, n + 1)
+        records._check_convergence(lambda: "a mean", mu, 44.0, 1200, n + 1)
     assert str(refused.value) == (
         "a mean lands a draw in [1, 1200] mV with a chance of at most 0.005; the "
         "thresholds could not be drawn within 1000 redraws")
@@ -404,34 +404,33 @@ def test_read_first_gives_the_values_of_hold_then_read(ss_model):
 def test_each_pending_draw_runs_at_most_once():
     drawn = []
 
-    def draw_pending():
-        drawn.append("called")
-        for name, value in (("hold", 450), ("read", 650)):
-            drawn.append(name)
-            yield np.full(4, value)
+    def draw(label):
+        drawn.append(label)
+        return np.full(4, {"hold": 450, "read": 650}[label])
 
     for order in (("v_dd_min_hold", "v_dd_min_read"), ("v_dd_min_read", "v_dd_min_hold")):
         drawn.clear()
         array = sram.MemoryArray("x", "SS", v_wl_min=np.full(4, 800), true_seu_rate=0.0,
-                                 draw_pending=draw_pending)
+                                 draw=draw)
         assert drawn == []
         for _ in range(3):
             for name in order:
                 assert getattr(array, name).tolist() == [450 if "hold" in name else 650] * 4
-        assert drawn == ["called", "hold", "read"]
+        assert drawn == ["hold", "read"]
     drawn.clear()
     array = sram.MemoryArray("x", "SS", v_wl_min=np.full(4, 800), true_seu_rate=0.0,
-                             draw_pending=draw_pending)
+                             draw=draw)
     for _ in range(3):
         array.v_dd_min_hold
-    assert drawn == ["called", "hold"]
+    assert drawn == ["hold"]
 
 
 def test_pending_draw_checks_shapes():
     def block(hold_size, read_size):
+        sizes = {"hold": hold_size, "read": read_size}
         return sram.MemoryArray(
             "x", "SS", v_wl_min=np.full(4, 800), true_seu_rate=0.0,
-            draw_pending=lambda: (np.full(hold_size, 450), np.full(read_size, 650)))
+            draw=lambda label: np.full(sizes[label], {"hold": 450, "read": 650}[label]))
 
     array = block(4, 3)
     assert array.v_dd_min_hold.tolist() == [450] * 4
@@ -454,6 +453,64 @@ def test_sample_array_refuses_a_rate_that_is_not_one_number_ge_0(ss_model, rate)
 def test_generator_seed_is_rejected(ss_model):
     with pytest.raises(ConfigurationError, match="SeedSequence"):
         sample_array("SS", ss_model, seed=np.random.default_rng(1))
+
+
+BAD_SEEDS = [np.random.default_rng(1), np.random.PCG64(1), 1.5, np.float64(2.0), "1", True,
+             -1, np.int64(-5)]
+BAD_SEED_IDS = ["Generator", "PCG64", "1.5", "float64", "str", "True", "-1", "int64(-5)"]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=BAD_SEED_IDS)
+def test_every_seeded_entry_point_refuses_a_bad_seed_before_any_draw(ss_model, monkeypatch,
+                                                                     seed):
+    """A seed that is not a non-negative integer or a ``SeedSequence`` is
+    one ``ConfigurationError`` naming ``--seed (seed)``, raised by
+    ``seed_sequence`` before a threshold or an event is drawn."""
+    array = sample_array("SS", ss_model, seed=1, rows=8, cols=8, true_seu_rate=100.0)
+    calls = _count_threshold_draws(monkeypatch)
+    monkeypatch.setattr(radiation, "_arrival_times", lambda *a: calls.append("events"))
+    negative = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    message = (f"--seed (seed) must be a non-negative integer, got {seed}" if negative else
+               f"--seed (seed) must be a non-negative integer or a SeedSequence, got {seed!r}")
+    for call in (
+            lambda: sample_array("SS", ss_model, seed=seed, rows=8, cols=8),
+            lambda: simulate_parts(ss_model, n_parts=1, cell_types=("SS",), duration=3600,
+                                   rows=8, cols=8, seed=seed),
+            lambda: simulate_supply_sweeps(ss_model, cell_types=("SS",), rows=8, cols=8,
+                                           seed=seed),
+            lambda: run_ser_test(array, AlphaSource(), ts=1800, duration=3600, seed=seed)):
+        with pytest.raises(ConfigurationError) as refused:
+            call()
+        assert str(refused.value) == message
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**70, np.int64(5), np.random.SeedSequence(5)],
+                         ids=["0", "1", "2**70", "int64(5)", "SeedSequence(5)"])
+def test_events_draw_the_stream_of_their_seed(ss_model, seed):
+    """``generate_events`` seeds through ``seed_sequence``: an int gives the
+    stream ``default_rng`` gives the int itself."""
+    array = sample_array("SS", ss_model, seed=1, rows=8, cols=8, true_seu_rate=100.0)
+    events = radiation.generate_events(array, AlphaSource(), 3600.0, seed=seed)
+    rng = np.random.default_rng(seed)
+    times = radiation._arrival_times(rng, 100e-6 * array.n_cells, 3600.0)
+    assert times.size > 0 and times.tobytes() == events.times.tobytes()
+    assert np.array_equal(events.cells, rng.integers(0, array.n_cells, times.size))
+    for bad in BAD_SEEDS:
+        with pytest.raises(ConfigurationError, match=r"^--seed \(seed\) must be a non-neg"):
+            radiation.generate_events(array, AlphaSource(), 3600.0, seed=bad)
+
+
+@pytest.mark.parametrize("n_parts", [2.5, 2.0, np.float64(3.0), True, False, "2", None],
+                         ids=["2.5", "2.0", "float64", "True", "False", "str", "None"])
+def test_simulate_parts_refuses_a_part_count_that_is_not_an_integer(monkeypatch, n_parts):
+    calls = _count_threshold_draws(monkeypatch)
+    with pytest.raises(ConfigurationError) as refused:
+        simulate_parts(n_parts=n_parts, cell_types=("SS",), duration=3600, rows=8, cols=8)
+    assert str(refused.value) == f"--parts (n_parts) must be an integer, got {n_parts!r}"
+    assert calls == []
+    assert len(simulate_parts(n_parts=np.int64(2), cell_types=("SS",), duration=3600,
+                              rows=8, cols=8)) == 2
 
 
 def test_simulate_parts_at_nominal_draws_write_thresholds_only(monkeypatch):
@@ -582,14 +639,14 @@ def test_inoperable_cells_matches_brute_force():
             draws = []
             array = sram.MemoryArray(
                 "x", "SS", v_wl_min=wl, true_seu_rate=0.0, v_dd=v_dd,
-                draw_pending=lambda: draws.append(v_dd) or (hold, read),
+                draw=lambda label: draws.append(label) or {"hold": hold, "read": read}[label],
                 threshold_ceiling=ceiling)
             for given, other in ((wl, wl), (hold, hold), (None, read)):
                 expected = sum(int(w > v_dd or t > v_dd) for w, t in zip(wl, other))
                 assert array.inoperable_cells(given) == expected
                 if v_dd >= ceiling:
                     assert expected == 0
-            assert len(draws) == (v_dd < ceiling)
+            assert draws == (["hold", "read"] if v_dd < ceiling else [])
 
 
 # --- model loading ----------------------------------------------------------
