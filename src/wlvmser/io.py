@@ -21,9 +21,16 @@ repeat a part id.  The JSON and TSV files are formatted into one string
 and written whole by ``_write_text``, encoded once and written as bytes;
 the CSV files (measurements, predictions and the protocol logs) are
 streamed row by row into the open text file by ``_write_csv``, so a
-log's text is never held whole.  Both truncate an existing file as they
-open it, so a rerun into the same directory leaves the same bytes as a
-fresh one.
+log's text is never held whole.  Both open their file through
+``_rewritten``, which writes over an existing file's bytes in place,
+without ``O_TRUNC``, and cuts what is left of the old file on close, so
+a rerun into the same directory leaves the same bytes as a fresh one:
+on ext4 mounted with ``discard``, freeing a file's blocks as it opens
+and allocating them again took several times the write itself.  A write
+that fails (a row generator that raises, a full disk) is cut the same
+way, leaving only the bytes that reached the file.  A rewrite is no more
+atomic than one through ``O_TRUNC``: a process killed mid-write can leave
+new bytes followed by old ones, where ``O_TRUNC`` left a short file.
 
 Ingested rows become the summary records of ``records``; this module
 imports neither the simulator, numpy nor ``inspect``.
@@ -34,6 +41,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import stat
+from contextlib import contextmanager
 from itertools import accumulate
 from pathlib import Path
 
@@ -218,28 +228,53 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_text(path, text: str) -> Path:
-    """Write ``text``, one whole file built in memory, to ``path`` as UTF-8.
+# written over in place: no O_TRUNC, and no newline translation on Windows
+_REWRITE = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
-    The text is encoded once and written through a binary file, which
-    truncates an existing file as text mode does: the same bytes, without
-    a text wrapper per file."""
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(text.encode("utf-8"))
-    return path
+
+@contextmanager
+def _rewritten(path):
+    """A descriptor of ``path`` opened to write over its old bytes in place.
+
+    The file is opened without ``O_TRUNC``.  On exit, and as well when the
+    block raises, a regular file longer than the descriptor's offset is
+    cut there, so it holds exactly the bytes that reached it; a pipe or a
+    device, such as ``/dev/stdout`` or ``/dev/null``, is never cut.  A
+    process killed mid-write can leave new bytes followed by old ones."""
+    fd = os.open(path, _REWRITE, 0o666)
+    try:
+        yield fd
+    finally:
+        try:
+            st = os.fstat(fd)
+            if stat.S_ISREG(st.st_mode) and st.st_size > (
+                    end := os.lseek(fd, 0, os.SEEK_CUR)):
+                os.ftruncate(fd, end)
+        finally:
+            os.close(fd)
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text``, one whole file built in memory, to ``path`` as UTF-8
+    through ``_rewritten``: encoded once and written straight to the
+    descriptor, without a file object per file."""
+    with _rewritten(path) as fd:
+        data = memoryview(text.encode("utf-8"))
+        while data:
+            data = data[os.write(fd, data):]
 
 
 def _write_csv(path, header, rows) -> Path:
-    """Write ``header`` and ``rows`` to ``path`` as one UTF-8 CSV file,
-    streaming each row into the open file: ``rows`` may be a generator,
-    and the text is never held whole."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Write ``header`` and ``rows`` to ``path`` as one UTF-8 CSV file
+    through ``_rewritten``, streaming each row into the open file: ``rows``
+    may be a generator, and the text is never held whole.  A generator
+    that raises leaves the rows written before it, and no byte more."""
+    with (_rewritten(path) as fd,
+          open(fd, "w", encoding="utf-8", newline="", closefd=False) as fh):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    return path
+    return Path(path)
 
 
 def _check_unique_part_ids(datasets):
@@ -277,7 +312,8 @@ def emit_measurements_csv(datasets, path) -> Path:
 # ---------------------------------------------------------------------------
 
 def write_fit_json(fit: CalibrationFit, path) -> Path:
-    return _write_text(path, json.dumps(vars(fit), indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(vars(fit), indent=2, sort_keys=True) + "\n")
+    return Path(path)
 
 
 def read_fit_json(path) -> CalibrationFit:
@@ -403,8 +439,9 @@ def emit_report(bundle: ReportBundle, out_dir) -> list[str]:
                     templates[key] % tuple(meas.window_counts.cumsum().tolist()))
 
     files["scatter_fit.tsv"] = "".join(scatter)
+    out = os.path.join(out, "")  # joined as str: no Path per file
     for name, text in files.items():
-        _write_text(out / name, text)
-    write_fit_json(fit, out / "fit.json")
-    write_predictions_csv(predictions, out / "predictions.csv")
+        _write_text(out + name, text)
+    write_fit_json(fit, out + "fit.json")
+    write_predictions_csv(predictions, out + "predictions.csv")
     return sorted([*files, "fit.json", "predictions.csv"])

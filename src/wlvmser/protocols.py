@@ -53,7 +53,7 @@ from .errors import ConfigurationError, ProtocolError
 from .radiation import AlphaSource, generate_events
 from .records import (DEFAULT_DELTA_V_MV, DEFAULT_DURATION_S, DEFAULT_TS_S,
                       MAX_EXPECTED_EVENTS, SerMeasurement, SweepResult)
-from .sram import MemoryArray
+from .sram import MemoryArray, seed_sequence
 
 
 def schedule_windows(ts: float, duration: float) -> int:
@@ -134,9 +134,11 @@ def run_ser_test(array: MemoryArray, source: AlphaSource, ts: float = DEFAULT_TS
     whose read-back changed since the previous window.  Window reads
     happen at nominal supply and are non-destructive; irradiation
     continues through them (reads are instantaneous in simulation time).
-    The schedule is checked first (``schedule_windows``).
+    The schedule and the seed (``sram.seed_sequence``) are checked first,
+    before the verify can draw a block's pending thresholds.
     """
     n_windows = schedule_windows(ts, duration)
+    seed = seed_sequence(seed)
     t_exp = n_windows * ts
 
     if n_bad := array.inoperable_cells():

@@ -17,12 +17,16 @@ import wlvmser
 from wlvmser import cli, pipeline
 from wlvmser.calibration import WEIGHT_MODES, CalibrationFit, predict_ser, weighted_linfit
 from wlvmser.errors import IngestError
-from wlvmser.io import (PartDataset, ReportBundle, emit_measurements_csv,
+from wlvmser.io import (PartDataset, ReportBundle, _write_csv, emit_measurements_csv,
                         emit_report, ingest_measurements_csv, read_fit_json,
-                        write_fit_json)
+                        write_fit_json, write_ser_log, write_sweep_log)
 from wlvmser.pipeline import build_report_bundle, calibrate_datasets, simulate_parts
 from wlvmser.records import SerMeasurement, SweepResult
 from wlvmser.refdata import CELL_TYPE_ORDER, REFERENCE_CSV, load_reference_dataset
+
+from test_fixed_seed_outputs import COMMANDS as FIXED_SEED_COMMANDS
+from test_fixed_seed_outputs import EXPECTED as FIXED_SEED_DIGESTS
+from test_fixed_seed_outputs import tree_digest
 
 HEADER = "part_id,cell_type,quantity,value\n"
 
@@ -354,6 +358,91 @@ def test_emit_report_empty_predictions(tmp_path):
     lines = (tmp_path / "rep" / "predictions.csv").read_text().strip().splitlines()
     assert len(lines) == 1  # header only
     assert manifest == ["fit.json", "predictions.csv", "scatter_fit.tsv"]
+
+
+# --- writing over existing files --------------------------------------------------
+
+class _OpenLog:
+    """``(path, flags)`` of each ``open`` audit event, which ``os.open`` and
+    ``open`` both raise, while ``recording``."""
+
+    def __init__(self):
+        self.recording, self.opens = False, []
+
+    def __call__(self, event, args):
+        if self.recording and event == "open" and isinstance(args[0], (str, os.PathLike)):
+            self.opens.append((Path(args[0]), args[2]))
+
+
+@pytest.fixture(scope="session")
+def open_log():
+    log = _OpenLog()
+    sys.addaudithook(log)  # an audit hook cannot be removed: one serves the session
+    return log
+
+
+def test_writers_open_without_o_trunc(tmp_path, open_log):
+    """Every file open of the writers, into a fresh directory and then over
+    their own files, asks for ``O_WRONLY | O_CREAT`` and never ``O_TRUNC``,
+    which cost several times the write on ext4 mounted with ``discard``.
+    ``emit_report`` writes through ``write_fit_json`` and
+    ``write_predictions_csv``."""
+    datasets = simulate_parts(n_parts=2, cell_types=("SS", "LS"), duration=7200, ts=1800,
+                              seed=4, rows=16, cols=16)
+    bundle = build_report_bundle(datasets)
+    out = tmp_path / "out"
+    open_log.opens.clear()
+    open_log.recording = True
+    try:
+        for _ in range(2):
+            emit_report(bundle, out)
+            emit_measurements_csv(datasets, out / "measurements.csv")
+            write_ser_log(datasets[0].ser["SS"], out / "ser_log.csv")
+            write_sweep_log(datasets[0].sweeps["SS"], out / "sweep_log.csv")
+    finally:
+        open_log.recording = False
+    opens = [(path.name, flags) for path, flags in open_log.opens if path.parent == out]
+    written = sorted(path.name for path in out.iterdir())
+    assert len(written) == 14 and sorted({name for name, _ in opens}) == written
+    assert len(opens) == 2 * len(written)
+    for name, flags in opens:
+        assert not flags & os.O_TRUNC, name
+        assert flags & (os.O_WRONLY | os.O_RDWR | os.O_CREAT | os.O_APPEND) == (
+            os.O_WRONLY | os.O_CREAT), name
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_SEED_COMMANDS))
+def test_fixed_seed_rerun_over_longer_files_bytes(name, tmp_path, capsys):
+    """A fixed-seed command rerun over its own files, each made 4 KiB
+    longer, leaves the recorded bytes: every file written over is cut to
+    its new length, the streamed CSV logs of ``ser-test`` and ``sweep``
+    among them."""
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [arg.format(out=out) for arg in FIXED_SEED_COMMANDS[name]]
+    assert cli.main(argv) == 0
+    for path in out.iterdir():
+        with open(path, "ab") as fh:
+            fh.write(bytes(range(256)) * 16)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert tree_digest(out) == FIXED_SEED_DIGESTS[name]
+
+
+def test_a_failed_csv_write_leaves_no_stale_byte(tmp_path):
+    """A row generator that raises after two rows, over a longer file,
+    leaves the header and those two rows and no byte of the old file."""
+    path = tmp_path / "log.csv"
+    path.write_bytes(b"stale,row\r\n" * 400)
+
+    def rows():
+        yield 1, 2
+        yield 3, 4
+        raise RuntimeError("no third row")
+
+    with pytest.raises(RuntimeError, match="^no third row$"):
+        _write_csv(path, ["a", "b"], rows())
+    assert path.read_bytes() == b"a,b\r\n1,2\r\n3,4\r\n"
 
 
 # --- CLI ---------------------------------------------------------------------------
@@ -977,6 +1066,21 @@ def test_cli_calibrate_out_dev_stdout_through_a_pipe():
     assert (proc.returncode, proc.stderr) == (0, "")
     payload, _ = json.JSONDecoder().raw_decode(proc.stdout, proc.stdout.index("{"))
     assert CalibrationFit.from_dict(payload) == calibrate_datasets(load_reference_dataset())
+
+
+@pytest.mark.parametrize("argv", [["calibrate", "--input", "bundled"], ["paper-repro"],
+                                  ["ser-test", "--duration", "3600"], ["sweep"]],
+                         ids=lambda argv: argv[0])
+def test_cli_out_dev_null(argv, tmp_path, monkeypatch, capsys):
+    """``--out /dev/null`` writes into the device, which is never cut, and
+    prints what an ``--out`` naming a file prints."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv + ["--out", "out.txt"]) == 0
+    to_file = capsys.readouterr()
+    assert cli.main(argv + ["--out", "/dev/null"]) == 0
+    to_null = capsys.readouterr()
+    assert to_null.err == to_file.err
+    assert to_null.out == to_file.out.replace("wrote out.txt", "wrote /dev/null")
 
 
 @pytest.mark.parametrize("argv, out", [

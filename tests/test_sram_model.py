@@ -465,8 +465,11 @@ def test_every_seeded_entry_point_refuses_a_bad_seed_before_any_draw(ss_model, m
                                                                      seed):
     """A seed that is not a non-negative integer or a ``SeedSequence`` is
     one ``ConfigurationError`` naming ``--seed (seed)``, raised by
-    ``seed_sequence`` before a threshold or an event is drawn."""
-    array = sample_array("SS", ss_model, seed=1, rows=8, cols=8, true_seu_rate=100.0)
+    ``seed_sequence`` before a threshold or an event is drawn.  The SER
+    test's block is below nominal supply, where its write/read verify
+    would draw the hold and read thresholds."""
+    array = sample_array("SS", ss_model, seed=1, rows=8, cols=8, v_dd=1100,
+                         true_seu_rate=100.0)
     calls = _count_threshold_draws(monkeypatch)
     monkeypatch.setattr(radiation, "_arrival_times", lambda *a: calls.append("events"))
     negative = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
