@@ -8,10 +8,13 @@ three or more hits), reducing a voltage sweep to its failure histogram
 and threshold mean and spread (a closed form evaluated once per distinct
 threshold, its level table built in place; the mean exact from the
 per-threshold counts, one per-cell gather for the spread) and
-Monte-Carlo sampling of masked upsets.  ``observed_flips`` counts from
-each window's offset among the events, as the SER test finds them;
-``window_observed_flips`` takes each event's window index, checks the
-indices and counts through the same offsets.  ``window_observed_flips``
+Monte-Carlo sampling of masked upsets.  Both measuring kernels take a
+group of blocks in one call: the flip count as one run of windows, the
+sweep as a ``(blocks, cells)`` array with one result per row.
+``observed_flips`` counts from each window's offset among the events, as
+the SER test finds them; ``window_observed_flips`` takes each event's
+window index, checks the indices and counts through the same offsets.
+``window_observed_flips``
 and ``sweep_registration`` are deterministic and refuse indices,
 thresholds, start voltages or steps that are not integers; the flip count
 refuses a cell out of range and adds the event cells in its key's dtype,
@@ -22,7 +25,6 @@ for a fixed seed.
 
 from __future__ import annotations
 
-import math
 import operator
 
 import numpy as np
@@ -118,7 +120,9 @@ def observed_flips(offsets, cells, n_cells):
 def sweep_registration(thresholds, v_start, delta_v):
     """Failure histogram, ``mu`` and ``sigma`` of a sweep down from
     ``v_start`` in ``delta_v`` steps (clamped at 0) over cells with the
-    given integer thresholds.
+    given integer thresholds: one block's, a 1-D array, or a group's, a
+    ``(blocks, cells)`` array, for which the result is a list of one such
+    triple per row, each the bits of the row's own call.
 
     A cell with threshold ``t`` passes at voltages ``>= t`` and registers
     at the first visited voltage below it, ``max(v_start - delta_v * k, 0)``
@@ -130,32 +134,39 @@ def sweep_registration(thresholds, v_start, delta_v):
     sample standard deviation of the per-cell midpoints.
 
     The closed form is evaluated once per distinct threshold: while the
-    top threshold is below the cell count (integers below a supply of a
-    few thousand mV, thousands of cells), per integer up to it, counted
-    by one ``bincount``; otherwise per value ``np.unique`` finds, so no
-    allocation is larger than the cell count.  The registration never
-    falls as the threshold rises, so one ``np.add.reduceat`` sums the
-    histogram over runs of equal voltages.  Every midpoint is a multiple
-    of 0.5, so while ``n_cells * (max(v_start, 0) + delta_v) < 2**52``
-    every partial sum of the midpoints, in any order and with any
-    multiplicity, is exact in a double, and the per-cell mean is the
-    correctly rounded exact mean: ``mu`` is the dot product of the
-    per-threshold counts and midpoints over the cell count, with no pass
-    over the cells.  Above that bound (a start above about 1.7e10 mV at
-    262 144 cells) ``mu`` is the mean of the midpoints gathered per cell.
-    ``sigma`` is reduced over the squared deviations gathered per cell, one
-    gather, not over the histogram: its last bits follow numpy's pairwise
-    summation over the cells, and the fixed-seed outputs pin them.  An
+    top threshold is below the cell count of a row (integers below a
+    supply of a few thousand mV, thousands of cells), per integer up to
+    it, one table for every row, counted by one ``bincount`` of the
+    thresholds offset by row; otherwise per value ``np.unique`` finds in
+    each row, so no allocation is larger than the cell count.  The
+    registration never falls as the threshold rises, so one
+    ``np.add.reduceat`` sums the histograms over the table's runs of equal
+    voltages.  Every midpoint is a multiple of 0.5, so while ``n_cells *
+    (max(v_start, 0) + delta_v) < 2**52`` every partial sum of the
+    midpoints, in any order and with any multiplicity, is exact in a
+    double, and the per-cell mean is the correctly rounded exact mean:
+    ``mu`` is the product of the per-threshold counts and midpoints over
+    the cell count, with no pass over the cells.  Above that bound (a
+    start above about 1.7e10 mV at 262 144 cells) ``mu`` is the mean of
+    the midpoints gathered per cell.  ``sigma`` is reduced over the
+    squared deviations gathered per cell, one flat gather for the group,
+    not over the histogram: its last bits follow numpy's pairwise
+    summation over a row's cells, the same for a row of a C-contiguous
+    array as for the row alone, and the fixed-seed outputs pin them.  An
     empty block, a threshold, ``v_start`` or ``delta_v`` that is not an
     integer (a bool is not), or a threshold or step that is not positive,
     raises ``ConfigurationError``; the thresholds' sign is checked on the
-    distinct values, with no pass of its own.
+    counts, with no pass over the cells of its own.
     """
     thresholds = np.asarray(thresholds)
     if thresholds.dtype.kind not in "iu":
         raise ConfigurationError(
             f"sweep thresholds must be integers, got dtype {thresholds.dtype}")
-    thresholds = np.ascontiguousarray(thresholds, dtype=np.int64)
+    if thresholds.ndim > 2:
+        raise ConfigurationError(
+            f"sweep thresholds must be one block's or a (blocks, cells) array, got "
+            f"{thresholds.ndim} dimensions")
+    rows = np.ascontiguousarray(thresholds, dtype=np.int64)
     for name, value in (("v_start", v_start), ("delta_v", delta_v)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ConfigurationError(f"sweep {name} must be an integer, got {value!r}")
@@ -163,21 +174,38 @@ def sweep_registration(thresholds, v_start, delta_v):
     v_start, delta_v = operator.index(v_start), operator.index(delta_v)
     if delta_v <= 0:
         raise ConfigurationError("delta_v must be positive")
-    if not thresholds.size:
+    if not rows.size:
         raise ConfigurationError("sweep requires at least one cell")
-    if thresholds.max() >= thresholds.size:
-        values, index, counts = np.unique(thresholds, return_inverse=True,
-                                          return_counts=True)
-        if values[0] <= 0:
-            raise ConfigurationError(_NOT_POSITIVE)
-    else:
+    rows = rows.reshape(-1, rows.shape[-1] if rows.ndim else 1)
+    n_rows, n = rows.shape
+    top = int(rows.max())
+    if top < n:
+        size = top + 1
+        keys = rows if n_rows == 1 else rows + np.arange(0, n_rows * size, size)[:, None]
         try:
-            counts = np.bincount(thresholds)
-        except ValueError:  # bincount refuses a negative value
+            counts = np.bincount(keys.ravel(), minlength=n_rows * size).reshape(n_rows, size)
+        except ValueError:  # bincount refuses a negative key
             raise ConfigurationError(_NOT_POSITIVE) from None
-        if counts[0]:
+        # a threshold below 1 counts at 0 or, past the first row, in a row before
+        if counts[:, 0].any() or (counts.sum(axis=1) != n).any():
             raise ConfigurationError(_NOT_POSITIVE)
-        values, index = np.arange(counts.size, dtype=np.int64), thresholds
+        out = _registrations(np.arange(size, dtype=np.int64), counts, keys, v_start, delta_v)
+    else:
+        out = []
+        for row in rows:
+            values, index, counts = np.unique(row, return_inverse=True, return_counts=True)
+            if values[0] <= 0:
+                raise ConfigurationError(_NOT_POSITIVE)
+            out += _registrations(values, counts[None], index[None], v_start, delta_v)
+    return out if thresholds.ndim == 2 else out[0]
+
+
+def _registrations(values, counts, keys, v_start, delta_v):
+    """``(histogram, mu, sigma)`` of each row of ``keys``, whose cells are
+    those of the table ``values`` (ascending, distinct): ``counts[r, j]``
+    of row ``r`` have threshold ``values[j]``, and ``keys[r]`` holds the
+    flat index ``r * values.size + j`` of each of its cells."""
+    n_rows, n = keys.shape
     # levels = max(v_start - delta_v * k, 0) with k - 1 = max((v_start - t) // delta_v, 0)
     levels = v_start - values
     levels //= delta_v
@@ -185,27 +213,27 @@ def sweep_registration(thresholds, v_start, delta_v):
     levels *= -delta_v
     levels += v_start - delta_v
     np.maximum(levels, 0, out=levels)
-    seen = counts.nonzero()[0]
-    seen_levels = levels[seen]
-    change = np.empty(seen_levels.size, dtype=bool)
+    change = np.empty(levels.size, dtype=bool)
     change[0] = True
-    np.not_equal(seen_levels[1:], seen_levels[:-1], out=change[1:])
+    np.not_equal(levels[1:], levels[:-1], out=change[1:])
     starts = change.nonzero()[0]
-    histogram = dict(zip(seen_levels[starts].tolist(),
-                         np.add.reduceat(counts[seen], starts).tolist()))
+    runs = np.add.reduceat(counts, starts, axis=1)
+    row, run = runs.nonzero()  # row-major: each row's levels ascending
+    voltages, cells = levels[starts[run]].tolist(), runs[row, run].tolist()
+    bounds = np.searchsorted(row, np.arange(n_rows + 1)).tolist()
     mid = levels + delta_v / 2.0
-    n = index.size
     # every index is in range: mode "clip" gathers without a bounds pass
     if n * (max(v_start, 0) + delta_v) < 2**52:
-        mu = float(counts @ mid) / n
+        mu = counts @ mid / n
     else:
-        mu = float(mid.take(index, mode="clip").mean())
-    sigma = 0.0
+        mu = np.broadcast_to(mid, counts.shape).take(keys, mode="clip").mean(axis=1)
+    sigma = np.zeros(n_rows)
     if n > 1:
-        mid -= mu
-        mid *= mid
-        sigma = math.sqrt(float(mid.take(index, mode="clip").sum()) / (n - 1))
-    return histogram, mu, sigma
+        deviation = mid - mu[:, None]
+        deviation *= deviation
+        sigma = np.sqrt(deviation.take(keys, mode="clip").sum(axis=1) / (n - 1))
+    return [(dict(zip(voltages[a:b], cells[a:b])), m, s)
+            for a, b, m, s in zip(bounds, bounds[1:], mu.tolist(), sigma.tolist())]
 
 
 def masked_upsets_mc(lam_ts, n_cell_windows, seed):

@@ -8,13 +8,18 @@ true mean margin to its upset rate, which makes the whole chain testable:
 calibrating the simulated measurements must recover the law.
 
 Both batches, ``simulate_parts`` and the control experiment's
-``simulate_supply_sweeps``, make their shared refusals in one check
-before any draw (``_checked``), and draw and measure their blocks in one
-loop (``_measured``).  Blocks of at least ``_PREFETCH_CELLS`` cells are
-drawn one ahead there: on a host that lets the process run on more than
-one CPU, one helper thread draws block k + 1 while the caller measures
-block k.  Every block draws from its own ``SeedSequence`` child, so the
-results are the same bit for bit whatever the CPU count.
+``simulate_supply_sweeps``, check the inputs every block shares (model,
+cell types, supply, step, geometry and, for the SER test, the schedule)
+once, before any draw (``_checked``), and draw and measure their blocks
+in one loop (``_measured``).  Each block is drawn and makes its own
+checks and draws in the serial order; the blocks of a group, up to
+``_PREFETCH_CELLS`` cells and events, are then measured at once: one flip
+count and one sweep-kernel call per group (``protocols``).  A block of
+``_PREFETCH_CELLS`` cells or more is a group of one, drawn one ahead: on
+a host that lets the process run on more than one CPU, one helper
+thread draws block k + 1 while the caller measures block k.  Every block
+draws from its own ``SeedSequence`` child, so the results are the same
+bit for bit whatever the CPU count and however the blocks are grouped.
 
 Calibration, report assembly and the variation model need no numpy; the
 simulator's names (``sample_array``, ``run_*``, ``AlphaSource``) are
@@ -24,6 +29,7 @@ starts, or when looked up on this module (see ``lazy``).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -52,7 +58,9 @@ _BIN_AS_WINDOWS = 10
 # Smallest block drawn on the helper thread.  Below it the handoff costs
 # more than the overlap saves: perfbench's large-block batch at 4 kbit ran
 # 2.3x slower drawn ahead, broke even at 25 600 cells and ran 21 % faster
-# at 2^16 (2-core host).
+# at 2^16 (2-core host).  It also bounds a measuring group's cells and
+# events: 16 blocks of 4 kbit, whose arrays took simulate_parts(n_parts=100)
+# from 0.12 to 2.6 MB traced beyond the records it keeps.
 _PREFETCH_CELLS = 1 << 16
 
 
@@ -74,14 +82,15 @@ class LinearSerLaw:
         return max(self.m * margin_v + self.b, 0.0)
 
 
-def _checked(model, cell_types, v_dd, delta_v):
+def _checked(model, cell_types, v_dd, delta_v, rows, cols):
     """The pre-draw refusals both batches share; binds the simulator's names.
 
     Refuses ``cell_types`` unless it names each type of ``CELL_TYPE_ORDER``
     at most once, each in ``model`` (None: the bundled model), a bad supply
-    ``v_dd`` (``model.supply``) and a bad sweep step ``delta_v``
-    (``sweep_bins``).  Returns the model, the supply and the most bins a
-    sweep's histogram can have.
+    ``v_dd`` (``model.supply``), a bad sweep step ``delta_v``
+    (``sweep_bins``) and a bad block geometry (``sram._block_cells``).
+    Returns the model, the supply, the most bins a sweep's histogram can
+    have and the cells of a block.
     """
     model = model if model is not None else VariationModel.default()
     for i, cell_type in enumerate(cell_types):
@@ -95,38 +104,57 @@ def _checked(model, cell_types, v_dd, delta_v):
         model.for_type(cell_type)
     v_dd = model.supply(v_dd)
     from .protocols import sweep_bins
+    from .sram import _block_cells
     lazy.bind(globals())
-    return model, v_dd, sweep_bins(v_dd, delta_v)
+    return model, v_dd, sweep_bins(v_dd, delta_v), _block_cells(rows, cols)
 
 
-def _measured(blocks, n_cells: int) -> list:
-    """``measure(sample_array(**kwargs))`` for each ``(measure, kwargs)`` of
-    ``blocks``, in order.
+def _measured(blocks, n_cells: int, step, finish) -> list:
+    """Draw the block ``sram._sampled(**kwargs)`` of each ``(context,
+    kwargs)`` of ``blocks``, in order, and measure it: ``step(context,
+    array)`` makes the block's own checks and draws, in the serial order,
+    and returns its state and event count; ``finish`` measures the states
+    of a group of consecutive blocks at once and returns their results,
+    which this returns in order.
 
-    When each block has ``n_cells`` of at least ``_PREFETCH_CELLS`` and the
-    host lets this process run on more than one CPU, one helper thread
-    draws block k + 1 while the caller measures block k.  ``blocks`` is
-    always advanced on the caller's thread, in order; a draw's error is
-    raised when its block is due, before the next block is drawn; and the
-    helper is joined before this returns or raises, so the results and the
-    first error are those of the serial loop.
+    A group holds at most ``_PREFETCH_CELLS`` cells, and the block that
+    takes its events to ``_PREFETCH_CELLS`` or more closes it, so a block
+    of ``_PREFETCH_CELLS`` cells or more is a group of one.  Such blocks
+    are drawn one ahead when the host lets this process run on more than
+    one CPU: one helper thread draws block k + 1 while the caller measures
+    block k.  ``blocks`` is always advanced on the caller's thread, in
+    order; a draw's error is raised when its block is due, before the
+    next block is drawn; no group is finished before each of its blocks
+    passed its step; and the helper is joined before this returns or
+    raises, so the results and the first error are those of the serial
+    loop.
     """
-    if (n_cells < _PREFETCH_CELLS or not hasattr(os, "sched_getaffinity")
-            or len(os.sched_getaffinity(0)) < 2):
-        return [measure(sample_array(**kwargs)) for measure, kwargs in blocks]
-    from concurrent.futures import ThreadPoolExecutor
-    blocks, results = iter(blocks), []
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        def draw_next():  # submit the next block's draw; None past the last
-            for measure, kwargs in blocks:
-                # looked up now, so that a wrapper put on this module's name runs
-                return measure, helper.submit(sample_array, **kwargs)
+    from . import sram
+    ahead = (n_cells >= _PREFETCH_CELLS and hasattr(os, "sched_getaffinity")
+             and len(os.sched_getaffinity(0)) > 1)
+    if ahead:
+        from concurrent.futures import ThreadPoolExecutor
+    results, group, events = [], [], 0
+    with ThreadPoolExecutor(max_workers=1) if ahead else contextlib.nullcontext() as helper:
+        def draw_next():  # the next block's context and its draw; None past the last
+            for context, kwargs in blocks:
+                # looked up now, so that a wrapper put on the name runs
+                if helper is None:
+                    return context, functools.partial(sram._sampled, **kwargs)
+                return context, helper.submit(sram._sampled, **kwargs).result
 
         due = draw_next()
         while due is not None:
-            measure, array = due[0], due[1].result()
+            context, array = due[0], due[1]()
             due = draw_next()
-            results.append(measure(array))
+            state, block_events = step(context, array)
+            group.append(state)
+            del state  # the group alone holds the block's arrays, so finishing frees them
+            events += block_events
+            if (due is None or (len(group) + 1) * n_cells > _PREFETCH_CELLS
+                    or events >= _PREFETCH_CELLS):
+                results += finish(group)
+                group, events = [], 0
     return results
 
 
@@ -150,8 +178,9 @@ def simulate_parts(
     threshold means and one flux factor is drawn uniformly within
     ``+-geom_spread``.  Per block the ground-truth rate is the law applied
     to the part's true mean margin at ``v_dd``.  Deterministic under a
-    fixed seed, whatever the CPU count: large blocks are drawn one ahead
-    on a helper thread (``_measured``), each from its own seed.
+    fixed seed, whatever the CPU count: blocks are measured in groups,
+    and large blocks drawn one ahead on a helper thread (``_measured``),
+    each from its own seed.
     ``n_parts`` is a positive integer, not a bool, ``cell_types`` names
     each type of ``CELL_TYPE_ORDER`` at most once, and ``geom_spread``
     lies in [0, 0.1] so every flux factor stays within the source's range.
@@ -159,9 +188,11 @@ def simulate_parts(
     ``MAX_EXPECTED_EVENTS`` window counts, a block's
     records counted as ``_BLOCK_RECORDS_AS_WINDOWS`` more and its sweep
     histogram as ``_BIN_AS_WINDOWS`` per bin it can have, is refused
-    before any draw, and so is a bad supply or sweep step or a cell type
-    the model lacks (``_checked``).  An inoperable block aborts the batch
-    with a ``ProtocolError`` that names its part and cell type.
+    before any draw, and so is a bad supply, sweep step or geometry or a
+    cell type the model lacks (``_checked``).  An inoperable block aborts
+    the batch with a ``ProtocolError``, and a block whose rate expects
+    more than ``MAX_EXPECTED_EVENTS`` events with a ``ConfigurationError``,
+    each naming its part and cell type.
     """
     import numpy as np
     if isinstance(n_parts, bool) or not isinstance(n_parts, (int, np.integer)):
@@ -172,12 +203,12 @@ def simulate_parts(
         raise ConfigurationError(
             f"--geom-spread (geom_spread) must be finite and within [0, 0.1], "
             f"got {geom_spread:g}")
-    model, v_dd, bins = _checked(model, cell_types, v_dd, delta_v)
-    from .protocols import schedule_windows
+    model, v_dd, bins, n_cells = _checked(model, cell_types, v_dd, delta_v, rows, cols)
+    from . import protocols
     from .sram import seed_sequence
-    windows = schedule_windows(ts, duration)
+    windows = protocols.schedule_windows(ts, duration)
     law = law if law is not None else LinearSerLaw()
-    records = _BLOCK_RECORDS_AS_WINDOWS + _BIN_AS_WINDOWS * min(rows * cols, bins)
+    records = _BLOCK_RECORDS_AS_WINDOWS + _BIN_AS_WINDOWS * min(n_cells, bins)
     if n_parts * len(cell_types) * (windows + records) > MAX_EXPECTED_EVENTS:
         raise ConfigurationError(
             f"--parts (n_parts) {n_parts} x {len(cell_types)} cell types x {windows} "
@@ -185,10 +216,6 @@ def simulate_parts(
             f"each block's records counting as {records} more")
     root = seed_sequence(seed)
     datasets = []
-
-    def measure(ds, source, ser_seed, array):
-        ds.ser[array.cell_type] = run_ser_test(array, source, ts, duration, seed=ser_seed)
-        ds.sweeps[array.cell_type] = run_wlvm_sweep(array, delta_v)
 
     def blocks():
         for p in range(n_parts):
@@ -203,12 +230,26 @@ def simulate_parts(
             block_seqs = part_seq.spawn(2 * len(cell_types))
             for i, cell_type in enumerate(cell_types):
                 rate = law.rate((v_dd - (model.for_type(cell_type).mu_vwlmin + offset)) / 1000.0)
-                yield functools.partial(measure, ds, source, block_seqs[2 * i + 1]), dict(
+                yield (ds, source, block_seqs[2 * i + 1]), dict(
                     cell_type=cell_type, model=model, part_offset=offset,
-                    seed=block_seqs[2 * i], rows=rows, cols=cols, true_seu_rate=rate,
-                    part_id=part_id, v_dd=v_dd)
+                    seed=block_seqs[2 * i], n=n_cells, true_seu_rate=rate,
+                    part_id=part_id, v_dd=int(v_dd))
 
-    _measured(blocks(), rows * cols)
+    def step(context, array):
+        ds, source, ser_seed = context
+        ser = protocols._ser_block(array, source, ts, windows, ser_seed,
+                                   rate_set_by="--law-m (m) or --law-b (b)")
+        return (ds, ser, protocols._sweep_block(array, "word_line")), ser[2].size
+
+    def finish(group):
+        sers = protocols._ser_group([ser for _, ser, _ in group], ts, windows)
+        sweeps = protocols._sweep_group([sweep for _, _, sweep in group], delta_v, "word_line")
+        for (ds, _, _), ser, sweep in zip(group, sers, sweeps):
+            ds.ser[ser.cell_type] = ser
+            ds.sweeps[sweep.cell_type] = sweep
+        return ()
+
+    _measured(blocks(), n_cells, step, finish)
     return datasets
 
 
@@ -224,19 +265,23 @@ def simulate_supply_sweeps(
     """Control-experiment supply sweeps (hold or read) for one part.
 
     The kind, ``cell_types`` (as ``simulate_parts`` takes them, each in
-    the model) and the step are refused before any draw.  Deterministic
-    under a fixed seed, whatever the CPU count (see ``_measured``).
+    the model), the step and the geometry are refused before any draw.
+    Deterministic under a fixed seed, whatever the CPU count (see
+    ``_measured``).
     """
-    model = _checked(model, cell_types, None, delta_v)[0]
-    runner = {"hold": run_hold_sweep, "read": run_read_sweep}.get(kind)
-    if runner is None:
+    model, v_dd, _, n_cells = _checked(model, cell_types, None, delta_v, rows, cols)
+    quantity = {"hold": "vdd_hold", "read": "vdd_read"}.get(kind)
+    if quantity is None:
         raise ValueError(f"kind must be 'hold' or 'read', got {kind!r}")
+    from . import protocols
     from .sram import seed_sequence
-    measure = functools.partial(runner, delta_v=delta_v)
     seqs = seed_sequence(seed).spawn(len(cell_types))
-    return _measured(((measure, dict(cell_type=cell_type, model=model, seed=seq, rows=rows,
-                                     cols=cols, part_id="1"))
-                      for cell_type, seq in zip(cell_types, seqs)), rows * cols)
+    return _measured(
+        (((), dict(cell_type=cell_type, model=model, part_offset=0.0, seed=seq, n=n_cells,
+                   true_seu_rate=0.0, part_id="1", v_dd=int(v_dd)))
+         for cell_type, seq in zip(cell_types, seqs)), n_cells,
+        lambda _, array: (protocols._sweep_block(array, quantity), 0),
+        lambda group: protocols._sweep_group(group, delta_v, quantity))
 
 
 def zero_count_blocks(datasets) -> list[str]:

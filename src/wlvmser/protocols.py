@@ -35,6 +35,12 @@ schedule and cached), not by a division per event, and counts the flips
 from those offsets (``kernels.observed_flips``) without a window index
 per event; the counts are the same bit for bit.
 
+A batch measures its blocks in groups.  Each block makes its own checks
+and draws in the serial order (``_ser_block``, ``_sweep_block``); a group
+of consecutive blocks of one size then makes one flip count and one
+``sweep_registration`` call (``_ser_group``, ``_sweep_group``).  The
+public procedures run the same code on a group of one block.
+
 The records the procedures return, ``SerMeasurement`` and
 ``SweepResult``, live in ``records``, which a measurement file ingests
 into without the simulator.
@@ -135,22 +141,45 @@ def run_ser_test(array: MemoryArray, source: AlphaSource, ts: float = DEFAULT_TS
     happen at nominal supply and are non-destructive; irradiation
     continues through them (reads are instantaneous in simulation time).
     The schedule and the seed (``sram.seed_sequence``) are checked first,
-    before the verify can draw a block's pending thresholds.
+    before the verify can draw a block's pending thresholds.  The test is
+    a group of one block (``_ser_block``, ``_ser_group``).
     """
     n_windows = schedule_windows(ts, duration)
     seed = seed_sequence(seed)
-    t_exp = n_windows * ts
+    return _ser_group([_ser_block(array, source, ts, n_windows, seed)], ts, n_windows)[0]
 
+
+def _ser_block(array: MemoryArray, source: AlphaSource, ts: float, n_windows: int, seed,
+               rate_set_by: str | None = None):
+    """One block's part of a SER test of ``n_windows`` windows of ``ts``
+    s, a checked schedule: the write/verify, the events (their budget
+    refusal naming ``rate_set_by``, see ``generate_events``) and each
+    window's offset among them, which checks their order.  Returns
+    ``(array, offsets, cells)`` for ``_ser_group``."""
     if n_bad := array.inoperable_cells():
         raise ProtocolError(
             f"part {array.part_id} {array.cell_type}: initial write/verify failed for "
             f"{n_bad} cells at v_dd={array.v_dd} mV; the part is not operable at this supply")
+    events = generate_events(array, source, n_windows * ts, seed, rate_set_by=rate_set_by)
+    return array, _window_offsets(events.times, ts, n_windows), events.cells
 
-    events = generate_events(array, source, t_exp, seed)
-    counts, _ = kernels.observed_flips(_window_offsets(events.times, ts, n_windows),
-                                       events.cells, array.n_cells)
 
-    return SerMeasurement.from_windows(array.part_id, array.cell_type, ts, counts, array.n_cells)
+def _ser_group(blocks, ts: float, n_windows: int) -> list[SerMeasurement]:
+    """The SER records of ``_ser_block`` results of blocks of one size, in
+    order, from one flip count: block ``b``'s window ``i`` is window
+    ``b * n_windows + i`` of the group.  A group of one counts its events
+    where they are, with no copy."""
+    if len(blocks) == 1:
+        offsets, cells = blocks[0][1:]
+    else:
+        starts = np.cumsum([0] + [cells.size for _, _, cells in blocks])
+        offsets = np.concatenate([*(block_offsets[:-1] + start for (_, block_offsets, _), start
+                                    in zip(blocks, starts)), starts[-1:]])
+        cells = np.concatenate([cells for _, _, cells in blocks])
+    counts, _ = kernels.observed_flips(offsets, cells, blocks[0][0].n_cells)
+    return [SerMeasurement.from_windows(array.part_id, array.cell_type, ts, window_counts,
+                                        array.n_cells)
+            for (array, _, _), window_counts in zip(blocks, counts.reshape(-1, n_windows))]
 
 
 # the block's per-cell thresholds that each sweep steps past
@@ -159,27 +188,42 @@ _SWEPT = {"word_line": "v_wl_min", "vdd_hold": "v_dd_min_hold", "vdd_read": "v_d
 
 def _run_sweep(array: MemoryArray, delta_v: int, quantity: str) -> SweepResult:
     """Step the swept voltage down from ``array.v_dd`` by ``delta_v`` and
-    register each cell at the first grid voltage below its threshold.
-
-    Every step rewrites the background at nominal supply, so a cell that
-    cannot be written at ``v_dd``, or whose swept threshold already lies
-    above it, would be registered at a voltage unrelated to the threshold
-    being measured; such a part is rejected instead.  A refused step reads
-    no threshold, so it draws none; an accepted one is recorded as an
-    ``int``, a numpy integer step too.
-    """
+    register each cell at the first grid voltage below its threshold, as a
+    group of one block (``_sweep_block``, ``_sweep_group``).  A refused
+    step reads no threshold, so it draws none."""
     sweep_bins(array.v_dd, delta_v)
+    return _sweep_group([_sweep_block(array, quantity)], delta_v, quantity)[0]
+
+
+def _sweep_block(array: MemoryArray, quantity: str):
+    """One block's part of a sweep: its swept thresholds, read (so drawn,
+    if pending) now.  Every step rewrites the background at nominal
+    supply, so a cell that cannot be written at ``v_dd``, or whose swept
+    threshold already lies above it, would be registered at a voltage
+    unrelated to the threshold being measured; such a part is rejected
+    instead.  Returns ``(array, thresholds)`` for ``_sweep_group``."""
     thresholds = getattr(array, _SWEPT[quantity])
     if n_bad := array.inoperable_cells(thresholds):
         raise ProtocolError(
             f"part {array.part_id} {array.cell_type}: {n_bad} of {array.n_cells} cells "
             f"cannot be written or already fail the {quantity} sweep at v_dd={array.v_dd} "
             f"mV; the part is not operable at this supply")
-    histogram, mu, sigma = kernels.sweep_registration(thresholds, array.v_dd, delta_v)
-    return SweepResult(part_id=array.part_id, cell_type=array.cell_type,
-                       swept_quantity=quantity, delta_v=operator.index(delta_v), mu=mu,
-                       sigma=sigma, n_cells=array.n_cells, v_nominal=array.v_dd,
-                       histogram=histogram)
+    return array, thresholds
+
+
+def _sweep_group(blocks, delta_v: int, quantity: str) -> list[SweepResult]:
+    """The sweep records of ``_sweep_block`` results of blocks of one size
+    and supply, in order, from one ``kernels.sweep_registration`` call over
+    their thresholds as rows; ``delta_v``, a checked step, is recorded as
+    an ``int``, a numpy integer step too."""
+    arrays = [array for array, _ in blocks]
+    rows = blocks[0][1][None] if len(blocks) == 1 else np.stack([t for _, t in blocks])
+    return [SweepResult(part_id=array.part_id, cell_type=array.cell_type,
+                        swept_quantity=quantity, delta_v=operator.index(delta_v), mu=mu,
+                        sigma=sigma, n_cells=array.n_cells, v_nominal=array.v_dd,
+                        histogram=histogram)
+            for array, (histogram, mu, sigma) in zip(
+                arrays, kernels.sweep_registration(rows, arrays[0].v_dd, delta_v))]
 
 
 def run_wlvm_sweep(array: MemoryArray, delta_v: int = DEFAULT_DELTA_V_MV) -> SweepResult:

@@ -89,7 +89,8 @@ def _arrival_times(rng, lam_total, duration):
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
-def generate_events(array: MemoryArray, source: AlphaSource, duration: float, seed=0) -> EventLog:
+def generate_events(array: MemoryArray, source: AlphaSource, duration: float, seed=0, *,
+                    rate_set_by: str | None = None) -> EventLog:
     """Draw the upset events hitting ``array`` over ``duration`` seconds.
 
     Deterministic for a fixed ``seed``, which ``sram.seed_sequence``
@@ -97,7 +98,9 @@ def generate_events(array: MemoryArray, source: AlphaSource, duration: float, se
     ``2**31`` cells, ``int64`` above: below ``2**32`` values
     ``Generator.integers`` draws the same numbers for either dtype.
     Raises ``ConfigurationError`` before drawing anything when the expected
-    event count exceeds ``MAX_EXPECTED_EVENTS``.
+    event count exceeds ``MAX_EXPECTED_EVENTS``; when a batch gives
+    ``rate_set_by``, the options that set the block's rate, the refusal
+    names the block and them.
     """
     if duration <= 0:
         raise ConfigurationError("duration must be positive")
@@ -108,10 +111,11 @@ def generate_events(array: MemoryArray, source: AlphaSource, duration: float, se
         return EventLog(np.empty(0), np.empty(0, dtype=cell_dtype))
     expected = lam_total * duration
     if not expected <= MAX_EXPECTED_EVENTS:
+        block = "" if rate_set_by is None else f"part {array.part_id} {array.cell_type}: "
         raise ConfigurationError(
-            f"expected {expected:.3g} events over {duration:g} s, more than the "
-            f"budget of {MAX_EXPECTED_EVENTS} events; lower the rate, the block "
-            f"size or the duration")
+            f"{block}expected {expected:.3g} events over {duration:g} s, more than the "
+            f"budget of {MAX_EXPECTED_EVENTS} events; lower {rate_set_by or 'the rate'}, "
+            f"the block size or the duration")
     times = _arrival_times(rng, lam_total, duration)
     cells = rng.integers(0, array.n_cells, times.size, dtype=cell_dtype)
     return EventLog(times, cells)

@@ -200,22 +200,40 @@ def sample_array(
     ``MAX_REDRAWS`` redraws is refused before it is drawn, naming the
     option, the type and the key (``records._check_convergence``).
     """
-    vnom = model.v_dd_nominal
     v_dd = model.supply(v_dd)
     if not math.isfinite(part_offset):
         raise ConfigurationError(
             f"--part-offset (part_offset) must be finite, got {part_offset}")
+    n = _block_cells(rows, cols)
+    if cell_type not in CELL_TYPE_ORDER:
+        raise ConfigurationError(
+            f"unknown cell type {cell_type!r}; known: {', '.join(CELL_TYPE_ORDER)}")
+    return _sampled(cell_type, model, part_offset, seed, n, true_seu_rate, str(part_id),
+                    int(v_dd))
+
+
+def _block_cells(rows, cols) -> int:
+    """``rows * cols``, the cells of a block; ``rows`` and ``cols`` must be
+    positive integers, not bools, whose product is at most
+    ``MAX_EXPECTED_EVENTS``, or ``ConfigurationError`` is raised."""
     if (isinstance(rows, bool) or not isinstance(rows, (int, np.integer)) or rows < 1
             or isinstance(cols, bool) or not isinstance(cols, (int, np.integer)) or cols < 1
             or int(rows) * int(cols) > MAX_EXPECTED_EVENTS):
         raise ConfigurationError(
             f"rows and cols must be positive integers whose product is at most "
             f"{MAX_EXPECTED_EVENTS} (4096 x 4096), got {rows!r} x {cols!r}")
-    if cell_type not in CELL_TYPE_ORDER:
-        raise ConfigurationError(
-            f"unknown cell type {cell_type!r}; known: {', '.join(CELL_TYPE_ORDER)}")
+    return int(rows) * int(cols)
+
+
+def _sampled(cell_type: str, model: VariationModel, part_offset: float, seed, n: int,
+             true_seu_rate: float, part_id: str, v_dd: int) -> MemoryArray:
+    """The block of ``n`` cells that ``sample_array`` builds once it has
+    checked the inputs a batch shares (supply, part offset, geometry and
+    cell type), which a batch checks once (``pipeline._checked``).  The
+    model's entry for the type, the seed, the rate and the landing of each
+    threshold set under the part offset are checked here, per block."""
     tv = model.for_type(cell_type)
-    n = int(rows) * int(cols)
+    vnom = model.v_dd_nominal
     rng = np.random.default_rng(seed_sequence(seed))
 
     def draw(label):
@@ -227,11 +245,11 @@ def sample_array(
         return _sample_thresholds(rng, mu + part_offset, sigma, n, vnom)
 
     return MemoryArray(
-        part_id=str(part_id),
+        part_id=part_id,
         cell_type=cell_type,
         v_wl_min=draw("vwlmin"),
         true_seu_rate=true_seu_rate,
-        v_dd=int(v_dd),
+        v_dd=v_dd,
         draw=draw,
         threshold_ceiling=vnom,
     )

@@ -20,6 +20,7 @@ EXPECTED = {
     "sweep-hold": "d9c0a9d42283bd92bdb21acec0fcbff77e8a65b74df35ca4efdbfb93f6e48419",
     "sweep-read": "f632ebcae78c66535007352956eabc9a94ca85892d1e26c1ff0d0a3ae3fee07c",
     "sweep-hold-1000": "66fbd169adce3b6b1707a0788dc68146ea33a6283f922f7df51caab658104e76",
+    "simulate-1150-7": "44180d7a888a0c6ec33e741fb53520636bf13ba2c9853253d463e57a49e598c3",
 }
 
 COMMANDS = {
@@ -30,6 +31,9 @@ COMMANDS = {
     "sweep-read": ["sweep", "--kind", "read", "--seed", "3", "--out", "{out}/sweep.csv"],
     "sweep-hold-1000": ["sweep", "--kind", "hold", "--vdd", "1000", "--seed", "3",
                         "--out", "{out}/sweep.csv"],
+    # 35 blocks below nominal supply: measuring groups of 16 straddle the parts
+    "simulate-1150-7": ["simulate", "--seed", "3", "--vdd", "1150", "--parts", "7",
+                        "--emit-logs", "--out", "{out}"],
 }
 
 

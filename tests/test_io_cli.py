@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wlvmser
-from wlvmser import cli, pipeline
+from wlvmser import cli, sram
 from wlvmser.calibration import WEIGHT_MODES, CalibrationFit, predict_ser, weighted_linfit
 from wlvmser.errors import IngestError
 from wlvmser.io import (PartDataset, ReportBundle, _write_csv, emit_measurements_csv,
@@ -855,6 +855,11 @@ def test_cli_inoperable_supply_is_one_error_line(argv, tmp_path, capsys):
      "error: --part-offset (part_offset) -650 moves type SS's mu_hold_mV 450 to -200 mV, "
      "where sigma_hold_mV 30 lands a draw in [1, 1200] mV with a chance of at most "
      "1.2e-11; the thresholds could not be drawn within 1000 redraws"),
+    (["simulate", "--parts", "2", "--law-m", "1e308"],
+     "error: part 1 SS: expected inf events over 432000 s, more than the budget of "
+     "16777216 events; lower --law-m (m) or --law-b (b), the block size or the duration"),
+    (["simulate", "--seed", "3", "--vdd", "1100", "--parts", "3"],
+     "error: part 2 SL: initial write/verify failed for 1 cells at v_dd=1100 mV; "),
 ])
 def test_cli_bad_input_is_one_error_line(argv, cause, tmp_path, capsys):
     fit = calibrate_datasets(load_reference_dataset())
@@ -927,7 +932,7 @@ def test_cli_simulate_budget_counts_each_blocks_records(tmp_path, capsys, monkey
     besides their 15 M window counts, and are refused before any draw."""
     def no_draw(*args, **kwargs):
         raise AssertionError("simulate_parts drew a block of a batch over its budget")
-    monkeypatch.setattr(pipeline, "sample_array", no_draw)
+    monkeypatch.setattr(sram, "_sampled", no_draw)
     argv = ["simulate", "--duration", "1800", "--parts", "3000000", "--out", str(tmp_path)]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.splitlines() == [
@@ -942,7 +947,7 @@ def test_cli_simulate_budget_counts_the_sweep_histogram(tmp_path, capsys, monkey
     too, not after the first block's SER test."""
     def no_draw(*args, **kwargs):
         raise AssertionError("simulate_parts drew a block of a batch it refuses")
-    monkeypatch.setattr(pipeline, "sample_array", no_draw)
+    monkeypatch.setattr(sram, "_sampled", no_draw)
     for delta_v, message in [
             ("1", "error: --parts (n_parts) 1000 x 5 cell types x 1 windows keep more "
                   "than the budget of 16777216 window counts, each block's records "

@@ -1,6 +1,7 @@
 """Independent oracles for the numeric kernels."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -404,6 +405,79 @@ def test_sweep_registration_rejects_bad_input():
         kernels.sweep_registration(np.array([100]), 1200, 0)
     with pytest.raises(ConfigurationError, match="at least one cell"):
         kernels.sweep_registration(np.array([], dtype=np.int64), 1200, 10)
+
+
+def _group_cases():
+    """``(name, rows, v_start, delta_v)``: the shared table (top threshold
+    below a row's cell count, rows with different tops among them),
+    ``np.unique`` (top at or above it), starts on both sides of the
+    ``2**52`` bound of the exact mean, thresholds above the start, and rows
+    of one cell."""
+    rng = np.random.default_rng(11)
+    table = np.clip(np.rint(rng.normal(800, 44, (6, 2048))), 1, 1200).astype(np.int64)
+    table[2] //= 3  # a row whose top is far below the others'
+    small = rng.integers(1, 1500, (5, 64))
+    near = 2**60 - rng.integers(-30, 400, (3, 50))
+    return [("table", table, 1200, 10), ("table-1mV", table, 1200, 1),
+            ("table-above-start", table, 700, 7), ("table-negative-start", table, -50, 10),
+            ("table-above-bound", table, 2**41, 10), ("unique", small, 1200, 10),
+            ("unique-above-start", small, 600, 3), ("unique-above-bound", near, 2**60, 8),
+            ("one-cell", small[:, :1], 1200, 10)]
+
+
+@pytest.mark.parametrize("name, rows, v_start, delta_v", _group_cases(),
+                         ids=[case[0] for case in _group_cases()])
+def test_a_group_sweep_is_each_rows_own_sweep(name, rows, v_start, delta_v, monkeypatch):
+    """A ``(blocks, cells)`` call gives each row's own 1-D result bit for
+    bit, on either branch; the table branch makes no ``np.unique`` call."""
+    unique, calls = np.unique, []
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    got = kernels.sweep_registration(rows, v_start, delta_v)
+    assert len(calls) == (0 if name.startswith("table") else len(rows))
+    assert len(got) == len(rows)
+    for row, (histogram, mu, sigma) in zip(rows, got):
+        want_histogram, want_mu, want_sigma = kernels.sweep_registration(row, v_start, delta_v)
+        assert list(histogram.items()) == list(want_histogram.items())
+        assert all(type(v) is int and type(c) is int for v, c in histogram.items())
+        assert (mu.hex(), sigma.hex()) == (want_mu.hex(), want_sigma.hex())
+    if v_start == 1200:
+        check_sweep_statistics(rows[1], v_start, delta_v)
+
+
+@pytest.mark.parametrize("row, value", [(0, 0), (3, 0), (3, -1), (3, -2047), (5, -5000),
+                                        (4, -10**12)], ids=str)
+@pytest.mark.parametrize("cells", [2048, 8], ids=["table", "unique"])
+def test_a_group_sweep_refuses_a_threshold_not_positive_in_any_row(row, value, cells):
+    """Past the first row a threshold below 1 would count in a row before
+    it on the shared table; it is refused in every row, on both branches."""
+    rows = np.full((6, cells), 700, dtype=np.int64)
+    rows[row, cells // 2] = value
+    with pytest.raises(ConfigurationError, match="^sweep requires strictly positive thresholds$"):
+        kernels.sweep_registration(rows, 1200, 10)
+
+
+def test_a_sweep_refuses_thresholds_of_more_than_two_dimensions():
+    with pytest.raises(ConfigurationError, match="one block's or a \\(blocks, cells\\) array"):
+        kernels.sweep_registration(np.full((2, 2, 2), 700), 1200, 10)
+
+
+def test_many_small_blocks_at_a_high_supply_allocate_no_table_per_block():
+    """Blocks of 64 cells under a nominal supply of 10^6 mV: a table of
+    every integer up to the top threshold for each block would hold
+    (blocks x 10^6) counts, 160 MB for 20 blocks; the batch's traced peak
+    stays under 1 MB besides the records it keeps."""
+    from wlvmser.pipeline import simulate_parts
+    from wlvmser.records import TypeVariation, VariationModel
+    high = TypeVariation(5e5, 1e4, 2e5, 1e4, 3e5, 1e4)
+    model = VariationModel({t: high for t in ("SS", "SM", "SL", "MM", "LS")}, 1e3, 10**6)
+    tracemalloc.start()
+    try:
+        datasets = simulate_parts(model=model, n_parts=4, rows=8, cols=8, duration=3600.0,
+                                  seed=1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(datasets) == 4 and peak - held < 1 << 20
 
 
 def test_masked_mc_agrees_with_analytic():

@@ -45,10 +45,10 @@ print(*[name in sys.modules for name in ("numpy", "concurrent.futures", "datacla
 WRAPPING_CHILD = """\
 import sys
 import threading
-from wlvmser import cli, pipeline
+from wlvmser import cli, pipeline, protocols, sram
 calls = []
 for module, name in [(cli, "sample_array"), (cli, "run_ser_test"),
-                     (pipeline, "sample_array"), (pipeline, "run_wlvm_sweep")]:
+                     (sram, "_sampled"), (protocols, "_sweep_group")]:
     fn = getattr(module, name)
     def wrapper(*args, _fn=fn, _tag=f"{module.__name__}.{name}", **kwargs):
         main = threading.current_thread() is threading.main_thread()
@@ -157,11 +157,13 @@ def test_simulate_imports_numpy(argv, tmp_path):
 
 
 def test_late_bound_names_keep_a_wrapper(tmp_path):
-    """A 2^16-cell block is drawn on the helper thread, when the host lets
-    this process run on more than one CPU, through the wrapper."""
+    """The CLI's late-bound names keep a wrapper, and so do the per-block
+    draw and the group sweep that a batch looks up when it calls them: a
+    2^16-cell block is drawn on the helper thread, when the host lets this
+    process run on more than one CPU, through the wrapper."""
     several = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
     ahead = "@helper" if several else ""
     assert run_child(WRAPPING_CHILD, [], tmp_path).split() == [
-        "wlvmser.cli.sample_array", "wlvmser.cli.run_ser_test",
-        "wlvmser.pipeline.sample_array", "wlvmser.pipeline.run_wlvm_sweep",
-        "wlvmser.pipeline.sample_array" + ahead, "wlvmser.pipeline.run_wlvm_sweep"]
+        "wlvmser.cli.sample_array", "wlvmser.sram._sampled", "wlvmser.cli.run_ser_test",
+        "wlvmser.sram._sampled", "wlvmser.protocols._sweep_group",
+        "wlvmser.sram._sampled" + ahead, "wlvmser.protocols._sweep_group"]
